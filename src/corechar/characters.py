@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .arith import (
     FactoredModulus,
@@ -296,10 +296,6 @@ def enumerate_characters(q, primitive_only: bool = False) -> list[DirichletChara
             continue
         out.append(chi)
     return out
-
-
-def iter_characters(q, primitive_only: bool = False) -> Iterator[DirichletCharacter]:
-    yield from enumerate_characters(q, primitive_only)
 
 
 class RestrictedCharacter(NamedTuple):

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -156,14 +157,8 @@ def parse_polynomial(spec: Optional[str]) -> RealPolynomial:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else DEFAULT_CONFIG
-    overrides = {}
-    for name in ("epsilon", "gamma0", "xi0", "c0", "A", "b",
-                 "korobov_residual_constant", "work_budget", "seed", "threads"):
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "const_a", None) is not None:
-        overrides["a"] = args.const_a
+    overrides = {f.name: getattr(args, "const_a" if f.name == "a" else f.name, None)
+                 for f in fields(RunConfig)}
     return cfg.with_overrides(**overrides)
 
 
@@ -321,31 +316,13 @@ def cmd_zero_scan(args, cfg: RunConfig) -> dict:
 
 def cmd_zfr_params(args, cfg: RunConfig) -> dict:
     params = zero_free_params(args.q, args.eta, args.T, args.M, A=cfg.A)
-    return _report("zfr-params", cfg, {
-        "q": args.q, "eta": params.eta, "T": params.T, "M_bound": params.M_bound,
-        "vartheta": params.vartheta,
-        "etacond_lhs": params.etacond_lhs,
-        "etacond_rhs_as_printed": params.etacond_rhs_as_printed,
-        "etacond_rhs_corrected": params.etacond_rhs_corrected,
-        "etacond_holds_as_printed": params.etacond_holds_as_printed,
-        "etacond_holds_corrected": params.etacond_holds_corrected,
-        "A_shape": params.A_shape,
-        "vartheta_shape": params.vartheta_shape,
-    })
+    return _report("zfr-params", cfg, asdict(params))
 
 
 def cmd_psi_progression(args, cfg: RunConfig) -> dict:
     rep = short_interval_check(args.q, args.a, args.x, args.h,
                                b=cfg.b, eps=args.eps, c0=cfg.c0)
-    return _report("psi-progression", cfg, {
-        "q": rep.q, "a": rep.a, "x": rep.x, "h": rep.h,
-        "delta_psi": rep.delta_psi, "main_term": rep.main_term,
-        "rel_error": rep.rel_error, "theorem_error_shape": rep.theorem_error_shape,
-        "b": rep.b, "eps": rep.eps, "c0": rep.c0,
-        "window_lower_ok": rep.window_lower_ok,
-        "window_upper_ok": rep.window_upper_ok,
-        "empty_interval": rep.empty_interval,
-    })
+    return _report("psi-progression", cfg, asdict(rep))
 
 
 def cmd_report_all(args, cfg: RunConfig) -> dict:
@@ -405,8 +382,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--korobov-residual-constant", dest="korobov_residual_constant",
                    type=float)
     p.add_argument("--work-budget", dest="work_budget", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

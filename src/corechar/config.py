@@ -7,7 +7,7 @@ report-echoed configuration.  Defaults are desk-scale stand-ins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +25,6 @@ class RunConfig:
     b: float = 2.4          # zero-density exponent (the 12/5 default)
     korobov_residual_constant: float = 10.0
     work_budget: float = 1e9
-    seed: int = 20260809
-    threads: int = 1
     output_format: str = "json"
 
     def __post_init__(self):
@@ -36,25 +34,16 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.gamma0 < 1 or self.threads < 1:
-            raise ValueError("gamma0 and threads must be >= 1")
+        if self.gamma0 < 1:
+            raise ValueError("gamma0 must be >= 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be json or csv")
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "gamma0": self.gamma0,
-            "xi0": self.xi0,
-            "c0": self.c0,
-            "a": self.a,
-            "A": self.A,
-            "b": self.b,
-            "korobov_residual_constant": self.korobov_residual_constant,
-            "work_budget": self.work_budget,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
+        """The constants echoed in every report (all fields but output_format)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_format"}
+        out["epsilon"] = str(self.epsilon)
+        return out
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         clean = {k: v for k, v in kwargs.items() if v is not None}
@@ -66,12 +55,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Parse a key=value file (blank lines and # comments ignored)."""
         values: dict = {}
-        casts = {
-            "epsilon": Fraction, "gamma0": int, "xi0": float, "c0": float,
-            "a": float, "A": float, "b": float,
-            "korobov_residual_constant": float, "work_budget": float,
-            "seed": int, "threads": int, "output_format": str,
-        }
+        casts = {f.name: type(f.default) for f in fields(cls)}
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -5,8 +5,9 @@ Two summation modes are used throughout.  When the terms are roots of
 unity with exactly-known rational angles (pure character sums, polynomial
 twists with rational coefficients), the sum is accumulated as an exact
 multiset of angles and only converted to a complex double at the end.
-Otherwise terms are accumulated in fixed-size blocks combined left to
-right, so results are reproducible and independent of any worker count.
+Otherwise one reducer, ``_blocked_sum``, evaluates the terms in
+fixed-size blocks and combines the block sums left to right, so a result
+depends only on the window and the summand.
 """
 
 from __future__ import annotations
@@ -81,15 +82,8 @@ class RealPolynomial:
     def is_rational(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.coefficients)
 
-    def eval_exact(self, x) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("polynomial has non-rational coefficients")
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def eval_float(self, x: float) -> float:
+    def eval_float(self, x):
+        """G(x) in double precision; x may be a float or a float array."""
         acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * x + float(c)
@@ -149,6 +143,52 @@ def _chi_tables(chi: DirichletCharacter):
     return chi.value_table
 
 
+def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
+    """chi(n) for each n of ns: a table lookup when one exists, else per term."""
+    tables = _chi_tables(chi)
+    if tables is not None:
+        return tables[1][ns % chi.q]
+    return np.array([chi(int(n)) for n in ns], dtype=np.complex128)
+
+
+def _phase_numerators(nums, den: int, xs) -> np.ndarray:
+    """(sum_i nums[i] x^i) mod den for every x of the integer array xs.
+
+    Horner's rule on residues: with x, acc and c all in [0, den), each
+    intermediate acc*x + c is at most den*(den-1) < den^2, so int64 is
+    exact while den^2 <= 2^63.  Larger denominators run on Python ints.
+    """
+    xs = np.asarray(xs)
+    if den * den <= 1 << 63:
+        xs = (xs % den).astype(np.int64)
+    else:
+        xs = xs.astype(object) % den
+    acc = np.zeros_like(xs)
+    for c in reversed(nums):
+        acc = (acc * xs + c % den) % den
+    return acc
+
+
+def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
+    """sum of block_terms(ns) over n in (M, M+N], float mode.
+
+    ns runs through the window in integer arrays of _BLOCK terms; the
+    block sums are combined left to right with fsum.
+    """
+    parts_re: list[float] = []
+    parts_im: list[float] = []
+    n0 = M + 1
+    remaining = N
+    while remaining > 0:
+        size = min(_BLOCK, remaining)
+        terms = block_terms(np.arange(n0, n0 + size))
+        parts_re.append(float(np.sum(terms.real)))
+        parts_im.append(float(np.sum(terms.imag)))
+        n0 += size
+        remaining -= size
+    return SumResult(complex(math.fsum(parts_re), math.fsum(parts_im)), N, "float")
+
+
 def _window_residue_counts(q: int, M: int, N: int) -> np.ndarray:
     """How often each residue class mod q occurs among M+1 .. M+N."""
     counts = np.full(q, N // q, dtype=np.int64)
@@ -189,66 +229,40 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
             if a is not None:
                 angle_counts[a] += 1
         return SumResult(_value_from_angles(angle_counts), N, "exact", angle_counts)
-    return _float_sum(lambda n: chi(n), M, N)
-
-
-def _float_sum(term, M: int, N: int) -> SumResult:
-    """Blocked left-to-right accumulation of term(n) for n in (M, M+N]."""
-    parts_re: list[float] = []
-    parts_im: list[float] = []
-    n = M + 1
-    remaining = N
-    while remaining > 0:
-        size = min(_BLOCK, remaining)
-        block = [term(n + i) for i in range(size)]
-        parts_re.append(math.fsum(v.real for v in block))
-        parts_im.append(math.fsum(v.imag for v in block))
-        n += size
-        remaining -= size
-    return SumResult(complex(math.fsum(parts_re), math.fsum(parts_im)), N, "float")
+    return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
 
 
 def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> SumResult:
-    """sum_{n=M+1}^{M+N} chi(n) e(G(n)); reduces to char_sum when G = 0."""
+    """sum_{n=M+1}^{M+N} chi(n) e(G(n)); reduces to char_sum when G = 0.
+
+    With rational G, a value table and at most 2*10^5 terms the result is
+    an exact angle multiset; otherwise it is accumulated in float mode.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if G.is_zero:
         return char_sum(chi, M, N)
     q = chi.q
     tables = _chi_tables(chi)
-    if G.is_rational and N <= 2 * 10**5 and tables is not None:
-        angles_tab, _ = tables
+    if G.is_rational:
         nums, den = G.angle_data()
-        angle_counts: Counter = Counter()
-        for n in range(M + 1, M + N + 1):
-            a = angles_tab[n % q]
-            if a is None:
-                continue
-            acc = 0
-            for c in reversed(nums):
-                acc = (acc * n + c) % den
-            angle_counts[a + RationalAngle.make(Fraction(acc, den))] += 1
-        return SumResult(_value_from_angles(angle_counts), N, "exact", angle_counts)
-    if tables is not None and G.is_rational:
-        _, vals = tables
-        nums, den = G.angle_data()
-        parts_re, parts_im = [], []
-        n0 = M + 1
-        remaining = N
-        while remaining > 0:
-            size = min(_BLOCK, remaining)
-            ns = np.arange(n0, n0 + size, dtype=object)
-            acc = np.zeros(size, dtype=object)
-            for c in reversed(nums):
-                acc = (acc * ns + c) % den
-            phases = np.exp(2j * np.pi * (acc.astype(np.float64) / den))
-            terms = vals[np.arange(n0, n0 + size) % q] * phases
-            parts_re.append(float(np.sum(terms.real)))
-            parts_im.append(float(np.sum(terms.imag)))
-            n0 += size
-            remaining -= size
-        return SumResult(complex(math.fsum(parts_re), math.fsum(parts_im)), N, "float")
-    return _float_sum(lambda n: chi(n) * cmath.exp(2j * math.pi * G.eval_float(n)), M, N)
+        if N <= 2 * 10**5 and tables is not None:
+            angles_tab, _ = tables
+            window = range(M + 1, M + N + 1)
+            angle_counts: Counter = Counter()
+            for n, num in zip(window, _phase_numerators(nums, den, np.array(window))):
+                a = angles_tab[n % q]
+                if a is not None:
+                    angle_counts[a + RationalAngle.make(Fraction(int(num), den))] += 1
+            return SumResult(_value_from_angles(angle_counts), N, "exact", angle_counts)
+
+        def phases(ns):
+            return _phase_numerators(nums, den, ns).astype(np.float64) / den
+    else:
+        def phases(ns):
+            return G.eval_float(ns.astype(np.float64))
+    return _blocked_sum(
+        lambda ns: _chi_values(chi, ns) * np.exp(2j * np.pi * phases(ns)), M, N)
 
 
 def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResult:
@@ -259,34 +273,18 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
         raise ValueError("window must start at a positive integer")
     if t == 0:
         return char_sum(chi, M, N)
-    q = chi.q
-    tables = _chi_tables(chi)
-    if tables is None:
-        return _float_sum(lambda n: chi(n) * cmath.exp(1j * t * math.log(n)), M, N)
-    _, vals = tables
-    parts_re, parts_im = [], []
-    n0 = M + 1
-    remaining = N
-    while remaining > 0:
-        size = min(_BLOCK, remaining)
-        ns = np.arange(n0, n0 + size, dtype=np.float64)
-        terms = vals[np.arange(n0, n0 + size) % q] * np.exp(1j * t * np.log(ns))
-        parts_re.append(float(np.sum(terms.real)))
-        parts_im.append(float(np.sum(terms.imag)))
-        n0 += size
-        remaining -= size
-    return SumResult(complex(math.fsum(parts_re), math.fsum(parts_im)), N, "float")
+    return _blocked_sum(
+        lambda ns: _chi_values(chi, ns) * np.exp(1j * t * np.log(ns.astype(np.float64))), M, N)
 
 
-def taylor_approx_poly(nu: int, t: float) -> RealPolynomial:
+def taylor_approx_poly(nu: int) -> RealPolynomial:
     """The phase polynomial G with (1+x)^{it} = e(t G(x)) (1 + O(|t| |x|^nu)).
 
-    G(x) = F_{nu-1}(x) / (2 pi), degree nu - 1; for |x| <= 1/2 the error is
-    at most 4 |t| |x|^nu.  ``t`` only scales the error bound, not G.
+    G(x) = F_{nu-1}(x) / (2 pi), degree nu - 1, the same for every t; for
+    |x| <= 1/2 the error is at most 4 |t| |x|^nu.
     """
     if nu < 2:
         raise ValueError("nu must be >= 2")
-    del t
     coeffs = [0.0] + [(-1.0) ** (r - 1) / (2.0 * math.pi * r) for r in range(1, nu)]
     return RealPolynomial(tuple(coeffs))
 
@@ -301,12 +299,10 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
             products[y * z] += 1
     if g.is_rational:
         nums, den = g.angle_data()
+        prods = list(products)
         angle_counts: Counter = Counter()
-        for prod, mult in products.items():
-            acc = 0
-            for c in reversed(nums):
-                acc = (acc * prod + c) % den
-            angle_counts[RationalAngle.make(Fraction(acc, den))] += mult
+        for prod, num in zip(prods, _phase_numerators(nums, den, prods).tolist()):
+            angle_counts[RationalAngle.make(Fraction(num, den))] += products[prod]
         return SumResult(_value_from_angles(angle_counts), P * P, "exact", angle_counts)
     re_parts, im_parts = [], []
     for prod in sorted(products):
@@ -367,18 +363,11 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
         nums, den = G.angle_data()
 
         def phases_for(n: int) -> np.ndarray:
-            xs = (n + P * yz) % den
-            acc = np.zeros_like(xs)
-            for c in reversed(nums):
-                acc = (acc * xs + c) % den
+            acc = _phase_numerators(nums, den, n + P * yz)
             return np.exp(2j * np.pi * (acc.astype(np.float64) / den))
     else:
         def phases_for(n: int) -> np.ndarray:
-            xs = (n + P * yz).astype(np.float64)
-            acc = np.zeros_like(xs)
-            for c in reversed(G.coefficients):
-                acc = acc * xs + float(c)
-            return np.exp(2j * np.pi * acc)
+            return np.exp(2j * np.pi * G.eval_float((n + P * yz).astype(np.float64)))
 
     v_total = complex(0.0)
     for n in ns:

@@ -163,23 +163,22 @@ def _chi_matrix(chis: Sequence[DirichletCharacter], q: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _l_via_hurwitz(chi: DirichletCharacter, s: complex,
-                   with_ds: bool = False):
-    """Regularized Hurwitz sum; exact for nonprincipal chi (poles cancel)."""
-    if chi.is_principal:
-        raise ValueError("regularized path is for nonprincipal characters")
-    q = chi.q
+def _l_sums(X: np.ndarray, s: complex, with_ds: bool = False):
+    """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of a ``_chi_matrix``.
+
+    zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
+    of a nonprincipal character gives L(s, chi) exactly.  With ``with_ds``
+    the d/ds values come second.
+    """
+    q = X.shape[1]
     a_over_q = np.arange(1, q + 1, dtype=np.float64) / q
-    _, vals = chi.value_table
-    chivec = np.roll(vals, -1)
-    qs = np.exp(-s * math.log(q))
-    if with_ds:
-        zr, dzr = _hurwitz_core(s, a_over_q, regularized=True, with_ds=True)
-        lval = qs * np.dot(chivec, zr)
-        ldev = -math.log(q) * lval + qs * np.dot(chivec, dzr)
-        return complex(lval), complex(ldev)
-    zr = _hurwitz_core(s, a_over_q, regularized=True, with_ds=False)
-    return complex(qs * np.dot(chivec, zr))
+    qf = math.log(q)
+    qs = np.exp(-s * qf)
+    if not with_ds:
+        return qs * (X @ _hurwitz_core(s, a_over_q, regularized=True, with_ds=False))
+    zr, dzr = _hurwitz_core(s, a_over_q, regularized=True, with_ds=True)
+    lvals = qs * (X @ zr)
+    return lvals, -qf * lvals + qs * (X @ dzr)
 
 
 def l_value(chi: DirichletCharacter, s: complex) -> complex:
@@ -192,26 +191,23 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
     s = complex(s)
     if s.real <= 0.0:
         raise ValueError("evaluation restricted to Re s > 0")
+    if chi.is_principal and s == 1.0:
+        raise ValueError("L(s, principal) has a pole at s = 1")
+    val = complex(_l_sums(_chi_matrix([chi], chi.q), s)[0])
     if chi.is_principal:
-        if s == 1.0:
-            raise ValueError("L(s, principal) has a pole at s = 1")
-        q = chi.q
-        a_over_q = np.arange(1, q + 1, dtype=np.float64) / q
-        _, vals = chi.value_table
-        chivec = np.roll(vals, -1)
-        zr = _hurwitz_core(s, a_over_q, regularized=True, with_ds=False)
-        qs = np.exp(-s * math.log(q)) if q > 1 else 1.0
-        return complex(qs * (np.dot(chivec, zr) + chi.modulus.phi / (s - 1.0)))
-    return _l_via_hurwitz(chi, s, with_ds=False)
+        val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
+    return val
 
 
 def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]:
     """(L(s, chi), L'(s, chi)) for nonprincipal chi, Re s > 0."""
     if chi.is_principal:
         raise ValueError("derivative path is for nonprincipal characters")
-    if complex(s).real <= 0.0:
+    s = complex(s)
+    if s.real <= 0.0:
         raise ValueError("evaluation restricted to Re s > 0")
-    return _l_via_hurwitz(chi, complex(s), with_ds=True)
+    lvals, dvals = _l_sums(_chi_matrix([chi], chi.q), s, with_ds=True)
+    return complex(lvals[0]), complex(dvals[0])
 
 
 def l_value_series(chi: DirichletCharacter, s: complex,
@@ -275,17 +271,11 @@ def _windings(q: int, chis, alpha: float, T: float,
     """Winding numbers (1/2pi i) contour-int L'/L for every chi, plus the
     smallest |L| seen on the contour."""
     pts, wts = _contour(alpha, T, max_panel, gl_order)
-    qf = math.log(q)
-    a_over_q = np.arange(1, q + 1, dtype=np.float64) / q
     X = _chi_matrix(chis, q)
     lmat = np.empty((len(chis), len(pts)), dtype=np.complex128)
     lpmat = np.empty_like(lmat)
     for j, s in enumerate(pts):
-        zr, dzr = _hurwitz_core(complex(s), a_over_q, regularized=True, with_ds=True)
-        qs = np.exp(-complex(s) * qf)
-        lcol = qs * (X @ zr)
-        lmat[:, j] = lcol
-        lpmat[:, j] = -qf * lcol + qs * (X @ dzr)
+        lmat[:, j], lpmat[:, j] = _l_sums(X, complex(s), with_ds=True)
     min_abs = float(np.min(np.abs(lmat)))
     integrals = (lpmat / lmat) @ wts / (2j * math.pi)
     return integrals, min_abs
@@ -366,16 +356,12 @@ def l_grid_min(q, alpha: float, T: float, sigma_steps: int = 9,
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, sigma_steps)
     ts = np.linspace(-T, T, t_steps)
-    a_over_q = np.arange(1, mod.q + 1, dtype=np.float64) / mod.q
     X = _chi_matrix(chis, mod.q)
-    qf = math.log(mod.q)
     best = math.inf
     best_at = None
     for sigma in sigmas:
         for t in ts:
-            s = complex(sigma, t)
-            zr = _hurwitz_core(s, a_over_q, regularized=True, with_ds=False)
-            lvals = np.exp(-s * qf) * (X @ zr)
+            lvals = _l_sums(X, complex(sigma, t))
             idx = int(np.argmin(np.abs(lvals)))
             v = float(np.abs(lvals[idx]))
             if v < best:
@@ -398,19 +384,16 @@ class EllContext:
     t: float
     ell: float
     Z: float
-    Y: Optional[float] = None
-    C_exponent: Optional[float] = None
 
 
-def build_ell_context(q, t: float, Y: Optional[float] = None,
-                      C: Optional[float] = None) -> EllContext:
+def build_ell_context(q, t: float) -> EllContext:
     mod = as_modulus(q)
     ell = math.log(mod.q) + math.log(abs(t) + 3.0)
     try:
         z = math.exp(2.0 * ell)
     except OverflowError:
         z = math.inf
-    return EllContext(q=mod.q, t=t, ell=ell, Z=z, Y=Y, C_exponent=C)
+    return EllContext(q=mod.q, t=t, ell=ell, Z=z)
 
 
 @dataclass(frozen=True)
@@ -429,18 +412,16 @@ class Theorem3Bound:
     bound: float
 
 
-def theorem3_bound(q, eta: float, t: float, c_impl: float = 1.0,
-                   C: Optional[float] = None) -> Theorem3Bound:
+def theorem3_bound(q, eta: float, t: float, c_impl: float = 1.0) -> Theorem3Bound:
     """Evaluate the L-bound shape near the edge of the critical strip.
 
     ``c_impl`` stands in for the unspecified absolute constant (default 1);
-    the report says which of the three max-terms dominates.  ``C`` is the
-    intended |t| <= q^C window; it is recorded, not enforced.
+    the report says which of the three max-terms dominates.
     """
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
     mod = as_modulus(q)
-    ctx = build_ell_context(mod, t, C=C)
+    ctx = build_ell_context(mod, t)
     ell = ctx.ell
     t1 = eta * math.log(mod.core)
     t2 = eta**1.5 * ell
@@ -473,16 +454,14 @@ class Lemma8Report:
 
 def lemma8_check(q, Y: Optional[float] = None, eta: float = 0.1, t: float = 0.0,
                  *, gamma0: int = 2, xi0: float = 1e-4, c0: float = 1.0,
-                 chi: Optional[DirichletCharacter] = None,
                  log_y: Optional[float] = None) -> Lemma8Report:
     """Check Y >= core^gamma0 and eta <= xi0 (log Y)^2/ell^2 - c0 log(ell)/log Y.
 
     When both hold the lemma's conclusion bounds |L| by eta^{-1} Y^eta in
     sigma > 1 - eta.  Y may be given directly or as log_y (the useful Y
-    routinely overflows a double).  ``chi`` is contextual only: the bound
-    is uniform over primitive characters mod q.
+    routinely overflows a double).  The bound is uniform over primitive
+    characters mod q.
     """
-    del chi
     mod = as_modulus(q)
     if (Y is None) == (log_y is None):
         raise ValueError("give exactly one of Y and log_y")

@@ -185,9 +185,6 @@ class TruncatedLogPolynomial:
     def coefficient(self, r: int) -> Fraction:
         return self.coefficients[r - 1]
 
-    def denominators(self) -> list[int]:
-        return [c.denominator for c in self.coefficients]
-
 
 def shifted_poly(chi: DirichletCharacter, n: int, s: int, d: int) -> TruncatedLogPolynomial:
     """The polynomial f_n with coefficients (-1)^(r-1) m core^{rs} nbar^r / (q r).

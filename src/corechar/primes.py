@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import factor
+from .arith import as_modulus, factor
 
 __all__ = [
     "von_mangoldt",
@@ -171,13 +171,6 @@ class PsiReport:
     empty_interval: bool
 
 
-def _euler_phi(q: int) -> int:
-    out = 1
-    for p, e in factor(q):
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
 def short_interval_check(q: int, a: int, x: float, h: float, b: float = 2.4,
                          eps: float = 0.05, c0: float = 1.0) -> PsiReport:
     """Compare psi(x+h; q, a) - psi(x; q, a) against h/phi(q).
@@ -192,7 +185,7 @@ def short_interval_check(q: int, a: int, x: float, h: float, b: float = 2.4,
     if q > 1 and math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) > 1: class is essentially prime-free")
     window = _psi_window(x, x + h, q, a)
-    main = h / _euler_phi(q)
+    main = h / as_modulus(q).phi
     rel = abs(window.value - main) / main if main > 0 else math.inf
     lx = math.log(x) if x > 1 else 0.0
     shape = math.exp(-c0 * lx ** (1.0 / 3.0) * math.log(lx) ** (-1.0 / 3.0)) \

@@ -19,7 +19,6 @@ import numpy as np
 from .expsums import RealPolynomial, double_sum
 
 __all__ = [
-    "PowerSumSignature",
     "power_sum_signature",
     "count_vinogradov",
     "count_vinogradov_naive",
@@ -34,25 +33,17 @@ __all__ = [
 _TUPLE_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class PowerSumSignature:
-    """The d power sums of a k-tuple: sums[r-1] = sum_i y_i^r.
+def power_sum_signature(values: Sequence[int], d: int) -> tuple[int, ...]:
+    """The d power sums of a k-tuple: entry r-1 is sum_i y_i^r.
 
-    Tuples from [1, P]^k satisfy k <= sums[r-1] <= k * P^r.
+    Tuples from [1, P]^k satisfy k <= sum_i y_i^r <= k * P^r.
     """
-
-    k: int
-    d: int
-    sums: tuple[int, ...]
-
-
-def power_sum_signature(values: Sequence[int], d: int) -> PowerSumSignature:
     sums = []
     powers = list(values)
     for _ in range(d):
         sums.append(sum(powers))
         powers = [p * v for p, v in zip(powers, values)]
-    return PowerSumSignature(k=len(values), d=d, sums=tuple(sums))
+    return tuple(sums)
 
 
 def _signature_array(k: int, d: int, P: int) -> Optional[np.ndarray]:
@@ -104,7 +95,7 @@ def count_vinogradov(k: int, d: int, P: int, tuple_budget: int = _TUPLE_BUDGET) 
     # big-integer path
     table: dict[tuple, int] = {}
     for combo in itertools.product(range(1, P + 1), repeat=k):
-        sig = power_sum_signature(combo, d).sums
+        sig = power_sum_signature(combo, d)
         table[sig] = table.get(sig, 0) + 1
     return sum(c * c for c in table.values())
 

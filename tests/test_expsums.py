@@ -104,7 +104,7 @@ def test_dirichlet_poly_needs_positive_start():
 def _taylor_path(chi, M, N, t, pieces=10, nu=16):
     """Second evaluation path: blockwise Taylor phase approximation of n^{it}."""
     total = 0.0 + 0.0j
-    G = taylor_approx_poly(nu, t)
+    G = taylor_approx_poly(nu)
     block = max(1, N // pieces)
     start = M
     while start < M + N:
@@ -129,19 +129,19 @@ def test_dirichlet_poly_cross_check_taylor():
 
 
 def test_taylor_approx_poly():
-    g2 = taylor_approx_poly(2, 10.0)
+    g2 = taylor_approx_poly(2)
     assert g2.degree == 1
     assert abs(g2.coefficients[1] - 1.0 / (2 * math.pi)) < 1e-15
     assert g2.coefficients[0] == 0.0
     # x = 0: both sides equal 1
     assert cmath.exp(2j * math.pi * 10.0 * g2.eval_float(0.0)) == 1.0
     with pytest.raises(ValueError):
-        taylor_approx_poly(1, 1.0)
+        taylor_approx_poly(1)
 
 
 @pytest.mark.parametrize("t,x,nu", [(10.0, 0.01, 4), (3.0, -0.3, 6), (25.0, 0.5, 8)])
 def test_taylor_phase_error_bound(t, x, nu):
-    G = taylor_approx_poly(nu, t)
+    G = taylor_approx_poly(nu)
     lhs = (1 + x) ** (1j * t)
     rhs = cmath.exp(2j * math.pi * t * G.eval_float(x))
     assert abs(lhs - rhs) <= 4 * abs(t) * abs(x) ** nu
@@ -201,3 +201,54 @@ def test_decompose_errors():
         decompose(chi, 0, 100, RealPolynomial.zero(), 1)
     with pytest.raises(ValueError):
         decompose(chi, 0, 100, RealPolynomial.zero(), 2, work_budget=10)
+
+
+def test_twisted_sum_float_mode_above_exact_switch():
+    chi = enumerate_characters(27, primitive_only=True)[2]
+    G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 11)])
+    M, N = 5, 2 * 10**5 + 5
+    res = twisted_sum(chi, M, N, G)
+    assert res.mode == "float"
+    # chi(n) has period 27 and G(n) mod 1 period 77: tabulate one period of each
+    chi_of = [chi(r) for r in range(27)]
+    frac_of = [G.frac_at(r) for r in range(77)]
+    direct = sum(chi_of[n % 27] * cmath.exp(2j * math.pi * float(frac_of[n % 77]))
+                 for n in range(M + 1, M + N + 1))
+    assert abs(res.value - direct) <= 1e-9 * N
+
+
+def test_twisted_sum_float_coefficients():
+    chi = enumerate_characters(27, primitive_only=True)[2]
+    G = RealPolynomial.make([0.25, 0.1, 0.003])
+    M, N = 5, 1000
+    res = twisted_sum(chi, M, N, G)
+    assert res.mode == "float"
+    direct = sum(chi(n) * cmath.exp(2j * math.pi * G.eval_float(n))
+                 for n in range(M + 1, M + N + 1))
+    assert abs(res.value - direct) <= 1e-9 * N
+
+
+def test_dirichlet_poly_across_block_boundary():
+    chi = enumerate_characters(27, primitive_only=True)[2]
+    M, N, t = 100, (1 << 16) + 4000, 3.5
+    res = dirichlet_poly(chi, M, N, t)
+    direct = sum(chi(n) * cmath.exp(1j * t * math.log(n)) for n in range(M + 1, M + N + 1))
+    assert abs(res.value - direct) <= 1e-9 * N
+
+
+def test_decompose_large_phase_denominator():
+    """G has denominator ~10^18, so Horner steps on residues exceed int64."""
+    q, s, M, N = 81, 2, 10**6, 12
+    chi = enumerate_characters(q, primitive_only=True)[0]
+    G = RealPolynomial.make([0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)])
+    res = decompose(chi, M, N, G, s)
+    P = chi.modulus.core ** s
+    expected = 0j
+    for n in range(M + 1, M + N + 1):
+        if math.gcd(n, q) != 1:
+            continue
+        nbar = pow(n, -1, q)
+        expected += chi(n) * sum(
+            chi(1 + P * nbar * y * z) * cmath.exp(2j * math.pi * float(G.frac_at(n + P * y * z)))
+            for y in range(1, P + 1) for z in range(1, P + 1))
+    assert abs(res.v_value - expected) <= 1e-9 * res.term_count
