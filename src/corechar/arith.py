@@ -1,9 +1,9 @@
 """Exact integer, modular, and unit-group arithmetic.
 
-Everything in here is deliberately dependency-free and exact: moduli are
-arbitrary-precision integers, group-theoretic data (generators, orders,
-discrete logarithms) is computed over the actual unit groups, and the
-0.7-threshold core condition is tested in rational arithmetic.
+Everything in here is exact: moduli are arbitrary-precision integers,
+group-theoretic data (generators, orders, discrete logarithms) is computed
+over the actual unit groups, and the 0.7-threshold core condition is tested
+in rational arithmetic.  Only the bulk discrete-log tables are numpy arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "FactoredModulus",
@@ -23,6 +25,9 @@ __all__ = [
     "discrete_log",
     "crt_combine",
 ]
+
+# Discrete-log tables are built for prime powers up to this size.
+DLOG_TABLE_CAP = 1 << 22
 
 # Increments of the mod-30 wheel starting from 7: skips multiples of 2, 3, 5.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -313,30 +318,29 @@ def discrete_log(x: int, basis: UnitGroupBasis) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def dlog_table(p: int, gamma: int) -> dict[int, tuple[int, ...]]:
-    """Full residue -> exponent-vector table for (Z/p^gamma)^x.
+def dlog_table(p: int, gamma: int) -> np.ndarray:
+    """Exponent vectors of every residue mod p^gamma against its basis.
 
-    Built by walking the group once; cached per prime power.  Intended for
-    the small moduli where characters are evaluated in bulk.
+    Row n is discrete_log(n) for a unit n and all -1 for a non-unit; the
+    trivial group (p^gamma = 2) gets one all-zero column so that its
+    non-units are marked too.  Built by walking the group once; cached per
+    prime power.
     """
     basis = unit_group_basis(p, gamma)
     modulus = basis.modulus
-    if modulus > 1 << 22:
+    if modulus > DLOG_TABLE_CAP:
         raise ValueError(f"dlog table for modulus {modulus} exceeds the size cap")
-    table: dict[int, tuple[int, ...]] = {}
-    if not basis.generators:
-        return {1 % modulus: ()}
-    if len(basis.generators) == 1:
-        g, order = basis.generators[0], basis.orders[0]
-        e = 1
-        for j in range(order):
-            table[e] = (j,)
-            e = e * g % modulus
-    else:
-        g2, o2 = basis.generators[1], basis.orders[1]
-        e = 1
-        for j in range(o2):
-            table[e] = (0, j)
-            table[modulus - e] = (1, j)
-            e = e * g2 % modulus
+    table = np.full((modulus, max(1, len(basis.generators))), -1, dtype=np.int64)
+    g, order = (basis.generators[-1], basis.orders[-1]) if basis.generators else (1, 1)
+    powers = [1 % modulus] * order
+    for j in range(1, order):
+        powers[j] = powers[j - 1] * g % modulus
+    js = np.arange(order)
+    table[powers, -1] = js
+    if len(basis.generators) == 2:  # 2^gamma = {+-1} x <5>: -5^j has vector (1, j)
+        table[powers, 0] = 0
+        negatives = [modulus - e for e in powers]
+        table[negatives, 0] = 1
+        table[negatives, 1] = js
+    table.flags.writeable = False  # one cached array is shared by every caller
     return table

@@ -1,9 +1,16 @@
-"""Dirichlet characters with exact rational-angle values.
+"""Dirichlet characters with exact integer-angle values.
 
 A character mod q is stored as one exponent vector per prime-power part of
-q, taken against the canonical unit-group basis of that prime power.  All
-values are exact angles a/b (meaning e(a/b) = exp(2*pi*i*a/b)); conversion
-to floating-point complex numbers happens only at summation boundaries.
+q, taken against the canonical unit-group basis of that prime power.  With
+L = chi.order every value is chi(n) = e(A(n)/L) for an integer numerator
+0 <= A(n) < L (e(t) = exp(2*pi*i*t)), computed from discrete logs as
+
+    A(n) = sum_j w_j * dlog_j(n mod p^gamma) mod L,  w_j = k_j * L / o_j,
+
+over the basis generators j of order o_j and exponents k_j.  ``evaluate``
+reduces A(n)/L to a ``RationalAngle``; ``value_table`` holds A and the
+complex values on all residues.  Conversion to floating-point complex
+numbers happens only at summation boundaries.
 """
 
 from __future__ import annotations
@@ -13,10 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .arith import (
+    DLOG_TABLE_CAP,
     FactoredModulus,
     as_modulus,
     discrete_log,
@@ -34,8 +44,11 @@ __all__ = [
     "RestrictedCharacter",
 ]
 
+# Value tables are built for moduli up to this size.
+VALUE_TABLE_CAP = 1 << 20
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class RationalAngle:
     """A reduced fraction in [0, 1) representing the root of unity e(n/d)."""
 
@@ -47,15 +60,16 @@ class RationalAngle:
         f = Fraction(value) % 1
         return cls(f.numerator, f.denominator)
 
+    @classmethod
+    def of(cls, numerator: int, denominator: int) -> "RationalAngle":
+        """The angle numerator/denominator mod 1, reduced; integers only."""
+        numerator %= denominator
+        g = math.gcd(numerator, denominator)
+        return cls(numerator // g, denominator // g)
+
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle.make(self.fraction + other.fraction)
-
-    def scaled(self, k: int) -> "RationalAngle":
-        return RationalAngle.make(k * self.fraction)
 
     def to_complex(self) -> complex:
         if self.numerator == 0:
@@ -68,20 +82,22 @@ class RationalAngle:
         return f"{self.numerator}/{self.denominator}"
 
 
-ZERO_ANGLE = RationalAngle(0, 1)
+@lru_cache(maxsize=64)
+def _roots_of_unity(L: int) -> np.ndarray:
+    """e(j/L) for j = 0..L-1, each exactly as RationalAngle.to_complex gives it."""
+    roots = np.array([RationalAngle.of(j, L).to_complex() for j in range(L)])
+    roots.flags.writeable = False
+    return roots
 
 
-def e(angle: RationalAngle | Fraction | float) -> complex:
-    """e(t) = exp(2*pi*i*t)."""
-    if isinstance(angle, RationalAngle):
-        return angle.to_complex()
-    return cmath.exp(2j * math.pi * float(angle))
-
-
-class _Component(NamedTuple):
-    p: int
-    gamma: int
-    exponents: tuple[int, ...]
+def _component_numerator(p: int, gamma: int, weights: tuple[int, ...], n: int) -> int:
+    """sum_j w_j * dlog_j(n mod p^gamma) for a unit n, with the discrete logs
+    from the table up to the dlog table cap and from Pohlig-Hellman above it."""
+    if p**gamma <= DLOG_TABLE_CAP:
+        logs = dlog_table(p, gamma)[n % p**gamma].tolist()
+    else:
+        logs = discrete_log(n, unit_group_basis(p, gamma))
+    return sum(w * ell for w, ell in zip(weights, logs))
 
 
 @dataclass(frozen=True)
@@ -132,56 +148,53 @@ class DirichletCharacter:
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
-    def _tables(self):
-        """Per-prime-power lookup data used by evaluate().
+    def _weights(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(p, gamma, (w_j)) per prime-power component, w_j = k_j * L / o_j, L = self.order."""
+        L = self.order
+        return tuple(
+            (p, g, tuple(k * L // o for k, o in zip(exps, unit_group_basis(p, g).orders)))
+            for (p, g), exps in zip(self.modulus.factors, self.components)
+        )
 
-        The full dlog table is precomputed for prime powers below the size
-        cap; larger components fall back to per-call discrete logs.
-        """
-        out = []
-        for (p, g), exps in zip(self.modulus.factors, self.components):
-            basis = unit_group_basis(p, g)
-            table = dlog_table(p, g) if p**g <= (1 << 22) else None
-            out.append((p**g, table, basis, exps))
-        return out
-
-    def evaluate(self, n: int) -> Optional[RationalAngle]:
-        """Exact angle of chi(n), or None when gcd(n, q) > 1 (the value 0)."""
+    def angle_numerator(self, n: int) -> Optional[int]:
+        """A(n) in [0, order) with chi(n) = e(A(n)/order); None when gcd(n, q) > 1."""
         n %= self.q
         if math.gcd(n, self.q) != 1:
             return None
-        total = Fraction(0)
-        for mod, table, basis, exps in self._tables:
-            res = n % mod
-            dlog = table[res] if table is not None else discrete_log(res, basis)
-            for ell, k, o in zip(dlog, exps, basis.orders):
-                if k:
-                    total += Fraction(k * ell, o)
-        return RationalAngle.make(total)
+        return sum(_component_numerator(p, g, ws, n) for p, g, ws in self._weights) % self.order
+
+    def evaluate(self, n: int) -> Optional[RationalAngle]:
+        """Exact angle of chi(n), or None when gcd(n, q) > 1 (the value 0)."""
+        a = self.angle_numerator(n)
+        return None if a is None else RationalAngle.of(a, self.order)
 
     def __call__(self, n: int) -> complex:
         a = self.evaluate(n)
         return complex(0.0) if a is None else a.to_complex()
 
     @cached_property
-    def value_table(self) -> tuple[tuple[Optional[RationalAngle], ...], "object"]:
-        """(angles, complex values) of chi on all residues 0..q-1.
+    def value_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, complex values) of chi on all residues 0..q-1.
 
-        The complex side is a numpy array; built lazily and only for
-        moduli small enough to tabulate.
+        A[n] is ``angle_numerator(n)``, or -1 where gcd(n, q) > 1 and the
+        complex value is 0.  Built lazily and only for moduli up to the
+        value table cap.
         """
-        import numpy as np
-
-        if self.q > (1 << 20):
-            raise ValueError(f"value table for q = {self.q} exceeds the size cap")
-        angles: list[Optional[RationalAngle]] = [None] * self.q
-        vals = np.zeros(self.q, dtype=np.complex128)
-        for n in range(self.q):
-            a = self.evaluate(n)
-            angles[n] = a
-            if a is not None:
-                vals[n] = a.to_complex()
-        return tuple(angles), vals
+        q = self.q
+        if q > VALUE_TABLE_CAP:
+            raise ValueError(f"value table for q = {q} exceeds the size cap")
+        residues = np.arange(q)
+        numerators = np.zeros(q, dtype=np.int64)
+        unit = np.ones(q, dtype=bool)
+        # each w_j * dlog_j is below order * p^gamma <= q^2 <= 2^40: int64 sums are exact
+        for p, g, ws in self._weights:
+            logs = dlog_table(p, g)[residues % p**g]
+            unit &= logs[:, 0] >= 0
+            numerators += logs[:, :len(ws)] @ np.array(ws, dtype=np.int64)
+        numerators %= self.order
+        numerators[~unit] = -1
+        values = np.where(unit, _roots_of_unity(self.order)[numerators], 0j)
+        return numerators, values
 
     def conjugate(self) -> "DirichletCharacter":
         comps = []
@@ -312,10 +325,7 @@ class RestrictedCharacter(NamedTuple):
     shift: int
 
     def value(self, m: int) -> complex:
-        a = self.character.evaluate(m + self.shift)
-        if a is None:
-            return complex(0.0)
-        return (self.offset + a).to_complex()
+        return self.offset.to_complex() * self.character(m + self.shift)
 
 
 def crt_restrict(chi: DirichletCharacter, k: int, r: int) -> RestrictedCharacter:
@@ -338,22 +348,13 @@ def crt_restrict(chi: DirichletCharacter, k: int, r: int) -> RestrictedCharacter
     mod_s = as_modulus(s)
     chi_s = DirichletCharacter(mod_s, tuple(chi.components[i] for i in s_factors))
 
-    # chi_r(k): accumulate the angle over the prime powers dividing r
     if math.gcd(k, r) != 1:
         raise ValueError(
             f"gcd(k, r) = gcd({k}, {r}) != 1: the progression meets no units mod q"
         )
-    offset = Fraction(0)
-    for i in r_factors:
-        p, g = chi.modulus.factors[i]
-        basis = unit_group_basis(p, g)
-        dlog = dlog_table(p, g)[k % (p**g)]
-        for ell, kk, o in zip(dlog, chi.components[i], basis.orders):
-            if kk:
-                offset += Fraction(kk * ell, o)
-    a_r = chi_s.evaluate(r % s) if s > 1 else ZERO_ANGLE
-    if a_r is None:  # unreachable: gcd(r, s) = 1
-        raise ArithmeticError("chi_s(r) vanished on a unit")
-    offset += a_r.fraction
-    shift = (pow(r, -1, s) * k) % s if s > 1 else 0
-    return RestrictedCharacter(chi_s, RationalAngle.make(offset), shift)
+    # the numerator of chi_r(k) * chi_s(r) over L = chi.order; chi_s.order divides L
+    L = chi.order
+    offset = chi_s.angle_numerator(r) * (L // chi_s.order)
+    offset += sum(_component_numerator(*chi._weights[i], k) for i in r_factors)
+    shift = pow(r, -1, s) * k % s
+    return RestrictedCharacter(chi_s, RationalAngle.of(offset, L), shift)

@@ -3,8 +3,11 @@ decomposition.
 
 Two summation modes are used throughout.  When the terms are roots of
 unity with exactly-known rational angles (pure character sums, polynomial
-twists with rational coefficients), the sum is accumulated as an exact
-multiset of angles and only converted to a complex double at the end.
+twists with rational coefficients), each term is an integer numerator over
+one common denominator: the character's value numerators A(n) over its
+order L, lifted to lcm(L, den) to add a twist's phase numerators over den.
+``_exact_sum`` counts those integers, reduces them to an exact multiset of
+``RationalAngle`` and converts to a complex double only at the end.
 Otherwise one reducer, ``_blocked_sum``, evaluates the terms in
 fixed-size blocks and combines the block sums left to right, so a result
 depends only on the window and the summand.
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import DirichletCharacter, RationalAngle
+from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle
 
 __all__ = [
     "RealPolynomial",
@@ -35,8 +38,6 @@ __all__ = [
     "decompose",
 ]
 
-# Residue tables are built for moduli up to this size.
-_TABLE_CAP = 1 << 20
 # Term-by-term exact angle accumulation is used up to this many terms.
 _EXACT_CAP = 10**7
 _BLOCK = 1 << 16
@@ -131,23 +132,26 @@ class SumResult:
         return abs(self.value)
 
 
-def _value_from_angles(angles: Counter) -> complex:
-    re = math.fsum(cnt * a.to_complex().real for a, cnt in angles.items())
-    im = math.fsum(cnt * a.to_complex().imag for a, cnt in angles.items())
-    return complex(re, im)
+def _exact_sum(numerators, counts, den: int, term_count: int) -> SumResult:
+    """Exact-mode result for the terms e(numerators[i]/den), counts[i] of each.
 
-
-def _chi_tables(chi: DirichletCharacter):
-    if chi.q > _TABLE_CAP:
-        return None
-    return chi.value_table
+    The numerators need not be distinct or reduced; equal angles merge in
+    the multiset.
+    """
+    angles: Counter = Counter()
+    for a, c in zip(numerators, counts):
+        if c:
+            angles[RationalAngle.of(int(a), den)] += int(c)
+    re = math.fsum(c * a.to_complex().real for a, c in angles.items())
+    im = math.fsum(c * a.to_complex().imag for a, c in angles.items())
+    return SumResult(complex(re, im), term_count, "exact", angles)
 
 
 def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
     """chi(n) for each n of ns: a table lookup when one exists, else per term."""
-    tables = _chi_tables(chi)
-    if tables is not None:
-        return tables[1][ns % chi.q]
+    if chi.q <= VALUE_TABLE_CAP:
+        # ns may be an object array past 2^63; its residues fit int64
+        return chi.value_table[1][(ns % chi.q).astype(np.int64)]
     return np.array([chi(int(n)) for n in ns], dtype=np.complex128)
 
 
@@ -189,17 +193,6 @@ def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
     return SumResult(complex(math.fsum(parts_re), math.fsum(parts_im)), N, "float")
 
 
-def _window_residue_counts(q: int, M: int, N: int) -> np.ndarray:
-    """How often each residue class mod q occurs among M+1 .. M+N."""
-    counts = np.full(q, N // q, dtype=np.int64)
-    rem = N % q
-    if rem:
-        start = (M + 1) % q
-        idx = (start + np.arange(rem)) % q
-        np.add.at(counts, idx, 1)
-    return counts
-
-
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     """sum_{n=M+1}^{M+N} chi(n).
 
@@ -210,25 +203,19 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    q = chi.q
-    tables = _chi_tables(chi)
-    if tables is not None:
-        angles_tab, _ = tables
-        counts = _window_residue_counts(q, M, N)
-        angle_counts: Counter = Counter()
-        for res in range(q):
-            a = angles_tab[res]
-            c = int(counts[res])
-            if a is not None and c:
-                angle_counts[a] += c
-        return SumResult(_value_from_angles(angle_counts), N, "exact", angle_counts)
+    q, L = chi.q, chi.order
+    if q <= VALUE_TABLE_CAP:
+        # N = periods * q + rem: whole periods, then rem residues from M + 1 on
+        periods, rem = divmod(N, q)
+        A = chi.value_table[0]
+        tail = A[((M + 1) % q + np.arange(rem)) % q]
+        full = np.bincount(A[A >= 0], minlength=L).tolist()
+        part = np.bincount(tail[tail >= 0], minlength=L).tolist()
+        return _exact_sum(range(L), [periods * f + t for f, t in zip(full, part)], L, N)
     if N <= _EXACT_CAP:
-        angle_counts = Counter()
-        for n in range(M + 1, M + N + 1):
-            a = chi.evaluate(n)
-            if a is not None:
-                angle_counts[a] += 1
-        return SumResult(_value_from_angles(angle_counts), N, "exact", angle_counts)
+        counts = Counter(chi.angle_numerator(n) for n in range(M + 1, M + N + 1))
+        counts.pop(None, None)
+        return _exact_sum(counts.keys(), counts.values(), L, N)
     return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
 
 
@@ -243,18 +230,21 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
     if G.is_zero:
         return char_sum(chi, M, N)
     q = chi.q
-    tables = _chi_tables(chi)
     if G.is_rational:
         nums, den = G.angle_data()
-        if N <= 2 * 10**5 and tables is not None:
-            angles_tab, _ = tables
-            window = range(M + 1, M + N + 1)
-            angle_counts: Counter = Counter()
-            for n, num in zip(window, _phase_numerators(nums, den, np.array(window))):
-                a = angles_tab[n % q]
-                if a is not None:
-                    angle_counts[a + RationalAngle.make(Fraction(int(num), den))] += 1
-            return SumResult(_value_from_angles(angle_counts), N, "exact", angle_counts)
+        if N <= 2 * 10**5 and q <= VALUE_TABLE_CAP:
+            # chi(n) e(G(n)) = e(t(n)/D) with D = lcm(L, den) and
+            # t(n) = A(n) D/L + num(n) D/den mod D, both addends below D:
+            # int64 is exact while D < 2^62, Python ints beyond
+            L = chi.order
+            D = math.lcm(L, den)
+            dtype = np.int64 if D < 1 << 62 else object
+            A = chi.value_table[0][((M + 1) % q + np.arange(N)) % q]
+            unit = A >= 0
+            phase = _phase_numerators(nums, den, np.arange(M + 1, M + N + 1))[unit]
+            terms = (A[unit].astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
+            values, counts = np.unique(terms, return_counts=True)
+            return _exact_sum(values, counts, D, N)
 
         def phases(ns):
             return _phase_numerators(nums, den, ns).astype(np.float64) / den
@@ -300,10 +290,8 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
     if g.is_rational:
         nums, den = g.angle_data()
         prods = list(products)
-        angle_counts: Counter = Counter()
-        for prod, num in zip(prods, _phase_numerators(nums, den, prods).tolist()):
-            angle_counts[RationalAngle.make(Fraction(num, den))] += products[prod]
-        return SumResult(_value_from_angles(angle_counts), P * P, "exact", angle_counts)
+        return _exact_sum(_phase_numerators(nums, den, prods).tolist(),
+                          products.values(), den, P * P)
     re_parts, im_parts = [], []
     for prod in sorted(products):
         v = products[prod] * cmath.exp(2j * math.pi * g.eval_float(prod))
@@ -347,10 +335,7 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     work = len(ns) * P * P
     if work > work_budget or P * P > (1 << 26):
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
-    tables = _chi_tables(chi)
-    if tables is None:
-        raise ValueError("modulus too large for a residue table")
-    _, vals = tables
+    vals = chi.value_table[1]
 
     yz = np.outer(np.arange(1, P + 1, dtype=np.int64), np.arange(1, P + 1, dtype=np.int64))
 

@@ -88,14 +88,6 @@ def _postnikov_grid(q: int, d: int):
     return grid
 
 
-def _angle_pair(chi: DirichletCharacter, n: int) -> tuple[int, int]:
-    """chi(n) as a reduced angle (num, den); n must be a unit."""
-    a = chi.evaluate(n)
-    if a is None:
-        raise ValueError(f"gcd({n}, {chi.q}) > 1")
-    return a.numerator, a.denominator
-
-
 def _divisibility_modulus(q: int, d: int) -> int:
     """lcm of the r in [1, d] coprime to q (the Lemma-1 divisibility on m)."""
     out = 1
@@ -112,7 +104,7 @@ def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
     x in [0, q/(tau*core)) and CRT-combining, together with the structural
     divisibility r | m for r in [1, d] coprime to q; gcd(m, q) = 1 is then
     enforced.  Before returning, the identity is re-verified exhaustively
-    at every x as exact rational angles.
+    at every x in exact integer arithmetic.
 
     The identity pins m only modulo the lcm L of the angle denominators,
     and L generally exceeds q, so the least valid m can too (already for
@@ -136,15 +128,19 @@ def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
         raise ValueError(
             f"exhaustive verification over {count} points exceeds the work cap")
     grid = _postnikov_grid(q, d)
-    angles = [_angle_pair(chi, (1 + step * x) % q) for x in range(count)]
+    # chi(1 + step*x) = e(a_x/order); with u_x = nn/dd the identity at x
+    # reads m*nn = a_x*dd/order (mod dd), solvable exactly when order | a_x*dd,
+    # that is when the reduced denominator of a_x/order divides dd
+    order = chi.order
+    numerators = [chi.angle_numerator(1 + step * x) for x in range(count)]
 
     congruences = [(0, _divisibility_modulus(q, d))]
     for x in range(1, count):
         nn, dd, inv = grid[x]
-        an, ad = angles[x]
-        if dd % ad != 0:
+        target, rem = divmod(numerators[x] * dd, order)
+        if rem:
             raise ValueError("angle congruence unsolvable; character not primitive?")
-        congruences.append((inv * (an * (dd // ad)) % dd, dd))
+        congruences.append((inv * target % dd, dd))
     try:
         m0, modulus = crt_combine(congruences)
     except ValueError as exc:
@@ -160,8 +156,7 @@ def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
 
     for x in range(count):
         nn, dd, _ = grid[x]
-        an, ad = angles[x]
-        if ((m * nn) % dd) * ad != an * dd:
+        if (m * nn) % dd * order != numerators[x] * dd:
             raise ValueError(f"verification failed at x = {x} (implementation fault)")
     return m
 

@@ -120,9 +120,10 @@ def test_discrete_log_round_trip(p, gamma):
 def test_dlog_table_matches_discrete_log():
     b = unit_group_basis(7, 3)
     table = dlog_table(7, 3)
-    assert len(table) == b.group_order
-    for x, vec in list(table.items())[::17]:
-        assert list(vec) == discrete_log(x, b)
+    units = [x for x in range(b.modulus) if table[x, 0] >= 0]
+    assert len(units) == b.group_order
+    for x in units[::17]:
+        assert table[x].tolist() == discrete_log(x, b)
 
 
 def test_crt_combine():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from corechar.arith import FactoredModulus, discrete_log, unit_group_basis
 from corechar.characters import (
     DirichletCharacter,
     RationalAngle,
@@ -37,6 +38,63 @@ def test_evaluate_examples():
     chi = enumerate_characters(9)[1]
     assert chi.evaluate(2) == RationalAngle(1, 6)
     assert chi.evaluate(4) == RationalAngle(1, 3)  # chi(4) = chi(2)^2
+
+
+def _reference_angle(chi, n):
+    """chi(n) as a Fraction in [0, 1) from Pohlig-Hellman discrete logs, or
+    None when gcd(n, q) > 1: the definition, independent of the dlog tables."""
+    if math.gcd(n, chi.q) != 1:
+        return None
+    total = Fraction(0)
+    for (p, g), exps in zip(chi.modulus.factors, chi.components):
+        basis = unit_group_basis(p, g)
+        for ell, k, o in zip(discrete_log(n, basis), exps, basis.orders):
+            total += Fraction(k * ell, o)
+    return total % 1
+
+
+def _random_character(rng, q):
+    mod = FactoredModulus.from_int(q)
+    return DirichletCharacter(mod, tuple(
+        tuple(rng.randrange(o) for o in unit_group_basis(p, g).orders) for p, g in mod.factors))
+
+
+@pytest.mark.parametrize("q", [1] + [2**a for a in range(1, 8)] + [3**b for b in range(1, 7)]
+                         + [5 * 7, 25 * 7, 5 * 49, 25 * 49] + [12, 72, 864, 2592])
+def test_integer_kernel_matches_reference(q):
+    """evaluate, every value_table entry and the crt_restrict offsets agree
+    with the reference on seeded random characters."""
+    rng = random.Random(q)
+    for _ in range(3):
+        chi = _random_character(rng, q)
+        A, values = chi.value_table
+        for n in range(q):
+            ref = _reference_angle(chi, n)
+            if ref is None:
+                assert chi.evaluate(n) is None and A[n] == -1 and values[n] == 0
+            else:
+                assert chi.evaluate(n).fraction == ref
+                assert Fraction(int(A[n]), chi.order) == ref
+                assert values[n] == RationalAngle.make(ref).to_complex()
+        for r in {1, q} | {p**g for p, g in chi.modulus.factors}:
+            s = q // r
+            k = rng.choice([x for x in range(1, r + 1) if math.gcd(x, r) == 1])
+            res = crt_restrict(chi, k, r)
+            assert res.shift == pow(r, -1, s) * k % s
+            # m + shift = 1 mod s, so chi(k + r m) = e(offset) chi_s(1)
+            m = (1 - res.shift) % s
+            assert res.offset.fraction == _reference_angle(chi, k + r * m)
+
+
+def test_evaluate_above_dlog_table_cap():
+    """Prime powers above the dlog table cap take Pohlig-Hellman per value."""
+    rng = random.Random(2**23)
+    for q in (3**16, 2**23, 2**3 * 3**15):
+        chi = _random_character(rng, q)
+        for _ in range(20):
+            n = rng.randrange(q)
+            ref = _reference_angle(chi, n)
+            assert (chi.evaluate(n) is None) if ref is None else chi.evaluate(n).fraction == ref
 
 
 def test_enumerate_counts():

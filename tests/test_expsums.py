@@ -3,11 +3,13 @@ and the shift decomposition."""
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from corechar.characters import (
+    RationalAngle,
     enumerate_characters,
     principal_character,
     quadratic_character,
@@ -252,3 +254,44 @@ def test_decompose_large_phase_denominator():
             chi(1 + P * nbar * y * z) * cmath.exp(2j * math.pi * float(G.frac_at(n + P * y * z)))
             for y in range(1, P + 1) for z in range(1, P + 1))
     assert abs(res.v_value - expected) <= 1e-9 * res.term_count
+
+
+@pytest.mark.parametrize("q,M,N,coeffs", [
+    # D = lcm(order, ~10^18) >= 2^62: the Python-int branch
+    (81, 10**6, 500, [0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)]),
+    (81, 10**20, 300, [0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)]),
+    (2592, 10**6, 3000, [Fraction(1, 3), Fraction(5, 7919), Fraction(2, 9973)]),
+    (2**7, 12345, 1000, [0, Fraction(3, 64), Fraction(1, 9973)]),
+])
+def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
+    chi = enumerate_characters(q, primitive_only=True)[1]
+    G = RealPolynomial.make(coeffs)
+    res = twisted_sum(chi, M, N, G)
+    assert res.mode == "exact"
+    expected = Counter()
+    for n in range(M + 1, M + N + 1):
+        a = chi.evaluate(n)
+        if a is not None:
+            expected[RationalAngle.make(a.fraction + G.frac_at(n))] += 1
+    assert res.exact_angle_terms == expected
+    if q == 81:
+        assert math.lcm(chi.order, G.angle_data()[1]) >= 1 << 62
+
+
+def test_twisted_sum_float_mode_past_int64():
+    """A window past 2^63 equals the same window moved down by a period."""
+    chi = enumerate_characters(27, primitive_only=True)[2]
+    G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 11)])
+    M, N, period = 10**20, 2 * 10**5 + 5, 27 * 77
+    res = twisted_sum(chi, M, N, G)
+    assert res.mode == "float"
+    low = twisted_sum(chi, M % period + period, N, G)
+    assert abs(res.value - low.value) <= 1e-9 * N
+
+
+def test_dirichlet_poly_past_int64():
+    chi = enumerate_characters(27, primitive_only=True)[2]
+    M, N, t = 10**20, 100, 1.0
+    res = dirichlet_poly(chi, M, N, t)
+    direct = sum(chi(n) * cmath.exp(1j * t * math.log(n)) for n in range(M + 1, M + N + 1))
+    assert abs(res.value - direct) <= 1e-9 * N
