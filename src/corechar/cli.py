@@ -371,8 +371,6 @@ def cmd_report_all(args, cfg: RunConfig) -> dict:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--epsilon", type=Fraction)
-    p.add_argument("--gamma0", type=int)
     p.add_argument("--xi0", type=float)
     p.add_argument("--c0", type=float)
     p.add_argument("--const-a", dest="const_a", type=float,

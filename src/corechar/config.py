@@ -1,14 +1,13 @@
 """The run configuration: every effective constant the bounds leave open.
 
-The source material fixes none of gamma0, xi0, a, A, c0 numerically (they
-are absolute-but-unspecified constants), so they live here as explicit,
+The source material fixes none of xi0, a, A, c0, b numerically (they are
+absolute-but-unspecified constants), so they live here as explicit,
 report-echoed configuration.  Defaults are desk-scale stand-ins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from pathlib import Path
 
 __all__ = ["RunConfig", "DEFAULT_CONFIG"]
@@ -16,8 +15,6 @@ __all__ = ["RunConfig", "DEFAULT_CONFIG"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    epsilon: Fraction = Fraction(1, 200)
-    gamma0: int = 2
     xi0: float = 1e-4
     c0: float = 1.0
     a: float = 1.0
@@ -32,24 +29,15 @@ class RunConfig:
                      "work_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.gamma0 < 1:
-            raise ValueError("gamma0 must be >= 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be json or csv")
 
     def as_dict(self) -> dict:
         """The constants echoed in every report (all fields but output_format)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_format"}
-        out["epsilon"] = str(self.epsilon)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_format"}
 
     def with_overrides(self, **kwargs) -> "RunConfig":
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        if "epsilon" in clean and not isinstance(clean["epsilon"], Fraction):
-            clean["epsilon"] = Fraction(clean["epsilon"])
-        return replace(self, **clean)
+        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -1,9 +1,15 @@
-"""Von Mangoldt sums over progressions via a segmented sieve.
+"""Von Mangoldt sums over progressions via one windowed segmented sieve.
 
 psi(x; q, a) is accumulated from the exact prime-power decomposition:
 every contribution is log p with an integer multiplicity, so partition
 identities across residue classes can be checked exactly on the
 multiplicity level, independent of floating-point summation order.
+
+One counting function serves every path.  It sieves [2, hi] in segments
+of 2^20, with base primes up to sqrt(hi) that come from the same sieve
+applied to [2, sqrt(hi)], keeps the primes of the window (lo, hi], and
+counts the higher prime powers p^j (p <= sqrt(hi)) once.  A window costs
+O(x); sieving only the window (ROADMAP item 3) would make it O(h + sqrt(x)).
 """
 
 from __future__ import annotations
@@ -40,34 +46,62 @@ def von_mangoldt(n: int) -> float:
     return math.log(facs[0][0])
 
 
-def _primes_up_to(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+def _sieve(hi: int, base: list[int]) -> Iterator[np.ndarray]:
+    """Primes in [2, hi], ascending, in segments of 2^20.
 
-
-def _iter_primes(limit: int) -> Iterator[np.ndarray]:
-    """Primes up to ``limit`` in ascending segments of 2^20."""
-    if limit < 2:
-        return
-    root = math.isqrt(limit)
-    base = _primes_up_to(root)
-    yield base[base <= limit]
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        seg = np.ones(hi - lo + 1, dtype=bool)
+    ``base`` holds every prime up to sqrt(hi).  Multiples of each base prime
+    are struck from max(p^2, first multiple >= segment start), so the base
+    primes themselves survive.
+    """
+    start = 2
+    while start <= hi:
+        stop = min(start + _SEGMENT, hi + 1)
+        seg = np.ones(stop - start, dtype=bool)
         for p in base:
-            start = ((lo + p - 1) // p) * p
-            if start <= hi:
-                seg[start - lo::p] = False
-        yield (np.flatnonzero(seg) + lo).astype(np.int64)
-        lo = hi + 1
+            if p * p >= stop:
+                break
+            seg[max(p * p, -(-start // p) * p) - start::p] = False
+        yield np.flatnonzero(seg) + start
+        start = stop
+
+
+def _primes_to(n: int) -> list[int]:
+    """Every prime up to n: the same sieve, applied recursively to [2, n]."""
+    if n < 2:
+        return []
+    return [p for seg in _sieve(n, _primes_to(math.isqrt(n))) for p in seg.tolist()]
+
+
+def _prime_power_counts(lo: int, hi: int, q: int,
+                        a: Optional[int] = None) -> dict[int, dict[int, int]]:
+    """{c: {p: number of p^j in (lo, hi] with p^j = c (mod q)}} for every
+    class c mod q, or for the class of a alone when a is given.
+
+    Each class dict lists the primes of the window in ascending order, then
+    the bases of higher powers that are not primes of the window.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    classes = range(q) if a is None else (a % q,)
+    counts: dict[int, dict[int, int]] = {c: {} for c in classes}
+    base = _primes_to(math.isqrt(max(hi, 0)))
+    for seg in _sieve(hi, base):
+        seg = seg[seg > lo]
+        residues = seg % q
+        if a is not None:
+            keep = residues == a % q
+            seg, residues = seg[keep], residues[keep]
+        for p, c in zip(seg.tolist(), residues.tolist()):
+            counts[c][p] = 1
+    # higher prime powers: their bases are exactly the base primes
+    for p in base:
+        n = p * p
+        while n <= hi:
+            cls = counts.get(n % q)
+            if n > lo and cls is not None:
+                cls[p] = cls.get(p, 0) + 1
+            n *= p
+    return counts
 
 
 @dataclass(frozen=True)
@@ -82,31 +116,16 @@ class PsiValue:
     counts: Optional[dict[int, int]] = None
 
 
+def _psi_value(counts: dict[int, int], with_counts: bool) -> PsiValue:
+    value = math.fsum(c * math.log(p) for p, c in sorted(counts.items()))
+    return PsiValue(value, counts if with_counts else None)
+
+
 def _psi_window(lo: float, hi: float, q: int, a: int,
                 with_counts: bool = False) -> PsiValue:
     """Sum of Lambda(n) over lo < n <= hi with n = a (mod q)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    hi_i = math.floor(hi)
-    lo_i = math.floor(lo)
-    if hi_i < 2 or hi_i <= lo_i:
-        return PsiValue(0.0, {} if with_counts else None)
-    a %= q
-    counts: dict[int, int] = {}
-    # primes themselves
-    for seg in _iter_primes(hi_i):
-        sel = seg[(seg > lo_i) & (seg % q == a)]
-        for p in sel.tolist():
-            counts[p] = counts.get(p, 0) + 1
-    # higher prime powers: bases run up to sqrt(hi)
-    for p in _primes_up_to(math.isqrt(hi_i)).tolist():
-        n = p * p
-        while n <= hi_i:
-            if n > lo_i and n % q == a:
-                counts[p] = counts.get(p, 0) + 1
-            n *= p
-    value = math.fsum(c * math.log(p) for p, c in sorted(counts.items()))
-    return PsiValue(value, counts if with_counts else None)
+    counts = _prime_power_counts(math.floor(lo), math.floor(hi), q, a)
+    return _psi_value(counts[a % q], with_counts)
 
 
 def psi_progression(x: float, q: int, a: int, with_counts: bool = False) -> PsiValue:
@@ -128,27 +147,8 @@ def psi_by_class(x: float, q: int, with_counts: bool = False) -> dict[int, PsiVa
     The classes partition the prime powers, so the returned values merge
     exactly (multiplicity by multiplicity) into psi(x).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    hi_i = math.floor(x)
-    counts: list[dict[int, int]] = [{} for _ in range(q)]
-    if hi_i >= 2:
-        for seg in _iter_primes(hi_i):
-            residues = (seg % q).tolist()
-            for p, res in zip(seg.tolist(), residues):
-                c = counts[res]
-                c[p] = c.get(p, 0) + 1
-        for p in _primes_up_to(math.isqrt(hi_i)).tolist():
-            n = p * p
-            while n <= hi_i:
-                c = counts[n % q]
-                c[p] = c.get(p, 0) + 1
-                n *= p
-    out = {}
-    for a in range(q):
-        value = math.fsum(c * math.log(p) for p, c in sorted(counts[a].items()))
-        out[a] = PsiValue(value, counts[a] if with_counts else None)
-    return out
+    counts = _prime_power_counts(0, math.floor(x), q)
+    return {a: _psi_value(counts[a], with_counts) for a in range(q)}
 
 
 @dataclass(frozen=True)

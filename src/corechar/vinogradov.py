@@ -278,12 +278,12 @@ def ford_bound(d: int, P: int, k: int) -> float:
 
 
 def ford_k_search(d: int, P: int) -> FordReport:
-    """Scan k in [2d^2, 4d^2] for the smallest log-bound."""
+    """The smallest log-bound over k in [2d^2, 4d^2], and the first k with it.
+
+    ford_bound is nondecreasing in k: its slope is 2 log P >= 0, and
+    rounding each step of the float expression is monotone.  The first
+    minimum over the range is therefore always at k = 2d^2.
+    """
     lo, hi = 2 * d * d, 4 * d * d
-    best_k, best = lo, ford_bound(d, P, lo)
-    for k in range(lo + 1, hi + 1):
-        val = ford_bound(d, P, k)
-        if val < best:
-            best_k, best = k, val
-    return FordReport(d=d, P=P, k=best_k, log_bound=best,
+    return FordReport(d=d, P=P, k=lo, log_bound=ford_bound(d, P, lo),
                       k_range=(lo, hi), meets_lemma_range=d >= 129)

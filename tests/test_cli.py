@@ -21,7 +21,7 @@ def test_vmvt_count_schema():
     data = json.loads(res.stdout)
     assert data["schema"] == 1
     assert data["N"] == "15"
-    assert data["config"]["epsilon"] == "1/200"
+    assert data["config"]["b"] == 2.4
 
 
 def test_char_sum_principal():
@@ -80,11 +80,11 @@ def test_korobov_check_spec_file(tmp_path):
 
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("xi0 = 0.05\ngamma0 = 3\n# comment\n")
+    cfg.write_text("xi0 = 0.05\nc0 = 3\n# comment\n")
     res = run_cli(["vmvt-count", "1", "1", "4", "--config", str(cfg)])
     data = json.loads(res.stdout)
     assert data["config"]["xi0"] == 0.05
-    assert data["config"]["gamma0"] == 3
+    assert data["config"]["c0"] == 3.0
 
 
 def test_parse_polynomial():

@@ -1,10 +1,13 @@
 """Von Mangoldt, psi over progressions, and the short-interval comparison."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from corechar.primes import (
+    _psi_window,
     psi,
     psi_by_class,
     psi_progression,
@@ -93,3 +96,51 @@ def test_window_flags():
     rep = short_interval_check(27, 1, 10**6, 10**5, b=2.4, eps=0.05)
     assert rep.window_upper_ok  # h <= x <= q^(1/eps)
     assert not rep.window_lower_ok  # q x^(1-1/b+eps) is way above h at desk scale
+
+
+def _sieved_counts(lo: int, hi: int, q: int, a: int) -> dict[int, int]:
+    """Reference: a plain numpy sieve of all of [0, hi], keeping the prime
+    powers n > lo with n = a (mod q)."""
+    is_prime = np.ones(hi + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(hi) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    primes = np.flatnonzero(is_prime)
+    counts = Counter(primes[(primes > lo) & (primes % q == a % q)].tolist())
+    for p in primes[primes <= math.isqrt(hi)].tolist():
+        n = p * p
+        while n <= hi:
+            if n > lo and n % q == a % q:
+                counts[p] += 1
+            n *= p
+    return dict(counts)
+
+
+def _fsum_counts(counts: dict[int, int]) -> float:
+    return math.fsum(c * math.log(p) for p, c in sorted(counts.items()))
+
+
+@pytest.mark.parametrize("lo,hi,q,a", [
+    (0, 10**4, 1, 0),                          # lo = 0
+    (0, 10**5, 12, 5),
+    (57, 10**4, 7, 10),                        # lo < sqrt(hi): base primes in the
+                                               # window; a >= q is reduced mod q
+    (8, 9, 1, 0),                              # 8 = 2^3 excluded, 9 = 3^2 included
+    (7, 10**3, 4, 3),                          # the prime 7 = lo is excluded
+    (8, 3**10, 4, 1),
+    (2**20 - 5000, 2**20 + 5000, 5, 2),        # across 2^20
+    (8451444, 10**7, 3, 2),                    # longer than one segment
+    (1234.5, 98765.4, 1, 0),                   # q = 1, float endpoints
+    (2**16 - 0.5, 2**16 + 10**4 + 0.25, 97, 2),
+])
+def test_window_matches_full_sieve(lo, hi, q, a):
+    expected = _sieved_counts(math.floor(lo), math.floor(hi), q, a)
+    got = _psi_window(lo, hi, q, a, with_counts=True)
+    assert got.counts == expected
+    assert got.value == _fsum_counts(expected)
+    if lo == 0:
+        assert psi_progression(hi, q, a, with_counts=True) == got
+    else:
+        assert short_interval_check(q, a, lo, hi - lo).delta_psi == got.value
+

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corechar.vinogradov import (
+    _signature_array,
     count_vinogradov,
     count_vinogradov_naive,
     ford_bound,
@@ -56,8 +57,12 @@ def test_bounds_and_monotonicity():
 
 
 def test_bigint_path_matches_numpy_path():
-    # force the pure-python signature path by a huge d (k P^d overflows 64-bit)
-    assert count_vinogradov(2, 12, 4) == count_vinogradov_naive(2, 12, 4)
+    # k P^d = 2 * 4^31 = 2^63 forces the Python-int path; d = 30, with
+    # k P^d = 2^61, is the largest d at k = 2, P = 4 that the int64 table takes
+    assert _signature_array(2, 31, 4) is None
+    assert _signature_array(2, 30, 4) is not None
+    for d in (30, 31):
+        assert count_vinogradov(2, d, 4) == count_vinogradov_naive(2, d, 4)
 
 
 def test_budget_error():
