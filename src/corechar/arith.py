@@ -4,6 +4,7 @@ Everything in here is exact: moduli are arbitrary-precision integers,
 group-theoretic data (generators, orders, discrete logarithms) is computed
 over the actual unit groups, and the 0.7-threshold core condition is tested
 in rational arithmetic.  Only the bulk discrete-log tables are numpy arrays.
+``exp_or_inf`` is the one overflow-safe exp, for bounds kept in log space.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ __all__ = [
 # Discrete-log tables are built for prime powers up to this size.
 DLOG_TABLE_CAP = 1 << 22
 
-# Increments of the mod-30 wheel starting from 7: skips multiples of 2, 3, 5.
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# Trial divisors step 2 -> 3 -> 5 -> 7, then take the mod-30 wheel from 7 on,
+# which skips multiples of 2, 3 and 5 (entries 3..10, cycled).
+_STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def factor(n: int) -> list[tuple[int, int]]:
@@ -42,14 +44,7 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    for p in (2, 3, 5):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    p, i = 7, 0
+    p, i = 2, 0
     while p * p <= n:
         if n % p == 0:
             e = 0
@@ -57,11 +52,19 @@ def factor(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             out.append((p, e))
-        p += _WHEEL[i]
-        i = (i + 1) & 7
+        p += _STEPS[i]
+        i = i + 1 if i < 10 else 3
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it overflows a double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def valuation(n: int, p: int) -> int:
@@ -180,18 +183,6 @@ class UnitGroupBasis:
         for o in self.orders:
             out *= o
         return out
-
-
-def _multiplicative_order(g: int, modulus: int, group_order: int) -> int:
-    """Order of g modulo ``modulus`` given a multiple of it."""
-    order = group_order
-    for p, e in factor(group_order):
-        for _ in range(e):
-            if pow(g, order // p, modulus) == 1:
-                order //= p
-            else:
-                break
-    return order
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,11 @@ L = chi.order every value is chi(n) = e(A(n)/L) for an integer numerator
 
 over the basis generators j of order o_j and exponents k_j.  ``evaluate``
 reduces A(n)/L to a ``RationalAngle``; ``value_table`` holds A and the
-complex values on all residues.  Conversion to floating-point complex
-numbers happens only at summation boundaries.
+complex values on all residues, in one small cache keyed by the character:
+equal characters share a table, and a list of characters pins none.
+``root_values`` turns integer angles into complex values, each exactly as
+``RationalAngle.to_complex`` does; that conversion happens only at
+summation boundaries.
 """
 
 from __future__ import annotations
@@ -82,10 +85,26 @@ class RationalAngle:
         return f"{self.numerator}/{self.denominator}"
 
 
+def root_values(numerators, den: int) -> np.ndarray:
+    """e(a/den) for every integer a of numerators, each bit for bit
+    ``RationalAngle.of(a, den).to_complex()``: cos and sin of (2 pi a)/d on
+    the reduced angle a/d, with e(0) and e(1/2) exact.  int64 while
+    den < 2^62, Python ints beyond."""
+    a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
+    g = np.gcd(a, den)
+    a, d = a // g, den // g
+    theta = 2 * math.pi * a.astype(np.float64) / d.astype(np.float64)
+    zero, half = a == 0, 2 * a == d
+    out = np.empty(len(a), dtype=np.complex128)
+    out.real = np.where(zero, 1.0, np.where(half, -1.0, np.cos(theta)))
+    out.imag = np.where(zero | half, 0.0, np.sin(theta))
+    return out
+
+
 @lru_cache(maxsize=64)
 def _roots_of_unity(L: int) -> np.ndarray:
-    """e(j/L) for j = 0..L-1, each exactly as RationalAngle.to_complex gives it."""
-    roots = np.array([RationalAngle.of(j, L).to_complex() for j in range(L)])
+    """e(j/L) for j = 0..L-1."""
+    roots = root_values(np.arange(L), L)
     roots.flags.writeable = False
     return roots
 
@@ -172,29 +191,13 @@ class DirichletCharacter:
         a = self.evaluate(n)
         return complex(0.0) if a is None else a.to_complex()
 
-    @cached_property
+    @property
     def value_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, complex values) of chi on all residues 0..q-1.
-
-        A[n] is ``angle_numerator(n)``, or -1 where gcd(n, q) > 1 and the
-        complex value is 0.  Built lazily and only for moduli up to the
-        value table cap.
-        """
-        q = self.q
-        if q > VALUE_TABLE_CAP:
-            raise ValueError(f"value table for q = {q} exceeds the size cap")
-        residues = np.arange(q)
-        numerators = np.zeros(q, dtype=np.int64)
-        unit = np.ones(q, dtype=bool)
-        # each w_j * dlog_j is below order * p^gamma <= q^2 <= 2^40: int64 sums are exact
-        for p, g, ws in self._weights:
-            logs = dlog_table(p, g)[residues % p**g]
-            unit &= logs[:, 0] >= 0
-            numerators += logs[:, :len(ws)] @ np.array(ws, dtype=np.int64)
-        numerators %= self.order
-        numerators[~unit] = -1
-        values = np.where(unit, _roots_of_unity(self.order)[numerators], 0j)
-        return numerators, values
+        """(A, complex values) of chi on all residues 0..q-1, read-only: A[n] is
+        ``angle_numerator(n)``, or -1 where gcd(n, q) > 1 and the value is 0.
+        Built only for q up to the value table cap, in a cache shared by equal
+        characters."""
+        return _value_table(self)
 
     def conjugate(self) -> "DirichletCharacter":
         comps = []
@@ -244,6 +247,28 @@ class DirichletCharacter:
         for (p, g), exps in zip(self.modulus.factors, self.components):
             parts.append(f"{p}^{g}:" + ",".join(map(str, exps)))
         return f"chi[{self.q}|" + ";".join(parts) + "]"
+
+
+# At VALUE_TABLE_CAP = 2^20 residues one table holds 24 MiB (int64
+# numerators and complex128 values), so this cache holds at most 192 MiB.
+@lru_cache(maxsize=8)
+def _value_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
+    q = chi.q
+    if q > VALUE_TABLE_CAP:
+        raise ValueError(f"value table for q = {q} exceeds the size cap")
+    residues = np.arange(q)
+    numerators = np.zeros(q, dtype=np.int64)
+    unit = np.ones(q, dtype=bool)
+    # each w_j * dlog_j is below order * p^gamma <= q^2 <= 2^40: int64 sums are exact
+    for p, g, ws in chi._weights:
+        logs = dlog_table(p, g)[residues % p**g]
+        unit &= logs[:, 0] >= 0
+        numerators += logs[:, :len(ws)] @ np.array(ws, dtype=np.int64)
+    numerators %= chi.order
+    numerators[~unit] = -1
+    values = np.where(unit, _roots_of_unity(chi.order)[numerators], 0j)
+    numerators.flags.writeable = values.flags.writeable = False
+    return numerators, values
 
 
 def _component_conductor_exponent(p: int, gamma: int, exps: tuple[int, ...]) -> int:
@@ -303,7 +328,7 @@ def enumerate_characters(q, primitive_only: bool = False) -> list[DirichletChara
             list(itertools.product(*(range(o) for o in basis.orders)))
         )
     out = []
-    for combo in itertools.product(*ranges) if ranges else [()]:
+    for combo in itertools.product(*ranges):
         chi = DirichletCharacter(m, tuple(combo))
         if primitive_only and not chi.is_primitive:
             continue
@@ -323,9 +348,6 @@ class RestrictedCharacter(NamedTuple):
     character: DirichletCharacter
     offset: RationalAngle
     shift: int
-
-    def value(self, m: int) -> complex:
-        return self.offset.to_complex() * self.character(m + self.shift)
 
 
 def crt_restrict(chi: DirichletCharacter, k: int, r: int) -> RestrictedCharacter:

@@ -81,14 +81,8 @@ def emit_csv(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for key in header:
-            v = row[key]
-            if isinstance(v, float):
-                cells.append(format(v, ".15g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(format(v, ".15g") if isinstance(v, float) else str(v)
+                              for v in (row[key] for key in header)))
     return "\n".join(lines) + "\n"
 
 
@@ -120,17 +114,13 @@ def parse_character(spec: str, q) -> DirichletCharacter:
         return principal_character(mod)
     if spec == "quadratic":
         return quadratic_character(mod)
-    if spec.startswith("index:"):
-        idx = int(spec.split(":", 1)[1])
-        chars = enumerate_characters(mod)
+    kind, _, idx = spec.partition(":")
+    if kind in ("index", "primitive"):
+        idx = int(idx)
+        chars = enumerate_characters(mod, primitive_only=kind == "primitive")
         if not 0 <= idx < len(chars):
-            raise ValueError(f"index {idx} out of range 0..{len(chars) - 1}")
-        return chars[idx]
-    if spec.startswith("primitive:"):
-        idx = int(spec.split(":", 1)[1])
-        chars = enumerate_characters(mod, primitive_only=True)
-        if not 0 <= idx < len(chars):
-            raise ValueError(f"primitive index {idx} out of range 0..{len(chars) - 1}")
+            what = "index" if kind == "index" else "primitive index"
+            raise ValueError(f"{what} {idx} out of range 0..{len(chars) - 1}")
         return chars[idx]
     data = json.loads(spec)
     chi = DirichletCharacter.from_dict(data)
@@ -167,40 +157,39 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_char_sum(args, cfg: RunConfig) -> dict:
+def _window(args) -> tuple[DirichletCharacter, dict]:
+    """The character of a window command and the head of its report."""
     chi = parse_character(args.chi, args.q)
-    res = char_sum(chi, args.M, args.N)
-    return _report("char-sum", cfg, {"q": args.q, "chi": chi.label(),
-                                     "M": args.M, "N": args.N, **_sum_payload(res)})
+    return chi, {"q": args.q, "chi": chi.label(), "M": args.M, "N": args.N}
+
+
+def cmd_char_sum(args, cfg: RunConfig) -> dict:
+    chi, head = _window(args)
+    return _report("char-sum", cfg, {**head, **_sum_payload(char_sum(chi, args.M, args.N))})
 
 
 def cmd_twisted_sum(args, cfg: RunConfig) -> dict:
-    chi = parse_character(args.chi, args.q)
+    chi, head = _window(args)
     poly = parse_polynomial(args.G)
     res = twisted_sum(chi, args.M, args.N, poly)
-    return _report("twisted-sum", cfg, {"q": args.q, "chi": chi.label(),
-                                        "M": args.M, "N": args.N,
-                                        "G": [str(c) for c in poly.coefficients],
+    return _report("twisted-sum", cfg, {**head, "G": [str(c) for c in poly.coefficients],
                                         **_sum_payload(res)})
 
 
 def cmd_dirichlet_poly(args, cfg: RunConfig) -> dict:
-    chi = parse_character(args.chi, args.q)
+    chi, head = _window(args)
     res = dirichlet_poly(chi, args.M, args.N, args.t)
-    return _report("dirichlet-poly", cfg, {"q": args.q, "chi": chi.label(),
-                                           "M": args.M, "N": args.N, "t": args.t,
-                                           **_sum_payload(res)})
+    return _report("dirichlet-poly", cfg, {**head, "t": args.t, **_sum_payload(res)})
 
 
 def cmd_decompose(args, cfg: RunConfig) -> dict:
-    chi = parse_character(args.chi, args.q)
+    chi, head = _window(args)
     poly = parse_polynomial(args.G)
     res = decompose(chi, args.M, args.N, poly, args.s,
                     residual_constant=cfg.korobov_residual_constant,
                     work_budget=cfg.work_budget)
     return _report("decompose", cfg, {
-        "q": args.q, "chi": chi.label(), "M": args.M, "N": args.N, "s": args.s,
-        "G": [str(c) for c in poly.coefficients],
+        **head, "s": args.s, "G": [str(c) for c in poly.coefficients],
         "v_re": res.v_value.real, "v_im": res.v_value.imag,
         "reconstruction_re": res.reconstruction.real,
         "reconstruction_im": res.reconstruction.imag,
@@ -245,7 +234,7 @@ def cmd_bound_compare(args, cfg: RunConfig):
             "main_over_logq_23": main_log / lq ** (2.0 / 3.0),
             "main_over_logq_34": main_log / lq ** 0.75,
         })
-    if (args.format or cfg.output_format) == "csv":
+    if args.format == "csv":
         return emit_csv(rows)
     return _report("bound-compare", cfg, {"rows": rows})
 
@@ -397,31 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         return p
 
-    p = add("char-sum", cmd_char_sum)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--chi", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    def add_window(name, fn):
+        """A sum over the window (M, M+N] of a character mod q."""
+        p = add(name, fn)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--chi", required=True)
+        p.add_argument("--M", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        return p
 
-    p = add("twisted-sum", cmd_twisted_sum)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--chi", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    add_window("char-sum", cmd_char_sum)
+    p = add_window("twisted-sum", cmd_twisted_sum)
     p.add_argument("--G", help="polynomial coefficients, constant first")
 
-    p = add("dirichlet-poly", cmd_dirichlet_poly)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--chi", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p = add_window("dirichlet-poly", cmd_dirichlet_poly)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("decompose", cmd_decompose)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--chi", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p = add_window("decompose", cmd_decompose)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--G")
 

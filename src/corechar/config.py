@@ -22,19 +22,16 @@ class RunConfig:
     b: float = 2.4          # zero-density exponent (the 12/5 default)
     korobov_residual_constant: float = 10.0
     work_budget: float = 1e9
-    output_format: str = "json"
 
     def __post_init__(self):
         for name in ("xi0", "c0", "a", "A", "b", "korobov_residual_constant",
                      "work_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output_format must be json or csv")
 
     def as_dict(self) -> dict:
-        """The constants echoed in every report (all fields but output_format)."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_format"}
+        """The constants echoed in every report."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

@@ -6,25 +6,29 @@ unity with exactly-known rational angles (pure character sums, polynomial
 twists with rational coefficients), each term is an integer numerator over
 one common denominator: the character's value numerators A(n) over its
 order L, lifted to lcm(L, den) to add a twist's phase numerators over den.
-``_exact_sum`` counts those integers, reduces them to an exact multiset of
-``RationalAngle`` and converts to a complex double only at the end.
-Otherwise one reducer, ``_blocked_sum``, evaluates the terms in
-fixed-size blocks and combines the block sums left to right, so a result
-depends only on the window and the summand.
+``_exact_sum`` keeps the sum as an integer histogram (distinct numerators
+mod D and their counts, numpy arrays) and takes its value once, as the
+fsum of counts times the real and imaginary parts of ``root_values``.
+``exact_angle_terms`` reads that histogram as a ``RationalAngle`` -> count
+mapping, building a key only when one is read.  Otherwise one reducer,
+``_blocked_sum``, evaluates the terms in fixed-size blocks and combines the
+block sums left to right, so a result depends only on the window and the
+summand.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle
+from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle, root_values
 
 __all__ = [
     "RealPolynomial",
@@ -90,12 +94,25 @@ class RealPolynomial:
             acc = acc * x + float(c)
         return acc
 
+    def phases(self, xs) -> np.ndarray:
+        """frac(G(x)) as float64 for every x of the integer array xs, from
+        exact residues over the common denominator for rational G; G(x) in
+        double precision otherwise (e(G(x)) is the same)."""
+        if self.is_rational:
+            nums, den = self.angle_data()
+            return _phase_numerators(nums, den, xs).astype(np.float64) / den
+        return self.eval_float(np.asarray(xs).astype(np.float64))
+
     def angle_data(self) -> tuple[tuple[int, ...], int]:
         """Numerators over a common denominator D, for exact mod-1 evaluation.
 
         frac(G(x)) = ((sum_i n_i x^i) mod D) / D for integer x, computable
         in modular integer arithmetic.
         """
+        return self._angle_data
+
+    @cached_property
+    def _angle_data(self) -> tuple[tuple[int, ...], int]:
         if not self.is_rational:
             raise ValueError("polynomial has non-rational coefficients")
         den = 1
@@ -119,32 +136,77 @@ class SumResult:
 
     ``exact_angle_terms`` is present in exact mode: a multiset of the
     rational angles of the nonzero terms (terms where the character
-    vanishes are counted in ``term_count`` but carry no angle).
+    vanishes are counted in ``term_count`` but carry no angle), as a
+    ``RationalAngle`` -> count mapping.
     """
 
     value: complex
     term_count: int
     mode: str
-    exact_angle_terms: Optional[Counter] = field(default=None, repr=False)
+    exact_angle_terms: Optional[Mapping] = field(default=None, repr=False)
 
     @property
     def abs(self) -> float:
         return abs(self.value)
 
 
-def _exact_sum(numerators, counts, den: int, term_count: int) -> SumResult:
+class AngleCounts(Mapping):
+    """An exact sum's histogram read as RationalAngle -> count: the distinct
+    numerators mod ``den`` (sorted) and their positive counts.  A key is built
+    only when read.  As on a Counter, an absent angle reads 0 and equality
+    ignores zero counts."""
+
+    __slots__ = ("numerators", "counts", "den")
+
+    def __init__(self, numerators: np.ndarray, counts: np.ndarray, den: int):
+        self.numerators, self.counts, self.den = numerators, counts, den
+
+    def _index(self, angle) -> Optional[int]:
+        if not isinstance(angle, RationalAngle) or self.den % angle.denominator:
+            return None
+        a = angle.numerator * (self.den // angle.denominator)
+        i = int(np.searchsorted(self.numerators, a))
+        return i if i < len(self.numerators) and self.numerators[i] == a else None
+
+    def __getitem__(self, angle) -> int:
+        i = self._index(angle)
+        return 0 if i is None else int(self.counts[i])
+
+    def __contains__(self, angle) -> bool:
+        return self._index(angle) is not None
+
+    def __iter__(self):
+        return (RationalAngle.of(int(a), self.den) for a in self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def values(self) -> list[int]:
+        return self.counts.tolist()
+
+    def items(self) -> list[tuple[RationalAngle, int]]:
+        return list(zip(self, self.values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(self.items()) == {k: v for k, v in other.items() if v}
+
+
+def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
     """Exact-mode result for the terms e(numerators[i]/den), counts[i] of each.
 
-    The numerators need not be distinct or reduced; equal angles merge in
-    the multiset.
-    """
-    angles: Counter = Counter()
-    for a, c in zip(numerators, counts):
-        if c:
-            angles[RationalAngle.of(int(a), den)] += int(c)
-    re = math.fsum(c * a.to_complex().real for a, c in angles.items())
-    im = math.fsum(c * a.to_complex().imag for a, c in angles.items())
-    return SumResult(complex(re, im), term_count, "exact", angles)
+    Numerators equal mod den merge before the value is taken.  They are
+    int64 while den < 2^62 and Python ints beyond; counts keep their dtype."""
+    a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
+    keep = counts != 0
+    a, where = np.unique(a[keep], return_inverse=True)
+    merged = np.zeros(len(a), dtype=counts.dtype)
+    np.add.at(merged, where, counts[keep])
+    roots = root_values(a, den)
+    weights = merged.astype(np.float64)
+    value = complex(math.fsum(weights * roots.real), math.fsum(weights * roots.imag))
+    return SumResult(value, term_count, "exact", AngleCounts(a, merged, den))
 
 
 def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
@@ -152,7 +214,9 @@ def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
     if chi.q <= VALUE_TABLE_CAP:
         # ns may be an object array past 2^63; its residues fit int64
         return chi.value_table[1][(ns % chi.q).astype(np.int64)]
-    return np.array([chi(int(n)) for n in ns], dtype=np.complex128)
+    A = [chi.angle_numerator(int(n)) for n in ns]
+    unit = np.array([a is not None for a in A], dtype=bool)
+    return np.where(unit, root_values([a or 0 for a in A], chi.order), 0j)
 
 
 def _phase_numerators(nums, den: int, xs) -> np.ndarray:
@@ -209,13 +273,15 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
         periods, rem = divmod(N, q)
         A = chi.value_table[0]
         tail = A[((M + 1) % q + np.arange(rem)) % q]
-        full = np.bincount(A[A >= 0], minlength=L).tolist()
-        part = np.bincount(tail[tail >= 0], minlength=L).tolist()
-        return _exact_sum(range(L), [periods * f + t for f, t in zip(full, part)], L, N)
+        full = np.bincount(A[A >= 0], minlength=L)
+        part = np.bincount(tail[tail >= 0], minlength=L)
+        # no count exceeds N: int64 is exact below 2^63, Python ints beyond
+        counts = full.astype(np.int64 if N < 1 << 63 else object) * periods + part
+        return _exact_sum(np.arange(L), counts, L, N)
     if N <= _EXACT_CAP:
         counts = Counter(chi.angle_numerator(n) for n in range(M + 1, M + N + 1))
         counts.pop(None, None)
-        return _exact_sum(counts.keys(), counts.values(), L, N)
+        return _exact_sum(list(counts), np.array(list(counts.values()), dtype=np.int64), L, N)
     return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
 
 
@@ -243,16 +309,9 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
             unit = A >= 0
             phase = _phase_numerators(nums, den, np.arange(M + 1, M + N + 1))[unit]
             terms = (A[unit].astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
-            values, counts = np.unique(terms, return_counts=True)
-            return _exact_sum(values, counts, D, N)
-
-        def phases(ns):
-            return _phase_numerators(nums, den, ns).astype(np.float64) / den
-    else:
-        def phases(ns):
-            return G.eval_float(ns.astype(np.float64))
+            return _exact_sum(terms, np.ones(len(terms), dtype=np.int64), D, N)
     return _blocked_sum(
-        lambda ns: _chi_values(chi, ns) * np.exp(2j * np.pi * phases(ns)), M, N)
+        lambda ns: _chi_values(chi, ns) * np.exp(2j * np.pi * G.phases(ns)), M, N)
 
 
 def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResult:
@@ -283,21 +342,13 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
     """S = sum_{y,z=1}^{P} e(g(y z))."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    products: Counter = Counter()
-    for y in range(1, P + 1):
-        for z in range(1, P + 1):
-            products[y * z] += 1
+    ys = np.arange(1, P + 1, dtype=np.int64)
+    prods, counts = np.unique(np.outer(ys, ys), return_counts=True)
     if g.is_rational:
         nums, den = g.angle_data()
-        prods = list(products)
-        return _exact_sum(_phase_numerators(nums, den, prods).tolist(),
-                          products.values(), den, P * P)
-    re_parts, im_parts = [], []
-    for prod in sorted(products):
-        v = products[prod] * cmath.exp(2j * math.pi * g.eval_float(prod))
-        re_parts.append(v.real)
-        im_parts.append(v.imag)
-    return SumResult(complex(math.fsum(re_parts), math.fsum(im_parts)), P * P, "float")
+        return _exact_sum(_phase_numerators(nums, den, prods), counts, den, P * P)
+    terms = counts * np.exp(2j * np.pi * g.phases(prods))
+    return SumResult(complex(math.fsum(terms.real), math.fsum(terms.imag)), P * P, "float")
 
 
 @dataclass(frozen=True)
@@ -338,28 +389,12 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     vals = chi.value_table[1]
 
     yz = np.outer(np.arange(1, P + 1, dtype=np.int64), np.arange(1, P + 1, dtype=np.int64))
-
-    if G.is_zero:
-        ones = np.ones_like(yz, dtype=np.complex128)
-
-        def phases_for(n: int) -> np.ndarray:
-            return ones
-    elif G.is_rational:
-        nums, den = G.angle_data()
-
-        def phases_for(n: int) -> np.ndarray:
-            acc = _phase_numerators(nums, den, n + P * yz)
-            return np.exp(2j * np.pi * (acc.astype(np.float64) / den))
-    else:
-        def phases_for(n: int) -> np.ndarray:
-            return np.exp(2j * np.pi * G.eval_float((n + P * yz).astype(np.float64)))
-
     v_total = complex(0.0)
     for n in ns:
         nbar = pow(n, -1, q)
         idx = (1 + (P * nbar % q) * yz) % q
-        inner = np.sum(vals[idx] * phases_for(n))
-        v_total += chi(n) * complex(inner)
+        inner = np.sum(vals[idx] * np.exp(2j * np.pi * G.phases(n + P * yz)))
+        v_total += complex(vals[n % q]) * complex(inner)
 
     s_val = twisted_sum(chi, M, N, G).value
     recon = v_total / (P * P)

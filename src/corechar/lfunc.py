@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import as_modulus
+from .arith import as_modulus, exp_or_inf
 from .characters import DirichletCharacter, enumerate_characters
 
 __all__ = [
@@ -50,6 +50,10 @@ _BERNOULLI = [
     Fraction(-236364091, 2730),
 ]
 _EM_ORDER = 12
+_SERIES_PASSES = 3  # period averages of the series path
+_GL_ORDER = 12  # Gauss-Legendre nodes per contour panel
+_WINDING_TOL = 1e-3  # distance from an integer at which a winding snaps
+_GRID_SIGMAS, _GRID_TS = 9, 201  # |L| confirmation grid points along sigma and t
 
 
 def _g_ratio(w: np.ndarray) -> np.ndarray:
@@ -77,16 +81,13 @@ def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool,
-                  with_ds: bool, order: int = _EM_ORDER):
+def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool, with_ds: bool):
     """Euler-Maclaurin evaluation of zeta(s, a) for a vector of a in (0, 1].
 
     With ``regularized`` the pole term 1/(s-1) is subtracted (exactly the
     entire part), which cancels identically in nonprincipal L-sums.
     Returns vals or (vals, ds_vals).
     """
-    if order > len(_BERNOULLI):
-        raise ValueError(f"order capped at {len(_BERNOULLI)}")
     a = np.asarray(a, dtype=np.float64)
     if np.any(a <= 0.0) or np.any(a > 1.0):
         raise ValueError("a must lie in (0, 1]")
@@ -94,7 +95,7 @@ def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool,
     if not regularized and s == 1.0:
         raise ValueError("zeta(s, a) has a pole at s = 1")
 
-    n0 = max(2 * order + 8, math.ceil(1.2 * abs(s)) + 16)
+    n0 = max(2 * _EM_ORDER + 8, math.ceil(1.2 * abs(s)) + 16)
     k = np.arange(n0, dtype=np.float64)
     base = a[:, None] + k[None, :]          # (len(a), n0)
     logs = np.log(base)
@@ -123,7 +124,7 @@ def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool,
     poch = s
     poch_dlog = 1.0 / s                     # sum of 1/(s+i), i < 2j-1
     fact = 1.0
-    for j in range(1, order + 1):
+    for j in range(1, _EM_ORDER + 1):
         two_j = 2 * j
         fact *= (two_j - 1) * two_j
         coeff = float(_BERNOULLI[j - 1]) / fact
@@ -131,7 +132,7 @@ def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool,
         vals = vals + coeff * poch * powterm
         if with_ds:
             dvals = dvals + coeff * powterm * (poch * poch_dlog - poch * ltop)
-        if j < order:
+        if j < _EM_ORDER:
             for i in (two_j - 1, two_j):
                 poch *= s + i  # extend (s)_{2j-1} -> (s)_{2j+1}
                 poch_dlog += 1.0 / (s + i)
@@ -140,17 +141,13 @@ def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool,
     return vals
 
 
-def hurwitz_zeta(s: complex, a, order: int = _EM_ORDER) -> complex:
+def hurwitz_zeta(s: complex, a) -> complex:
     """zeta(s, a) = sum_{k>=0} (a+k)^{-s} for Re s > 0, a in (0, 1].
 
-    Euler-Maclaurin with ``order`` Bernoulli corrections after an
+    Euler-Maclaurin with twelve Bernoulli corrections after an
     |s|-proportional number of direct terms; errors at s = 1 (the pole).
     """
-    s = complex(s)
-    if s == 1.0:
-        raise ValueError("pole at s = 1")
-    val = _hurwitz_core(s, np.array([float(a)]), regularized=False, with_ds=False,
-                        order=order)
+    val = _hurwitz_core(s, np.array([float(a)]), regularized=False, with_ds=False)
     return complex(val[0])
 
 
@@ -210,13 +207,12 @@ def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]
     return complex(lvals[0]), complex(dvals[0])
 
 
-def l_value_series(chi: DirichletCharacter, s: complex,
-                   terms: Optional[int] = None, passes: int = 3) -> complex:
+def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
     """Independent L path: Dirichlet series with iterated period averaging.
 
     Partial sums of sum chi(n) n^{-s} oscillate with period q; averaging
-    the cutoff over a full period ``passes`` times damps the tail by a
-    factor ~ (q|s|/N) per pass.  Nonprincipal chi only.
+    the cutoff over a full period ``_SERIES_PASSES`` times damps the tail
+    by a factor ~ (q|s|/N) per pass.  Nonprincipal chi only.
     """
     if chi.is_principal:
         raise ValueError("series acceleration needs a nonprincipal character")
@@ -224,17 +220,15 @@ def l_value_series(chi: DirichletCharacter, s: complex,
     if s.real <= 0.0:
         raise ValueError("evaluation restricted to Re s > 0")
     q = chi.q
-    if terms is None:
-        scale = (abs(s) + 8.0) * q
-        terms = int(min(4e6, max(4000, 60 * scale)))
-    window = passes * (q - 1) + 1 if q > 1 else 1
+    terms = int(min(4e6, max(4000, 60 * ((abs(s) + 8.0) * q))))
+    window = _SERIES_PASSES * (q - 1) + 1 if q > 1 else 1
     n_max = terms + window
     _, vals = chi.value_table
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     series = vals[np.arange(1, n_max + 1) % q] * np.exp(-s * np.log(ns))
     prefix = np.cumsum(series)
     cur = prefix[terms - 1: terms - 1 + window]
-    for _ in range(passes):
+    for _ in range(_SERIES_PASSES):
         if q > 1:
             kernel = np.ones(q) / q
             cur = np.convolve(cur, kernel, mode="valid")
@@ -246,12 +240,12 @@ def l_value_series(chi: DirichletCharacter, s: complex,
 # ---------------------------------------------------------------------------
 
 
-def _contour(alpha: float, T: float, max_panel: float, gl_order: int):
+def _contour(alpha: float, T: float, max_panel: float):
     """Gauss-Legendre nodes and dz-weights around the rectangle
     [alpha, 1] x [-T, T], oriented counterclockwise."""
     corners = [complex(alpha, -T), complex(1.0, -T), complex(1.0, T),
                complex(alpha, T), complex(alpha, -T)]
-    nodes, weights = np.polynomial.legendre.leggauss(gl_order)
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     pts, wts = [], []
     for z0, z1 in zip(corners[:-1], corners[1:]):
         length = abs(z1 - z0)
@@ -266,11 +260,10 @@ def _contour(alpha: float, T: float, max_panel: float, gl_order: int):
     return np.array(pts), np.array(wts)
 
 
-def _windings(q: int, chis, alpha: float, T: float,
-              max_panel: float, gl_order: int = 12):
+def _windings(q: int, chis, alpha: float, T: float, max_panel: float):
     """Winding numbers (1/2pi i) contour-int L'/L for every chi, plus the
     smallest |L| seen on the contour."""
-    pts, wts = _contour(alpha, T, max_panel, gl_order)
+    pts, wts = _contour(alpha, T, max_panel)
     X = _chi_matrix(chis, q)
     lmat = np.empty((len(chis), len(pts)), dtype=np.complex128)
     lpmat = np.empty_like(lmat)
@@ -281,8 +274,7 @@ def _windings(q: int, chis, alpha: float, T: float,
     return integrals, min_abs
 
 
-def _stable_windings(q: int, chis, alpha: float, T: float,
-                     tol: float = 1e-3):
+def _stable_windings(q: int, chis, alpha: float, T: float):
     """Refine panels until every winding snaps to a stable integer."""
     results = None
     prev = None
@@ -292,7 +284,8 @@ def _stable_windings(q: int, chis, alpha: float, T: float,
             raise ArithmeticError("contour passes through a zero")
         if prev is not None:
             snapped = np.round(cur.real)
-            ok = (np.abs(cur - snapped) < tol) & (np.abs(prev - snapped) < 2 * tol)
+            ok = ((np.abs(cur - snapped) < _WINDING_TOL)
+                  & (np.abs(prev - snapped) < 2 * _WINDING_TOL))
             if np.all(ok):
                 results = snapped.astype(int)
                 break
@@ -343,8 +336,7 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
     }
 
 
-def l_grid_min(q, alpha: float, T: float, sigma_steps: int = 9,
-               t_steps: int = 201) -> dict:
+def l_grid_min(q, alpha: float, T: float) -> dict:
     """Independent confirmation scan: min |L| over a grid on the rectangle.
 
     A strictly positive minimum across all nonprincipal characters is the
@@ -354,8 +346,8 @@ def l_grid_min(q, alpha: float, T: float, sigma_steps: int = 9,
     chis = [c for c in enumerate_characters(mod) if not c.is_principal]
     if not chis:
         return {"q": mod.q, "min_abs": math.inf, "at": None}
-    sigmas = np.linspace(alpha, 1.0, sigma_steps)
-    ts = np.linspace(-T, T, t_steps)
+    sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
+    ts = np.linspace(-T, T, _GRID_TS)
     X = _chi_matrix(chis, mod.q)
     best = math.inf
     best_at = None
@@ -389,11 +381,7 @@ class EllContext:
 def build_ell_context(q, t: float) -> EllContext:
     mod = as_modulus(q)
     ell = math.log(mod.q) + math.log(abs(t) + 3.0)
-    try:
-        z = math.exp(2.0 * ell)
-    except OverflowError:
-        z = math.inf
-    return EllContext(q=mod.q, t=t, ell=ell, Z=z)
+    return EllContext(q=mod.q, t=t, ell=ell, Z=exp_or_inf(2.0 * ell))
 
 
 @dataclass(frozen=True)
@@ -473,10 +461,7 @@ def lemma8_check(q, Y: Optional[float] = None, eta: float = 0.1, t: float = 0.0,
     y_ok = ly >= gamma0 * math.log(mod.core)
     ceiling = xi0 * ly * ly / (ell * ell) - c0 * math.log(ell) / ly
     eta_ok = eta <= ceiling
-    try:
-        bound = math.exp(eta * ly) / eta
-    except OverflowError:
-        bound = math.inf
+    bound = exp_or_inf(eta * ly) / eta
     return Lemma8Report(q=mod.q, log_y=ly, eta=eta, t=t, ell=ell,
                         gamma0=gamma0, xi0=xi0, c0=c0,
                         y_large_enough=y_ok, eta_ceiling=ceiling,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .arith import as_modulus, crt_combine
+from .arith import as_modulus, crt_combine, exp_or_inf
 from .characters import DirichletCharacter
 
 __all__ = [
@@ -301,10 +301,7 @@ def main_bound_log(q, N: int, xi0: float) -> float:
 
 
 def main_bound(q, N: int, xi0: float) -> float:
-    try:
-        return math.exp(main_bound_log(q, N, xi0))
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(main_bound_log(q, N, xi0))
 
 
 def iwaniec_bound_log(q, N: int, a: float, xi0: float) -> float:
@@ -317,10 +314,7 @@ def iwaniec_bound_log(q, N: int, a: float, xi0: float) -> float:
 
 
 def iwaniec_bound(q, N: int, a: float, xi0: float) -> float:
-    try:
-        return math.exp(iwaniec_bound_log(q, N, a, xi0))
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(iwaniec_bound_log(q, N, a, xi0))
 
 
 def nontriviality_threshold_main(q, xi0: float) -> float:
@@ -332,8 +326,10 @@ def nontriviality_threshold_main(q, xi0: float) -> float:
     return (math.log(2.0) * lq * lq / xi0) ** (1.0 / 3.0)
 
 
-def nontriviality_threshold_iwaniec(q, a: float, xi0: float,
-                                    grid: int = 4096, iters: int = 200) -> float:
+_IWANIEC_GRID, _IWANIEC_BISECTIONS = 4096, 200  # linear scan steps, then bisections
+
+
+def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
     """Least log N in (0, log q) where the older bound drops to N/2.
 
     Solved by a deterministic linear scan for the first sign change of
@@ -348,12 +344,12 @@ def nontriviality_threshold_iwaniec(q, a: float, xi0: float,
         return a * rho * (1.0 + lr) ** 2 - xi0 * L / (rho**2 * lr) + math.log(2.0)
 
     hi_cap = lq * (1.0 - 1e-9)
-    prev = hi_cap * 1.0 / grid
+    prev = hi_cap * 1.0 / _IWANIEC_GRID
     if h(prev) <= 0.0:
         return prev
     found = None
-    for j in range(2, grid + 1):
-        cur = hi_cap * j / grid
+    for j in range(2, _IWANIEC_GRID + 1):
+        cur = hi_cap * j / _IWANIEC_GRID
         if h(cur) <= 0.0:
             found = (prev, cur)
             break
@@ -361,7 +357,7 @@ def nontriviality_threshold_iwaniec(q, a: float, xi0: float,
     if found is None:
         raise ValueError("bound never nontrivial on (0, log q)")
     lo, hi = found
-    for _ in range(iters):
+    for _ in range(_IWANIEC_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if h(mid) <= 0.0:
             hi = mid

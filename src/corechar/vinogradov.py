@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import exp_or_inf
 from .expsums import RealPolynomial, double_sum
 
 __all__ = [
@@ -30,7 +31,8 @@ __all__ = [
     "FordReport",
 ]
 
-_TUPLE_BUDGET = 1 << 26
+_TUPLE_BUDGET = 1 << 26  # k-tuples in the signature table
+_PAIR_BUDGET = 10**8  # 2k-tuples in the all-pairs oracle
 
 
 def power_sum_signature(values: Sequence[int], d: int) -> tuple[int, ...]:
@@ -69,16 +71,16 @@ def _signature_array(k: int, d: int, P: int) -> Optional[np.ndarray]:
     return sigs
 
 
-def count_vinogradov(k: int, d: int, P: int, tuple_budget: int = _TUPLE_BUDGET) -> int:
+def count_vinogradov(k: int, d: int, P: int) -> int:
     """Exact N_{k,d}(P) via a signature table: sum over v of r(v)^2.
 
     Arbitrary-precision fallback keeps the count exact when k*P^d
     overflows 64-bit intermediates.  Errors when the P^k-entry table
-    would exceed ``tuple_budget``.
+    would exceed ``_TUPLE_BUDGET``.
     """
     if k < 1 or d < 1 or P < 1:
         raise ValueError("need k, d, P >= 1")
-    if P**k > tuple_budget:
+    if P**k > _TUPLE_BUDGET:
         raise ValueError(f"signature table of {P}^{k} tuples exceeds the budget")
     sigs = _signature_array(k, d, P)
     if sigs is not None:
@@ -100,7 +102,7 @@ def count_vinogradov(k: int, d: int, P: int, tuple_budget: int = _TUPLE_BUDGET) 
     return sum(c * c for c in table.values())
 
 
-def count_vinogradov_naive(k: int, d: int, P: int, pair_budget: int = 10**8) -> int:
+def count_vinogradov_naive(k: int, d: int, P: int) -> int:
     """Independent oracle: enumerate all (y, z) pairs and compare power sums.
 
     Literal 2k-fold iteration for small instances; a chunked all-pairs
@@ -109,7 +111,7 @@ def count_vinogradov_naive(k: int, d: int, P: int, pair_budget: int = 10**8) -> 
     if k < 1 or d < 1 or P < 1:
         raise ValueError("need k, d, P >= 1")
     pairs = P ** (2 * k)
-    if pairs > pair_budget:
+    if pairs > _PAIR_BUDGET:
         raise ValueError(f"{pairs} pairs exceed the oracle budget")
     if pairs <= 4 * 10**6:
         powers = [[y**r for r in range(1, d + 1)] for y in range(P + 1)]
@@ -189,14 +191,13 @@ class KorobovReport:
 
 
 def korobov_check(coefficients: Sequence, k: int, P: int,
-                  approximations: Optional[Sequence[tuple[int, int, float]]] = None,
                   denominator_bound: Optional[int] = None,
                   slack: float = 1e-9) -> KorobovReport:
     """Verify |S|^(2k^2) <= (64 k^2 log 3Q)^(d/2) W P^(2k(2k-1)) N_{k,d}(P).
 
     ``coefficients`` are (c_1 .. c_d) of g(x) = c_1 x + ... + c_d x^d (no
-    constant term).  Approximations (a_r, b_r, theta_r) may be supplied;
-    otherwise they are derived, exactly for rational coefficients.
+    constant term).  The approximations (a_r, b_r, theta_r) are derived,
+    exactly for rational coefficients.
     """
     coeffs = [Fraction(c) if isinstance(c, (int, Fraction)) else float(c)
               for c in coefficients]
@@ -209,18 +210,15 @@ def korobov_check(coefficients: Sequence, k: int, P: int,
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    if approximations is None:
-        approximations = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                approximations.append(rational_approx(c, max(1, c.denominator)))
-            elif denominator_bound is not None:
-                approximations.append(rational_approx(c, denominator_bound))
-            else:
-                raise ValueError("float coefficients need a denominator_bound")
+    approximations = []
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            approximations.append(rational_approx(c, max(1, c.denominator)))
+        elif denominator_bound is not None:
+            approximations.append(rational_approx(c, denominator_bound))
+        else:
+            raise ValueError("float coefficients need a denominator_bound")
     approximations = tuple(approximations)
-    if len(approximations) != d:
-        raise ValueError("one approximation per coefficient required")
     for (_, b, theta) in approximations:
         if b < 1 or abs(theta) > 1.0 + 1e-12:
             raise ValueError("approximations must have b >= 1 and |theta| <= 1")
@@ -243,15 +241,9 @@ def korobov_check(coefficients: Sequence, k: int, P: int,
                + log_w + 2 * k * (2 * k - 1) * math.log(P) + math.log(n_count))
     holds = lhs_log <= rhs_log + math.log1p(slack)
 
-    def _exp(x: float) -> float:
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-
     return KorobovReport(
         k=k, d=d, P=P, Q=Q, W=w,
-        lhs=_exp(lhs_log), rhs=_exp(rhs_log),
+        lhs=exp_or_inf(lhs_log), rhs=exp_or_inf(rhs_log),
         lhs_log=lhs_log, rhs_log=rhs_log, holds=holds,
         vinogradov_count=n_count, s_abs=s_abs,
         coefficient_approximations=approximations,

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corechar.arith import FactoredModulus, discrete_log, unit_group_basis
@@ -15,6 +16,7 @@ from corechar.characters import (
     enumerate_characters,
     principal_character,
     quadratic_character,
+    root_values,
 )
 
 
@@ -84,6 +86,30 @@ def test_integer_kernel_matches_reference(q):
             # m + shift = 1 mod s, so chi(k + r m) = e(offset) chi_s(1)
             m = (1 - res.shift) % s
             assert res.offset.fraction == _reference_angle(chi, k + r * m)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 12, 4374, 2 * 3**11])
+def test_root_values_every_numerator(d):
+    """The array kernel gives RationalAngle.to_complex bit for bit."""
+    expected = [RationalAngle.of(a, d).to_complex() for a in range(d)]
+    assert np.array_equal(_bits(root_values(np.arange(d), d)), _bits(expected))
+
+
+def test_root_values_seeded_and_past_int64():
+    rng = random.Random(9973)
+    d = 4374 * 9973
+    nums = [rng.randrange(d) for _ in range(10**5)]
+    expected = [RationalAngle.of(a, d).to_complex() for a in nums]
+    assert np.array_equal(_bits(root_values(nums, d)), _bits(expected))
+    # d >= 2^62 runs on Python ints; numerators need not be reduced
+    for d in (1 << 62, 2**64 * 3**5, (10**9 + 7) * (10**9 + 9) * 81):
+        nums = [0, -1, 1, d // 2, d // 3, d - 1, 3 * d + 5] + [rng.randrange(d) for _ in range(50)]
+        expected = [RationalAngle.of(a, d).to_complex() for a in nums]
+        assert np.array_equal(_bits(root_values(nums, d)), _bits(expected))
 
 
 def test_evaluate_above_dlog_table_cap():

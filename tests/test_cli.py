@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +123,21 @@ def test_main_in_process(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["N"] == "6"
+
+
+_SUM_GOLDEN = [json.loads(line) for line in
+               (Path(__file__).parent / "golden" / "sum_commands.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("record", _SUM_GOLDEN,
+                         ids=[f"{i}-{r['argv'][0]}" for i, r in enumerate(_SUM_GOLDEN)])
+def test_sum_commands_golden_stdout(record, tmp_path, capsys):
+    """Stdout of the sum commands, byte for byte; a ``{spec}`` argument is
+    the record's ``spec`` written to a file."""
+    argv = record["argv"]
+    if "spec" in record:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(record["spec"]))
+        argv = [str(spec) if a == "{spec}" else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == record["stdout"]

@@ -3,8 +3,11 @@ and the shift decomposition."""
 
 import cmath
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +279,72 @@ def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
     assert res.exact_angle_terms == expected
     if q == 81:
         assert math.lcm(chi.order, G.angle_data()[1]) >= 1 << 62
+
+
+def test_exact_angle_terms_reads_as_counter():
+    chi = enumerate_characters(81, primitive_only=True)[1]
+    G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 9973)])
+    M, N = 100, 5000
+    view = twisted_sum(chi, M, N, G).exact_angle_terms
+    expected = Counter()
+    for n in range(M + 1, M + N + 1):
+        a = chi.evaluate(n)
+        if a is not None:
+            expected[RationalAngle.make(a.fraction + G.frac_at(n))] += 1
+    assert view == expected and expected == view
+    assert Counter(view) == expected
+    assert set(view) == set(expected)
+    assert len(view) == len(expected)
+    assert sorted(view.values()) == sorted(expected.values())
+    for angle in list(expected)[::97]:
+        assert angle in view and view[angle] == expected[angle]
+    # absent: a denominator that divides lcm(order, 7 * 9973), and one that does not
+    for absent in (RationalAngle(1, 7), RationalAngle(1, 11)):
+        assert absent not in expected
+        assert absent not in view and view[absent] == 0
+    bumped = Counter(expected)
+    bumped[next(iter(expected))] += 1
+    assert view != bumped and bumped != view
+
+
+def test_double_sum_colliding_products_merge():
+    """Products y z that agree mod the denominator merge into one angle."""
+    g = RealPolynomial.make([0, Fraction(1, 4), Fraction(1, 6)])
+    P = 9
+    res = double_sum(g, P)
+    expected = Counter(RationalAngle.make(g.frac_at(y * z))
+                       for y in range(1, P + 1) for z in range(1, P + 1))
+    assert res.exact_angle_terms == expected
+    assert len(expected) < len({y * z for y in range(1, P + 1) for z in range(1, P + 1)})
+    assert res.value == complex(math.fsum(c * a.to_complex().real for a, c in expected.items()),
+                                math.fsum(c * a.to_complex().imag for a, c in expected.items()))
+
+
+def test_full_period_sums_do_not_pin_value_tables():
+    """Every character mod 3^7 summed over a full period, as acceptance
+    criterion 5 does: peak RSS stays well below one table per character.
+
+    A child's ru_maxrss starts from the high-water mark of the process it
+    was forked from (this test process), so the child reports the peak of
+    its own address space, VmHWM, instead."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status for a per-process peak RSS")
+    code = (
+        "from pathlib import Path\n"
+        "from corechar.characters import enumerate_characters\n"
+        "from corechar.expsums import char_sum\n"
+        "q = 3**7\n"
+        "for chi in enumerate_characters(q):\n"
+        "    terms = char_sum(chi, 0, q).exact_angle_terms\n"
+        "    assert len(terms) == chi.order and len(set(terms.values())) == 1\n"
+        "for line in Path('/proc/self/status').read_text().splitlines():\n"
+        "    if line.startswith('VmHWM:'):\n"
+        "        print(line.split()[1])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 80 * 1024  # KiB
 
 
 def test_twisted_sum_float_mode_past_int64():
