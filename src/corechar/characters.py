@@ -7,10 +7,12 @@ L = chi.order every value is chi(n) = e(A(n)/L) for an integer numerator
 
     A(n) = sum_j w_j * dlog_j(n mod p^gamma) mod L,  w_j = k_j * L / o_j,
 
-over the basis generators j of order o_j and exponents k_j.  ``evaluate``
-reduces A(n)/L to a ``RationalAngle``; ``value_table`` holds A and the
-complex values on all residues, in one small cache keyed by the character:
-equal characters share a table, and a list of characters pins none.
+over the basis generators j of order o_j and exponents k_j.
+``angle_numerators`` is the one array kernel for A, a dlog table gather per
+prime power; ``angle_numerator`` reads a single value, and ``evaluate``
+reduces it to a ``RationalAngle``.  ``value_table`` holds A and the complex
+values on all residues, in one small cache keyed by the character: equal
+characters share a table, and a list of characters pins none.
 ``root_values`` turns integer angles into complex values, each exactly as
 ``RationalAngle.to_complex`` does; that conversion happens only at
 summation boundaries.
@@ -182,6 +184,31 @@ class DirichletCharacter:
             return None
         return sum(_component_numerator(p, g, ws, n) for p, g, ws in self._weights) % self.order
 
+    def angle_numerators(self, ns) -> np.ndarray:
+        """``angle_numerator`` of every n of the integer array ns (an object
+        array past 2^63), -1 where gcd(n, q) > 1: one dlog table gather per
+        prime power up to the table cap, ``_component_numerator`` above it."""
+        ns = np.asarray(ns)
+        L = self.order
+        # with h = gcd(k_j, o_j): w_j*dlog_j = ((k_j/h)*dlog_j mod o_j/h) * L/(o_j/h)
+        # mod L, where (k_j/h)*dlog_j < o_j^2 <= 2^44 under the table cap; every
+        # term and the running sum stay below L: int64 while L < 2^62, else ints
+        dtype = np.int64 if L < 1 << 62 else object
+        acc = np.zeros(len(ns), dtype=dtype)
+        unit = np.ones(len(ns), dtype=bool)
+        for (p, g), exps, (_, _, ws) in zip(self.modulus.factors, self.components, self._weights):
+            unit &= ns % p != 0
+            if p**g <= DLOG_TABLE_CAP:
+                logs = dlog_table(p, g)[(ns % p**g).astype(np.int64)]
+                for ell, k, o in zip(logs.T, exps, unit_group_basis(p, g).orders):
+                    h = math.gcd(k, o)
+                    acc = (acc + (ell * (k // h) % (o // h)).astype(dtype) * (L * h // o)) % L
+            else:
+                terms = [_component_numerator(p, g, ws, n) % L for n in ns[unit].tolist()]
+                acc[unit] = (acc[unit] + np.array(terms, dtype=dtype)) % L
+        acc[~unit] = -1
+        return acc
+
     def evaluate(self, n: int) -> Optional[RationalAngle]:
         """Exact angle of chi(n), or None when gcd(n, q) > 1 (the value 0)."""
         a = self.angle_numerator(n)
@@ -256,17 +283,8 @@ def _value_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     q = chi.q
     if q > VALUE_TABLE_CAP:
         raise ValueError(f"value table for q = {q} exceeds the size cap")
-    residues = np.arange(q)
-    numerators = np.zeros(q, dtype=np.int64)
-    unit = np.ones(q, dtype=bool)
-    # each w_j * dlog_j is below order * p^gamma <= q^2 <= 2^40: int64 sums are exact
-    for p, g, ws in chi._weights:
-        logs = dlog_table(p, g)[residues % p**g]
-        unit &= logs[:, 0] >= 0
-        numerators += logs[:, :len(ws)] @ np.array(ws, dtype=np.int64)
-    numerators %= chi.order
-    numerators[~unit] = -1
-    values = np.where(unit, _roots_of_unity(chi.order)[numerators], 0j)
+    numerators = chi.angle_numerators(np.arange(q))
+    values = np.where(numerators >= 0, _roots_of_unity(chi.order)[numerators], 0j)
     numerators.flags.writeable = values.flags.writeable = False
     return numerators, values
 

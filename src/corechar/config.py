@@ -24,10 +24,9 @@ class RunConfig:
     work_budget: float = 1e9
 
     def __post_init__(self):
-        for name in ("xi0", "c0", "a", "A", "b", "korobov_residual_constant",
-                     "work_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
     def as_dict(self) -> dict:
         """The constants echoed in every report."""

@@ -19,7 +19,6 @@ summand.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -210,13 +209,12 @@ def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> Sum
 
 
 def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
-    """chi(n) for each n of ns: a table lookup when one exists, else per term."""
+    """chi(n) for each n of ns, from the value table when one exists."""
     if chi.q <= VALUE_TABLE_CAP:
         # ns may be an object array past 2^63; its residues fit int64
         return chi.value_table[1][(ns % chi.q).astype(np.int64)]
-    A = [chi.angle_numerator(int(n)) for n in ns]
-    unit = np.array([a is not None for a in A], dtype=bool)
-    return np.where(unit, root_values([a or 0 for a in A], chi.order), 0j)
+    A = chi.angle_numerators(ns)
+    return np.where(A >= 0, root_values(A, chi.order), 0j)
 
 
 def _phase_numerators(nums, den: int, xs) -> np.ndarray:
@@ -237,33 +235,29 @@ def _phase_numerators(nums, den: int, xs) -> np.ndarray:
     return acc
 
 
-def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
-    """sum of block_terms(ns) over n in (M, M+N], float mode.
+def _blocks(M: int, N: int):
+    """The window (M, M+N] as consecutive integer arrays of at most _BLOCK terms,
+    int64 below 2^63 and Python ints beyond (np.arange would round through floats)."""
+    for n0 in range(M + 1, M + N + 1, _BLOCK):
+        size = min(_BLOCK, M + N + 1 - n0)
+        yield n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
-    ns runs through the window in integer arrays of _BLOCK terms; the
-    block sums are combined left to right with fsum.
-    """
-    parts_re: list[float] = []
-    parts_im: list[float] = []
-    n0 = M + 1
-    remaining = N
-    while remaining > 0:
-        size = min(_BLOCK, remaining)
-        terms = block_terms(np.arange(n0, n0 + size))
-        parts_re.append(float(np.sum(terms.real)))
-        parts_im.append(float(np.sum(terms.imag)))
-        n0 += size
-        remaining -= size
-    return SumResult(complex(math.fsum(parts_re), math.fsum(parts_im)), N, "float")
+
+def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
+    """sum of block_terms(ns) over n in (M, M+N], float mode: the block sums
+    over ``_blocks`` are combined left to right with fsum."""
+    parts = [(float(np.sum(t.real)), float(np.sum(t.imag)))
+             for t in map(block_terms, _blocks(M, N))]
+    return SumResult(complex(*map(math.fsum, zip(*parts))), N, "float")
 
 
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     """sum_{n=M+1}^{M+N} chi(n).
 
     Periodicity reduces the work to one pass over residues whenever a
-    value table fits; the result is then exact.  For oversized moduli the
-    sum falls back to per-term evaluation (exact angles up to the term
-    cap, block-compensated floating accumulation beyond it).
+    value table fits; the result is then exact.  Oversized moduli read
+    ``angle_numerators`` block by block: per-block histograms merge into an
+    exact result up to the term cap, float block sums are taken beyond it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -279,9 +273,9 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
         counts = full.astype(np.int64 if N < 1 << 63 else object) * periods + part
         return _exact_sum(np.arange(L), counts, L, N)
     if N <= _EXACT_CAP:
-        counts = Counter(chi.angle_numerator(n) for n in range(M + 1, M + N + 1))
-        counts.pop(None, None)
-        return _exact_sum(list(counts), np.array(list(counts.values()), dtype=np.int64), L, N)
+        hists = [np.unique(A[A >= 0], return_counts=True)
+                 for A in map(chi.angle_numerators, _blocks(M, N))]
+        return _exact_sum(*map(np.concatenate, zip(*hists)), L, N)
     return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
 
 
@@ -307,7 +301,7 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
             dtype = np.int64 if D < 1 << 62 else object
             A = chi.value_table[0][((M + 1) % q + np.arange(N)) % q]
             unit = A >= 0
-            phase = _phase_numerators(nums, den, np.arange(M + 1, M + N + 1))[unit]
+            phase = _phase_numerators(nums, den, np.concatenate(list(_blocks(M, N))))[unit]
             terms = (A[unit].astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
             return _exact_sum(terms, np.ones(len(terms), dtype=np.int64), D, N)
     return _blocked_sum(

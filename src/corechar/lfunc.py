@@ -151,13 +151,9 @@ def hurwitz_zeta(s: complex, a) -> complex:
     return complex(val[0])
 
 
-def _chi_matrix(chis: Sequence[DirichletCharacter], q: int) -> np.ndarray:
-    """(n_chi, q) complex matrix of character values on residues 1..q."""
-    rows = []
-    for chi in chis:
-        _, vals = chi.value_table
-        rows.append(np.roll(vals, -1))  # index a-1 -> residue a, a = q -> 0
-    return np.stack(rows)
+def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
+    """(n_chi, q) complex matrix of chi(a) in column a-1 for a = 1..q."""
+    return np.stack([np.roll(chi.value_table[1], -1) for chi in chis])
 
 
 def _l_sums(X: np.ndarray, s: complex, with_ds: bool = False):
@@ -190,7 +186,7 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
         raise ValueError("evaluation restricted to Re s > 0")
     if chi.is_principal and s == 1.0:
         raise ValueError("L(s, principal) has a pole at s = 1")
-    val = complex(_l_sums(_chi_matrix([chi], chi.q), s)[0])
+    val = complex(_l_sums(_chi_matrix([chi]), s)[0])
     if chi.is_principal:
         val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
     return val
@@ -203,7 +199,7 @@ def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]
     s = complex(s)
     if s.real <= 0.0:
         raise ValueError("evaluation restricted to Re s > 0")
-    lvals, dvals = _l_sums(_chi_matrix([chi], chi.q), s, with_ds=True)
+    lvals, dvals = _l_sums(_chi_matrix([chi]), s, with_ds=True)
     return complex(lvals[0]), complex(dvals[0])
 
 
@@ -260,12 +256,11 @@ def _contour(alpha: float, T: float, max_panel: float):
     return np.array(pts), np.array(wts)
 
 
-def _windings(q: int, chis, alpha: float, T: float, max_panel: float):
-    """Winding numbers (1/2pi i) contour-int L'/L for every chi, plus the
-    smallest |L| seen on the contour."""
+def _windings(X: np.ndarray, alpha: float, T: float, max_panel: float):
+    """Winding numbers (1/2pi i) contour-int L'/L for every row of the
+    ``_chi_matrix`` X, plus the smallest |L| seen on the contour."""
     pts, wts = _contour(alpha, T, max_panel)
-    X = _chi_matrix(chis, q)
-    lmat = np.empty((len(chis), len(pts)), dtype=np.complex128)
+    lmat = np.empty((len(X), len(pts)), dtype=np.complex128)
     lpmat = np.empty_like(lmat)
     for j, s in enumerate(pts):
         lmat[:, j], lpmat[:, j] = _l_sums(X, complex(s), with_ds=True)
@@ -274,12 +269,12 @@ def _windings(q: int, chis, alpha: float, T: float, max_panel: float):
     return integrals, min_abs
 
 
-def _stable_windings(q: int, chis, alpha: float, T: float):
+def _stable_windings(X: np.ndarray, alpha: float, T: float):
     """Refine panels until every winding snaps to a stable integer."""
     results = None
     prev = None
     for panel in (0.5, 0.25, 0.125, 0.0625):
-        cur, min_abs = _windings(q, chis, alpha, T, panel)
+        cur, min_abs = _windings(X, alpha, T, panel)
         if min_abs < 1e-10:
             raise ArithmeticError("contour passes through a zero")
         if prev is not None:
@@ -319,12 +314,13 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
     if not chis:
         return {"q": mod.q, "alpha": alpha, "alpha_used": alpha, "T": T,
                 "perturbed": False, "total_zeros": 0, "per_character": []}
+    X = _chi_matrix(chis)
     try:
-        windings, min_abs = _stable_windings(mod.q, chis, alpha, T)
+        windings, min_abs = _stable_windings(X, alpha, T)
     except ArithmeticError:
         used_alpha = alpha - 1e-6
         perturbed = True
-        windings, min_abs = _stable_windings(mod.q, chis, used_alpha, T)
+        windings, min_abs = _stable_windings(X, used_alpha, T)
     per_char = [
         {"character": chi.label(), "zeros": int(w)}
         for chi, w in zip(chis, windings)
@@ -348,7 +344,7 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
     ts = np.linspace(-T, T, _GRID_TS)
-    X = _chi_matrix(chis, mod.q)
+    X = _chi_matrix(chis)
     best = math.inf
     best_at = None
     for sigma in sigmas:

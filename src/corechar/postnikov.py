@@ -22,8 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .arith import as_modulus, crt_combine, exp_or_inf
 from .characters import DirichletCharacter
+from .expsums import RealPolynomial, _phase_numerators
 
 __all__ = [
     "fd_coefficients",
@@ -72,20 +75,19 @@ def minimal_postnikov_degree(q) -> int:
 def _postnikov_grid(q: int, d: int):
     """Per-(q, d) congruence data for the representation identity.
 
-    For each x in [0, q/(tau*core)) let u_x = F_d(tau*core*x)/q.  Returns a
-    list of (n mod D, D, n^{-1} mod D) where u_x = n/D in lowest terms;
-    x = 0 contributes the trivial entry (0, 1, 0).
+    For each x in [0, q/(tau*core)) let u_x = F_d(tau*core*x)/q mod 1, the
+    phase of x under the coefficients (-1)^(r-1) (tau*core)^r/(r q).  Returns
+    a list of (n, D, n^{-1} mod D) where u_x = n/D in lowest terms; u_x = 0
+    (as at x = 0) gives the trivial entry (0, 1, 0).
     """
     mod = as_modulus(q)
     step = mod.tau * mod.core
-    grid = []
-    for x in range(q // step):
-        u = fd_eval(d, step * x) / q
-        dd = u.denominator
-        nn = u.numerator % dd if dd > 1 else 0
-        inv = pow(nn, -1, dd) if dd > 1 else 0
-        grid.append((nn, dd, inv))
-    return grid
+    nums, den = RealPolynomial.make(
+        [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
+    u = _phase_numerators(nums, den, np.arange(q // step))
+    g = np.gcd(u, den)
+    return [(nn, dd, pow(nn, -1, dd) if dd > 1 else 0)
+            for nn, dd in zip((u // g).tolist(), (den // g).tolist())]
 
 
 def _divisibility_modulus(q: int, d: int) -> int:
@@ -132,7 +134,8 @@ def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
     # reads m*nn = a_x*dd/order (mod dd), solvable exactly when order | a_x*dd,
     # that is when the reduced denominator of a_x/order divides dd
     order = chi.order
-    numerators = [chi.angle_numerator(1 + step * x) for x in range(count)]
+    xs = np.arange(count, dtype=np.int64 if q < 1 << 63 else object)  # 1 + step*xs < q
+    numerators = chi.angle_numerators(1 + step * xs).tolist()
 
     congruences = [(0, _divisibility_modulus(q, d))]
     for x in range(1, count):

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corechar.arith import FactoredModulus, discrete_log, unit_group_basis
+from corechar.arith import DLOG_TABLE_CAP, FactoredModulus, discrete_log, unit_group_basis
 from corechar.characters import (
+    VALUE_TABLE_CAP,
     DirichletCharacter,
     RationalAngle,
     crt_restrict,
@@ -18,6 +19,7 @@ from corechar.characters import (
     quadratic_character,
     root_values,
 )
+from corechar.expsums import _BLOCK, _chi_values, char_sum
 
 
 def test_rational_angle_normalization():
@@ -86,6 +88,10 @@ def test_integer_kernel_matches_reference(q):
             # m + shift = 1 mod s, so chi(k + r m) = e(offset) chi_s(1)
             m = (1 - res.shift) % s
             assert res.offset.fraction == _reference_angle(chi, k + r * m)
+        ns = np.array([rng.randrange(1 << 63, 1 << 66) for _ in range(200)], dtype=object)
+        for batch in (np.arange(q), ns):
+            expected = [chi.angle_numerator(n) for n in batch.tolist()]
+            assert chi.angle_numerators(batch).tolist() == [-1 if a is None else a for a in expected]
 
 
 def _bits(values) -> np.ndarray:
@@ -121,6 +127,40 @@ def test_evaluate_above_dlog_table_cap():
             n = rng.randrange(q)
             ref = _reference_angle(chi, n)
             assert (chi.evaluate(n) is None) if ref is None else chi.evaluate(n).fraction == ref
+
+
+def test_sums_above_value_table_cap_match_chi_term_by_term():
+    """Above the value table cap char_sum and _chi_values take their
+    numerators from angle_numerators: through the dlog tables (3^13,
+    2^3 3^13, a window across a block boundary and two past 2^63) and
+    through Pohlig-Hellman (3^16), against chi term by term."""
+    rng = random.Random(3**13)
+    for q, M, N in ((3**13, 3**13 - 1000, _BLOCK + 2000), (2**3 * 3**13, 10**19, 3000),
+                    (2**3 * 3**13, 10**20, 3000), (3**16, 10**12, 200)):
+        chi = _random_character(rng, q)
+        assert q > VALUE_TABLE_CAP and chi.order > 2
+        ns = np.array(range(M + 1, M + N + 1), dtype=np.int64 if M + N < 1 << 63 else object)
+        res = char_sum(chi, M, N)
+        assert res.mode == "exact" and res.term_count == N
+        angles = [chi.evaluate(n) for n in ns.tolist()]
+        if q > DLOG_TABLE_CAP:
+            assert [a and a.fraction for a in angles] == [_reference_angle(chi, n) for n in ns.tolist()]
+        assert res.exact_angle_terms == Counter(a for a in angles if a is not None)
+        assert np.array_equal(_bits(_chi_values(chi, ns)), _bits([chi(n) for n in ns.tolist()]))
+
+
+def test_angle_numerators_int64_guard():
+    """At q = 3^13 5^9 7^7 every prime power has a dlog table but the order
+    is near 2^57, so w_j * dlog_j would pass 2^63 in int64."""
+    q = 3**13 * 5**9 * 7**7
+    rng = random.Random(q)
+    chi = _random_character(rng, q)
+    assert chi.order > 1 << 50
+    ns = [rng.randrange(q) for _ in range(200)]
+    A = chi.angle_numerators(np.array(ns))
+    assert A.dtype == np.int64
+    assert [None if a < 0 else Fraction(a, chi.order) for a in A.tolist()] == \
+        [_reference_angle(chi, n) for n in ns]
 
 
 def test_enumerate_counts():

@@ -265,6 +265,8 @@ def test_decompose_large_phase_denominator():
     (81, 10**20, 300, [0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)]),
     (2592, 10**6, 3000, [Fraction(1, 3), Fraction(5, 7919), Fraction(2, 9973)]),
     (2**7, 12345, 1000, [0, Fraction(3, 64), Fraction(1, 9973)]),
+    # between 2^63 and 2^64, where np.arange rounds through floats
+    (729, 10**19, 300, [0, Fraction(1, 7), Fraction(2, 9973)]),
 ])
 def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
     chi = enumerate_characters(q, primitive_only=True)[1]
@@ -359,8 +361,11 @@ def test_twisted_sum_float_mode_past_int64():
 
 
 def test_dirichlet_poly_past_int64():
+    """Windows between 2^63 and 2^64, where np.arange rounds through floats,
+    and past 2^64."""
     chi = enumerate_characters(27, primitive_only=True)[2]
-    M, N, t = 10**20, 100, 1.0
-    res = dirichlet_poly(chi, M, N, t)
-    direct = sum(chi(n) * cmath.exp(1j * t * math.log(n)) for n in range(M + 1, M + N + 1))
-    assert abs(res.value - direct) <= 1e-9 * N
+    N, t = 100, 1.0
+    for M in (10**19, 10**20):
+        res = dirichlet_poly(chi, M, N, t)
+        direct = sum(chi(n) * cmath.exp(1j * t * math.log(n)) for n in range(M + 1, M + N + 1))
+        assert abs(res.value - direct) <= 1e-9 * N
