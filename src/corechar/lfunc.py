@@ -8,7 +8,9 @@ period-averaging; the two paths cross-check each other in the tests.
 
 Zero counting integrates L'/L around a rectangle on Gauss-Legendre panels
 and snaps the winding number to an integer once refinement stabilizes it;
-an |L| lower-bound grid scan serves as the independent confirmation.
+an |L| lower-bound grid scan serves as the independent confirmation.  Both
+pass all their points to the blocked Hurwitz kernel at once; the grid
+reports the first least |L| in (sigma, t, character) order.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ _BERNOULLI = [
     Fraction(-236364091, 2730),
 ]
 _EM_ORDER = 12
+_TWO_J = np.arange(2, 2 * _EM_ORDER + 1, 2)
+# B_{2j}/(2j)! for j = 1.._EM_ORDER
+_EM_COEFFS = np.array([float(b) for b in _BERNOULLI]) / np.cumprod((_TWO_J - 1.0) * _TWO_J)
+# Hurwitz terms (points x q x direct terms) per _l_sums block: 4 MiB per complex array
+_BLOCK_ENTRIES = 1 << 18
 _SERIES_PASSES = 3  # period averages of the series path
 _GL_ORDER = 12  # Gauss-Legendre nodes per contour panel
 _WINDING_TOL = 1e-3  # distance from an integer at which a winding snaps
@@ -58,7 +65,6 @@ _GRID_SIGMAS, _GRID_TS = 9, 201  # |L| confirmation grid points along sigma and 
 
 def _g_ratio(w: np.ndarray) -> np.ndarray:
     """expm1(w)/w for complex w, stable near 0."""
-    w = np.asarray(w, dtype=np.complex128)
     out = np.empty_like(w)
     small = np.abs(w) < 1e-5
     big = ~small
@@ -70,7 +76,6 @@ def _g_ratio(w: np.ndarray) -> np.ndarray:
 
 def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
     """d/dw [expm1(w)/w] = (w exp(w) - expm1(w))/w^2, stable near 0."""
-    w = np.asarray(w, dtype=np.complex128)
     out = np.empty_like(w)
     small = np.abs(w) < 1e-4
     big = ~small
@@ -81,64 +86,56 @@ def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hurwitz_core(s: complex, a: np.ndarray, regularized: bool, with_ds: bool):
-    """Euler-Maclaurin evaluation of zeta(s, a) for a vector of a in (0, 1].
+def _n_terms(s_abs: float) -> int:
+    """Direct terms before the Euler-Maclaurin tail, for points up to |s| = s_abs."""
+    return max(2 * _EM_ORDER + 8, math.ceil(1.2 * s_abs) + 16)
 
-    With ``regularized`` the pole term 1/(s-1) is subtracted (exactly the
-    entire part), which cancels identically in nonprincipal L-sums.
-    Returns vals or (vals, ds_vals).
+
+def _hurwitz_core(s: np.ndarray, a: np.ndarray, with_ds: bool):
+    """Euler-Maclaurin evaluation of zeta(s, a) - 1/(s-1) for complex s and
+    float a in (0, 1]: row 0 of the result, of shape (len(s), len(a)), and
+    with ``with_ds`` the d/ds values in row 1.
+
+    The pole term 1/(s-1) is left out (it is exactly the non-entire part),
+    so it cancels identically in nonprincipal L-sums.  Every point takes the
+    number of direct terms of the largest |s|.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if np.any(a <= 0.0) or np.any(a > 1.0):
-        raise ValueError("a must lie in (0, 1]")
-    s = complex(s)
-    if not regularized and s == 1.0:
-        raise ValueError("zeta(s, a) has a pole at s = 1")
-
-    n0 = max(2 * _EM_ORDER + 8, math.ceil(1.2 * abs(s)) + 16)
+    s = s[:, None]                                    # (m, 1)
+    n0 = _n_terms(float(np.max(np.abs(s))))
     k = np.arange(n0, dtype=np.float64)
-    base = a[:, None] + k[None, :]          # (len(a), n0)
-    logs = np.log(base)
-    pows = np.exp(-s * logs)                # (a+k)^{-s}
-    vals = pows.sum(axis=1)
+    logs = np.log(a[:, None] + k)                     # (len(a), n0)
+    pows = np.exp(-s[:, :, None] * logs)              # (a+k)^{-s}, (m, len(a), n0)
+    vals = pows.sum(axis=2)
     if with_ds:
-        dvals = -(logs * pows).sum(axis=1)
+        dvals = -(logs * pows).sum(axis=2)
 
-    top = a + float(n0)                      # a + N
-    ltop = np.log(top)
-    top_ms = np.exp(-s * ltop)               # (a+N)^{-s}
+    ltop = np.log(a + float(n0))                      # log(a + N)
+    top_ms = np.exp(-s * ltop)                        # (a+N)^{-s}
 
-    # boundary + pole: (a+N)^{1-s}/(s-1) = 1/(s-1) - ltop * g((1-s) ltop)
+    # boundary minus pole: (a+N)^{1-s}/(s-1) - 1/(s-1) = -ltop * g((1-s) ltop)
     w = (1.0 - s) * ltop
-    pole_part = -ltop * _g_ratio(w)
-    if not regularized:
-        pole_part = pole_part + 1.0 / (s - 1.0)
-    vals = vals + pole_part + 0.5 * top_ms
+    vals = vals - ltop * _g_ratio(w) + 0.5 * top_ms
     if with_ds:
-        dpole = ltop**2 * _g_ratio_prime(w)
-        if not regularized:
-            dpole = dpole - 1.0 / (s - 1.0) ** 2
-        dvals = dvals + dpole - 0.5 * ltop * top_ms
+        dvals = dvals + ltop**2 * _g_ratio_prime(w) - 0.5 * ltop * top_ms
 
-    # Bernoulli corrections: B_{2j}/(2j)! (s)_{2j-1} (a+N)^{-s-2j+1}
-    poch = s
-    poch_dlog = 1.0 / s                     # sum of 1/(s+i), i < 2j-1
-    fact = 1.0
-    for j in range(1, _EM_ORDER + 1):
-        two_j = 2 * j
-        fact *= (two_j - 1) * two_j
-        coeff = float(_BERNOULLI[j - 1]) / fact
-        powterm = np.exp((-s - two_j + 1) * ltop)
-        vals = vals + coeff * poch * powterm
-        if with_ds:
-            dvals = dvals + coeff * powterm * (poch * poch_dlog - poch * ltop)
-        if j < _EM_ORDER:
-            for i in (two_j - 1, two_j):
-                poch *= s + i  # extend (s)_{2j-1} -> (s)_{2j+1}
-                poch_dlog += 1.0 / (s + i)
-    if with_ds:
-        return vals, dvals
-    return vals
+    # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (a+N)^{-s-2j+1} in order of j;
+    # (s)_{2j-1} and sum_{i<2j-1} 1/(s+i) as running products and sums over s+i.
+    shifts = s + np.arange(2 * _EM_ORDER - 1)
+    poch = np.cumprod(shifts, axis=1)[:, ::2]         # (m, _EM_ORDER)
+    powterm = np.exp((-s - _TWO_J + 1)[:, :, None] * ltop)
+    terms = (_EM_COEFFS * poch)[:, :, None] * powterm
+    for j in range(_EM_ORDER):
+        vals = vals + terms[:, j]
+    if not with_ds:
+        return vals[None]
+    dlog = np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
+    # poch * dlog rounded as a scalar complex product (numpy's fuses multiply-adds)
+    pr, pi, dr, di = poch.real, poch.imag, dlog.real, dlog.imag
+    dpoch = (pr * dr - pi * di) + 1j * (pr * di + pi * dr)
+    dterms = (_EM_COEFFS[:, None] * powterm) * (dpoch[:, :, None] - poch[:, :, None] * ltop)
+    for j in range(_EM_ORDER):
+        dvals = dvals + dterms[:, j]
+    return np.stack((vals, dvals))
 
 
 def hurwitz_zeta(s: complex, a) -> complex:
@@ -147,8 +144,12 @@ def hurwitz_zeta(s: complex, a) -> complex:
     Euler-Maclaurin with twelve Bernoulli corrections after an
     |s|-proportional number of direct terms; errors at s = 1 (the pole).
     """
-    val = _hurwitz_core(s, np.array([float(a)]), regularized=False, with_ds=False)
-    return complex(val[0])
+    s, a = complex(s), float(a)
+    if not 0.0 < a <= 1.0:
+        raise ValueError("a must lie in (0, 1]")
+    if s == 1.0:
+        raise ValueError("zeta(s, a) has a pole at s = 1")
+    return complex(_hurwitz_core(np.array([s]), np.array([a]), False)[0, 0, 0]) + 1.0 / (s - 1.0)
 
 
 def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
@@ -156,22 +157,31 @@ def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
     return np.stack([np.roll(chi.value_table[1], -1) for chi in chis])
 
 
-def _l_sums(X: np.ndarray, s: complex, with_ds: bool = False):
-    """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of a ``_chi_matrix``.
+def _l_sums(X: np.ndarray, s, with_ds: bool = False):
+    """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of a ``_chi_matrix``
+    X at every point of the vector s: arrays of shape (len(X), len(s)).
 
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
     of a nonprincipal character gives L(s, chi) exactly.  With ``with_ds``
-    the d/ds values come second.
+    the d/ds values come second.  Points go in blocks of ``_BLOCK_ENTRIES``
+    Hurwitz terms; each point takes its own matrix-vector product, so its
+    values depend on its block only through n0.
     """
+    s = np.asarray(s, dtype=np.complex128)
     q = X.shape[1]
     a_over_q = np.arange(1, q + 1, dtype=np.float64) / q
     qf = math.log(q)
-    qs = np.exp(-s * qf)
-    if not with_ds:
-        return qs * (X @ _hurwitz_core(s, a_over_q, regularized=True, with_ds=False))
-    zr, dzr = _hurwitz_core(s, a_over_q, regularized=True, with_ds=True)
-    lvals = qs * (X @ zr)
-    return lvals, -qf * lvals + qs * (X @ dzr)
+    out = np.empty((1 + with_ds, len(X), len(s)), dtype=np.complex128)
+    step = max(1, _BLOCK_ENTRIES // (q * _n_terms(float(np.max(np.abs(s))))))
+    for lo in range(0, len(s), step):
+        blk = s[lo:lo + step]
+        qs = np.exp(-blk * qf)[:, None]
+        z = _hurwitz_core(blk, a_over_q, with_ds)
+        lvals = qs * (X @ z[0][:, :, None])[:, :, 0]
+        out[0, :, lo:lo + step] = lvals.T
+        if with_ds:
+            out[1, :, lo:lo + step] = (-qf * lvals + qs * (X @ z[1][:, :, None])[:, :, 0]).T
+    return out if with_ds else out[0]
 
 
 def l_value(chi: DirichletCharacter, s: complex) -> complex:
@@ -186,7 +196,7 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
         raise ValueError("evaluation restricted to Re s > 0")
     if chi.is_principal and s == 1.0:
         raise ValueError("L(s, principal) has a pole at s = 1")
-    val = complex(_l_sums(_chi_matrix([chi]), s)[0])
+    val = complex(_l_sums(_chi_matrix([chi]), [s])[0, 0])
     if chi.is_principal:
         val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
     return val
@@ -199,8 +209,8 @@ def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]
     s = complex(s)
     if s.real <= 0.0:
         raise ValueError("evaluation restricted to Re s > 0")
-    lvals, dvals = _l_sums(_chi_matrix([chi]), s, with_ds=True)
-    return complex(lvals[0]), complex(dvals[0])
+    lvals, dvals = _l_sums(_chi_matrix([chi]), [s], with_ds=True)
+    return complex(lvals[0, 0]), complex(dvals[0, 0])
 
 
 def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
@@ -244,29 +254,21 @@ def _contour(alpha: float, T: float, max_panel: float):
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     pts, wts = [], []
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        length = abs(z1 - z0)
-        panels = max(1, math.ceil(length / max_panel))
-        for i in range(panels):
-            u0, u1 = i / panels, (i + 1) / panels
-            mid, half = (u0 + u1) / 2.0, (u1 - u0) / 2.0
-            for x, w in zip(nodes, weights):
-                u = mid + half * x
-                pts.append(z0 + u * (z1 - z0))
-                wts.append(w * half * (z1 - z0))
-    return np.array(pts), np.array(wts)
+        panels = max(1, math.ceil(abs(z1 - z0) / max_panel))
+        i = np.arange(panels)[:, None]
+        u0, u1 = i / panels, (i + 1) / panels
+        half = (u1 - u0) / 2.0
+        pts.append(z0 + ((u0 + u1) / 2.0 + half * nodes) * (z1 - z0))
+        wts.append(weights * half * (z1 - z0))
+    return np.concatenate(pts, axis=None), np.concatenate(wts, axis=None)
 
 
 def _windings(X: np.ndarray, alpha: float, T: float, max_panel: float):
     """Winding numbers (1/2pi i) contour-int L'/L for every row of the
     ``_chi_matrix`` X, plus the smallest |L| seen on the contour."""
     pts, wts = _contour(alpha, T, max_panel)
-    lmat = np.empty((len(X), len(pts)), dtype=np.complex128)
-    lpmat = np.empty_like(lmat)
-    for j, s in enumerate(pts):
-        lmat[:, j], lpmat[:, j] = _l_sums(X, complex(s), with_ds=True)
-    min_abs = float(np.min(np.abs(lmat)))
-    integrals = (lpmat / lmat) @ wts / (2j * math.pi)
-    return integrals, min_abs
+    lmat, lpmat = _l_sums(X, pts, with_ds=True)
+    return (lpmat / lmat) @ wts / (2j * math.pi), float(np.min(np.abs(lmat)))
 
 
 def _stable_windings(X: np.ndarray, alpha: float, T: float):
@@ -303,6 +305,9 @@ def zero_count_rectangle(q, alpha: float, T: float) -> int:
 
 
 def zero_scan_report(q, alpha: float, T: float) -> dict:
+    """Zero counts of every nonprincipal L mod q in alpha < sigma < 1, |t| <= T,
+    their total, the least |L| on the final contour (``contour_min_abs_l``, inf
+    without nonprincipal characters) and whether alpha was perturbed by 1e-6."""
     if not 0.5 <= alpha < 1.0:
         raise ValueError("alpha must lie in [1/2, 1)")
     if T < 1.0:
@@ -311,16 +316,15 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
     chis = [c for c in enumerate_characters(mod) if not c.is_principal]
     used_alpha = alpha
     perturbed = False
-    if not chis:
-        return {"q": mod.q, "alpha": alpha, "alpha_used": alpha, "T": T,
-                "perturbed": False, "total_zeros": 0, "per_character": []}
-    X = _chi_matrix(chis)
-    try:
-        windings, min_abs = _stable_windings(X, alpha, T)
-    except ArithmeticError:
-        used_alpha = alpha - 1e-6
-        perturbed = True
-        windings, min_abs = _stable_windings(X, used_alpha, T)
+    windings, min_abs = [], math.inf
+    if chis:
+        X = _chi_matrix(chis)
+        try:
+            windings, min_abs = _stable_windings(X, alpha, T)
+        except ArithmeticError:
+            used_alpha = alpha - 1e-6
+            perturbed = True
+            windings, min_abs = _stable_windings(X, used_alpha, T)
     per_char = [
         {"character": chi.label(), "zeros": int(w)}
         for chi, w in zip(chis, windings)
@@ -336,7 +340,9 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
     """Independent confirmation scan: min |L| over a grid on the rectangle.
 
     A strictly positive minimum across all nonprincipal characters is the
-    desk-scale evidence that the region is zero-free.
+    desk-scale evidence that the region is zero-free.  One batched kernel
+    call covers the grid; ``at`` is the first least |L| in (sigma, t,
+    character) order.
     """
     mod = as_modulus(q)
     chis = [c for c in enumerate_characters(mod) if not c.is_principal]
@@ -344,19 +350,12 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
     ts = np.linspace(-T, T, _GRID_TS)
-    X = _chi_matrix(chis)
-    best = math.inf
-    best_at = None
-    for sigma in sigmas:
-        for t in ts:
-            lvals = _l_sums(X, complex(sigma, t))
-            idx = int(np.argmin(np.abs(lvals)))
-            v = float(np.abs(lvals[idx]))
-            if v < best:
-                best = v
-                best_at = {"sigma": float(sigma), "t": float(t),
-                           "character": chis[idx].label()}
-    return {"q": mod.q, "min_abs": best, "at": best_at}
+    absl = np.abs(_l_sums(_chi_matrix(chis), (sigmas[:, None] + 1j * ts).ravel()))
+    # the first least |L| in (sigma, t, character) order
+    point, c = divmod(int(np.argmin(absl.T)), len(chis))
+    at = {"sigma": float(sigmas[point // _GRID_TS]), "t": float(ts[point % _GRID_TS]),
+          "character": chis[c].label()}
+    return {"q": mod.q, "min_abs": float(absl[c, point]), "at": at}
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,18 @@ def test_determinism_repeated_runs():
         assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("grid", [False, True])
+def test_zero_scan_without_nonprincipal_characters(q, grid, capsys):
+    argv = ["zero-scan", "--q", str(q), "--alpha", "0.9", "--T", "5"]
+    assert main(argv + ["--confirm-grid"] * grid) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["total_zeros"] == 0 and data["per_character"] == []
+    assert data["contour_min_abs_l"] == "inf"
+    if grid:
+        assert data["grid_min_abs_l"] == "inf" and data["grid_min_at"] is None
+
+
 def test_korobov_check_spec_file(tmp_path):
     spec = tmp_path / "korobov.json"
     spec.write_text(json.dumps({"coefficients": ["0", "1/5"], "k": 2, "P": 10}))

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from corechar import lfunc
 from corechar.characters import enumerate_characters, principal_character, quadratic_character
 from corechar.lfunc import (
     build_ell_context,
@@ -132,6 +134,45 @@ def test_zero_scan_validates_input():
         zero_count_rectangle(27, 0.3, 5.0)
     with pytest.raises(ValueError):
         zero_count_rectangle(27, 0.9, 0.5)
+
+
+def test_batched_l_sums_match_single_points():
+    """A batch of points gives each point's values alone, bit for bit, while
+    the points need no more direct terms than the floor (|s| <= 13.33);
+    past it n0 follows the block's largest |s|.  The grid scan reports the
+    point and character of a per-point loop."""
+    for q in (27, 243):
+        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        pts, _ = lfunc._contour(0.9, 10.0, 0.25)
+        assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // (q * lfunc._n_terms(0.0))
+        batch = lfunc._l_sums(X, pts)
+        dbatch = lfunc._l_sums(X, pts, with_ds=True)
+        for j, s in enumerate(pts):
+            assert np.array_equal(batch[:, j], lfunc._l_sums(X, [s])[:, 0]), (q, s)
+            lv, dv = lfunc._l_sums(X, [s], with_ds=True)
+            assert np.array_equal(dbatch[0][:, j], lv[:, 0]), (q, s)
+            assert np.array_equal(dbatch[1][:, j], dv[:, 0]), (q, s)
+
+    X = lfunc._chi_matrix([c for c in enumerate_characters(27) if not c.is_principal])
+    pts, _ = lfunc._contour(0.9, 20.0, 0.25)
+    batch = lfunc._l_sums(X, pts)
+    single = np.stack([lfunc._l_sums(X, [s])[:, 0] for s in pts], axis=1)
+    assert np.all(np.abs(batch - single) <= 1e-13 * np.abs(single))
+
+    for q in (27, 81):
+        chis = [c for c in enumerate_characters(q) if not c.is_principal]
+        X = lfunc._chi_matrix(chis)
+        best, best_at = math.inf, None
+        for sigma in np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS):
+            for t in np.linspace(-10.0, 10.0, lfunc._GRID_TS):
+                absl = np.abs(lfunc._l_sums(X, [complex(sigma, t)])[:, 0])
+                idx = int(np.argmin(absl))
+                if absl[idx] < best:
+                    best = float(absl[idx])
+                    best_at = {"sigma": float(sigma), "t": float(t),
+                               "character": chis[idx].label()}
+        grid = l_grid_min(q, 0.9, 10.0)
+        assert grid["min_abs"] == best and grid["at"] == best_at, (q, grid, best_at)
 
 
 def test_ell_context():
