@@ -40,6 +40,9 @@ from .primes import psi, short_interval_check
 from .vinogradov import count_vinogradov, ford_bound, ford_k_search, korobov_check
 
 SCHEMA_VERSION = 1
+# the argparse dest of each RunConfig field, whose flag is --<dest> with _ as -;
+# the constant a is --const-a because psi-progression's residue is --a
+_CONFIG_DESTS = {f.name: "const_a" if f.name == "a" else f.name for f in fields(RunConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,7 @@ def parse_polynomial(spec: Optional[str]) -> RealPolynomial:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else DEFAULT_CONFIG
-    overrides = {f.name: getattr(args, "const_a" if f.name == "a" else f.name, None)
-                 for f in fields(RunConfig)}
+    overrides = {name: getattr(args, dest, None) for name, dest in _CONFIG_DESTS.items()}
     return cfg.with_overrides(**overrides)
 
 
@@ -360,15 +362,10 @@ def cmd_report_all(args, cfg: RunConfig) -> dict:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--xi0", type=float)
-    p.add_argument("--c0", type=float)
-    p.add_argument("--const-a", dest="const_a", type=float,
-                   help="the absolute constant a in the older bound")
-    p.add_argument("--A", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--korobov-residual-constant", dest="korobov_residual_constant",
-                   type=float)
-    p.add_argument("--work-budget", dest="work_budget", type=float)
+    for f in fields(RunConfig):
+        dest = _CONFIG_DESTS[f.name]
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(f.default),
+                       help="the absolute constant a in the older bound" if f.name == "a" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -73,21 +73,26 @@ def minimal_postnikov_degree(q) -> int:
 
 @lru_cache(maxsize=32)
 def _postnikov_grid(q: int, d: int):
-    """Per-(q, d) congruence data for the representation identity.
+    """Per-(q, d) phase data for the representation identity.
 
-    For each x in [0, q/(tau*core)) let u_x = F_d(tau*core*x)/q mod 1, the
-    phase of x under the coefficients (-1)^(r-1) (tau*core)^r/(r q).  Returns
-    a list of (n, D, n^{-1} mod D) where u_x = n/D in lowest terms; u_x = 0
-    (as at x = 0) gives the trivial entry (0, 1, 0).
+    For x in [0, q/(tau*core)), u_x = F_d(tau*core*x)/q mod 1 has common
+    denominator den.  Returns read-only arrays (nn, dd) with u_x = nn[x]/dd[x]
+    in lowest terms (0/1 where u_x = 0, as at x = 0), and the index of the
+    first x of each distinct dd.
     """
     mod = as_modulus(q)
     step = mod.tau * mod.core
     nums, den = RealPolynomial.make(
         [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
-    u = _phase_numerators(nums, den, np.arange(q // step))
+    # find_postnikov_m checks (m mod lcm(dd))*nn mod dd * order == a*dd, where
+    # (m mod lcm(dd))*nn < den^2 and both sides are below dd*order < den*q
+    # (a < order < q): int64 is exact while den*max(den, q) < 2^63
+    dtype = np.int64 if den * max(den, q) < 1 << 63 else object
+    u = _phase_numerators(nums, den, np.arange(q // step)).astype(dtype)
     g = np.gcd(u, den)
-    return [(nn, dd, pow(nn, -1, dd) if dd > 1 else 0)
-            for nn, dd in zip((u // g).tolist(), (den // g).tolist())]
+    nn, dd = u // g, den // g
+    nn.flags.writeable = dd.flags.writeable = False
+    return nn, dd, np.unique(dd, return_index=True)[1]
 
 
 def _divisibility_modulus(q: int, d: int) -> int:
@@ -102,11 +107,11 @@ def _divisibility_modulus(q: int, d: int) -> int:
 def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
     """Least positive m with chi(1+tau*core*x) = e(m*F_d(tau*core*x)/q) for all x.
 
-    The candidate is found by solving the exact angle congruence at every
-    x in [0, q/(tau*core)) and CRT-combining, together with the structural
-    divisibility r | m for r in [1, d] coprime to q; gcd(m, q) = 1 is then
-    enforced.  Before returning, the identity is re-verified exhaustively
-    at every x in exact integer arithmetic.
+    One congruence per distinct reduced denominator dd_x of F_d(tau*core*x)/q
+    (every x with the same dd_x pins the same residue of m when m exists) is
+    CRT-combined with the divisibility r | m for r in [1, d] coprime to q;
+    gcd(m, q) = 1 is then enforced.  Before returning, the identity is
+    re-verified at every x in exact integer arithmetic.
 
     The identity pins m only modulo the lcm L of the angle denominators,
     and L generally exceeds q, so the least valid m can too (already for
@@ -129,21 +134,21 @@ def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
     if count > (1 << 22):
         raise ValueError(
             f"exhaustive verification over {count} points exceeds the work cap")
-    grid = _postnikov_grid(q, d)
+    nn, dd, first = _postnikov_grid(q, d)
     # chi(1 + step*x) = e(a_x/order); with u_x = nn/dd the identity at x
     # reads m*nn = a_x*dd/order (mod dd), solvable exactly when order | a_x*dd,
     # that is when the reduced denominator of a_x/order divides dd
     order = chi.order
     xs = np.arange(count, dtype=np.int64 if q < 1 << 63 else object)  # 1 + step*xs < q
-    numerators = chi.angle_numerators(1 + step * xs).tolist()
+    numerators = chi.angle_numerators(1 + step * xs).astype(nn.dtype, copy=False)
 
     congruences = [(0, _divisibility_modulus(q, d))]
-    for x in range(1, count):
-        nn, dd, inv = grid[x]
-        target, rem = divmod(numerators[x] * dd, order)
+    dens = dd[first].tolist()
+    for nx, dx, ax in zip(nn[first].tolist(), dens, numerators[first].tolist()):
+        target, rem = divmod(ax * dx, order)
         if rem:
             raise ValueError("angle congruence unsolvable; character not primitive?")
-        congruences.append((inv * target % dd, dd))
+        congruences.append((pow(nx, -1, dx) * target % dx, dx))
     try:
         m0, modulus = crt_combine(congruences)
     except ValueError as exc:
@@ -157,10 +162,10 @@ def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
     else:
         raise ValueError("no multiplier coprime to q in the solution class")
 
-    for x in range(count):
-        nn, dd, _ = grid[x]
-        if (m * nn) % dd * order != numerators[x] * dd:
-            raise ValueError(f"verification failed at x = {x} (implementation fault)")
+    # m*nn = (m mod lcm(dd))*nn (mod dd); see _postnikov_grid for the int64 bound
+    ok = m % math.lcm(*dens) * nn % dd * order == numerators * dd
+    if not ok.all():
+        raise ValueError(f"verification failed at x = {ok.argmin()} (implementation fault)")
     return m
 
 

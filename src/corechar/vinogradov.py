@@ -31,7 +31,7 @@ __all__ = [
     "FordReport",
 ]
 
-_TUPLE_BUDGET = 1 << 26  # k-tuples in the signature table
+_TUPLE_BUDGET = 1 << 22  # k-tuples in the signature table
 _PAIR_BUDGET = 10**8  # 2k-tuples in the all-pairs oracle
 
 
@@ -51,8 +51,6 @@ def power_sum_signature(values: Sequence[int], d: int) -> tuple[int, ...]:
 def _signature_array(k: int, d: int, P: int) -> Optional[np.ndarray]:
     """(P^k, d) int64 array of power-sum signatures, or None if it cannot
     be represented safely in 64-bit arithmetic."""
-    if P**k > (1 << 22):
-        return None
     if any(k * P**r >= (1 << 62) for r in range(1, d + 1)):
         return None
     powers = np.empty((P, d), dtype=np.int64)

@@ -1,10 +1,13 @@
 """The representation identity, its multiplier, and the bound ledger."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from corechar import postnikov
 from corechar.arith import FactoredModulus, valuation
 from corechar.characters import enumerate_characters, principal_character
 from corechar.postnikov import (
@@ -111,6 +114,45 @@ def test_find_postnikov_m_even_modulus():
             lhs = chi.evaluate(1 + step * x).fraction
             rhs = (Fraction(m, 16) * fd_eval(8, step * x)) % 1
             assert lhs == rhs
+
+
+def test_find_postnikov_m_verifies_every_point(monkeypatch):
+    """The congruences come from one x per distinct denominator; a wrong
+    phase at any other x must still fail the exhaustive verification."""
+    q = 243
+    d = minimal_postnikov_degree(q)
+    nn, dd, first = postnikov._postnikov_grid(q, d)
+    # a non-representative x whose denominator is a power of 3, coprime to m,
+    # so that nn + 1 changes m*nn mod dd
+    x = next(x for x in range(len(dd))
+             if x not in set(first.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
+    bad = nn.copy()
+    bad[x] = (nn[x] + 1) % dd[x]
+    chi = enumerate_characters(q, primitive_only=True)[0]
+    find_postnikov_m(chi, d)
+    monkeypatch.setattr(postnikov, "_postnikov_grid", lambda q, d: (bad, dd, first))
+    with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
+        find_postnikov_m(chi, d)
+
+
+def test_find_postnikov_m_int64_and_object_grids():
+    """int64 while den*max(den, q) < 2^63, Python ints beyond; the search on
+    the object grid satisfies the identity at every x (as criterion 1 checks)."""
+    for q, dtype in ((3**8, np.int64), (3**9, object), (1024, object)):
+        assert postnikov._postnikov_grid(q, minimal_postnikov_degree(q))[0].dtype == dtype
+    q = 3**9
+    mod = FactoredModulus.from_int(q)
+    d = minimal_postnikov_degree(mod)
+    step = mod.tau * mod.core
+    u = [fd_eval(d, step * x) / q for x in range(q // step)]
+    for chi in random.Random(9).sample(enumerate_characters(mod, primitive_only=True), 3):
+        m = find_postnikov_m(chi, d)
+        for x in range(q // step):
+            assert chi.evaluate(1 + step * x).fraction == (m * u[x]) % 1, (chi.label(), x)
+        for r in range(1, d + 1):
+            if math.gcd(r, q) == 1:
+                assert m % r == 0
+        assert math.gcd(m, q) == 1
 
 
 def test_shifted_poly_envelope():

@@ -70,6 +70,14 @@ def test_budget_error():
         count_vinogradov(8, 2, 100)
 
 
+def test_tuple_budget_is_the_table_cap():
+    # the largest table the budget admits is built as an int64 array; one
+    # tuple more is refused, not counted on the per-tuple dict path
+    assert count_vinogradov(1, 1, 2**22) == 2**22
+    with pytest.raises(ValueError):
+        count_vinogradov(1, 1, 2**22 + 1)
+
+
 def test_rational_approx_examples():
     assert rational_approx(Fraction(1, 3), 10) == (1, 3, 0.0)
     assert rational_approx(0, 7) == (0, 1, 0.0)
