@@ -10,7 +10,9 @@ Zero counting integrates L'/L around a rectangle on Gauss-Legendre panels
 and snaps the winding number to an integer once refinement stabilizes it;
 an |L| lower-bound grid scan serves as the independent confirmation.  Both
 pass all their points to the blocked Hurwitz kernel at once; the grid
-reports the first least |L| in (sigma, t, character) order.
+reads each mirror pair (sigma + it on chi, sigma - it on conj chi) as one
+value at its upper-half member and reports the first least pair in
+(sigma, t, character) order.
 """
 
 from __future__ import annotations
@@ -341,7 +343,10 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
 
     A strictly positive minimum across all nonprincipal characters is the
     desk-scale evidence that the region is zero-free.  One batched kernel
-    call covers the grid; ``at`` is the first least |L| in (sigma, t,
+    call covers the grid.  |L(sigma - it, conj chi)| = |L(sigma + it, chi)|,
+    so each such mirror pair is read as its lesser value at its member in
+    the upper half of the symmetric t grid, and rounding never decides
+    which member is reported; ``at`` is the first least pair in (sigma, t,
     character) order.
     """
     mod = as_modulus(q)
@@ -351,11 +356,14 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
     ts = np.linspace(-T, T, _GRID_TS)
     absl = np.abs(_l_sums(_chi_matrix(chis), (sigmas[:, None] + 1j * ts).ravel()))
-    # the first least |L| in (sigma, t, character) order
-    point, c = divmod(int(np.argmin(absl.T)), len(chis))
-    at = {"sigma": float(sigmas[point // _GRID_TS]), "t": float(ts[point % _GRID_TS]),
-          "character": chis[c].label()}
-    return {"q": mod.q, "min_abs": float(absl[c, point]), "at": at}
+    absl = absl.reshape(len(chis), _GRID_SIGMAS, _GRID_TS)
+    index = {chi.components: i for i, chi in enumerate(chis)}
+    conj = [index[chi.conjugate().components] for chi in chis]
+    half = _GRID_TS // 2
+    pairs = np.minimum(absl, absl[conj, :, ::-1])[:, :, half:].transpose(1, 2, 0)
+    i, j, c = np.unravel_index(int(np.argmin(pairs)), pairs.shape)
+    at = {"sigma": float(sigmas[i]), "t": float(ts[half + j]), "character": chis[c].label()}
+    return {"q": mod.q, "min_abs": float(pairs[i, j, c]), "at": at}
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ def count_vinogradov(k: int, d: int, P: int) -> int:
             _, counts = np.unique(code, return_counts=True)
         else:
             _, counts = np.unique(sigs, axis=0, return_counts=True)
-        return sum(int(c) * int(c) for c in counts)
+        # exact in int64: the sum is at most (P^k)^2 <= 2^44 under the table cap
+        return int(np.dot(counts, counts))
     # big-integer path
     table: dict[tuple, int] = {}
     for combo in itertools.product(range(1, P + 1), repeat=k):

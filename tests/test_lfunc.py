@@ -140,7 +140,9 @@ def test_batched_l_sums_match_single_points():
     """A batch of points gives each point's values alone, bit for bit, while
     the points need no more direct terms than the floor (|s| <= 13.33);
     past it n0 follows the block's largest |s|.  The grid scan reports the
-    point and character of a per-point loop."""
+    point and character of a per-point loop that reads each mirror pair
+    (sigma + it, chi) and (sigma - it, conj chi) as its lesser |L| at the
+    member in the upper half of the t grid."""
     for q in (27, 243):
         X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
         pts, _ = lfunc._contour(0.9, 10.0, 0.25)
@@ -162,15 +164,20 @@ def test_batched_l_sums_match_single_points():
     for q in (27, 81):
         chis = [c for c in enumerate_characters(q) if not c.is_principal]
         X = lfunc._chi_matrix(chis)
+        labels = [c.label() for c in chis]
+        conj = [labels.index(c.conjugate().label()) for c in chis]
+        ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
         best, best_at = math.inf, None
         for sigma in np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS):
-            for t in np.linspace(-10.0, 10.0, lfunc._GRID_TS):
-                absl = np.abs(lfunc._l_sums(X, [complex(sigma, t)])[:, 0])
+            for j in range(lfunc._GRID_TS // 2, lfunc._GRID_TS):
+                up = np.abs(lfunc._l_sums(X, [complex(sigma, ts[j])])[:, 0])
+                down = np.abs(lfunc._l_sums(X, [complex(sigma, ts[-1 - j])])[:, 0])
+                absl = np.minimum(up, down[conj])
                 idx = int(np.argmin(absl))
                 if absl[idx] < best:
                     best = float(absl[idx])
-                    best_at = {"sigma": float(sigma), "t": float(t),
-                               "character": chis[idx].label()}
+                    best_at = {"sigma": float(sigma), "t": float(ts[j]),
+                               "character": labels[idx]}
         grid = l_grid_min(q, 0.9, 10.0)
         assert grid["min_abs"] == best and grid["at"] == best_at, (q, grid, best_at)
 

@@ -1,12 +1,14 @@
 """Von Mangoldt, psi over progressions, and the short-interval comparison."""
 
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from corechar.primes import (
+    PsiCounts,
     _psi_window,
     psi,
     psi_by_class,
@@ -55,7 +57,7 @@ def test_psi_progression_counts():
 def test_partition_reconstructs_psi_exactly():
     x = 10**5
     full = psi(x, with_counts=True)
-    for q in (1, 2, 3, 12, 97):
+    for q in (1, 2, 3, 4, 12, 64, 72, 97):
         per_class = psi_by_class(x, q, with_counts=True)
         merged: dict[int, int] = {}
         for pv in per_class.values():
@@ -133,6 +135,18 @@ def _fsum_counts(counts: dict[int, int]) -> float:
     (8451444, 10**7, 3, 2),                    # longer than one segment
     (1234.5, 98765.4, 1, 0),                   # q = 1, float endpoints
     (2**16 - 0.5, 2**16 + 10**4 + 0.25, 97, 2),
+    (10**6 - 10, 10**6 + 10, 1, 0),            # every base prime longer than
+                                               # the segment
+    (2**20 - 3, 2**21 + 7, 2, 1),              # a full segment, then a short one
+    (10**5, 2 * 10**5, 2, 0),                  # edge moduli: the class of 2
+    (0, 3 * 10**5, 4, 0),
+    (1000, 9 * 10**4, 4, 2),
+    (3, 2**17 + 5, 2**10, 1),                  # 2^gamma
+    (2**16, 2**16 + 3**9, 2**12, 2**11),       # an even class whose one prime
+                                               # power, 2^11, is below the window
+    (10**4, 3 * 10**5, 72, 5),                 # 2^a 3^b
+    (10**3, 10**5, 2**5 * 3**4, 2**5 + 3**4),
+    (500, 6 * 10**4, 2**3 * 3**2, 0),          # a class mod 72 with no prime power
 ])
 def test_window_matches_full_sieve(lo, hi, q, a):
     expected = _sieved_counts(math.floor(lo), math.floor(hi), q, a)
@@ -141,6 +155,103 @@ def test_window_matches_full_sieve(lo, hi, q, a):
     assert got.value == _fsum_counts(expected)
     if lo == 0:
         assert psi_progression(hi, q, a, with_counts=True) == got
-    else:
+    elif math.gcd(a, q) == 1:  # short_interval_check takes units only
         assert short_interval_check(q, a, lo, hi - lo).delta_psi == got.value
 
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the first 12 prime bases decide every
+    n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, j: int) -> int:
+    """The integer j-th root of n >= 0."""
+    r = round(n ** (1.0 / j))
+    while r**j > n:
+        r -= 1
+    while (r + 1) ** j <= n:
+        r += 1
+    return r
+
+
+def _miller_rabin_counts(lo: int, hi: int, q: int, a: int) -> dict[int, int]:
+    """Prime-power multiplicities of (lo, hi] in the class of a mod q, by
+    testing every n of the window and every j-th root (j >= 2) in range."""
+    counts = Counter(n for n in range(lo + 1, hi + 1) if n % q == a % q and _is_prime(n))
+    for j in range(2, hi.bit_length() + 1):
+        for p in range(_iroot(lo, j) + 1, _iroot(hi, j) + 1):
+            if pow(p, j, q) == a % q and _is_prime(p):
+                counts[p] += 1
+    return dict(counts)
+
+
+@pytest.mark.parametrize("x", [
+    10**12,
+    1000003**2 - 5000,                         # holds the square of a prime
+    10007**3 - 5000,                           # holds the cube of a prime
+])
+@pytest.mark.parametrize("q,a", [(1, 0), (27, 1), (5**3, 2)])
+def test_window_at_1e12_matches_miller_rabin(x, q, a):
+    h = 10**4
+    expected = _miller_rabin_counts(x, x + h, q, a)
+    got = _psi_window(x, x + h, q, a, with_counts=True)
+    assert got.counts == expected
+    assert got.value == _fsum_counts(expected)
+    assert short_interval_check(q, a, x, h).delta_psi == got.value
+
+
+def test_sieve_refuses_past_int64_proof():
+    with pytest.raises(ValueError, match="2\\^62"):
+        psi(2**62)
+    with pytest.raises(ValueError, match="2\\^62"):
+        short_interval_check(27, 1, 2**62 - 10**4, 10**4)
+
+
+def test_psi_counts_mapping_view():
+    pv = psi_progression(10**4, 12, 5, with_counts=True)
+    counts = pv.counts
+    assert isinstance(counts, PsiCounts)
+    as_dict = _sieved_counts(0, 10**4, 12, 5)
+    assert counts == as_dict and as_dict == counts
+    assert not counts != as_dict
+    assert counts != {**as_dict, 5: 2} and {**as_dict, 5: 2} != counts
+    assert counts != {p: c for p, c in as_dict.items() if p != 5}
+    assert counts != {**as_dict, 10**9 + 7: 1}
+    assert counts != {**as_dict, 5: 1.5}
+    assert counts != list(as_dict.items())
+    assert dict(counts) == as_dict and list(counts) == sorted(as_dict)
+    assert counts[5] == 3 and counts[29] == 1 and counts.get(7) is None and 7 not in counts
+    assert "5" not in counts and 5.5 not in counts and 2**70 not in counts
+    with pytest.raises(KeyError):
+        counts[7]
+    with pytest.raises(TypeError):
+        counts[5] = 2
+    with pytest.raises(TypeError):
+        del counts[5]
+    assert not hasattr(counts, "update")
+    round_trip = pickle.loads(pickle.dumps(pv))
+    assert round_trip == pv and round_trip.counts == as_dict
+    merged = Counter()
+    merged.update(counts)
+    merged.update(counts)
+    assert merged == {p: 2 * c for p, c in as_dict.items()}
