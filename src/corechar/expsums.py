@@ -1,19 +1,15 @@
 """Character sums, twisted sums, Dirichlet polynomials, and the shift
 decomposition.
 
-Two summation modes are used throughout.  When the terms are roots of
-unity with exactly-known rational angles (pure character sums, polynomial
-twists with rational coefficients), each term is an integer numerator over
-one common denominator: the character's value numerators A(n) over its
-order L, lifted to lcm(L, den) to add a twist's phase numerators over den.
-``_exact_sum`` keeps the sum as an integer histogram (distinct numerators
-mod D and their counts, numpy arrays) and takes its value once, as the
-fsum of counts times the real and imaginary parts of ``root_values``.
-``exact_angle_terms`` reads that histogram as a ``RationalAngle`` -> count
-mapping, building a key only when one is read.  Otherwise one reducer,
-``_blocked_sum``, evaluates the terms in fixed-size blocks and combines the
-block sums left to right, so a result depends only on the window and the
-summand.
+Exact mode covers terms that are roots of unity with exact rational angles
+(pure character sums, polynomial twists with rational coefficients): each
+is an integer numerator over one denominator, chi's numerators A(n) over its
+order L lifted to lcm(L, den) to add a twist's numerators over den.
+``_exact_window`` counts a window's numerators block by block; ``_exact_sum``
+keeps that histogram (numpy arrays), takes its value once as an fsum over
+``root_values`` and reads it as ``exact_angle_terms``.  Float mode has one
+reducer, ``_blocked_sum``: block sums combined left to right, so a result
+depends only on the window and the summand.
 """
 
 from __future__ import annotations
@@ -41,8 +37,8 @@ __all__ = [
     "decompose",
 ]
 
-# Term-by-term exact angle accumulation is used up to this many terms.
-_EXACT_CAP = 10**7
+_EXACT_CAP = 10**7  # most terms of an exact char_sum above the value table cap
+_TWISTED_EXACT_CAP = 2 * 10**5  # most terms of an exact twisted_sum (rational G)
 _BLOCK = 1 << 16
 
 
@@ -57,12 +53,7 @@ class RealPolynomial:
 
     @classmethod
     def make(cls, coeffs) -> "RealPolynomial":
-        out = []
-        for c in coeffs:
-            if isinstance(c, (int, Fraction)):
-                out.append(Fraction(c))
-            else:
-                out.append(float(c))
+        out = [Fraction(c) if isinstance(c, (int, Fraction)) else float(c) for c in coeffs]
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return cls(tuple(out))
@@ -73,10 +64,7 @@ class RealPolynomial:
 
     @property
     def degree(self) -> int:
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            if self.coefficients[i] != 0:
-                return i
-        return 0
+        return max((i for i, c in enumerate(self.coefficients) if c != 0), default=0)
 
     @property
     def is_zero(self) -> bool:
@@ -114,11 +102,8 @@ class RealPolynomial:
     def _angle_data(self) -> tuple[tuple[int, ...], int]:
         if not self.is_rational:
             raise ValueError("polynomial has non-rational coefficients")
-        den = 1
-        for c in self.coefficients:
-            den = math.lcm(den, c.denominator)
-        nums = tuple(int(c * den) for c in self.coefficients)
-        return nums, den
+        den = math.lcm(*(c.denominator for c in self.coefficients))
+        return tuple(int(c * den) for c in self.coefficients), den
 
     def frac_at(self, x: int) -> Fraction:
         """G(x) mod 1 as an exact fraction (rational coefficients only)."""
@@ -208,6 +193,13 @@ def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> Sum
     return SumResult(value, term_count, "exact", AngleCounts(a, merged, den))
 
 
+def _chi_numerators(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
+    """``angle_numerators`` of ns, from the value table when one exists."""
+    if chi.q <= VALUE_TABLE_CAP:
+        return chi.value_table[0][(ns % chi.q).astype(np.int64)]
+    return chi.angle_numerators(ns)
+
+
 def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
     """chi(n) for each n of ns, from the value table when one exists."""
     if chi.q <= VALUE_TABLE_CAP:
@@ -243,6 +235,12 @@ def _blocks(M: int, N: int):
         yield n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
 
+def _exact_window(block_numerators, M: int, N: int, den: int) -> SumResult:
+    """Exact sum of e(t/den) over (M, M+N]: t = block_numerators(ns) per block, -1 a zero term."""
+    hists = [np.unique(t[t >= 0], return_counts=True) for t in map(block_numerators, _blocks(M, N))]
+    return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
+
+
 def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
     """sum of block_terms(ns) over n in (M, M+N], float mode: the block sums
     over ``_blocks`` are combined left to right with fsum."""
@@ -273,37 +271,33 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
         counts = full.astype(np.int64 if N < 1 << 63 else object) * periods + part
         return _exact_sum(np.arange(L), counts, L, N)
     if N <= _EXACT_CAP:
-        hists = [np.unique(A[A >= 0], return_counts=True)
-                 for A in map(chi.angle_numerators, _blocks(M, N))]
-        return _exact_sum(*map(np.concatenate, zip(*hists)), L, N)
+        return _exact_window(chi.angle_numerators, M, N, L)
     return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
 
 
 def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> SumResult:
     """sum_{n=M+1}^{M+N} chi(n) e(G(n)); reduces to char_sum when G = 0.
 
-    With rational G, a value table and at most 2*10^5 terms the result is
-    an exact angle multiset; otherwise it is accumulated in float mode.
+    With rational G and at most ``_TWISTED_EXACT_CAP`` terms the result is an
+    exact angle multiset, for any modulus; otherwise it is taken in float mode.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if G.is_zero:
         return char_sum(chi, M, N)
-    q = chi.q
-    if G.is_rational:
-        nums, den = G.angle_data()
-        if N <= 2 * 10**5 and q <= VALUE_TABLE_CAP:
-            # chi(n) e(G(n)) = e(t(n)/D) with D = lcm(L, den) and
-            # t(n) = A(n) D/L + num(n) D/den mod D, both addends below D:
-            # int64 is exact while D < 2^62, Python ints beyond
-            L = chi.order
-            D = math.lcm(L, den)
-            dtype = np.int64 if D < 1 << 62 else object
-            A = chi.value_table[0][((M + 1) % q + np.arange(N)) % q]
-            unit = A >= 0
-            phase = _phase_numerators(nums, den, np.concatenate(list(_blocks(M, N))))[unit]
-            terms = (A[unit].astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
-            return _exact_sum(terms, np.ones(len(terms), dtype=np.int64), D, N)
+    if G.is_rational and N <= _TWISTED_EXACT_CAP:
+        # chi(n) e(G(n)) = e(t(n)/D), D = lcm(L, den), t(n) = A(n) D/L + num(n) D/den
+        # mod D with both addends below D: int64 while D < 2^62, Python ints beyond
+        (nums, den), L = G.angle_data(), chi.order
+        D = math.lcm(L, den)
+        dtype = np.int64 if D < 1 << 62 else object
+
+        def numerators(ns):
+            A = _chi_numerators(chi, ns)
+            ns, A = ns[A >= 0], A[A >= 0]
+            phase = _phase_numerators(nums, den, ns)
+            return (A.astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
+        return _exact_window(numerators, M, N, D)
     return _blocked_sum(
         lambda ns: _chi_values(chi, ns) * np.exp(2j * np.pi * G.phases(ns)), M, N)
 
@@ -367,14 +361,14 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     and compare core^{-2s} V against the direct window sum.
 
     cN is the set of n in (M, M+N] coprime to q, nbar the inverse of n mod
-    q, and H_n(x) = G(n + core^s x).  The residual |S - core^{-2s} V| is
-    checked against residual_constant * core^{3s}; the constant stands in
-    for an unspecified absolute one and is echoed in the result.
+    q, and H_n(x) = G(n + core^s x); V is taken a block of cN at a time.
+    The residual |S - core^{-2s} V| is checked against residual_constant *
+    core^{3s}; the constant stands in for an unspecified absolute one and
+    is echoed in the result.
     """
     if s < 2:
         raise ValueError("shift exponent s must be >= 2")
-    q = chi.q
-    coreq = chi.modulus.core
+    q, coreq = chi.q, chi.modulus.core
     P = coreq**s
     ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
     work = len(ns) * P * P
@@ -382,13 +376,19 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
     vals = chi.value_table[1]
 
-    yz = np.outer(np.arange(1, P + 1, dtype=np.int64), np.arange(1, P + 1, dtype=np.int64))
+    ys = np.arange(1, P + 1, dtype=np.int64)
+    yz = np.outer(ys, ys).ravel()  # one row of grid terms per coprime n
+    Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)  # n + P yz <= M+N+P^3
+    rows = max(1, _BLOCK // (P * P))
     v_total = complex(0.0)
-    for n in ns:
-        nbar = pow(n, -1, q)
-        idx = (1 + (P * nbar % q) * yz) % q
-        inner = np.sum(vals[idx] * np.exp(2j * np.pi * G.phases(n + P * yz)))
-        v_total += complex(vals[n % q]) * complex(inner)
+    for lo in range(0, len(ns), rows):
+        n = np.array(ns[lo:lo + rows], dtype=Pyz.dtype)
+        uniq, where = np.unique((n % q).astype(np.int64), return_inverse=True)
+        nbar = np.array([pow(u, -1, q) for u in uniq.tolist()], dtype=np.int64)[where]
+        idx = (1 + (P * nbar % q)[:, None] * yz) % q
+        inner = np.sum(vals[idx] * np.exp(2j * np.pi * G.phases(n[:, None] + Pyz)), axis=1)
+        for c, z in zip(vals[uniq][where].tolist(), inner.tolist()):
+            v_total += c * z  # Python complex: numpy's product fuses multiply-adds
 
     s_val = twisted_sum(chi, M, N, G).value
     recon = v_total / (P * P)

@@ -88,22 +88,23 @@ def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _n_terms(s_abs: float) -> int:
-    """Direct terms before the Euler-Maclaurin tail, for points up to |s| = s_abs."""
-    return max(2 * _EM_ORDER + 8, math.ceil(1.2 * s_abs) + 16)
+def _n_terms(s_abs):
+    """Direct terms before the Euler-Maclaurin tail, for points up to |s| = s_abs
+    (a float or a float array)."""
+    return np.maximum(2 * _EM_ORDER + 8, np.ceil(1.2 * np.asarray(s_abs)) + 16).astype(np.int64)
 
 
-def _hurwitz_core(s: np.ndarray, a: np.ndarray, with_ds: bool):
+def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int, with_ds: bool):
     """Euler-Maclaurin evaluation of zeta(s, a) - 1/(s-1) for complex s and
     float a in (0, 1]: row 0 of the result, of shape (len(s), len(a)), and
     with ``with_ds`` the d/ds values in row 1.
 
     The pole term 1/(s-1) is left out (it is exactly the non-entire part),
-    so it cancels identically in nonprincipal L-sums.  Every point takes the
-    number of direct terms of the largest |s|.
+    so it cancels identically in nonprincipal L-sums.  Every point takes n0
+    direct terms; ``_l_sums`` passes the points of one ``_n_terms`` at a
+    time, so each point gets its own.
     """
     s = s[:, None]                                    # (m, 1)
-    n0 = _n_terms(float(np.max(np.abs(s))))
     k = np.arange(n0, dtype=np.float64)
     logs = np.log(a[:, None] + k)                     # (len(a), n0)
     pows = np.exp(-s[:, :, None] * logs)              # (a+k)^{-s}, (m, len(a), n0)
@@ -151,7 +152,8 @@ def hurwitz_zeta(s: complex, a) -> complex:
         raise ValueError("a must lie in (0, 1]")
     if s == 1.0:
         raise ValueError("zeta(s, a) has a pole at s = 1")
-    return complex(_hurwitz_core(np.array([s]), np.array([a]), False)[0, 0, 0]) + 1.0 / (s - 1.0)
+    core = _hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(abs(s))), False)
+    return complex(core[0, 0, 0]) + 1.0 / (s - 1.0)
 
 
 def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
@@ -165,24 +167,29 @@ def _l_sums(X: np.ndarray, s, with_ds: bool = False):
 
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
     of a nonprincipal character gives L(s, chi) exactly.  With ``with_ds``
-    the d/ds values come second.  Points go in blocks of ``_BLOCK_ENTRIES``
-    Hurwitz terms; each point takes its own matrix-vector product, so its
-    values depend on its block only through n0.
+    the d/ds values come second.  Points are grouped by their own
+    ``_n_terms`` and go in blocks of ``_BLOCK_ENTRIES`` Hurwitz terms within
+    a group; each point takes its own matrix-vector product, so its values
+    do not depend on the other points.
     """
     s = np.asarray(s, dtype=np.complex128)
     q = X.shape[1]
     a_over_q = np.arange(1, q + 1, dtype=np.float64) / q
     qf = math.log(q)
     out = np.empty((1 + with_ds, len(X), len(s)), dtype=np.complex128)
-    step = max(1, _BLOCK_ENTRIES // (q * _n_terms(float(np.max(np.abs(s))))))
-    for lo in range(0, len(s), step):
-        blk = s[lo:lo + step]
-        qs = np.exp(-blk * qf)[:, None]
-        z = _hurwitz_core(blk, a_over_q, with_ds)
-        lvals = qs * (X @ z[0][:, :, None])[:, :, 0]
-        out[0, :, lo:lo + step] = lvals.T
-        if with_ds:
-            out[1, :, lo:lo + step] = (-qf * lvals + qs * (X @ z[1][:, :, None])[:, :, 0]).T
+    n0 = _n_terms(np.abs(s))
+    for n in sorted(set(n0.tolist())):
+        group = np.flatnonzero(n0 == n)
+        step = max(1, _BLOCK_ENTRIES // (q * n))
+        for lo in range(0, len(group), step):
+            at = group[lo:lo + step]
+            blk = s[at]
+            qs = np.exp(-blk * qf)[:, None]
+            z = _hurwitz_core(blk, a_over_q, n, with_ds)
+            lvals = qs * (X @ z[0][:, :, None])[:, :, 0]
+            out[0][:, at] = lvals.T
+            if with_ds:
+                out[1][:, at] = (-qf * lvals + qs * (X @ z[1][:, :, None])[:, :, 0]).T
     return out if with_ds else out[0]
 
 

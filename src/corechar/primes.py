@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _SEGMENT = 1 << 20
+_LOG_CHUNK = 1 << 16  # primes per math.log chunk of _psi_values
 
 
 def von_mangoldt(n: int) -> float:
@@ -203,11 +205,16 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
 
     math.log, not np.log: the two differ in the last bit at 44 primes below
     10^7, and fsum is correctly rounded, so the value is the same bits as a
-    sum over any order of the same count * math.log(p) terms.
+    sum over any order of the same count * math.log(p) terms.  The logs are
+    taken ``_LOG_CHUNK`` primes at a time and one fsum per slice reads all
+    the chunks through one iterator, so no Python list spans a whole class.
     """
-    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
-    terms = counts * logs
-    return [PsiValue(math.fsum(terms[i:j].tolist()),
+    def chunks(i: int, j: int):
+        for lo in range(i, j, _LOG_CHUNK):
+            hi = min(lo + _LOG_CHUNK, j)
+            logs = np.fromiter(map(math.log, primes[lo:hi].tolist()), np.float64, hi - lo)
+            yield (counts[lo:hi] * logs).tolist()
+    return [PsiValue(math.fsum(chain.from_iterable(chunks(i, j))),
                      PsiCounts(primes[i:j], counts[i:j]) if with_counts else None)
             for i, j in zip(bounds, bounds[1:])]
 

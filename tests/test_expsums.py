@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from corechar.arith import as_modulus
 from corechar.characters import (
+    VALUE_TABLE_CAP,
+    DirichletCharacter,
     RationalAngle,
     enumerate_characters,
     principal_character,
@@ -243,20 +246,28 @@ def test_dirichlet_poly_across_block_boundary():
 
 def test_decompose_large_phase_denominator():
     """G has denominator ~10^18, so Horner steps on residues exceed int64."""
-    q, s, M, N = 81, 2, 10**6, 12
+    q, s = 81, 2
     chi = enumerate_characters(q, primitive_only=True)[0]
     G = RealPolynomial.make([0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)])
-    res = decompose(chi, M, N, G, s)
     P = chi.modulus.core ** s
-    expected = 0j
-    for n in range(M + 1, M + N + 1):
-        if math.gcd(n, q) != 1:
-            continue
-        nbar = pow(n, -1, q)
-        expected += chi(n) * sum(
-            chi(1 + P * nbar * y * z) * cmath.exp(2j * math.pi * float(G.frac_at(n + P * y * z)))
-            for y in range(1, P + 1) for z in range(1, P + 1))
-    assert abs(res.v_value - expected) <= 1e-9 * res.term_count
+    for M, N in [
+        (10**6, 12),
+        # n + P yz crosses 2^63 inside the window, and the window starts past it
+        (2**63 - 100, 50),
+        (10**19, 12),
+        # more coprime n than one block of grid rows
+        (10**6, 1300),
+    ]:
+        res = decompose(chi, M, N, G, s)
+        expected = 0j
+        for n in range(M + 1, M + N + 1):
+            if math.gcd(n, q) != 1:
+                continue
+            nbar = pow(n, -1, q)
+            expected += chi(n) * sum(
+                chi(1 + P * nbar * y * z) * cmath.exp(2j * math.pi * float(G.frac_at(n + P * y * z)))
+                for y in range(1, P + 1) for z in range(1, P + 1))
+        assert abs(res.v_value - expected) <= 1e-9 * res.term_count, (M, N)
 
 
 @pytest.mark.parametrize("q,M,N,coeffs", [
@@ -267,9 +278,16 @@ def test_decompose_large_phase_denominator():
     (2**7, 12345, 1000, [0, Fraction(3, 64), Fraction(1, 9973)]),
     # between 2^63 and 2^64, where np.arange rounds through floats
     (729, 10**19, 300, [0, Fraction(1, 7), Fraction(2, 9973)]),
+    # above the value table cap
+    (3**13, 10**6, 300, [0, Fraction(1, 7), Fraction(2, 9973)]),
 ])
 def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
-    chi = enumerate_characters(q, primitive_only=True)[1]
+    if q > VALUE_TABLE_CAP:
+        # exponent 2 is enumerate_characters(q, primitive_only=True)[1] for
+        # an odd prime power, without making its ~10^6 characters
+        chi = DirichletCharacter(as_modulus(q), ((2,),))
+    else:
+        chi = enumerate_characters(q, primitive_only=True)[1]
     G = RealPolynomial.make(coeffs)
     res = twisted_sum(chi, M, N, G)
     assert res.mode == "exact"

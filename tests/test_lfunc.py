@@ -137,9 +137,9 @@ def test_zero_scan_validates_input():
 
 
 def test_batched_l_sums_match_single_points():
-    """A batch of points gives each point's values alone, bit for bit, while
-    the points need no more direct terms than the floor (|s| <= 13.33);
-    past it n0 follows the block's largest |s|.  The grid scan reports the
+    """A batch of points gives each point's values alone, bit for bit, both
+    while the points need no more direct terms than the floor (|s| <= 13.33)
+    and past it, where each point keeps its own n0.  The grid scan reports the
     point and character of a per-point loop that reads each mirror pair
     (sigma + it, chi) and (sigma - it, conj chi) as its lesser |L| at the
     member in the upper half of the t grid."""
@@ -159,7 +159,7 @@ def test_batched_l_sums_match_single_points():
     pts, _ = lfunc._contour(0.9, 20.0, 0.25)
     batch = lfunc._l_sums(X, pts)
     single = np.stack([lfunc._l_sums(X, [s])[:, 0] for s in pts], axis=1)
-    assert np.all(np.abs(batch - single) <= 1e-13 * np.abs(single))
+    assert np.array_equal(batch, single)
 
     for q in (27, 81):
         chis = [c for c in enumerate_characters(q) if not c.is_principal]
