@@ -370,10 +370,14 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
         raise ValueError("shift exponent s must be >= 2")
     q, coreq = chi.q, chi.modulus.core
     P = coreq**s
-    ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
-    work = len(ns) * P * P
+    signed_divisors = [(1, 1)]  # (d, mu(d)) over the squarefree d | q
+    for p, _ in chi.modulus.factors:
+        signed_divisors += [(d * p, -mu) for d, mu in signed_divisors]
+    coprime = sum(mu * ((M + N) // d - M // d) for d, mu in signed_divisors)
+    work = coprime * P * P
     if work > work_budget or P * P > (1 << 26):
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
+    ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
     vals = chi.value_table[1]
 
     ys = np.arange(1, P + 1, dtype=np.int64)
@@ -397,6 +401,6 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     return DecomposeResult(
         v_value=v_total, reconstruction=recon, s_value=s_val,
         residual=residual, allowance=allowance, holds=residual <= allowance,
-        shift_exponent=s, coprime_count=len(ns), term_count=work,
+        shift_exponent=s, coprime_count=coprime, term_count=work,
         residual_constant=residual_constant,
     )

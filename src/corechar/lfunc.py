@@ -9,10 +9,11 @@ period-averaging; the two paths cross-check each other in the tests.
 Zero counting integrates L'/L around a rectangle on Gauss-Legendre panels
 and snaps the winding number to an integer once refinement stabilizes it;
 an |L| lower-bound grid scan serves as the independent confirmation.  Both
-pass all their points to the blocked Hurwitz kernel at once; the grid
-reads each mirror pair (sigma + it on chi, sigma - it on conj chi) as one
-value at its upper-half member and reports the first least pair in
-(sigma, t, character) order.
+pass all their points to the blocked Hurwitz kernel at once, and each
+evaluates one member of every mirror pair (sigma + it on chi, sigma - it on
+conj chi), the one with t >= 0, and only the unit residues a of the
+Hurwitz sum; the grid reports the first least value in (sigma, t,
+character) order.
 """
 
 from __future__ import annotations
@@ -167,20 +168,22 @@ def _l_sums(X: np.ndarray, s, with_ds: bool = False):
 
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
     of a nonprincipal character gives L(s, chi) exactly.  With ``with_ds``
-    the d/ds values come second.  Points are grouped by their own
-    ``_n_terms`` and go in blocks of ``_BLOCK_ENTRIES`` Hurwitz terms within
-    a group; each point takes its own matrix-vector product, so its values
-    do not depend on the other points.
+    the d/ds values come second.  Only the columns nonzero in some row (the
+    units a, for character rows) reach the kernel.  Points are grouped by
+    their own ``_n_terms`` and go in blocks of ``_BLOCK_ENTRIES`` Hurwitz
+    terms within a group; each point takes its own matrix-vector product,
+    so its values do not depend on the other points.
     """
     s = np.asarray(s, dtype=np.complex128)
     q = X.shape[1]
-    a_over_q = np.arange(1, q + 1, dtype=np.float64) / q
+    units = np.flatnonzero(np.any(X != 0, axis=0))   # chi(a) = 0 off the units
+    X, a_over_q = X[:, units], (units + 1) / q
     qf = math.log(q)
     out = np.empty((1 + with_ds, len(X), len(s)), dtype=np.complex128)
     n0 = _n_terms(np.abs(s))
     for n in sorted(set(n0.tolist())):
         group = np.flatnonzero(n0 == n)
-        step = max(1, _BLOCK_ENTRIES // (q * n))
+        step = max(1, _BLOCK_ENTRIES // (len(units) * n))
         for lo in range(0, len(group), step):
             at = group[lo:lo + step]
             blk = s[at]
@@ -272,20 +275,25 @@ def _contour(alpha: float, T: float, max_panel: float):
     return np.concatenate(pts, axis=None), np.concatenate(wts, axis=None)
 
 
-def _windings(X: np.ndarray, alpha: float, T: float, max_panel: float):
+def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_panel: float):
     """Winding numbers (1/2pi i) contour-int L'/L for every row of the
-    ``_chi_matrix`` X, plus the smallest |L| seen on the contour."""
+    ``_chi_matrix`` X, whose row conj[c] is the conjugate of row c, plus the
+    smallest |L| seen on the contour.  Only the nodes with t > 0 are
+    evaluated (the Gauss-Legendre order is even): the lower half's integral
+    for chi is minus the conjugate of the upper half's for conj chi."""
     pts, wts = _contour(alpha, T, max_panel)
-    lmat, lpmat = _l_sums(X, pts, with_ds=True)
-    return (lpmat / lmat) @ wts / (2j * math.pi), float(np.min(np.abs(lmat)))
+    upper = pts.imag > 0
+    lmat, lpmat = _l_sums(X, pts[upper], with_ds=True)
+    half = (lpmat / lmat) @ wts[upper]
+    return (half - half[conj].conj()) / (2j * math.pi), float(np.min(np.abs(lmat)))
 
 
-def _stable_windings(X: np.ndarray, alpha: float, T: float):
+def _stable_windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float):
     """Refine panels until every winding snaps to a stable integer."""
     results = None
     prev = None
     for panel in (0.5, 0.25, 0.125, 0.0625):
-        cur, min_abs = _windings(X, alpha, T, panel)
+        cur, min_abs = _windings(X, conj, alpha, T, panel)
         if min_abs < 1e-10:
             raise ArithmeticError("contour passes through a zero")
         if prev is not None:
@@ -327,13 +335,14 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
     perturbed = False
     windings, min_abs = [], math.inf
     if chis:
-        X = _chi_matrix(chis)
+        index = {chi.components: i for i, chi in enumerate(chis)}
+        X, conj = _chi_matrix(chis), [index[chi.conjugate().components] for chi in chis]
         try:
-            windings, min_abs = _stable_windings(X, alpha, T)
+            windings, min_abs = _stable_windings(X, conj, alpha, T)
         except ArithmeticError:
             used_alpha = alpha - 1e-6
             perturbed = True
-            windings, min_abs = _stable_windings(X, used_alpha, T)
+            windings, min_abs = _stable_windings(X, conj, used_alpha, T)
     per_char = [
         {"character": chi.label(), "zeros": int(w)}
         for chi, w in zip(chis, windings)
@@ -350,27 +359,23 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
 
     A strictly positive minimum across all nonprincipal characters is the
     desk-scale evidence that the region is zero-free.  One batched kernel
-    call covers the grid.  |L(sigma - it, conj chi)| = |L(sigma + it, chi)|,
-    so each such mirror pair is read as its lesser value at its member in
-    the upper half of the symmetric t grid, and rounding never decides
-    which member is reported; ``at`` is the first least pair in (sigma, t,
-    character) order.
+    call covers the grid, over the unit residues only.
+    |L(sigma - it, conj chi)| = |L(sigma + it, chi)|, so every character is
+    evaluated on the t >= 0 half of the symmetric t grid only, and each
+    mirror pair is read once, at its upper member; ``at`` is the first
+    least value in (sigma, t, character) order.
     """
     mod = as_modulus(q)
     chis = [c for c in enumerate_characters(mod) if not c.is_principal]
     if not chis:
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
-    ts = np.linspace(-T, T, _GRID_TS)
+    ts = np.linspace(-T, T, _GRID_TS)[_GRID_TS // 2:]
     absl = np.abs(_l_sums(_chi_matrix(chis), (sigmas[:, None] + 1j * ts).ravel()))
-    absl = absl.reshape(len(chis), _GRID_SIGMAS, _GRID_TS)
-    index = {chi.components: i for i, chi in enumerate(chis)}
-    conj = [index[chi.conjugate().components] for chi in chis]
-    half = _GRID_TS // 2
-    pairs = np.minimum(absl, absl[conj, :, ::-1])[:, :, half:].transpose(1, 2, 0)
-    i, j, c = np.unravel_index(int(np.argmin(pairs)), pairs.shape)
-    at = {"sigma": float(sigmas[i]), "t": float(ts[half + j]), "character": chis[c].label()}
-    return {"q": mod.q, "min_abs": float(pairs[i, j, c]), "at": at}
+    absl = absl.reshape(len(chis), _GRID_SIGMAS, len(ts)).transpose(1, 2, 0)
+    i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
+    at = {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": chis[c].label()}
+    return {"q": mod.q, "min_abs": float(absl[i, j, c]), "at": at}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -209,6 +210,23 @@ def test_decompose_errors():
         decompose(chi, 0, 100, RealPolynomial.zero(), 1)
     with pytest.raises(ValueError):
         decompose(chi, 0, 100, RealPolynomial.zero(), 2, work_budget=10)
+
+
+def test_decompose_counts_coprime_n_before_the_budget():
+    """The budget check counts the coprime n by inclusion-exclusion over the
+    primes of q, and refuses a window before listing any of them."""
+    chi = enumerate_characters(27, primitive_only=True)[0]
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="work 162000000 "):
+        decompose(chi, 10**6, 3 * 10**6, RealPolynomial.zero(), 2, work_budget=10)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    chi = enumerate_characters(12)[1]
+    for M, N in [(0, 1), (5, 11), (13, 40), (10**19, 30)]:
+        res = decompose(chi, M, N, RealPolynomial.zero(), 2)
+        expected = sum(math.gcd(n, 12) == 1 for n in range(M + 1, M + N + 1))
+        assert res.coprime_count == expected and res.term_count == expected * 36**2, (M, N)
 
 
 def test_twisted_sum_float_mode_above_exact_switch():

@@ -140,9 +140,9 @@ def test_batched_l_sums_match_single_points():
     """A batch of points gives each point's values alone, bit for bit, both
     while the points need no more direct terms than the floor (|s| <= 13.33)
     and past it, where each point keeps its own n0.  The grid scan reports the
-    point and character of a per-point loop that reads each mirror pair
-    (sigma + it, chi) and (sigma - it, conj chi) as its lesser |L| at the
-    member in the upper half of the t grid."""
+    point and character of a per-point loop that reads every character at the
+    upper half (t >= 0) of the t grid only, where each mirror pair
+    (sigma + it, chi), (sigma - it, conj chi) has its upper member."""
     for q in (27, 243):
         X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
         pts, _ = lfunc._contour(0.9, 10.0, 0.25)
@@ -165,14 +165,11 @@ def test_batched_l_sums_match_single_points():
         chis = [c for c in enumerate_characters(q) if not c.is_principal]
         X = lfunc._chi_matrix(chis)
         labels = [c.label() for c in chis]
-        conj = [labels.index(c.conjugate().label()) for c in chis]
         ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
         best, best_at = math.inf, None
         for sigma in np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS):
             for j in range(lfunc._GRID_TS // 2, lfunc._GRID_TS):
-                up = np.abs(lfunc._l_sums(X, [complex(sigma, ts[j])])[:, 0])
-                down = np.abs(lfunc._l_sums(X, [complex(sigma, ts[-1 - j])])[:, 0])
-                absl = np.minimum(up, down[conj])
+                absl = np.abs(lfunc._l_sums(X, [complex(sigma, ts[j])])[:, 0])
                 idx = int(np.argmin(absl))
                 if absl[idx] < best:
                     best = float(absl[idx])
@@ -180,6 +177,57 @@ def test_batched_l_sums_match_single_points():
                                "character": labels[idx]}
         grid = l_grid_min(q, 0.9, 10.0)
         assert grid["min_abs"] == best and grid["at"] == best_at, (q, grid, best_at)
+
+
+def _full_contour_windings(X, alpha, T, max_panel):
+    """Oracle: L and L' at every node of the contour, both halves."""
+    pts, wts = lfunc._contour(alpha, T, max_panel)
+    lmat, lpmat = lfunc._l_sums(X, pts, with_ds=True)
+    return (lpmat / lmat) @ wts / (2j * math.pi), float(np.min(np.abs(lmat)))
+
+
+def test_mirror_half_scans_match_full_scans():
+    """The zero scan's upper-half windings and contour minimum, and the grid's
+    upper-half minimum, agree with evaluating every point of the contour and
+    of the full 9 x 201 grid."""
+    cases = []
+    for q in (27, 81):
+        chis = [c for c in enumerate_characters(q) if not c.is_principal]
+        cases.append((q, chis, [chis.index(c.conjugate()) for c in chis]))
+    cases.append((27, [quadratic_character(27)], [0]))
+    for q, chis, conj in cases:
+        X = lfunc._chi_matrix(chis)
+        for panel in (0.5, 0.25):
+            half, half_min = lfunc._windings(X, conj, 0.9, 10.0, panel)
+            full, full_min = _full_contour_windings(X, 0.9, 10.0, panel)
+            assert np.max(np.abs(half - full)) < 1e-12, (q, panel)
+            assert abs(half_min - full_min) <= 1e-12 * full_min, (q, panel)
+    for q in (27, 81):
+        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
+        ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
+        full = np.min(np.abs(lfunc._l_sums(X, (sigmas[:, None] + 1j * ts).ravel())))
+        assert abs(l_grid_min(q, 0.9, 10.0)["min_abs"] - full) <= 1e-12 * full, q
+
+
+@pytest.mark.parametrize("q", [4, 8, 12, 16, 36, 72])
+def test_scans_off_odd_prime_powers(q):
+    """Moduli with a factor 2 or two primes: the zero scan finds no zeros, a
+    character and its conjugate count the same, and the grid stays positive."""
+    rep = zero_scan_report(q, 0.9, 5.0)
+    assert rep["total_zeros"] == 0
+    zeros = {c["character"]: c["zeros"] for c in rep["per_character"]}
+    for chi in enumerate_characters(q):
+        if not chi.is_principal:
+            assert zeros[chi.label()] == zeros[chi.conjugate().label()]
+    assert l_grid_min(q, 0.9, 5.0)["min_abs"] > 0.0
+
+
+@pytest.mark.parametrize("q", [12, 36, 72])
+def test_principal_l_drops_non_units(q):
+    """L(2, principal mod q) = zeta(2) prod_{p | q} (1 - p^-2)."""
+    expected = math.pi**2 / 6 * math.prod(1 - p**-2.0 for p in (2, 3))
+    assert abs(l_value(principal_character(q), 2.0) - expected) < 1e-12
 
 
 def test_ell_context():
