@@ -10,6 +10,7 @@ computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -368,7 +369,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                        help="the absolute constant a in the older bound" if f.name == "a" else None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` makes a fresh Namespace
+    per call and no argument accumulates (no ``append`` action), so reusing
+    it carries nothing from one ``main`` call to the next."""
     parser = argparse.ArgumentParser(
         prog="corechar",
         description="character sums, exponential sums and L-functions for "

@@ -10,6 +10,12 @@ keeps that histogram (numpy arrays), takes its value once as an fsum over
 ``root_values`` and reads it as ``exact_angle_terms``.  Float mode has one
 reducer, ``_blocked_sum``: block sums combined left to right, so a result
 depends only on the window and the summand.
+
+A rational twist e(G(n)) depends only on n mod den, G's common denominator.
+When den <= min(N, _BLOCK), N the number of terms twisted, G's numerators
+are taken once for the den residues and read per term, and float mode reads
+e(G(n)) from one table of den values, bit for bit the per-term values;
+larger den runs Horner's rule term by term.
 """
 
 from __future__ import annotations
@@ -177,6 +183,18 @@ class AngleCounts(Mapping):
         return dict(self.items()) == {k: v for k, v in other.items() if v}
 
 
+def _merge(numerators: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct numerators, ascending, and the sum of the counts of each.
+
+    A function of its own so that its temporaries are freed before
+    ``_exact_sum`` takes ``root_values``."""
+    # numpy's stable sort (timsort) merges sorted runs: cheap on a window's block histograms
+    order = np.argsort(numerators, kind="stable")
+    a, counts = numerators[order], counts[order]
+    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))[:len(a)]
+    return a[first], np.add.reduceat(counts, first)
+
+
 def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
     """Exact-mode result for the terms e(numerators[i]/den), counts[i] of each.
 
@@ -184,27 +202,29 @@ def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> Sum
     int64 while den < 2^62 and Python ints beyond; counts keep their dtype."""
     a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
     keep = counts != 0
-    a, where = np.unique(a[keep], return_inverse=True)
-    merged = np.zeros(len(a), dtype=counts.dtype)
-    np.add.at(merged, where, counts[keep])
+    a, merged = _merge(a[keep], counts[keep])
     roots = root_values(a, den)
     weights = merged.astype(np.float64)
     value = complex(math.fsum(weights * roots.real), math.fsum(weights * roots.imag))
     return SumResult(value, term_count, "exact", AngleCounts(a, merged, den))
 
 
+def _residues(ns: np.ndarray, m: int) -> np.ndarray:
+    """n mod m as int64 for every n of ns, an object array past 2^63."""
+    return (ns % m).astype(np.int64, copy=False)
+
+
 def _chi_numerators(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
     """``angle_numerators`` of ns, from the value table when one exists."""
     if chi.q <= VALUE_TABLE_CAP:
-        return chi.value_table[0][(ns % chi.q).astype(np.int64)]
+        return chi.value_table[0][_residues(ns, chi.q)]
     return chi.angle_numerators(ns)
 
 
 def _chi_values(chi: DirichletCharacter, ns: np.ndarray) -> np.ndarray:
     """chi(n) for each n of ns, from the value table when one exists."""
     if chi.q <= VALUE_TABLE_CAP:
-        # ns may be an object array past 2^63; its residues fit int64
-        return chi.value_table[1][(ns % chi.q).astype(np.int64)]
+        return chi.value_table[1][_residues(ns, chi.q)]
     A = chi.angle_numerators(ns)
     return np.where(A >= 0, root_values(A, chi.order), 0j)
 
@@ -218,13 +238,35 @@ def _phase_numerators(nums, den: int, xs) -> np.ndarray:
     """
     xs = np.asarray(xs)
     if den * den <= 1 << 63:
-        xs = (xs % den).astype(np.int64)
+        xs = _residues(xs, den)
     else:
         xs = xs.astype(object) % den
-    acc = np.zeros_like(xs)
-    for c in reversed(nums):
+    acc = nums[-1] % den
+    for c in reversed(nums[:-1]):
         acc = (acc * xs + c % den) % den
-    return acc
+    return acc if isinstance(acc, np.ndarray) else np.full_like(xs, acc)
+
+
+def _residue_table(G: RealPolynomial, N: int) -> Optional[np.ndarray]:
+    """G's numerators (``_phase_numerators``) at the residues 0, ..., den-1
+    when G is rational with den <= min(N, _BLOCK), N the number of terms it
+    twists; None otherwise, and the twist runs Horner term by term."""
+    if not G.is_rational:
+        return None
+    nums, den = G.angle_data()
+    return _phase_numerators(nums, den, np.arange(den)) if den <= min(N, _BLOCK) else None
+
+
+def _twist_factors(G: RealPolynomial, N: int):
+    """ns -> e(G(n)) for every n of ns, as ``np.exp(2j pi G.phases(ns))`` and
+    bit for bit the same: gathered from one value per residue when
+    ``_residue_table`` gives a table, evaluated term by term otherwise."""
+    table = _residue_table(G, N)
+    if table is None:
+        return lambda ns: np.exp(2j * np.pi * G.phases(ns))
+    den = len(table)
+    E = np.exp(2j * np.pi * (table.astype(np.float64) / den))
+    return lambda ns: E[_residues(ns, den)]
 
 
 def _blocks(M: int, N: int):
@@ -291,15 +333,21 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
         (nums, den), L = G.angle_data(), chi.order
         D = math.lcm(L, den)
         dtype = np.int64 if D < 1 << 62 else object
+        table = _residue_table(G, N)
 
         def numerators(ns):
             A = _chi_numerators(chi, ns)
             ns, A = ns[A >= 0], A[A >= 0]
-            phase = _phase_numerators(nums, den, ns)
+            phase = _phase_numerators(nums, den, ns) if table is None else table[_residues(ns, den)]
             return (A.astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
         return _exact_window(numerators, M, N, D)
-    return _blocked_sum(
-        lambda ns: _chi_values(chi, ns) * np.exp(2j * np.pi * G.phases(ns)), M, N)
+    twist = _twist_factors(G, N)
+
+    def terms(ns):
+        t = _chi_values(chi, ns)
+        t *= twist(ns)  # in place: one block-sized temporary fewer
+        return t
+    return _blocked_sum(terms, M, N)
 
 
 def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResult:
@@ -384,13 +432,14 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     yz = np.outer(ys, ys).ravel()  # one row of grid terms per coprime n
     Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)  # n + P yz <= M+N+P^3
     rows = max(1, _BLOCK // (P * P))
+    twist = _twist_factors(G, work)
     v_total = complex(0.0)
     for lo in range(0, len(ns), rows):
         n = np.array(ns[lo:lo + rows], dtype=Pyz.dtype)
-        uniq, where = np.unique((n % q).astype(np.int64), return_inverse=True)
+        uniq, where = np.unique(_residues(n, q), return_inverse=True)
         nbar = np.array([pow(u, -1, q) for u in uniq.tolist()], dtype=np.int64)[where]
         idx = (1 + (P * nbar % q)[:, None] * yz) % q
-        inner = np.sum(vals[idx] * np.exp(2j * np.pi * G.phases(n[:, None] + Pyz)), axis=1)
+        inner = np.sum(vals[idx] * twist(n[:, None] + Pyz), axis=1)
         for c, z in zip(vals[uniq][where].tolist(), inner.tolist()):
             v_total += c * z  # Python complex: numpy's product fuses multiply-adds
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corechar.cli import emit_json, main, parse_character, parse_polynomial
+from corechar.cli import build_parser, emit_json, main, parse_character, parse_polynomial
 
 
 def run_cli(args):
@@ -135,6 +135,23 @@ def test_main_in_process(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["N"] == "6"
+
+
+def test_one_parser_per_process(capsys):
+    """The parser is built once and reused: a call that fails to parse and a
+    call with a config override leave the next call's stdout as it was."""
+    assert build_parser() is build_parser()
+    argv = ["char-sum", "--q", "27", "--chi", "index:1", "--M", "3", "--N", "50"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bogus", "1"])
+    assert exc.value.code == 2
+    assert main(argv + ["--xi0", "0.2"]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
 
 _SUM_GOLDEN = [json.loads(line) for line in

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corechar.arith import as_modulus
@@ -22,7 +23,10 @@ from corechar.characters import (
     quadratic_character,
 )
 from corechar.expsums import (
+    _BLOCK,
     RealPolynomial,
+    _blocked_sum,
+    _chi_values,
     char_sum,
     decompose,
     dirichlet_poly,
@@ -288,6 +292,14 @@ def test_decompose_large_phase_denominator():
         assert abs(res.v_value - expected) <= 1e-9 * res.term_count, (M, N)
 
 
+def _second_primitive_character(q):
+    if q > VALUE_TABLE_CAP:
+        # exponent 2 is enumerate_characters(q, primitive_only=True)[1] for
+        # an odd prime power, without making its ~10^6 characters
+        return DirichletCharacter(as_modulus(q), ((2,),))
+    return enumerate_characters(q, primitive_only=True)[1]
+
+
 @pytest.mark.parametrize("q,M,N,coeffs", [
     # D = lcm(order, ~10^18) >= 2^62: the Python-int branch
     (81, 10**6, 500, [0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)]),
@@ -298,14 +310,13 @@ def test_decompose_large_phase_denominator():
     (729, 10**19, 300, [0, Fraction(1, 7), Fraction(2, 9973)]),
     # above the value table cap
     (3**13, 10**6, 300, [0, Fraction(1, 7), Fraction(2, 9973)]),
+    # den = N and den < N, read from the residue table, across and past 2^63
+    (243, 10**6, 1000, [0, Fraction(1, 8), Fraction(3, 125)]),
+    (729, 2**63 - 150, 300, [0, Fraction(1, 4), Fraction(2, 75)]),
+    (729, 10**20, 300, [0, Fraction(1, 7), Fraction(2, 11)]),
 ])
 def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
-    if q > VALUE_TABLE_CAP:
-        # exponent 2 is enumerate_characters(q, primitive_only=True)[1] for
-        # an odd prime power, without making its ~10^6 characters
-        chi = DirichletCharacter(as_modulus(q), ((2,),))
-    else:
-        chi = enumerate_characters(q, primitive_only=True)[1]
+    chi = _second_primitive_character(q)
     G = RealPolynomial.make(coeffs)
     res = twisted_sum(chi, M, N, G)
     assert res.mode == "exact"
@@ -405,3 +416,60 @@ def test_dirichlet_poly_past_int64():
         res = dirichlet_poly(chi, M, N, t)
         direct = sum(chi(n) * cmath.exp(1j * t * math.log(n)) for n in range(M + 1, M + N + 1))
         assert abs(res.value - direct) <= 1e-9 * N
+
+
+@pytest.mark.parametrize("q,M,coeffs", [
+    (27, 10**6, [0, Fraction(1, 7)]),
+    (2592, 12345, [Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), Fraction(3, 11)]),
+    # den = _BLOCK reads the table; den = _BLOCK + 1 runs Horner term by term
+    (243, 10**12, [0, Fraction(5, 64), Fraction(3, _BLOCK)]),
+    (243, 10**12, [0, Fraction(1, _BLOCK + 1), Fraction(2, _BLOCK + 1), Fraction(3, _BLOCK + 1)]),
+    # object arrays from 2^63 on
+    (729, 2**63 - 10, [0, Fraction(1, 7), Fraction(2, 11)]),
+    (3**13, 10**6, [0, Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)]),
+])
+def test_twisted_sum_float_bits_match_term_by_term(q, M, coeffs):
+    """Float windows keep their bits: each value equals the blocked sum of
+    chi(n) e(G(n)) with e(G(n)) taken term by term."""
+    chi = _second_primitive_character(q)
+    G = RealPolynomial.make(coeffs)
+    N = 2 * 10**5 + 1
+    res = twisted_sum(chi, M, N, G)
+    expected = _blocked_sum(lambda ns: _chi_values(chi, ns) * np.exp(2j * np.pi * G.phases(ns)), M, N)
+    assert res.mode == "float" and res.value == expected.value
+
+
+def _decompose_v_term_by_term(chi, M, N, G, s):
+    """V of ``decompose`` with e(H_n(yz)) taken term by term over the grid."""
+    q, P = chi.q, chi.modulus.core**s
+    ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
+    vals = chi.value_table[1]
+    ys = np.arange(1, P + 1, dtype=np.int64)
+    yz = np.outer(ys, ys).ravel()
+    Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)
+    rows = max(1, _BLOCK // (P * P))
+    v = complex(0.0)
+    for lo in range(0, len(ns), rows):
+        n = np.array(ns[lo:lo + rows], dtype=Pyz.dtype)
+        uniq, where = np.unique((n % q).astype(np.int64), return_inverse=True)
+        nbar = np.array([pow(u, -1, q) for u in uniq.tolist()], dtype=np.int64)[where]
+        idx = (1 + (P * nbar % q)[:, None] * yz) % q
+        inner = np.sum(vals[idx] * np.exp(2j * np.pi * G.phases(n[:, None] + Pyz)), axis=1)
+        for c, z in zip(vals[uniq][where].tolist(), inner.tolist()):
+            v += c * z
+    return v
+
+
+@pytest.mark.parametrize("q,M,N,coeffs", [
+    (27, 100, 200, [0, Fraction(1, 7)]),
+    (81, 10**6, 1300, [Fraction(1, 3), Fraction(1, 7), Fraction(2, 11)]),
+    # 867 coprime n, 70227 grid terms: den = _BLOCK reads the table
+    (27, 0, 1300, [0, Fraction(5, 64), Fraction(1, 2), Fraction(3, _BLOCK)]),
+    (27, 0, 1300, [0, Fraction(1, _BLOCK + 1)]),
+    (81, 2**63 - 100, 50, [0, Fraction(1, 7), Fraction(2, 11)]),
+])
+def test_decompose_v_bits_match_term_by_term(q, M, N, coeffs):
+    chi = enumerate_characters(q, primitive_only=True)[0]
+    G = RealPolynomial.make(coeffs)
+    res = decompose(chi, M, N, G, 2)
+    assert res.v_value == _decompose_v_term_by_term(chi, M, N, G, 2)
