@@ -14,6 +14,13 @@ evaluates one member of every mirror pair (sigma + it on chi, sigma - it on
 conj chi), the one with t >= 0, and only the unit residues a of the
 Hurwitz sum; the grid reports the first least value in (sigma, t,
 character) order.
+
+The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
+a real magnitude per distinct sigma and a rotation per distinct t among
+the points of a block, which are taken in (t, sigma) order.  The grid's 9
+sigmas share each of its t values, and the contour's left side runs
+through the right side's t nodes, reversed, so both vertical sides share
+every rotation.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ _EM_ORDER = 12
 _TWO_J = np.arange(2, 2 * _EM_ORDER + 1, 2)
 # B_{2j}/(2j)! for j = 1.._EM_ORDER
 _EM_COEFFS = np.array([float(b) for b in _BERNOULLI]) / np.cumprod((_TWO_J - 1.0) * _TWO_J)
-# Hurwitz terms (points x q x direct terms) per _l_sums block: 4 MiB per complex array
+# Hurwitz terms (points x q x direct terms) per _l_sums block, and series terms
+# per block of l_value_series's head: 4 MiB per complex array
 _BLOCK_ENTRIES = 1 << 18
 _SERIES_PASSES = 3  # period averages of the series path
 _GL_ORDER = 12  # Gauss-Legendre nodes per contour panel
@@ -68,24 +76,24 @@ _GRID_SIGMAS, _GRID_TS = 9, 201  # |L| confirmation grid points along sigma and 
 
 def _g_ratio(w: np.ndarray) -> np.ndarray:
     """expm1(w)/w for complex w, stable near 0."""
-    out = np.empty_like(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.exp(w) - 1.0) / w
     small = np.abs(w) < 1e-5
-    big = ~small
-    out[big] = (np.exp(w[big]) - 1.0) / w[big]
-    ws = w[small]
-    out[small] = 1.0 + ws / 2.0 * (1.0 + ws / 3.0 * (1.0 + ws / 4.0))
+    if small.any():
+        ws = w[small]
+        out[small] = 1.0 + ws / 2.0 * (1.0 + ws / 3.0 * (1.0 + ws / 4.0))
     return out
 
 
 def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
     """d/dw [expm1(w)/w] = (w exp(w) - expm1(w))/w^2, stable near 0."""
-    out = np.empty_like(w)
+    ew = np.exp(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (w * ew - (ew - 1.0)) / w**2
     small = np.abs(w) < 1e-4
-    big = ~small
-    wb = w[big]
-    out[big] = (wb * np.exp(wb) - (np.exp(wb) - 1.0)) / wb**2
-    ws = w[small]
-    out[small] = 0.5 + ws / 3.0 + ws**2 / 8.0 + ws**3 / 30.0
+    if small.any():
+        ws = w[small]
+        out[small] = 0.5 + ws / 3.0 + ws**2 / 8.0 + ws**3 / 30.0
     return out
 
 
@@ -103,18 +111,38 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int, with_ds: bool):
     The pole term 1/(s-1) is left out (it is exactly the non-entire part),
     so it cancels identically in nonprincipal L-sums.  Every point takes n0
     direct terms; ``_l_sums`` passes the points of one ``_n_terms`` at a
-    time, so each point gets its own.
+    time, so each point gets its own.  Each power (a+x)^{-s} is the product
+    (a+x)^{-sigma} e^{-it log(a+x)}: the real magnitude is taken once per
+    distinct sigma among the points and the rotation once per run of equal
+    t, which is once per distinct t for points sorted by t.
     """
+    sigma, t = s.real.tolist(), s.imag.tolist()
+    sigmas = sorted(set(sigma))
+    rank = {v: i for i, v in enumerate(sigmas)}
+    si = [rank[v] for v in sigma]                     # each point's row of the magnitudes
+    runs = [i for i in range(1, len(t)) if t[i] != t[i - 1]]   # where runs of equal t start
     s = s[:, None]                                    # (m, 1)
-    k = np.arange(n0, dtype=np.float64)
-    logs = np.log(a[:, None] + k)                     # (len(a), n0)
-    pows = np.exp(-s[:, :, None] * logs)              # (a+k)^{-s}, (m, len(a), n0)
-    vals = pows.sum(axis=2)
+    logs = np.log(a[:, None] + np.arange(n0 + 1.0))   # (len(a), n0 + 1); last column log(a + N)
+    ltop = logs[:, n0]
+    # (a+k)^{-s}, in place: the rotation e^{-it log(a+k)} at the first point of each
+    # run, copied along the run, then both parts scaled by the magnitude
+    pows = np.empty((len(t), len(a), n0 + 1), dtype=np.complex128)
+    for lo, hi in zip([0, *runs], [*runs, len(t)]):
+        rot = pows[lo]
+        np.multiply(logs, -1j * t[lo], out=rot)
+        np.exp(rot, out=rot)
+        pows[lo + 1:hi] = rot
+    mag = np.exp(-np.array(sigmas)[:, None, None] * logs)[si]   # (a+k)^{-sigma}
+    for part in pows.real, pows.imag:
+        np.multiply(part, mag, out=part)
+    del mag
+    top_ms = pows[:, :, n0].copy()                    # (a+N)^{-s}
+    vals = pows[:, :, :n0].sum(axis=2)
     if with_ds:
-        dvals = -(logs * pows).sum(axis=2)
-
-    ltop = np.log(a + float(n0))                      # log(a + N)
-    top_ms = np.exp(-s * ltop)                        # (a+N)^{-s}
+        for part in pows.real, pows.imag:             # log(a+k) (a+k)^{-s}, in place
+            np.multiply(part, logs, out=part)
+        dvals = -pows[:, :, :n0].sum(axis=2)
+    del pows
 
     # boundary minus pole: (a+N)^{1-s}/(s-1) - 1/(s-1) = -ltop * g((1-s) ltop)
     w = (1.0 - s) * ltop
@@ -122,23 +150,31 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int, with_ds: bool):
     if with_ds:
         dvals = dvals + ltop**2 * _g_ratio_prime(w) - 0.5 * ltop * top_ms
 
-    # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (a+N)^{-s-2j+1} in order of j;
-    # (s)_{2j-1} and sum_{i<2j-1} 1/(s+i) as running products and sums over s+i.
+    # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (a+N)^{-s-2j+1}, added in order of j
+    # by one reduction over stack[:, 0] = the sum so far and stack[:, j] = term j;
+    # (a+N)^{-s-2j+1} = (a+N)^{-s} (a+N)^{1-2j}, and (s)_{2j-1} and sum_{i<2j-1} 1/(s+i)
+    # are running products and sums over s+i.
     shifts = s + np.arange(2 * _EM_ORDER - 1)
     poch = np.cumprod(shifts, axis=1)[:, ::2]         # (m, _EM_ORDER)
-    powterm = np.exp((-s - _TWO_J + 1)[:, :, None] * ltop)
-    terms = (_EM_COEFFS * poch)[:, :, None] * powterm
-    for j in range(_EM_ORDER):
-        vals = vals + terms[:, j]
+    powterm = top_ms[:, None] * np.exp((1 - _TWO_J)[:, None] * ltop)
+    stack = np.empty((len(poch), 1 + _EM_ORDER, len(a)), dtype=np.complex128)
+    stack[:, 0] = vals
+    terms = stack[:, 1:]
+    np.multiply((_EM_COEFFS * poch)[:, :, None], powterm, out=terms)
+    vals = np.add.reduce(stack, axis=1)
     if not with_ds:
         return vals[None]
     dlog = np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
     # poch * dlog rounded as a scalar complex product (numpy's fuses multiply-adds)
     pr, pi, dr, di = poch.real, poch.imag, dlog.real, dlog.imag
     dpoch = (pr * dr - pi * di) + 1j * (pr * di + pi * dr)
-    dterms = (_EM_COEFFS[:, None] * powterm) * (dpoch[:, :, None] - poch[:, :, None] * ltop)
-    for j in range(_EM_ORDER):
-        dvals = dvals + dterms[:, j]
+    # terms = (B_{2j}/(2j)! (a+N)^{-s-2j+1}) (dpoch - poch log(a+N)), in place
+    stack[:, 0] = dvals
+    np.multiply(poch[:, :, None], ltop, out=terms)
+    np.subtract(dpoch[:, :, None], terms, out=terms)
+    np.multiply(_EM_COEFFS[:, None], powterm, out=powterm)
+    np.multiply(powterm, terms, out=terms)
+    dvals = np.add.reduce(stack, axis=1)
     return np.stack((vals, dvals))
 
 
@@ -159,7 +195,8 @@ def hurwitz_zeta(s: complex, a) -> complex:
 
 def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
     """(n_chi, q) complex matrix of chi(a) in column a-1 for a = 1..q."""
-    return np.stack([np.roll(chi.value_table[1], -1) for chi in chis])
+    rows = np.stack([chi.value_table[1] for chi in chis])
+    return np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
 
 
 def _l_sums(X: np.ndarray, s, with_ds: bool = False):
@@ -171,18 +208,20 @@ def _l_sums(X: np.ndarray, s, with_ds: bool = False):
     the d/ds values come second.  Only the columns nonzero in some row (the
     units a, for character rows) reach the kernel.  Points are grouped by
     their own ``_n_terms`` and go in blocks of ``_BLOCK_ENTRIES`` Hurwitz
-    terms within a group; each point takes its own matrix-vector product,
-    so its values do not depend on the other points.
+    terms within a group, in (t, sigma) order, so that the points of a block
+    share their t and sigma values; each point takes its own matrix-vector
+    product, so its values do not depend on the other points.
     """
     s = np.asarray(s, dtype=np.complex128)
     q = X.shape[1]
-    units = np.flatnonzero(np.any(X != 0, axis=0))   # chi(a) = 0 off the units
+    units = np.flatnonzero(X.any(axis=0))   # chi(a) = 0 off the units
     X, a_over_q = X[:, units], (units + 1) / q
     qf = math.log(q)
     out = np.empty((1 + with_ds, len(X), len(s)), dtype=np.complex128)
-    n0 = _n_terms(np.abs(s))
+    order = np.lexsort((s.real, s.imag))
+    n0 = _n_terms(np.abs(s))[order]
     for n in sorted(set(n0.tolist())):
-        group = np.flatnonzero(n0 == n)
+        group = order[n0 == n]
         step = max(1, _BLOCK_ENTRIES // (len(units) * n))
         for lo in range(0, len(group), step):
             at = group[lo:lo + step]
@@ -240,12 +279,17 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
     q = chi.q
     terms = int(min(4e6, max(4000, 60 * ((abs(s) + 8.0) * q))))
     window = _SERIES_PASSES * (q - 1) + 1 if q > 1 else 1
-    n_max = terms + window
     _, vals = chi.value_table
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    series = vals[np.arange(1, n_max + 1) % q] * np.exp(-s * np.log(ns))
-    prefix = np.cumsum(series)
-    cur = prefix[terms - 1: terms - 1 + window]
+
+    def series(lo: int, hi: int) -> np.ndarray:
+        ns = np.arange(lo, hi)
+        return vals[ns % q] * np.exp(-s * np.log(ns.astype(np.float64)))
+
+    # partial sums at the cutoffs terms .. terms + window - 1: the head below
+    # them summed a block at a time, the window itself cumulatively
+    head = sum(series(lo, min(lo + _BLOCK_ENTRIES, terms)).sum()
+               for lo in range(1, terms, _BLOCK_ENTRIES))
+    cur = head + np.cumsum(series(terms, terms + window))
     for _ in range(_SERIES_PASSES):
         if q > 1:
             kernel = np.ones(q) / q
@@ -260,9 +304,10 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
 
 def _contour(alpha: float, T: float, max_panel: float):
     """Gauss-Legendre nodes and dz-weights around the rectangle
-    [alpha, 1] x [-T, T], oriented counterclockwise."""
-    corners = [complex(alpha, -T), complex(1.0, -T), complex(1.0, T),
-               complex(alpha, T), complex(alpha, -T)]
+    [alpha, 1] x [-T, T], oriented counterclockwise.  The left side is the
+    right side run backwards: the same t nodes, reversed, with the weights
+    reversed and negated, so the two vertical sides share every t."""
+    corners = [complex(alpha, -T), complex(1.0, -T), complex(1.0, T), complex(alpha, T)]
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     pts, wts = [], []
     for z0, z1 in zip(corners[:-1], corners[1:]):
@@ -270,9 +315,11 @@ def _contour(alpha: float, T: float, max_panel: float):
         i = np.arange(panels)[:, None]
         u0, u1 = i / panels, (i + 1) / panels
         half = (u1 - u0) / 2.0
-        pts.append(z0 + ((u0 + u1) / 2.0 + half * nodes) * (z1 - z0))
-        wts.append(weights * half * (z1 - z0))
-    return np.concatenate(pts, axis=None), np.concatenate(wts, axis=None)
+        pts.append((z0 + ((u0 + u1) / 2.0 + half * nodes) * (z1 - z0)).ravel())
+        wts.append((weights * half * (z1 - z0)).ravel())
+    pts.append(alpha + 1j * pts[1].imag[::-1])
+    wts.append(-wts[1][::-1])
+    return np.concatenate(pts), np.concatenate(wts)
 
 
 def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_panel: float):

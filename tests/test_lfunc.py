@@ -179,6 +179,94 @@ def test_batched_l_sums_match_single_points():
         assert grid["min_abs"] == best and grid["at"] == best_at, (q, grid, best_at)
 
 
+def _complex_exp_kernel(s, a, n0, with_ds):
+    """Reference Hurwitz kernel: every power (a+k)^{-s} and (a+N)^{-s-2j+1} as
+    its own complex exp, the Bernoulli terms added one j at a time."""
+    s = s[:, None]
+    logs = np.log(a[:, None] + np.arange(n0, dtype=np.float64))
+    pows = np.exp(-s[:, :, None] * logs)
+    vals = pows.sum(axis=2)
+    if with_ds:
+        dvals = -(logs * pows).sum(axis=2)
+    ltop = np.log(a + float(n0))
+    top_ms = np.exp(-s * ltop)
+    w = (1.0 - s) * ltop
+    vals = vals - ltop * lfunc._g_ratio(w) + 0.5 * top_ms
+    if with_ds:
+        dvals = dvals + ltop**2 * lfunc._g_ratio_prime(w) - 0.5 * ltop * top_ms
+    shifts = s + np.arange(2 * lfunc._EM_ORDER - 1)
+    poch = np.cumprod(shifts, axis=1)[:, ::2]
+    powterm = np.exp((-s - lfunc._TWO_J + 1)[:, :, None] * ltop)
+    terms = (lfunc._EM_COEFFS * poch)[:, :, None] * powterm
+    for j in range(lfunc._EM_ORDER):
+        vals = vals + terms[:, j]
+    if not with_ds:
+        return vals[None]
+    dlog = np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
+    pr, pi, dr, di = poch.real, poch.imag, dlog.real, dlog.imag
+    dpoch = (pr * dr - pi * di) + 1j * (pr * di + pi * dr)
+    dterms = (lfunc._EM_COEFFS[:, None] * powterm) * (dpoch[:, :, None] - poch[:, :, None] * ltop)
+    for j in range(lfunc._EM_ORDER):
+        dvals = dvals + dterms[:, j]
+    return np.stack((vals, dvals))
+
+
+def _assert_close(new, ref, rel, where):
+    """Entries of new within rel of the reference, relative to the largest
+    reference entry of their row (one character's values or derivatives)."""
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    err = np.max(np.abs(new - ref) / scale)
+    assert err <= rel, (where, err)
+
+
+def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
+    """The kernel that takes magnitudes per sigma and rotations per t agrees
+    with one complex exp per power to 1e-13, values and d/ds: on the contour
+    and the full grid at q = 27, 81 and 243, and at single points up to
+    |s| = 50 (past the n0 floor at |s| = 13.33), and in hurwitz_zeta."""
+    rng = np.random.default_rng(15)
+    singles = (rng.uniform(0.5, 2.0, 40) + 1j * rng.uniform(-50.0, 50.0, 40)).tolist()
+    singles += [complex(0.6, 0.0), complex(1.0, 13.0), complex(0.9, 14.0), complex(2.0, 50.0)]
+    assert max(lfunc._n_terms(abs(s)) for s in singles) > lfunc._n_terms(0.0)
+    sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
+    grid = (sigmas[:, None] + 1j * np.linspace(-10.0, 10.0, lfunc._GRID_TS)).ravel()
+    contour, _ = lfunc._contour(0.9, 10.0, 0.25)
+    for q in (27, 81, 243):
+        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        batches = [("contour", contour), ("grid", grid)]
+        batches += [(s, [s]) for s in singles[:: 1 if q == 27 else 4]]
+        for where, pts in batches:
+            new = lfunc._l_sums(X, pts, with_ds=True)
+            with monkeypatch.context() as m:
+                m.setattr(lfunc, "_hurwitz_core", _complex_exp_kernel)
+                ref = lfunc._l_sums(X, pts, with_ds=True)
+            _assert_close(new[0], ref[0], 1e-13, (q, where, "L"))
+            _assert_close(new[1], ref[1], 1e-13, (q, where, "L'"))
+    for s in singles:
+        for a in (0.3, 1.0):
+            ref = complex(_complex_exp_kernel(np.array([s]), np.array([a]),
+                                              int(lfunc._n_terms(abs(s))), False)[0, 0, 0])
+            ref += 1.0 / (s - 1.0)
+            assert abs(hurwitz_zeta(s, a) - ref) <= 1e-13 * abs(ref), (s, a)
+
+
+@pytest.mark.parametrize("alpha,T,max_panel", [(0.9, 10.0, 0.25), (0.5, 3.7, 0.0625),
+                                               (0.613, 7.25, 0.5), (0.995, 1.0, 0.125)])
+def test_contour_left_side_retraces_right_side(alpha, T, max_panel):
+    """The left side's nodes are the right side's t nodes in reverse order at
+    sigma = alpha, and its weights the right side's, reversed and negated."""
+    pts, wts = lfunc._contour(alpha, T, max_panel)
+    per_side = [lfunc._GL_ORDER * math.ceil(length / max_panel)
+                for length in (1.0 - alpha, 2.0 * T, 1.0 - alpha, 2.0 * T)]
+    assert len(pts) == sum(per_side)
+    right = slice(per_side[0], per_side[0] + per_side[1])
+    left = slice(len(pts) - per_side[3], len(pts))
+    assert np.all(pts[left].real == alpha) and np.all(pts[right].real == 1.0)
+    assert np.array_equal(pts[left].imag, pts[right].imag[::-1])
+    assert np.array_equal(wts[left], -wts[right][::-1])
+    assert np.all(pts[right].imag[1:] > pts[right].imag[:-1])
+
+
 def _full_contour_windings(X, alpha, T, max_panel):
     """Oracle: L and L' at every node of the contour, both halves."""
     pts, wts = lfunc._contour(alpha, T, max_panel)
