@@ -4,7 +4,8 @@ Everything in here is exact: moduli are arbitrary-precision integers,
 group-theoretic data (generators, orders, discrete logarithms) is computed
 over the actual unit groups, and the 0.7-threshold core condition is tested
 in rational arithmetic.  Only the bulk discrete-log tables are numpy arrays.
-``exp_or_inf`` is the one overflow-safe exp, for bounds kept in log space.
+``exp_or_inf`` is the one overflow-safe exp, for bounds kept in log space,
+and ``pow_or_inf`` the one overflow-safe power.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def exp_or_inf(x: float) -> float:
     """exp(x), or inf where it overflows a double."""
     try:
         return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def pow_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where it overflows a double."""
+    try:
+        return base ** exponent
     except OverflowError:
         return math.inf
 

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import as_modulus, factor
+from .arith import as_modulus, factor, pow_or_inf
 
 __all__ = [
     "von_mangoldt",
@@ -276,11 +276,11 @@ def short_interval_check(q: int, a: int, x: float, h: float, b: float = 2.4,
 
     The admissible-window condition q x^(1-1/b+eps) <= h <= x <= q^(1/eps)
     is reported as flags, never enforced: desk-scale inputs routinely sit
-    outside it.  Errors when gcd(a, q) > 1 (the class carries at most one
-    prime power).
+    outside it.  A power that overflows a double reads as inf.  Errors when
+    gcd(a, q) > 1 (the class carries at most one prime power).
     """
-    if q < 1 or x < 0 or h <= 0:
-        raise ValueError("need q >= 1, x >= 0, h > 0")
+    if q < 1 or x < 0 or h <= 0 or eps <= 0:
+        raise ValueError("need q >= 1, x >= 0, h > 0, eps > 0")
     if q > 1 and math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) > 1: class is essentially prime-free")
     window = _psi_window(x, x + h, q, a)
@@ -289,8 +289,8 @@ def short_interval_check(q: int, a: int, x: float, h: float, b: float = 2.4,
     lx = math.log(x) if x > 1 else 0.0
     shape = math.exp(-c0 * lx ** (1.0 / 3.0) * math.log(lx) ** (-1.0 / 3.0)) \
         if lx > 1 else 1.0
-    lower_ok = q * x ** (1.0 - 1.0 / b + eps) <= h
-    upper_ok = h <= x <= float(q) ** (1.0 / eps) if q > 1 else h <= x
+    lower_ok = q * pow_or_inf(x, 1.0 - 1.0 / b + eps) <= h
+    upper_ok = h <= x <= pow_or_inf(float(q), 1.0 / eps) if q > 1 else h <= x
     return PsiReport(
         q=q, a=a % q, x=x, h=h,
         delta_psi=window.value, main_term=main, rel_error=rel,

@@ -1,9 +1,11 @@
 """Exact counting for the Vinogradov system and the double-sum inequality.
 
 N_{k,d}(P) counts 2k-tuples (y, z) in [1,P]^{2k} whose first d power sums
-agree.  The production count is meet-in-the-middle: tabulate the signature
-(sum y^r)_{r<=d} of every k-tuple and add up squared multiplicities.  A
-literal all-pairs enumeration is kept alongside as the independent oracle.
+agree.  The production count is meet-in-the-middle: it codes the signature
+(sum y^r)_{r<=d} of every k-tuple as one mixed-radix integer, the sum of
+its entries' codes, and adds up squared code multiplicities; no signature
+table is built.  A literal all-pairs enumeration, with a signature table of
+its own, is kept alongside as the independent oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .arith import exp_or_inf
 from .expsums import RealPolynomial, double_sum
 
 __all__ = [
-    "power_sum_signature",
     "count_vinogradov",
     "count_vinogradov_naive",
     "rational_approx",
@@ -31,101 +32,76 @@ __all__ = [
     "FordReport",
 ]
 
-_TUPLE_BUDGET = 1 << 22  # k-tuples in the signature table
+_TUPLE_BUDGET = 1 << 22  # k-tuples whose codes are held at once
 _PAIR_BUDGET = 10**8  # 2k-tuples in the all-pairs oracle
 
 
-def power_sum_signature(values: Sequence[int], d: int) -> tuple[int, ...]:
-    """The d power sums of a k-tuple: entry r-1 is sum_i y_i^r.
+def _entry_codes(k: int, d: int, P: int) -> np.ndarray:
+    """c(y) = sum_r (y^r - 1) W_r for y = 1..P, W_r the product of the
+    radices k (P^j - 1) + 1 for j > r.
 
-    Tuples from [1, P]^k satisfy k <= sum_i y_i^r <= k * P^r.
+    Power sum r of a k-tuple minus k lies in [0, k (P^r - 1)], so the sum of
+    its entries' codes is an injective mixed-radix code of its signature.
+    That sum is at most the radix product minus 1: the codes are int64 while
+    the product is below 2^62, and Python ints (an object array) otherwise.
     """
-    sums = []
-    powers = list(values)
-    for _ in range(d):
-        sums.append(sum(powers))
-        powers = [p * v for p, v in zip(powers, values)]
-    return tuple(sums)
-
-
-def _signature_array(k: int, d: int, P: int) -> Optional[np.ndarray]:
-    """(P^k, d) int64 array of power-sum signatures, or None if it cannot
-    be represented safely in 64-bit arithmetic."""
-    if any(k * P**r >= (1 << 62) for r in range(1, d + 1)):
-        return None
-    powers = np.empty((P, d), dtype=np.int64)
-    base = np.arange(1, P + 1, dtype=np.int64)
-    col = base.copy()
-    for r in range(d):
-        powers[:, r] = col
-        if r + 1 < d:
-            col = col * base
-    total = P**k
-    sigs = np.zeros((total, d), dtype=np.int64)
-    idx = np.arange(total)
-    for coord in range(k):
-        digits = (idx // P**coord) % P
-        sigs += powers[digits]
-    return sigs
+    radices = [k * (P**r - 1) + 1 for r in range(1, d + 1)]
+    dtype = np.int64 if math.prod(radices) < (1 << 62) else object
+    ys = np.arange(1, P + 1, dtype=dtype)
+    power = np.ones_like(ys)
+    code = np.zeros_like(ys)
+    for radix in radices:  # Horner: every step stays below the radix product
+        power *= ys
+        code *= radix
+        code += power - 1
+    return code
 
 
 def count_vinogradov(k: int, d: int, P: int) -> int:
-    """Exact N_{k,d}(P) via a signature table: sum over v of r(v)^2.
+    """Exact N_{k,d}(P) = sum over signatures v of r(v)^2, r(v) the number
+    of k-tuples with power sums v, counted on their signature codes.
 
-    Arbitrary-precision fallback keeps the count exact when k*P^d
-    overflows 64-bit intermediates.  Errors when the P^k-entry table
-    would exceed ``_TUPLE_BUDGET``.
+    Errors when the P^k tuple codes would exceed ``_TUPLE_BUDGET``.
     """
     if k < 1 or d < 1 or P < 1:
         raise ValueError("need k, d, P >= 1")
     if P**k > _TUPLE_BUDGET:
-        raise ValueError(f"signature table of {P}^{k} tuples exceeds the budget")
-    sigs = _signature_array(k, d, P)
-    if sigs is not None:
-        # encode rows losslessly: mixed radix in (k*(P^r - 1) + 1) per column
-        radices = [k * (P**r - 1) + 1 for r in range(1, d + 1)]
-        if math.prod(radices) < (1 << 62):
-            code = np.zeros(len(sigs), dtype=np.int64)
-            for r in range(d):
-                code = code * radices[r] + (sigs[:, r] - k)
-            _, counts = np.unique(code, return_counts=True)
-        else:
-            _, counts = np.unique(sigs, axis=0, return_counts=True)
-        # exact in int64: the sum is at most (P^k)^2 <= 2^44 under the table cap
-        return int(np.dot(counts, counts))
-    # big-integer path
-    table: dict[tuple, int] = {}
-    for combo in itertools.product(range(1, P + 1), repeat=k):
-        sig = power_sum_signature(combo, d)
-        table[sig] = table.get(sig, 0) + 1
-    return sum(c * c for c in table.values())
+        raise ValueError(f"the codes of {P}^{k} tuples exceed the budget")
+    codes = _entry_codes(k, d, P)
+    tuple_codes = codes
+    for _ in range(k - 1):
+        tuple_codes = np.add.outer(tuple_codes, codes).ravel()
+    _, counts = np.unique(tuple_codes, return_counts=True)
+    # exact in int64: the sum is at most (P^k)^2 <= 2^44 under the table cap
+    return int(np.dot(counts, counts))
 
 
 def count_vinogradov_naive(k: int, d: int, P: int) -> int:
     """Independent oracle: enumerate all (y, z) pairs and compare power sums.
 
-    Literal 2k-fold iteration for small instances; a chunked all-pairs
-    array comparison (still no multiplicity shortcut) above that.
+    Signatures are tuples of Python ints.  Literal 2k-fold iteration for
+    small instances; a chunked all-pairs int64 comparison (still no
+    multiplicity shortcut) above that.
     """
     if k < 1 or d < 1 or P < 1:
         raise ValueError("need k, d, P >= 1")
     pairs = P ** (2 * k)
     if pairs > _PAIR_BUDGET:
         raise ValueError(f"{pairs} pairs exceed the oracle budget")
-    if pairs <= 4 * 10**6:
-        powers = [[y**r for r in range(1, d + 1)] for y in range(P + 1)]
-        count = 0
-        tuples = list(itertools.product(range(1, P + 1), repeat=k))
-        sigs = [tuple(sum(powers[y][r] for y in t) for r in range(d)) for t in tuples]
+    literal = pairs <= 4 * 10**6
+    if not literal and k * P**d >= (1 << 62):
+        raise ValueError("instance too large for the 64-bit all-pairs oracle")
+    powers = [[y**r for r in range(1, d + 1)] for y in range(P + 1)]
+    tuples = itertools.product(range(1, P + 1), repeat=k)
+    sigs = [tuple(sum(powers[y][r] for y in t) for r in range(d)) for t in tuples]
+    count = 0
+    if literal:
         for sy in sigs:
             for sz in sigs:
                 if sy == sz:
                     count += 1
         return count
-    sigs_arr = _signature_array(k, d, P)
-    if sigs_arr is None:
-        raise ValueError("instance too large for the 64-bit all-pairs oracle")
-    count = 0
+    sigs_arr = np.array(sigs, dtype=np.int64)
     chunk = max(1, (1 << 24) // max(1, len(sigs_arr) * d))
     for start in range(0, len(sigs_arr), chunk):
         block = sigs_arr[start:start + chunk]
@@ -147,7 +123,6 @@ def rational_approx(alpha, bound: int) -> tuple[int, int, float]:
     if exact.denominator <= bound:
         return exact.numerator, exact.denominator, 0.0
     # continued-fraction convergents h/k of the exact value
-    num, den = exact.numerator, exact.denominator
     h_prev, k_prev = 1, 0
     h, k = math.floor(exact), 1
     frac = exact - math.floor(exact)

@@ -34,6 +34,33 @@ def _announce(criterion: str, detail: str = ""):
 # -- criterion 1 -------------------------------------------------------------
 
 
+def _postnikov_data(q):
+    """(d, step, u) with u[x] = (nn_x, dd_x), u_x = F_d(step*x)/q = nn_x/dd_x
+    in lowest terms, computed once per modulus from ``fd_eval``."""
+    mod = FactoredModulus.from_int(q)
+    d = minimal_postnikov_degree(mod)
+    step = mod.tau * mod.core
+    u = []
+    for x in range(q // step):
+        ux = fd_eval(d, step * x) / q
+        u.append((ux.numerator, ux.denominator))
+    return d, step, u
+
+
+def _first_identity_failure(chi, m, step, u):
+    """The first x with chi(1 + step*x) != e(m*u_x), or None.
+
+    chi(1 + step*x) = e(a/b) from the scalar ``evaluate``, and
+    (m*u_x) mod 1 = (m*nn_x mod dd_x)/dd_x; both lie in [0, 1), so they are
+    equal exactly when a*dd_x == (m*nn_x mod dd_x)*b in Python ints.
+    """
+    for x, (nn, dd) in enumerate(u):
+        angle = chi.evaluate(1 + step * x)
+        if angle.numerator * dd != (m * nn % dd) * angle.denominator:
+            return x
+    return None
+
+
 def test_criterion_1_postnikov_identity_exact():
     """Exact representation identity for every primitive character mod
     p^gamma <= 5000, p in {3, 5, 7}; zero tolerance; <= 2 minutes."""
@@ -46,20 +73,15 @@ def test_criterion_1_postnikov_identity_exact():
             q *= p
     checked, search = 0, 0.0
     for q in moduli:
-        mod = FactoredModulus.from_int(q)
-        d = minimal_postnikov_degree(mod)
-        step = mod.tau * mod.core
-        # independent verification data: u_x = F_d(step*x)/q, computed once
-        u = [fd_eval(d, step * x) / q for x in range(q // step)]
+        d, step, u = _postnikov_data(q)
         divisors = [r for r in range(1, d + 1) if math.gcd(r, q) == 1]
-        for chi in enumerate_characters(mod, primitive_only=True):
+        for chi in enumerate_characters(q, primitive_only=True):
             t_search = time.time()
             m = find_postnikov_m(chi, d)
             search += time.time() - t_search
-            # independent re-verification at every x, in plain Fractions
-            for x in range(q // step):
-                lhs = chi.evaluate(1 + step * x).fraction
-                assert lhs == (m * u[x]) % 1, (q, chi.label(), x)
+            # independent re-verification at every x, in integers
+            x = _first_identity_failure(chi, m, step, u)
+            assert x is None, (q, chi.label(), x)
             for r in divisors:
                 assert m % r == 0, (q, chi.label(), r, m)
             assert math.gcd(m, q) == 1
@@ -69,6 +91,17 @@ def test_criterion_1_postnikov_identity_exact():
     _announce("1 (postnikov identity)",
               f"{checked} primitive characters over {len(moduli)} moduli in {elapsed:.1f}s "
               f"(search {search:.1f}s)")
+
+
+def test_criterion_1_check_rejects_a_corrupted_multiplier():
+    # m + 1 changes e(m*u_x) wherever u_x is not an integer, so the integer
+    # check must fail for every primitive character; m itself passes
+    for q in (27, 25, 49):
+        d, step, u = _postnikov_data(q)
+        for chi in enumerate_characters(q, primitive_only=True):
+            m = find_postnikov_m(chi, d)
+            assert _first_identity_failure(chi, m, step, u) is None
+            assert _first_identity_failure(chi, m + 1, step, u) is not None, (q, chi.label())
 
 
 # -- criterion 2 -------------------------------------------------------------

@@ -100,6 +100,30 @@ def test_window_flags():
     assert not rep.window_lower_ok  # q x^(1-1/b+eps) is way above h at desk scale
 
 
+def test_window_flags_at_the_least_admissible_h():
+    # h = ceil(q x^(1-1/b+eps)) is the least h the lower condition admits
+    q, x, b, eps = 9, 10**6, 2.4, 0.05
+    h = math.ceil(q * x ** (1 - 1 / b + eps))
+    rep = short_interval_check(q, 1, x, h, b=b, eps=eps)
+    assert rep.window_lower_ok and rep.window_upper_ok
+    rep = short_interval_check(q, 1, x, h - 1, b=b, eps=eps)
+    assert not rep.window_lower_ok and rep.window_upper_ok
+
+
+def test_window_flags_read_an_overflowing_power_as_inf():
+    # q^(1/eps) = 7^500 and x^(1-1/b+eps) = (1e6)^60.58 each overflow a double
+    rep = short_interval_check(7, 1, 1e6, 1e5, eps=0.002)
+    assert rep.window_lower_ok and rep.window_upper_ok
+    rep = short_interval_check(7, 1, 1e6, 1e5, eps=60)
+    assert not rep.window_lower_ok and not rep.window_upper_ok
+
+
+@pytest.mark.parametrize("eps", [0, -0.05])
+def test_short_interval_rejects_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="eps > 0"):
+        short_interval_check(27, 1, 1000, 100, eps=eps)
+
+
 def _sieved_counts(lo: int, hi: int, q: int, a: int) -> dict[int, int]:
     """Reference: a plain numpy sieve of all of [0, hi], keeping the prime
     powers n > lo with n = a (mod q)."""

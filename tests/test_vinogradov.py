@@ -4,10 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corechar.vinogradov import (
-    _signature_array,
+    _entry_codes,
     count_vinogradov,
     count_vinogradov_naive,
     ford_bound,
@@ -57,12 +58,22 @@ def test_bounds_and_monotonicity():
 
 
 def test_bigint_path_matches_numpy_path():
-    # k P^d = 2 * 4^31 = 2^63 forces the Python-int path; d = 30, with
-    # k P^d = 2^61, is the largest d at k = 2, P = 4 that the int64 table takes
-    assert _signature_array(2, 31, 4) is None
-    assert _signature_array(2, 30, 4) is not None
-    for d in (30, 31):
+    # the codes are int64 while the radix product prod_r (k (P^r - 1) + 1)
+    # is below 2^62: at k = 2, P = 4 it is 2.4e14 for d = 6 and 7.7e18 for
+    # d = 7, the first object-array case; d = 30 and 31 stay far past it
+    for d, dtype in ((6, np.int64), (7, object), (30, object), (31, object)):
+        product = math.prod(2 * (4**r - 1) + 1 for r in range(1, d + 1))
+        assert (product < 2**62) == (dtype is np.int64)
+        assert _entry_codes(2, d, 4).dtype == dtype
         assert count_vinogradov(2, d, 4) == count_vinogradov_naive(2, d, 4)
+
+
+def test_oracle_64_bit_guard():
+    # the chunked all-pairs oracle stores power sums in int64 and refuses
+    # k P^d >= 2^62: 2 * 50^10 is 2.0e17, 2 * 50^11 is 9.8e18
+    assert count_vinogradov_naive(2, 10, 50) == count_vinogradov(2, 10, 50)
+    with pytest.raises(ValueError, match="64-bit"):
+        count_vinogradov_naive(2, 11, 50)
 
 
 def test_budget_error():
@@ -71,8 +82,8 @@ def test_budget_error():
 
 
 def test_tuple_budget_is_the_table_cap():
-    # the largest table the budget admits is built as an int64 array; one
-    # tuple more is refused, not counted on the per-tuple dict path
+    # the largest set of tuple codes the budget admits is counted; one
+    # tuple more is refused
     assert count_vinogradov(1, 1, 2**22) == 2**22
     with pytest.raises(ValueError):
         count_vinogradov(1, 1, 2**22 + 1)
