@@ -37,6 +37,7 @@ from .arith import (
     discrete_log,
     dlog_table,
     unit_group_basis,
+    valuation,
 )
 
 __all__ = [
@@ -294,27 +295,17 @@ def _component_conductor_exponent(p: int, gamma: int, exps: tuple[int, ...]) -> 
 
     Derived from the basis structure: for odd p (cyclic, generator order
     p^(gamma-1)(p-1)) the component is trivial on the units = 1 mod p^beta
-    exactly when p^(gamma-beta) | k.  For p = 2 the {-1, 5} basis gives
-    conductor 1, 4 or 2^(gamma - v2(e2)).
+    exactly when p^(gamma-beta) | k, so beta = max(1, gamma - v_p(k)).  For
+    p = 2 the {-1, 5} basis gives conductor 1, 4 or 2^max(3, gamma - v2(e2)):
+    the {-1} part never raises it above 4, the 5-part floor is 8.
     """
     if all(k == 0 for k in exps):
         return 0
     if p != 2:
-        k = exps[0]
-        beta = 1
-        while beta < gamma and k % (p ** (gamma - beta)) != 0:
-            beta += 1
-        return beta
-    if gamma == 2:
-        return 2  # the nontrivial character mod 4
-    e1, e2 = exps
-    if e2 == 0:
+        return max(1, gamma - valuation(exps[0], p))
+    if gamma == 2 or exps[1] == 0:
         return 2
-    beta = 3
-    while beta < gamma and e2 % (2 ** (gamma - beta)) != 0:
-        beta += 1
-    # the {-1} part never raises the conductor above 4, the 5-part floor is 8
-    return beta
+    return max(3, gamma - valuation(exps[1], 2))
 
 
 def principal_character(q) -> DirichletCharacter:

@@ -25,7 +25,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:  # NaN fails > 0
                 raise ValueError(f"{f.name} must be positive")
 
     def as_dict(self) -> dict:

@@ -5,11 +5,13 @@ Exact mode covers terms that are roots of unity with exact rational angles
 (pure character sums, polynomial twists with rational coefficients): each
 is an integer numerator over one denominator, chi's numerators A(n) over its
 order L lifted to lcm(L, den) to add a twist's numerators over den.
-``_exact_window`` counts a window's numerators block by block; ``_exact_sum``
-keeps that histogram (numpy arrays), takes its value once as an fsum over
-``root_values`` and reads it as ``exact_angle_terms``.  Float mode has one
-reducer, ``_blocked_sum``: block sums combined left to right, so a result
-depends only on the window and the summand.
+Every exact window is counted by ``_exact_window`` over ``_blocks``: the
+numerators depend on n only mod a period (q, or lcm(q, den) under a twist),
+so whole periods are counted once.  ``_exact_sum`` keeps that histogram (numpy
+arrays), takes its value once as an fsum over ``root_values`` and reads it
+as ``exact_angle_terms``.  Float mode has one reducer, ``_blocked_sum``:
+block sums combined left to right, so a result depends only on the window
+and the summand.  ``decompose`` walks the same blocks.
 
 A rational twist e(G(n)) depends only on n mod den, G's common denominator.
 When den <= min(N, _BLOCK), N the number of terms twisted, G's numerators
@@ -269,17 +271,26 @@ def _twist_factors(G: RealPolynomial, N: int):
     return lambda ns: E[_residues(ns, den)]
 
 
-def _blocks(M: int, N: int):
-    """The window (M, M+N] as consecutive integer arrays of at most _BLOCK terms,
-    int64 below 2^63 and Python ints beyond (np.arange would round through floats)."""
-    for n0 in range(M + 1, M + N + 1, _BLOCK):
-        size = min(_BLOCK, M + N + 1 - n0)
+def _blocks(M: int, N: int, block: int = _BLOCK):
+    """The window (M, M+N] as consecutive integer arrays of at most ``block``
+    terms, int64 below 2^63 and Python ints beyond (np.arange would round
+    through floats).  Every window sum and ``decompose`` walk these blocks."""
+    for n0 in range(M + 1, M + N + 1, block):
+        size = min(block, M + N + 1 - n0)
         yield n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
 
-def _exact_window(block_numerators, M: int, N: int, den: int) -> SumResult:
-    """Exact sum of e(t/den) over (M, M+N]: t = block_numerators(ns) per block, -1 a zero term."""
-    hists = [np.unique(t[t >= 0], return_counts=True) for t in map(block_numerators, _blocks(M, N))]
+def _exact_window(block_numerators, M: int, N: int, den: int, period: int) -> SumResult:
+    """Exact sum of e(t/den) over (M, M+N]: t = block_numerators(ns) per block, -1 a zero term.
+
+    t depends on n only mod period, so N = k period + rem terms count the
+    histogram of (M, M+period] k times and that of (M, M+rem] once."""
+    k, rem = divmod(N, period)
+    dtype = np.int64 if N < 1 << 63 else object  # no count exceeds N
+    hists = [(a, c.astype(dtype, copy=False) * times)
+             for times, n in ((k, period), (1, rem)) if times
+             for a, c in (np.unique(t[t >= 0], return_counts=True)
+                          for t in map(block_numerators, _blocks(M, n)))]
     return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
 
 
@@ -294,26 +305,14 @@ def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     """sum_{n=M+1}^{M+N} chi(n).
 
-    Periodicity reduces the work to one pass over residues whenever a
-    value table fits; the result is then exact.  Oversized moduli read
-    ``angle_numerators`` block by block: per-block histograms merge into an
-    exact result up to the term cap, float block sums are taken beyond it.
+    Exact whenever a value table fits or N <= ``_EXACT_CAP``: the block
+    histograms of one period q, counted once per whole period, and of the
+    remainder merge into one result.  Beyond that, float block sums.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    q, L = chi.q, chi.order
-    if q <= VALUE_TABLE_CAP:
-        # N = periods * q + rem: whole periods, then rem residues from M + 1 on
-        periods, rem = divmod(N, q)
-        A = chi.value_table[0]
-        tail = A[((M + 1) % q + np.arange(rem)) % q]
-        full = np.bincount(A[A >= 0], minlength=L)
-        part = np.bincount(tail[tail >= 0], minlength=L)
-        # no count exceeds N: int64 is exact below 2^63, Python ints beyond
-        counts = full.astype(np.int64 if N < 1 << 63 else object) * periods + part
-        return _exact_sum(np.arange(L), counts, L, N)
-    if N <= _EXACT_CAP:
-        return _exact_window(chi.angle_numerators, M, N, L)
+    if chi.q <= VALUE_TABLE_CAP or N <= _EXACT_CAP:
+        return _exact_window(lambda ns: _chi_numerators(chi, ns), M, N, chi.order, chi.q)
     return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
 
 
@@ -340,7 +339,7 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
             ns, A = ns[A >= 0], A[A >= 0]
             phase = _phase_numerators(nums, den, ns) if table is None else table[_residues(ns, den)]
             return (A.astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
-        return _exact_window(numerators, M, N, D)
+        return _exact_window(numerators, M, N, D, math.lcm(chi.q, den))
     twist = _twist_factors(G, N)
 
     def terms(ns):
@@ -409,7 +408,8 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     and compare core^{-2s} V against the direct window sum.
 
     cN is the set of n in (M, M+N] coprime to q, nbar the inverse of n mod
-    q, and H_n(x) = G(n + core^s x); V is taken a block of cN at a time.
+    q, and H_n(x) = G(n + core^s x); V walks the window's shared blocks,
+    about _BLOCK / core^(2s) n at a time, and keeps the units of each.
     The residual |S - core^{-2s} V| is checked against residual_constant *
     core^{3s}; the constant stands in for an unspecified absolute one and
     is echoed in the result.
@@ -425,17 +425,15 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     work = coprime * P * P
     if work > work_budget or P * P > (1 << 26):
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
-    ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
-    vals = chi.value_table[1]
+    A, vals = chi.value_table
 
     ys = np.arange(1, P + 1, dtype=np.int64)
     yz = np.outer(ys, ys).ravel()  # one row of grid terms per coprime n
     Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)  # n + P yz <= M+N+P^3
-    rows = max(1, _BLOCK // (P * P))
     twist = _twist_factors(G, work)
     v_total = complex(0.0)
-    for lo in range(0, len(ns), rows):
-        n = np.array(ns[lo:lo + rows], dtype=Pyz.dtype)
+    for ns in _blocks(M, N, max(1, _BLOCK // (P * P))):
+        n = ns[A[_residues(ns, q)] >= 0]
         uniq, where = np.unique(_residues(n, q), return_inverse=True)
         nbar = np.array([pow(u, -1, q) for u in uniq.tolist()], dtype=np.int64)[where]
         idx = (1 + (P * nbar % q)[:, None] * yz) % q

@@ -276,11 +276,12 @@ def short_interval_check(q: int, a: int, x: float, h: float, b: float = 2.4,
 
     The admissible-window condition q x^(1-1/b+eps) <= h <= x <= q^(1/eps)
     is reported as flags, never enforced: desk-scale inputs routinely sit
-    outside it.  A power that overflows a double reads as inf.  Errors when
-    gcd(a, q) > 1 (the class carries at most one prime power).
+    outside it.  A power that overflows a double reads as inf.  Errors unless
+    b > 0 and eps > 0 (NaN fails both), and when gcd(a, q) > 1 (the class
+    carries at most one prime power).
     """
-    if q < 1 or x < 0 or h <= 0 or eps <= 0:
-        raise ValueError("need q >= 1, x >= 0, h > 0, eps > 0")
+    if q < 1 or x < 0 or h <= 0 or not b > 0 or not eps > 0:  # NaN fails > 0
+        raise ValueError("need q >= 1, x >= 0, h > 0, b > 0, eps > 0")
     if q > 1 and math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) > 1: class is essentially prime-free")
     window = _psi_window(x, x + h, q, a)

@@ -190,7 +190,7 @@ def test_conductor_examples():
     assert chi.order == 6 and chi.conductor == 9 and chi.is_primitive
 
 
-@pytest.mark.parametrize("q", [8, 9, 12, 16, 27, 45])
+@pytest.mark.parametrize("q", [8, 9, 12, 16, 25, 27, 32, 45])
 def test_conductor_is_minimal_factoring_level(q):
     """Exhaustive oracle: the conductor is the least divisor q* of q with
     chi(n) depending only on n mod q* over units."""

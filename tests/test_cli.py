@@ -52,6 +52,15 @@ def test_computation_error_exit_code():
     assert res.stdout == ""
 
 
+def test_nan_constant_is_an_error(capsys):
+    argv = ["psi-progression", "--q", "27", "--a", "1", "--x", "1000", "--h", "100"]
+    assert main(argv + ["--b", "nan"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "b must be positive" in out.err
+    assert main(argv + ["--eps", "nan"]) == 1
+    assert "eps > 0" in capsys.readouterr().err
+
+
 def test_determinism_repeated_runs():
     cmds = [
         ["vmvt-count", "3", "3", "5"],

@@ -26,7 +26,11 @@ from corechar.expsums import (
     _BLOCK,
     RealPolynomial,
     _blocked_sum,
+    _blocks,
+    _chi_numerators,
     _chi_values,
+    _exact_sum,
+    _phase_numerators,
     char_sum,
     decompose,
     dirichlet_poly,
@@ -233,6 +237,19 @@ def test_decompose_counts_coprime_n_before_the_budget():
         assert res.coprime_count == expected and res.term_count == expected * 36**2, (M, N)
 
 
+def test_decompose_holds_one_block_of_memory():
+    """V walks the window's blocks and holds no list of every coprime n:
+    listing the 2*10^5 coprime n first peaks at 11.2 MiB here."""
+    chi = enumerate_characters(27, primitive_only=True)[0]
+    chi.value_table
+    tracemalloc.start()
+    res = decompose(chi, 0, 3 * 10**5, RealPolynomial.zero(), 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert res.coprime_count == 2 * 10**5
+    assert peak < 6 << 20, peak
+
+
 def test_twisted_sum_float_mode_above_exact_switch():
     chi = enumerate_characters(27, primitive_only=True)[2]
     G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 11)])
@@ -394,6 +411,92 @@ def test_full_period_sums_do_not_pin_value_tables():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert int(res.stdout) < 80 * 1024  # KiB
+
+
+def _period_free_window(block_numerators, M, N, den):
+    """An exact window counted block by block over all of (M, M+N], with no
+    use of a period: the reference for counting whole periods once."""
+    hists = [np.unique(t[t >= 0], return_counts=True) for t in map(block_numerators, _blocks(M, N))]
+    return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
+
+
+def _twisted_numerators(chi, G):
+    """chi(n) e(G(n)) = e(t(n)/D) as in ``twisted_sum``, G by Horner's rule
+    term by term; -1 on non-units is dropped as there."""
+    (nums, den), L = G.angle_data(), chi.order
+    D = math.lcm(L, den)
+    dtype = np.int64 if D < 1 << 62 else object
+
+    def numerators(ns):
+        A = _chi_numerators(chi, ns)
+        ns, A = ns[A >= 0], A[A >= 0]
+        phase = _phase_numerators(nums, den, ns)
+        return (A.astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
+    return numerators, D
+
+
+def _assert_same_exact_result(res, expected):
+    got, want = res.exact_angle_terms, expected.exact_angle_terms
+    assert res.mode == expected.mode == "exact"
+    assert got.den == want.den
+    assert np.array_equal(got.numerators, want.numerators)
+    assert np.array_equal(got.counts, want.counts)
+    assert res.value == expected.value and res.term_count == expected.term_count
+
+
+def _around_whole_periods(period, k):
+    return list(dict.fromkeys([k * period - 1, k * period, k * period + 1, period - 1]))
+
+
+@pytest.mark.parametrize("q,M,k", [
+    (27, 10**6 + 5, 3),
+    (2592, 12345, 3),
+    # object arrays from 2^63 on
+    (27, 2**63 + 5, 3),
+    (27, 10**20 + 7, 3),
+    # above the value table cap: angle_numerators block by block
+    (3**13, 10**6 + 5, 1),
+])
+def test_char_sum_whole_periods_match_period_free_counter(q, M, k):
+    chi = _second_primitive_character(q)
+    numerators = lambda ns: _chi_numerators(chi, ns)  # noqa: E731
+    for N in _around_whole_periods(q, k):
+        expected = _period_free_window(numerators, M, N, chi.order)
+        _assert_same_exact_result(char_sum(chi, M, N), expected)
+
+
+def test_char_sum_whole_periods_at_ten_to_the_twenty():
+    """N = 10^20 terms: k whole periods counted at (M, M+q], and the rem
+    terms counted where they lie, at (M + k q, M + N]."""
+    chi = _second_primitive_character(27)
+    numerators = lambda ns: _chi_numerators(chi, ns)  # noqa: E731
+    M, N = 10**6 + 5, 10**20
+    k, rem = divmod(N, chi.q)
+    period = _period_free_window(numerators, M, chi.q, chi.order).exact_angle_terms
+    tail = _period_free_window(numerators, M + k * chi.q, rem, chi.order).exact_angle_terms
+    expected = _exact_sum(np.concatenate((period.numerators, tail.numerators)),
+                          np.concatenate((period.counts.astype(object) * k, tail.counts)),
+                          chi.order, N)
+    _assert_same_exact_result(char_sum(chi, M, N), expected)
+
+
+@pytest.mark.parametrize("q,M,coeffs,k", [
+    (27, 10**6 + 5, [0, Fraction(1, 7)], 3),
+    (2592, 12345, [Fraction(1, 3), Fraction(1, 5), Fraction(2, 5)], 3),
+    (729, 10**6 + 5, [0, Fraction(1, 729), Fraction(5, 243)], 3),
+    # the period lcm(q, den) is not q
+    (2187, 10**6 + 5, [0, Fraction(1, 5), Fraction(2, 7)], 2),
+    # the period fits, but den > _BLOCK runs Horner's rule term by term
+    (3**5, 10**6 + 5, [0, Fraction(1, 3**11), Fraction(2, 3**10)], 1),
+    (27, 2**63 + 5, [0, Fraction(1, 7), Fraction(2, 11)], 3),
+])
+def test_twisted_sum_whole_periods_match_period_free_counter(q, M, coeffs, k):
+    chi = _second_primitive_character(q)
+    G = RealPolynomial.make(coeffs)
+    numerators, D = _twisted_numerators(chi, G)
+    for N in _around_whole_periods(math.lcm(q, G.angle_data()[1]), k):
+        expected = _period_free_window(numerators, M, N, D)
+        _assert_same_exact_result(twisted_sum(chi, M, N, G), expected)
 
 
 def test_twisted_sum_float_mode_past_int64():

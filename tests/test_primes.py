@@ -124,6 +124,13 @@ def test_short_interval_rejects_nonpositive_eps(eps):
         short_interval_check(27, 1, 1000, 100, eps=eps)
 
 
+@pytest.mark.parametrize("kwargs", [{"b": 0}, {"b": -1}, {"b": math.nan}, {"eps": math.nan}])
+def test_short_interval_rejects_nonpositive_or_nan_b_and_eps(kwargs):
+    """b = 0 would divide by zero; b = -1 and NaN would report flags silently."""
+    with pytest.raises(ValueError, match="b > 0, eps > 0"):
+        short_interval_check(27, 1, 1000, 100, **kwargs)
+
+
 def _sieved_counts(lo: int, hi: int, q: int, a: int) -> dict[int, int]:
     """Reference: a plain numpy sieve of all of [0, hi], keeping the prime
     powers n > lo with n = a (mod q)."""
