@@ -7,12 +7,14 @@ L = chi.order every value is chi(n) = e(A(n)/L) for an integer numerator
 
     A(n) = sum_j w_j * dlog_j(n mod p^gamma) mod L,  w_j = k_j * L / o_j,
 
-over the basis generators j of order o_j and exponents k_j.
-``angle_numerators`` is the one array kernel for A, a dlog table gather per
-prime power; ``angle_numerator`` reads a single value, and ``evaluate``
-reduces it to a ``RationalAngle``.  ``value_table`` holds A and the complex
-values on all residues, in one small cache keyed by the character: equal
-characters share a table, and a list of characters pins none.
+over the basis generators j of order o_j and exponents k_j.  Two kernels
+compute A: ``angle_numerator`` for one n, and ``angle_numerators`` for an
+array, one dlog table gather per prime power, or ``angle_numerator`` per
+element when a prime power of q is above the dlog table cap.  ``evaluate``
+reduces A(n) to a ``RationalAngle``; ``crt_restrict`` reads chi at one CRT
+lift.  ``value_table`` holds A and the complex values on all residues, in
+one small cache keyed by the character: equal characters share a table,
+and a list of characters pins none.
 ``root_values`` turns integer angles into complex values, each exactly as
 ``RationalAngle.to_complex`` does; that conversion happens only at
 summation boundaries.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,6 +37,7 @@ from .arith import (
     DLOG_TABLE_CAP,
     FactoredModulus,
     as_modulus,
+    crt_combine,
     discrete_log,
     dlog_table,
     unit_group_basis,
@@ -112,16 +116,6 @@ def _roots_of_unity(L: int) -> np.ndarray:
     return roots
 
 
-def _component_numerator(p: int, gamma: int, weights: tuple[int, ...], n: int) -> int:
-    """sum_j w_j * dlog_j(n mod p^gamma) for a unit n, with the discrete logs
-    from the table up to the dlog table cap and from Pohlig-Hellman above it."""
-    if p**gamma <= DLOG_TABLE_CAP:
-        logs = dlog_table(p, gamma)[n % p**gamma].tolist()
-    else:
-        logs = discrete_log(n, unit_group_basis(p, gamma))
-    return sum(w * ell for w, ell in zip(weights, logs))
-
-
 @dataclass(frozen=True)
 class DirichletCharacter:
     """A Dirichlet character mod q, identified by its exponent vectors.
@@ -183,30 +177,36 @@ class DirichletCharacter:
         n %= self.q
         if math.gcd(n, self.q) != 1:
             return None
-        return sum(_component_numerator(p, g, ws, n) for p, g, ws in self._weights) % self.order
+        total = 0
+        for p, g, ws in self._weights:
+            if p**g <= DLOG_TABLE_CAP:
+                logs = dlog_table(p, g)[n % p**g].tolist()
+            else:
+                logs = discrete_log(n, unit_group_basis(p, g))
+            total += sum(w * ell for w, ell in zip(ws, logs))
+        return total % self.order
 
     def angle_numerators(self, ns) -> np.ndarray:
         """``angle_numerator`` of every n of the integer array ns (an object
         array past 2^63), -1 where gcd(n, q) > 1: one dlog table gather per
-        prime power up to the table cap, ``_component_numerator`` above it."""
+        prime power, or ``angle_numerator`` per n above the dlog table cap."""
         ns = np.asarray(ns)
         L = self.order
         # with h = gcd(k_j, o_j): w_j*dlog_j = ((k_j/h)*dlog_j mod o_j/h) * L/(o_j/h)
         # mod L, where (k_j/h)*dlog_j < o_j^2 <= 2^44 under the table cap; every
         # term and the running sum stay below L: int64 while L < 2^62, else ints
         dtype = np.int64 if L < 1 << 62 else object
+        if any(p**g > DLOG_TABLE_CAP for p, g in self.modulus.factors):
+            return np.array([-1 if a is None else a for a in map(self.angle_numerator, ns.tolist())],
+                            dtype=dtype)
         acc = np.zeros(len(ns), dtype=dtype)
         unit = np.ones(len(ns), dtype=bool)
-        for (p, g), exps, (_, _, ws) in zip(self.modulus.factors, self.components, self._weights):
+        for (p, g), exps in zip(self.modulus.factors, self.components):
             unit &= ns % p != 0
-            if p**g <= DLOG_TABLE_CAP:
-                logs = dlog_table(p, g)[(ns % p**g).astype(np.int64)]
-                for ell, k, o in zip(logs.T, exps, unit_group_basis(p, g).orders):
-                    h = math.gcd(k, o)
-                    acc = (acc + (ell * (k // h) % (o // h)).astype(dtype) * (L * h // o)) % L
-            else:
-                terms = [_component_numerator(p, g, ws, n) % L for n in ns[unit].tolist()]
-                acc[unit] = (acc[unit] + np.array(terms, dtype=dtype)) % L
+            logs = dlog_table(p, g)[(ns % p**g).astype(np.int64)]
+            for ell, k, o in zip(logs.T, exps, unit_group_basis(p, g).orders):
+                h = math.gcd(k, o)
+                acc = (acc + (ell * (k // h) % (o // h)).astype(dtype) * (L * h // o)) % L
         acc[~unit] = -1
         return acc
 
@@ -260,9 +260,14 @@ class DirichletCharacter:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DirichletCharacter":
-        q = as_modulus(data["q"])
-        by_pp = {(c["p"], c["gamma"]): tuple(c["exponents"]) for c in data["components"]}
+    def from_dict(cls, data) -> "DirichletCharacter":
+        """The inverse of ``to_dict``; ValueError on data of another shape."""
+        try:
+            q = as_modulus(operator.index(data["q"]))
+            by_pp = {(c["p"], c["gamma"]): tuple(map(operator.index, c["exponents"]))
+                     for c in data["components"]}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed character object: bad or missing field ({exc})") from None
         comps = []
         for p, g in q.factors:
             if (p, g) not in by_pp:
@@ -373,19 +378,13 @@ def crt_restrict(chi: DirichletCharacter, k: int, r: int) -> RestrictedCharacter
     s = q // r
     if math.gcd(r, s) != 1:
         raise ValueError(f"gcd(r, s) = gcd({r}, {s}) != 1")
-    r_factors = [i for i, (p, _) in enumerate(chi.modulus.factors) if r % p == 0]
-    s_factors = [i for i in range(len(chi.modulus.factors)) if i not in r_factors]
-
-    mod_s = as_modulus(s)
-    chi_s = DirichletCharacter(mod_s, tuple(chi.components[i] for i in s_factors))
-
+    chi_s = DirichletCharacter(as_modulus(s), tuple(
+        exps for (p, _), exps in zip(chi.modulus.factors, chi.components) if r % p != 0))
     if math.gcd(k, r) != 1:
         raise ValueError(
             f"gcd(k, r) = gcd({k}, {r}) != 1: the progression meets no units mod q"
         )
-    # the numerator of chi_r(k) * chi_s(r) over L = chi.order; chi_s.order divides L
-    L = chi.order
-    offset = chi_s.angle_numerator(r) * (L // chi_s.order)
-    offset += sum(_component_numerator(*chi._weights[i], k) for i in r_factors)
+    # chi_r(k) * chi_s(r) = chi(x) for the unit x = k mod r, x = r mod s
+    x, _ = crt_combine([(k, r), (r, s)])
     shift = pow(r, -1, s) * k % s
-    return RestrictedCharacter(chi_s, RationalAngle.of(offset, L), shift)
+    return RestrictedCharacter(chi_s, chi.evaluate(x), shift)

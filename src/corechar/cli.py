@@ -251,9 +251,16 @@ def cmd_vmvt_count(args, cfg: RunConfig) -> dict:
 def cmd_korobov_check(args, cfg: RunConfig) -> dict:
     with open(args.spec) as fh:
         spec = json.load(fh)
-    coeffs = [Fraction(c) if isinstance(c, str) else c for c in spec["coefficients"]]
-    rep = korobov_check(coeffs, spec["k"], spec["P"],
-                        denominator_bound=spec.get("denominator_bound"))
+    if not isinstance(spec, dict):
+        raise ValueError("the spec file must hold a JSON object")
+    coeffs, k, P, bound = (spec.get(key) for key in ("coefficients", "k", "P", "denominator_bound"))
+    if not (isinstance(coeffs, list) and all(isinstance(c, (int, float, str)) for c in coeffs)):
+        raise ValueError('spec "coefficients" must be a list of numbers and fraction strings')
+    if not (isinstance(k, int) and isinstance(P, int) and (bound is None or isinstance(bound, int))):
+        raise ValueError('spec "k" and "P" must be integers and "denominator_bound" '
+                         'an integer or null')
+    rep = korobov_check([Fraction(c) if isinstance(c, str) else c for c in coeffs], k, P,
+                        denominator_bound=bound)
     return _report("korobov-check", cfg, {
         "k": rep.k, "d": rep.d, "P": rep.P, "Q": str(rep.Q), "W": rep.W,
         "s_abs": rep.s_abs, "lhs": rep.lhs, "rhs": rep.rhs,

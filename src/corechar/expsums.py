@@ -62,6 +62,8 @@ class RealPolynomial:
     @classmethod
     def make(cls, coeffs) -> "RealPolynomial":
         out = [Fraction(c) if isinstance(c, (int, Fraction)) else float(c) for c in coeffs]
+        if not all(math.isfinite(c) for c in out if isinstance(c, float)):
+            raise ValueError("polynomial coefficients must be finite")
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return cls(tuple(out))
@@ -355,6 +357,8 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
         raise ValueError("N must be >= 1")
     if M + 1 <= 0:
         raise ValueError("window must start at a positive integer")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if t == 0:
         return char_sum(chi, M, N)
     return _blocked_sum(

@@ -25,6 +25,7 @@ every rotation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,6 +186,8 @@ def hurwitz_zeta(s: complex, a) -> complex:
     |s|-proportional number of direct terms; errors at s = 1 (the pole).
     """
     s, a = complex(s), float(a)
+    if not cmath.isfinite(s):
+        raise ValueError("s must be finite")
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
     if s == 1.0:
@@ -235,6 +238,14 @@ def _l_sums(X: np.ndarray, s, with_ds: bool = False):
     return out if with_ds else out[0]
 
 
+def _check_s(s) -> complex:
+    """s as a complex number, once it is finite with Re s > 0 (NaN fails)."""
+    s = complex(s)
+    if not (cmath.isfinite(s) and s.real > 0.0):
+        raise ValueError("evaluation restricted to finite s with Re s > 0")
+    return s
+
+
 def l_value(chi: DirichletCharacter, s: complex) -> complex:
     """L(s, chi) for Re s > 0 via the Hurwitz decomposition.
 
@@ -242,9 +253,7 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
     in the regularized sum); the principal character keeps the pole and
     errors at s = 1.
     """
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError("evaluation restricted to Re s > 0")
+    s = _check_s(s)
     if chi.is_principal and s == 1.0:
         raise ValueError("L(s, principal) has a pole at s = 1")
     val = complex(_l_sums(_chi_matrix([chi]), [s])[0, 0])
@@ -257,9 +266,7 @@ def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]
     """(L(s, chi), L'(s, chi)) for nonprincipal chi, Re s > 0."""
     if chi.is_principal:
         raise ValueError("derivative path is for nonprincipal characters")
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError("evaluation restricted to Re s > 0")
+    s = _check_s(s)
     lvals, dvals = _l_sums(_chi_matrix([chi]), [s], with_ds=True)
     return complex(lvals[0, 0]), complex(dvals[0, 0])
 
@@ -273,9 +280,7 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
     """
     if chi.is_principal:
         raise ValueError("series acceleration needs a nonprincipal character")
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError("evaluation restricted to Re s > 0")
+    s = _check_s(s)
     q = chi.q
     terms = int(min(4e6, max(4000, 60 * ((abs(s) + 8.0) * q))))
     window = _SERIES_PASSES * (q - 1) + 1 if q > 1 else 1
@@ -560,8 +565,8 @@ def zero_free_params(q, eta: float, T: float, M_bound: float,
     """Assemble vartheta = eta/(400 log M) and both eta-condition verdicts."""
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
-    if T < 1.0 or M_bound < math.e:
-        raise ValueError("need T >= 1 and M >= e")
+    if not (1.0 <= T < math.inf and math.e <= M_bound < math.inf):  # NaN fails
+        raise ValueError("need finite T >= 1 and M >= e")
     mod = as_modulus(q)
     vt = eta / (400.0 * math.log(M_bound))
     lhs = eta * math.log(5.0 * math.log(3.0 * mod.q))

@@ -2,10 +2,12 @@
 
 N_{k,d}(P) counts 2k-tuples (y, z) in [1,P]^{2k} whose first d power sums
 agree.  The production count is meet-in-the-middle: it codes the signature
-(sum y^r)_{r<=d} of every k-tuple as one mixed-radix integer, the sum of
-its entries' codes, and adds up squared code multiplicities; no signature
-table is built.  A literal all-pairs enumeration, with a signature table of
-its own, is kept alongside as the independent oracle.
+(sum y^r)_{r<=min(d,k)} of every k-tuple as one mixed-radix integer, the
+sum of its entries' codes, and adds up squared code multiplicities; no
+signature table is built.  Only the first min(d, k) power sums are coded:
+by Newton's identities the first k fix a k-tuple's multiset.  A literal
+all-pairs enumeration, with a signature table of its own, is kept
+alongside as the independent oracle.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ def count_vinogradov(k: int, d: int, P: int) -> int:
         raise ValueError("need k, d, P >= 1")
     if P**k > _TUPLE_BUDGET:
         raise ValueError(f"the codes of {P}^{k} tuples exceed the budget")
-    codes = _entry_codes(k, d, P)
+    # Newton's identities: the first k power sums of a k-tuple fix its
+    # multiset, hence every further power sum, so N_{k,d} = N_{k,k} for d > k
+    codes = _entry_codes(k, min(d, k), P)
     tuple_codes = codes
     for _ in range(k - 1):
         tuple_codes = np.add.outer(tuple_codes, codes).ravel()

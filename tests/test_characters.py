@@ -80,14 +80,16 @@ def test_integer_kernel_matches_reference(q):
                 assert chi.evaluate(n).fraction == ref
                 assert Fraction(int(A[n]), chi.order) == ref
                 assert values[n] == RationalAngle.make(ref).to_complex()
-        for r in {1, q} | {p**g for p, g in chi.modulus.factors}:
+        for r in {1, q} | {p**g for p, g in chi.modulus.factors} \
+                | {q // p**g for p, g in chi.modulus.factors}:
             s = q // r
-            k = rng.choice([x for x in range(1, r + 1) if math.gcd(x, r) == 1])
-            res = crt_restrict(chi, k, r)
-            assert res.shift == pow(r, -1, s) * k % s
-            # m + shift = 1 mod s, so chi(k + r m) = e(offset) chi_s(1)
-            m = (1 - res.shift) % s
-            assert res.offset.fraction == _reference_angle(chi, k + r * m)
+            k0 = rng.choice([x for x in range(1, r + 1) if math.gcd(x, r) == 1])
+            for k in (k0, k0 - 3 * r, k0 + r, 10**20 + 1):
+                res = crt_restrict(chi, k, r)
+                assert res.shift == pow(r, -1, s) * k % s
+                # m + shift = 1 mod s, so chi(k + r m) = e(offset) chi_s(1)
+                m = (1 - res.shift) % s
+                assert res.offset.fraction == _reference_angle(chi, k + r * m)
         ns = np.array([rng.randrange(1 << 63, 1 << 66) for _ in range(200)], dtype=object)
         for batch in (np.arange(q), ns):
             expected = [chi.angle_numerator(n) for n in batch.tolist()]
@@ -119,14 +121,24 @@ def test_root_values_seeded_and_past_int64():
 
 
 def test_evaluate_above_dlog_table_cap():
-    """Prime powers above the dlog table cap take Pohlig-Hellman per value."""
+    """Prime powers above the dlog table cap take Pohlig-Hellman per value,
+    in evaluate and, one n at a time, in angle_numerators: int64 and object
+    inputs, non-units among them, give the int64 numerators of the order."""
     rng = random.Random(2**23)
     for q in (3**16, 2**23, 2**3 * 3**15):
         chi = _random_character(rng, q)
-        for _ in range(20):
-            n = rng.randrange(q)
+        p = chi.modulus.factors[0][0]
+        small = [rng.randrange(q) for _ in range(20)] + [p * rng.randrange(q // p)]
+        big = [rng.randrange(1 << 63, 1 << 66) for _ in range(5)] \
+            + [p * rng.randrange(1 << 63, 1 << 64)]
+        for n in small:
             ref = _reference_angle(chi, n)
             assert (chi.evaluate(n) is None) if ref is None else chi.evaluate(n).fraction == ref
+        for ns in (np.array(small, dtype=np.int64), np.array(big, dtype=object)):
+            A = chi.angle_numerators(ns)
+            assert A.dtype == np.int64 and (A < 0).any()
+            assert [None if a < 0 else Fraction(a, chi.order) for a in A.tolist()] == \
+                [_reference_angle(chi, n) for n in ns.tolist()]
 
 
 def test_sums_above_value_table_cap_match_chi_term_by_term():

@@ -61,6 +61,47 @@ def test_nan_constant_is_an_error(capsys):
     assert "eps > 0" in capsys.readouterr().err
 
 
+_WINDOW = ["--q", "9", "--chi", "index:1", "--M", "0", "--N", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lfunc-eval", "--q", "9", "--chi", "index:1", "--sigma", "nan"],
+    ["lfunc-eval", "--q", "9", "--chi", "index:1", "--sigma", "inf"],
+    ["lfunc-eval", "--q", "9", "--chi", "index:1", "--sigma", "0.5", "--t", "inf"],
+    ["dirichlet-poly", *_WINDOW, "--t", "nan"],
+    ["twisted-sum", *_WINDOW, "--G", "0,1e400"],
+    ["decompose", *_WINDOW, "--s", "2", "--G", "0,1e400"],
+    ["zfr-params", "--q", "729", "--eta", "0.05", "--T", "5", "--M", "nan"],
+    ["zfr-params", "--q", "729", "--eta", "0.05", "--T", "nan", "--M", "100"],
+])
+def test_non_finite_number_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "finite" in out.err
+
+
+@pytest.mark.parametrize("chi,spec", [
+    ('{"components": []}', None),
+    ("[1]", None),
+    ('{"q": 9, "components": 5}', None),
+    ('{"q": 9, "components": [{"p": 3, "gamma": 2, "exponents": ["a"]}]}', None),
+    (None, {"coefficients": ["0", "1/5"], "k": 2}),
+    (None, [["0", "1/5"], 2, 10]),
+    (None, {"coefficients": ["0", "1/5"], "k": "2", "P": 10}),
+    (None, {"coefficients": ["0", None], "k": 2, "P": 10}),
+])
+def test_malformed_input_is_an_error(chi, spec, tmp_path, capsys):
+    if chi is not None:
+        argv = ["char-sum", "--q", "9", "--chi", chi, "--M", "0", "--N", "9"]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["korobov-check", "--spec", str(path)]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+
+
 def test_determinism_repeated_runs():
     cmds = [
         ["vmvt-count", "3", "3", "5"],

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from corechar import vinogradov
 from corechar.vinogradov import (
     _entry_codes,
     count_vinogradov,
@@ -57,7 +58,7 @@ def test_bounds_and_monotonicity():
         prev = n
 
 
-def test_bigint_path_matches_numpy_path():
+def test_bigint_path_matches_numpy_path(monkeypatch):
     # the codes are int64 while the radix product prod_r (k (P^r - 1) + 1)
     # is below 2^62: at k = 2, P = 4 it is 2.4e14 for d = 6 and 7.7e18 for
     # d = 7, the first object-array case; d = 30 and 31 stay far past it
@@ -65,7 +66,17 @@ def test_bigint_path_matches_numpy_path():
         product = math.prod(2 * (4**r - 1) + 1 for r in range(1, d + 1))
         assert (product < 2**62) == (dtype is np.int64)
         assert _entry_codes(2, d, 4).dtype == dtype
-        assert count_vinogradov(2, d, 4) == count_vinogradov_naive(2, d, 4)
+    # count_vinogradov codes only the first min(d, k) power sums, so k = 2
+    # counts on two int64 power sums at every d; at k = 7, P = 3 the seven
+    # coded power sums have a radix product of 1.2e19, past 2^62
+    assert _entry_codes(7, 7, 3).dtype == object
+    coded = []
+    monkeypatch.setattr(vinogradov, "_entry_codes",
+                        lambda k, d, P: coded.append(d) or _entry_codes(k, d, P))
+    cases = ((2, 6, 4), (2, 7, 4), (2, 30, 4), (2, 31, 4), (7, 7, 3), (7, 9, 3))
+    for k, d, P in cases:
+        assert count_vinogradov(k, d, P) == count_vinogradov_naive(k, d, P)
+    assert coded == [min(d, k) for k, d, _ in cases]
 
 
 def test_oracle_64_bit_guard():
