@@ -11,7 +11,8 @@ so whole periods are counted once.  ``_exact_sum`` keeps that histogram (numpy
 arrays), takes its value once as an fsum over ``root_values`` and reads it
 as ``exact_angle_terms``.  Float mode has one reducer, ``_blocked_sum``:
 block sums combined left to right, so a result depends only on the window
-and the summand.  ``decompose`` walks the same blocks.
+and the summand; a sum that is not finite raises.  ``decompose``'s V and
+the head of ``lfunc.l_value_series`` are such window sums too.
 
 A rational twist e(G(n)) depends only on n mod den, G's common denominator.
 When den <= min(N, _BLOCK), N the number of terms twisted, G's numerators
@@ -22,6 +23,7 @@ larger den runs Horner's rule term by term.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -296,12 +298,19 @@ def _exact_window(block_numerators, M: int, N: int, den: int, period: int) -> Su
     return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
 
 
-def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
+def _blocked_sum(block_terms, M: int, N: int, block: int = _BLOCK) -> SumResult:
     """sum of block_terms(ns) over n in (M, M+N], float mode: the block sums
-    over ``_blocks`` are combined left to right with fsum."""
-    parts = [(float(np.sum(t.real)), float(np.sum(t.imag)))
-             for t in map(block_terms, _blocks(M, N))]
-    return SumResult(complex(*map(math.fsum, zip(*parts))), N, "float")
+    over ``_blocks(M, N, block)`` are combined left to right with fsum.
+
+    Every float term is bounded, so a sum that is not finite means a phase
+    overflowed a double: ValueError, in place of numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [(float(np.sum(t.real)), float(np.sum(t.imag)))
+                 for t in map(block_terms, _blocks(M, N, block))]
+    value = complex(*map(math.fsum, zip(*parts)))
+    if not cmath.isfinite(value):
+        raise ValueError("float sum is not finite: a phase overflows a double")
+    return SumResult(value, N, "float")
 
 
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
@@ -412,15 +421,16 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     and compare core^{-2s} V against the direct window sum.
 
     cN is the set of n in (M, M+N] coprime to q, nbar the inverse of n mod
-    q, and H_n(x) = G(n + core^s x); V walks the window's shared blocks,
-    about _BLOCK / core^(2s) n at a time, and keeps the units of each.
+    q, and H_n(x) = G(n + core^s x).  As n (1 + core^s nbar yz) = n + core^s yz
+    mod q, V is the window sum of chi(m) e(G(m)) over m = n + core^s yz, a
+    unit exactly when n is, taken about _BLOCK / core^(2s) n per block.
     The residual |S - core^{-2s} V| is checked against residual_constant *
     core^{3s}; the constant stands in for an unspecified absolute one and
     is echoed in the result.
     """
     if s < 2:
         raise ValueError("shift exponent s must be >= 2")
-    q, coreq = chi.q, chi.modulus.core
+    coreq = chi.modulus.core
     P = coreq**s
     signed_divisors = [(1, 1)]  # (d, mu(d)) over the squarefree d | q
     for p, _ in chi.modulus.factors:
@@ -429,21 +439,15 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     work = coprime * P * P
     if work > work_budget or P * P > (1 << 26):
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
-    A, vals = chi.value_table
-
     ys = np.arange(1, P + 1, dtype=np.int64)
-    yz = np.outer(ys, ys).ravel()  # one row of grid terms per coprime n
+    yz = np.outer(ys, ys).ravel()
     Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)  # n + P yz <= M+N+P^3
     twist = _twist_factors(G, work)
-    v_total = complex(0.0)
-    for ns in _blocks(M, N, max(1, _BLOCK // (P * P))):
-        n = ns[A[_residues(ns, q)] >= 0]
-        uniq, where = np.unique(_residues(n, q), return_inverse=True)
-        nbar = np.array([pow(u, -1, q) for u in uniq.tolist()], dtype=np.int64)[where]
-        idx = (1 + (P * nbar % q)[:, None] * yz) % q
-        inner = np.sum(vals[idx] * twist(n[:, None] + Pyz), axis=1)
-        for c, z in zip(vals[uniq][where].tolist(), inner.tolist()):
-            v_total += c * z  # Python complex: numpy's product fuses multiply-adds
+
+    def terms(ns):
+        grid = (ns[_chi_numerators(chi, ns) >= 0][:, None] + Pyz).ravel()
+        return _chi_values(chi, grid) * twist(grid)
+    v_total = _blocked_sum(terms, M, N, max(1, _BLOCK // (P * P))).value
 
     s_val = twisted_sum(chi, M, N, G).value
     recon = v_total / (P * P)

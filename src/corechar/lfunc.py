@@ -4,7 +4,9 @@ L(s, chi) is evaluated through the Hurwitz decomposition
 L = q^{-s} sum_a chi(a) zeta(s, a/q), with zeta computed by Euler-Maclaurin
 (pole-regularized, so nonprincipal L is exact right through s = 1).  An
 independent evaluation path sums the Dirichlet series with iterated
-period-averaging; the two paths cross-check each other in the tests.
+period-averaging, its head one ``expsums._blocked_sum`` window; the two
+paths cross-check each other in the tests.  A point whose Hurwitz block
+(unit residues x direct terms) would pass ``_HURWITZ_CAP`` is refused.
 
 Zero counting integrates L'/L around a rectangle on Gauss-Legendre panels
 and snaps the winding number to an integer once refinement stabilizes it;
@@ -35,6 +37,7 @@ import numpy as np
 
 from .arith import as_modulus, exp_or_inf
 from .characters import DirichletCharacter, enumerate_characters
+from .expsums import _blocked_sum, _chi_values
 
 __all__ = [
     "hurwitz_zeta",
@@ -66,9 +69,11 @@ _EM_ORDER = 12
 _TWO_J = np.arange(2, 2 * _EM_ORDER + 1, 2)
 # B_{2j}/(2j)! for j = 1.._EM_ORDER
 _EM_COEFFS = np.array([float(b) for b in _BERNOULLI]) / np.cumprod((_TWO_J - 1.0) * _TWO_J)
-# Hurwitz terms (points x q x direct terms) per _l_sums block, and series terms
-# per block of l_value_series's head: 4 MiB per complex array
+# Hurwitz terms (points x unit residues x direct terms) per _l_sums block: 4 MiB
+# per complex array; one point's unit residues x direct terms may not pass
+# _HURWITZ_CAP (256 MiB of complex powers)
 _BLOCK_ENTRIES = 1 << 18
+_HURWITZ_CAP = 1 << 24
 _SERIES_PASSES = 3  # period averages of the series path
 _GL_ORDER = 12  # Gauss-Legendre nodes per contour panel
 _WINDING_TOL = 1e-3  # distance from an integer at which a winding snaps
@@ -98,10 +103,16 @@ def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _n_terms(s_abs):
+def _n_terms(s_abs, residues: int = 1):
     """Direct terms before the Euler-Maclaurin tail, for points up to |s| = s_abs
-    (a float or a float array)."""
-    return np.maximum(2 * _EM_ORDER + 8, np.ceil(1.2 * np.asarray(s_abs)) + 16).astype(np.int64)
+    (a float or a float array), each point to be taken at ``residues`` values
+    of a; ValueError when a point's residues x direct terms exceed
+    ``_HURWITZ_CAP``, before anything that size is allocated."""
+    n = np.maximum(2 * _EM_ORDER + 8, np.ceil(1.2 * np.asarray(s_abs)) + 16)
+    if residues * np.max(n, initial=0) > _HURWITZ_CAP:
+        raise ValueError(f"|s| = {np.max(s_abs):.6g} needs more than {_HURWITZ_CAP} "
+                         "Hurwitz terms per point")
+    return n.astype(np.int64)
 
 
 def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int, with_ds: bool):
@@ -198,8 +209,7 @@ def hurwitz_zeta(s: complex, a) -> complex:
 
 def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
     """(n_chi, q) complex matrix of chi(a) in column a-1 for a = 1..q."""
-    rows = np.stack([chi.value_table[1] for chi in chis])
-    return np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
+    return np.stack([_chi_values(chi, np.arange(1, chi.q + 1)) for chi in chis])
 
 
 def _l_sums(X: np.ndarray, s, with_ds: bool = False):
@@ -222,7 +232,7 @@ def _l_sums(X: np.ndarray, s, with_ds: bool = False):
     qf = math.log(q)
     out = np.empty((1 + with_ds, len(X), len(s)), dtype=np.complex128)
     order = np.lexsort((s.real, s.imag))
-    n0 = _n_terms(np.abs(s))[order]
+    n0 = _n_terms(np.abs(s), len(units))[order]
     for n in sorted(set(n0.tolist())):
         group = order[n0 == n]
         step = max(1, _BLOCK_ENTRIES // (len(units) * n))
@@ -284,17 +294,14 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
     q = chi.q
     terms = int(min(4e6, max(4000, 60 * ((abs(s) + 8.0) * q))))
     window = _SERIES_PASSES * (q - 1) + 1 if q > 1 else 1
-    _, vals = chi.value_table
 
-    def series(lo: int, hi: int) -> np.ndarray:
-        ns = np.arange(lo, hi)
-        return vals[ns % q] * np.exp(-s * np.log(ns.astype(np.float64)))
+    def series(ns: np.ndarray) -> np.ndarray:
+        return _chi_values(chi, ns) * np.exp(-s * np.log(ns))
 
     # partial sums at the cutoffs terms .. terms + window - 1: the head below
-    # them summed a block at a time, the window itself cumulatively
-    head = sum(series(lo, min(lo + _BLOCK_ENTRIES, terms)).sum()
-               for lo in range(1, terms, _BLOCK_ENTRIES))
-    cur = head + np.cumsum(series(terms, terms + window))
+    # them is one window sum, the window itself is summed cumulatively
+    head = _blocked_sum(series, 0, terms - 1).value
+    cur = head + np.cumsum(series(np.arange(terms, terms + window)))
     for _ in range(_SERIES_PASSES):
         if q > 1:
             kernel = np.ones(q) / q

@@ -50,6 +50,11 @@ def test_computation_error_exit_code():
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert res.stdout == ""
+    # an overflowed float sum reports the error alone, without numpy's warnings
+    res = run_cli(["twisted-sum", "--q", "9", "--chi", "index:1", "--M", "0", "--N", "100000",
+                   "--G", "0,0,1e300"])
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
 
 
 def test_nan_constant_is_an_error(capsys):
@@ -80,7 +85,7 @@ def test_non_finite_number_is_an_error(argv, capsys):
     assert out.out == "" and out.err.startswith("error:") and "finite" in out.err
 
 
-@pytest.mark.parametrize("chi,spec", [
+@pytest.mark.parametrize("arg,spec", [
     ('{"components": []}', None),
     ("[1]", None),
     ('{"q": 9, "components": 5}', None),
@@ -89,10 +94,22 @@ def test_non_finite_number_is_an_error(argv, capsys):
     (None, [["0", "1/5"], 2, 10]),
     (None, {"coefficients": ["0", "1/5"], "k": "2", "P": 10}),
     (None, {"coefficients": ["0", None], "k": 2, "P": 10}),
+    # finite numbers whose float sum overflows to NaN
+    (["twisted-sum", "--q", "9", "--chi", "index:1", "--M", "0", "--N", "100000",
+      "--G", "0,0,1e300"], None),
+    (["dirichlet-poly", "--q", "9", "--chi", "index:1", "--M", "0", "--N", "100",
+      "--t", "1e308"], None),
+    # L points whose Hurwitz block would not fit in memory
+    (["lfunc-eval", "--q", "3", "--chi", "quadratic", "--sigma", "1", "--t", "1e12"], None),
+    (["lfunc-eval", "--q", "3", "--chi", "quadratic", "--sigma", "1", "--t", "1e300"], None),
 ])
-def test_malformed_input_is_an_error(chi, spec, tmp_path, capsys):
-    if chi is not None:
-        argv = ["char-sum", "--q", "9", "--chi", chi, "--M", "0", "--N", "9"]
+def test_malformed_input_is_an_error(arg, spec, tmp_path, capsys):
+    """arg is a character object for char-sum, a whole argv, or None for a
+    korobov-check spec."""
+    if isinstance(arg, list):
+        argv = arg
+    elif arg is not None:
+        argv = ["char-sum", "--q", "9", "--chi", arg, "--M", "0", "--N", "9"]
     else:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

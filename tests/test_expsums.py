@@ -284,19 +284,22 @@ def test_dirichlet_poly_across_block_boundary():
 
 
 def test_decompose_large_phase_denominator():
-    """G has denominator ~10^18, so Horner steps on residues exceed int64."""
-    q, s = 81, 2
-    chi = enumerate_characters(q, primitive_only=True)[0]
+    """G has denominator ~10^18, so Horner steps on residues exceed int64.
+    V against the paper's form, with the inverse nbar of n mod q."""
+    s = 2
+    chi81 = enumerate_characters(81, primitive_only=True)[0]
     G = RealPolynomial.make([0, Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)])
-    P = chi.modulus.core ** s
-    for M, N in [
-        (10**6, 12),
+    for chi, M, N in [
+        (chi81, 10**6, 12),
         # n + P yz crosses 2^63 inside the window, and the window starts past it
-        (2**63 - 100, 50),
-        (10**19, 12),
+        (chi81, 2**63 - 100, 50),
+        (chi81, 10**19, 12),
         # more coprime n than one block of grid rows
-        (10**6, 1300),
+        (chi81, 10**6, 1300),
+        # above the value table cap
+        (_second_primitive_character(3**13), 10**6, 30),
     ]:
+        q, P = chi.q, chi.modulus.core ** s
         res = decompose(chi, M, N, G, s)
         expected = 0j
         for n in range(M + 1, M + N + 1):
@@ -543,24 +546,24 @@ def test_twisted_sum_float_bits_match_term_by_term(q, M, coeffs):
 
 
 def _decompose_v_term_by_term(chi, M, N, G, s):
-    """V of ``decompose`` with e(H_n(yz)) taken term by term over the grid."""
+    """V of ``decompose`` summed as its reducer sums it, from the value table
+    and with e(G) taken term by term: chi(n + P yz) e(G(n + P yz)) over the
+    units n of each run of _BLOCK // P^2 consecutive n of the window and
+    every y, z <= P, each run's terms summed by np.sum and the runs by fsum."""
     q, P = chi.q, chi.modulus.core**s
-    ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
     vals = chi.value_table[1]
     ys = np.arange(1, P + 1, dtype=np.int64)
-    yz = np.outer(ys, ys).ravel()
-    Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)
+    Pyz = P * np.outer(ys, ys).ravel().astype(np.int64 if M + N + P**3 < 1 << 63 else object)
     rows = max(1, _BLOCK // (P * P))
-    v = complex(0.0)
-    for lo in range(0, len(ns), rows):
-        n = np.array(ns[lo:lo + rows], dtype=Pyz.dtype)
-        uniq, where = np.unique((n % q).astype(np.int64), return_inverse=True)
-        nbar = np.array([pow(u, -1, q) for u in uniq.tolist()], dtype=np.int64)[where]
-        idx = (1 + (P * nbar % q)[:, None] * yz) % q
-        inner = np.sum(vals[idx] * np.exp(2j * np.pi * G.phases(n[:, None] + Pyz)), axis=1)
-        for c, z in zip(vals[uniq][where].tolist(), inner.tolist()):
-            v += c * z
-    return v
+    re, im = [], []
+    for lo in range(M + 1, M + N + 1, rows):
+        n = np.array([m for m in range(lo, min(lo + rows, M + N + 1)) if math.gcd(m, q) == 1],
+                     dtype=Pyz.dtype)
+        grid = (n[:, None] + Pyz).ravel()
+        t = vals[(grid % q).astype(np.int64)] * np.exp(2j * np.pi * G.phases(grid))
+        re.append(float(np.sum(t.real)))
+        im.append(float(np.sum(t.imag)))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 @pytest.mark.parametrize("q,M,N,coeffs", [

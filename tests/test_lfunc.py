@@ -49,6 +49,9 @@ def test_hurwitz_pole_and_domain():
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 1.5)
+    for t in (1e12, 1e300):  # refused before its direct terms are allocated
+        with pytest.raises(ValueError, match="Hurwitz terms"):
+            hurwitz_zeta(complex(1.0, t), 0.5)
 
 
 def test_hurwitz_large_imaginary():
@@ -134,6 +137,15 @@ def test_zero_scan_validates_input():
         zero_count_rectangle(27, 0.3, 5.0)
     with pytest.raises(ValueError):
         zero_count_rectangle(27, 0.9, 0.5)
+
+
+@pytest.mark.parametrize("q", [1, 2, 27, 72])
+def test_chi_matrix_reads_chi_at_one_to_q(q):
+    """Row c of the matrix holds chi_c(a) at a = 1..q: the value table with
+    its column 0 (a = q) moved to the end, bit for bit."""
+    chis = enumerate_characters(q)
+    rows = np.stack([chi.value_table[1] for chi in chis])
+    assert np.array_equal(lfunc._chi_matrix(chis), np.concatenate((rows[:, 1:], rows[:, :1]), axis=1))
 
 
 def test_batched_l_sums_match_single_points():
