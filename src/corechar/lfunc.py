@@ -8,14 +8,17 @@ period-averaging, its head one ``expsums._blocked_sum`` window; the two
 paths cross-check each other in the tests.  A point whose Hurwitz block
 (unit residues x direct terms) would pass ``_HURWITZ_CAP`` is refused.
 
-Zero counting integrates L'/L around a rectangle on Gauss-Legendre panels
-and snaps the winding number to an integer once refinement stabilizes it;
-an |L| lower-bound grid scan serves as the independent confirmation.  Both
-pass all their points to the blocked Hurwitz kernel at once, and each
-evaluates one member of every mirror pair (sigma + it on chi, sigma - it on
-conj chi), the one with t >= 0, and only the unit residues a of the
-Hurwitz sum; the grid reports the first least value in (sigma, t,
-character) order.
+Zero counting takes the turn of arg L around a rectangle, summed step by
+step between Gauss-Legendre nodes on panels: the winding number, which by
+the argument principle counts the zeros inside.  A refinement level is
+trusted when every step is below pi/2, and the count is taken once two
+trusted levels in a row agree; a contour running through zeros (as the side
+sigma = 1/2 can) never passes the step guard, and the scan raises.  An |L|
+lower-bound grid scan serves as the independent confirmation.  Both pass
+all their points to the blocked Hurwitz kernel at once, and each evaluates
+one member of every mirror pair (sigma + it on chi, sigma - it on conj chi),
+the one with t >= 0, and only the unit residues a of the Hurwitz sum; the
+grid reports the first least value in (sigma, t, character) order.
 
 The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
 a real magnitude per distinct sigma and a rotation per distinct t among
@@ -76,7 +79,7 @@ _BLOCK_ENTRIES = 1 << 18
 _HURWITZ_CAP = 1 << 24
 _SERIES_PASSES = 3  # period averages of the series path
 _GL_ORDER = 12  # Gauss-Legendre nodes per contour panel
-_WINDING_TOL = 1e-3  # distance from an integer at which a winding snaps
+_MAX_STEP = math.pi / 2  # largest step of arg L between contour nodes a level may take
 _GRID_SIGMAS, _GRID_TS = 9, 201  # |L| confirmation grid points along sigma and t
 
 
@@ -88,18 +91,6 @@ def _g_ratio(w: np.ndarray) -> np.ndarray:
     if small.any():
         ws = w[small]
         out[small] = 1.0 + ws / 2.0 * (1.0 + ws / 3.0 * (1.0 + ws / 4.0))
-    return out
-
-
-def _g_ratio_prime(w: np.ndarray) -> np.ndarray:
-    """d/dw [expm1(w)/w] = (w exp(w) - expm1(w))/w^2, stable near 0."""
-    ew = np.exp(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (w * ew - (ew - 1.0)) / w**2
-    small = np.abs(w) < 1e-4
-    if small.any():
-        ws = w[small]
-        out[small] = 0.5 + ws / 3.0 + ws**2 / 8.0 + ws**3 / 30.0
     return out
 
 
@@ -115,10 +106,9 @@ def _n_terms(s_abs, residues: int = 1):
     return n.astype(np.int64)
 
 
-def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int, with_ds: bool):
+def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
     """Euler-Maclaurin evaluation of zeta(s, a) - 1/(s-1) for complex s and
-    float a in (0, 1]: row 0 of the result, of shape (len(s), len(a)), and
-    with ``with_ds`` the d/ds values in row 1.
+    float a in (0, 1], of shape (len(s), len(a)).
 
     The pole term 1/(s-1) is left out (it is exactly the non-entire part),
     so it cancels identically in nonprincipal L-sums.  Every point takes n0
@@ -150,44 +140,21 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int, with_ds: bool):
     del mag
     top_ms = pows[:, :, n0].copy()                    # (a+N)^{-s}
     vals = pows[:, :, :n0].sum(axis=2)
-    if with_ds:
-        for part in pows.real, pows.imag:             # log(a+k) (a+k)^{-s}, in place
-            np.multiply(part, logs, out=part)
-        dvals = -pows[:, :, :n0].sum(axis=2)
     del pows
 
     # boundary minus pole: (a+N)^{1-s}/(s-1) - 1/(s-1) = -ltop * g((1-s) ltop)
-    w = (1.0 - s) * ltop
-    vals = vals - ltop * _g_ratio(w) + 0.5 * top_ms
-    if with_ds:
-        dvals = dvals + ltop**2 * _g_ratio_prime(w) - 0.5 * ltop * top_ms
+    vals = vals - ltop * _g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
 
     # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (a+N)^{-s-2j+1}, added in order of j
     # by one reduction over stack[:, 0] = the sum so far and stack[:, j] = term j;
-    # (a+N)^{-s-2j+1} = (a+N)^{-s} (a+N)^{1-2j}, and (s)_{2j-1} and sum_{i<2j-1} 1/(s+i)
-    # are running products and sums over s+i.
-    shifts = s + np.arange(2 * _EM_ORDER - 1)
-    poch = np.cumprod(shifts, axis=1)[:, ::2]         # (m, _EM_ORDER)
+    # (a+N)^{-s-2j+1} = (a+N)^{-s} (a+N)^{1-2j}, and (s)_{2j-1} is a running product
+    # over s+i.
+    poch = np.cumprod(s + np.arange(2 * _EM_ORDER - 1), axis=1)[:, ::2]   # (m, _EM_ORDER)
     powterm = top_ms[:, None] * np.exp((1 - _TWO_J)[:, None] * ltop)
     stack = np.empty((len(poch), 1 + _EM_ORDER, len(a)), dtype=np.complex128)
     stack[:, 0] = vals
-    terms = stack[:, 1:]
-    np.multiply((_EM_COEFFS * poch)[:, :, None], powterm, out=terms)
-    vals = np.add.reduce(stack, axis=1)
-    if not with_ds:
-        return vals[None]
-    dlog = np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
-    # poch * dlog rounded as a scalar complex product (numpy's fuses multiply-adds)
-    pr, pi, dr, di = poch.real, poch.imag, dlog.real, dlog.imag
-    dpoch = (pr * dr - pi * di) + 1j * (pr * di + pi * dr)
-    # terms = (B_{2j}/(2j)! (a+N)^{-s-2j+1}) (dpoch - poch log(a+N)), in place
-    stack[:, 0] = dvals
-    np.multiply(poch[:, :, None], ltop, out=terms)
-    np.subtract(dpoch[:, :, None], terms, out=terms)
-    np.multiply(_EM_COEFFS[:, None], powterm, out=powterm)
-    np.multiply(powterm, terms, out=terms)
-    dvals = np.add.reduce(stack, axis=1)
-    return np.stack((vals, dvals))
+    np.multiply((_EM_COEFFS * poch)[:, :, None], powterm, out=stack[:, 1:])
+    return np.add.reduce(stack, axis=1)
 
 
 def hurwitz_zeta(s: complex, a) -> complex:
@@ -203,8 +170,8 @@ def hurwitz_zeta(s: complex, a) -> complex:
         raise ValueError("a must lie in (0, 1]")
     if s == 1.0:
         raise ValueError("zeta(s, a) has a pole at s = 1")
-    core = _hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(abs(s))), False)
-    return complex(core[0, 0, 0]) + 1.0 / (s - 1.0)
+    core = _hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(abs(s))))
+    return complex(core[0, 0]) + 1.0 / (s - 1.0)
 
 
 def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
@@ -212,25 +179,25 @@ def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
     return np.stack([_chi_values(chi, np.arange(1, chi.q + 1)) for chi in chis])
 
 
-def _l_sums(X: np.ndarray, s, with_ds: bool = False):
+def _l_sums(X: np.ndarray, s) -> np.ndarray:
     """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of a ``_chi_matrix``
-    X at every point of the vector s: arrays of shape (len(X), len(s)).
+    X at every point of the vector s: an array of shape (len(X), len(s)).
 
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
-    of a nonprincipal character gives L(s, chi) exactly.  With ``with_ds``
-    the d/ds values come second.  Only the columns nonzero in some row (the
-    units a, for character rows) reach the kernel.  Points are grouped by
-    their own ``_n_terms`` and go in blocks of ``_BLOCK_ENTRIES`` Hurwitz
-    terms within a group, in (t, sigma) order, so that the points of a block
-    share their t and sigma values; each point takes its own matrix-vector
-    product, so its values do not depend on the other points.
+    of a nonprincipal character gives L(s, chi) exactly.  Only the columns
+    nonzero in some row (the units a, for character rows) reach the kernel.
+    Points are grouped by their own ``_n_terms`` and go in blocks of
+    ``_BLOCK_ENTRIES`` Hurwitz terms within a group, in (t, sigma) order, so
+    that the points of a block share their t and sigma values; each point
+    takes its own matrix-vector product, so its values do not depend on the
+    other points.
     """
     s = np.asarray(s, dtype=np.complex128)
     q = X.shape[1]
     units = np.flatnonzero(X.any(axis=0))   # chi(a) = 0 off the units
     X, a_over_q = X[:, units], (units + 1) / q
     qf = math.log(q)
-    out = np.empty((1 + with_ds, len(X), len(s)), dtype=np.complex128)
+    out = np.empty((len(X), len(s)), dtype=np.complex128)
     order = np.lexsort((s.real, s.imag))
     n0 = _n_terms(np.abs(s), len(units))[order]
     for n in sorted(set(n0.tolist())):
@@ -240,12 +207,9 @@ def _l_sums(X: np.ndarray, s, with_ds: bool = False):
             at = group[lo:lo + step]
             blk = s[at]
             qs = np.exp(-blk * qf)[:, None]
-            z = _hurwitz_core(blk, a_over_q, n, with_ds)
-            lvals = qs * (X @ z[0][:, :, None])[:, :, 0]
-            out[0][:, at] = lvals.T
-            if with_ds:
-                out[1][:, at] = (-qf * lvals + qs * (X @ z[1][:, :, None])[:, :, 0]).T
-    return out if with_ds else out[0]
+            z = _hurwitz_core(blk, a_over_q, n)
+            out[:, at] = (qs * (X @ z[:, :, None])[:, :, 0]).T
+    return out
 
 
 def _check_s(s) -> complex:
@@ -273,12 +237,20 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
 
 
 def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]:
-    """(L(s, chi), L'(s, chi)) for nonprincipal chi, Re s > 0."""
+    """(L(s, chi), L'(s, chi)) for nonprincipal chi, Re s > 0.
+
+    L' is Cauchy's integral on the circle s + r w, w the 32nd roots of unity
+    and r = min(1/4, Re(s)/2), so the circle stays in Re s > 0:
+    L' = mean(L(s + r w) / w) / r.  L comes from the same batch; a point's
+    value does not depend on its batch, so it is ``l_value``'s.
+    """
     if chi.is_principal:
         raise ValueError("derivative path is for nonprincipal characters")
     s = _check_s(s)
-    lvals, dvals = _l_sums(_chi_matrix([chi]), [s], with_ds=True)
-    return complex(lvals[0, 0]), complex(dvals[0, 0])
+    r = min(0.25, s.real / 2.0)
+    w = np.exp(2j * math.pi * np.arange(32) / 32)
+    vals = _l_sums(_chi_matrix([chi]), [s, *(s + r * w)])[0]
+    return complex(vals[0]), complex(np.mean(vals[1:] / w) / r)
 
 
 def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
@@ -293,7 +265,7 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
     s = _check_s(s)
     q = chi.q
     terms = int(min(4e6, max(4000, 60 * ((abs(s) + 8.0) * q))))
-    window = _SERIES_PASSES * (q - 1) + 1 if q > 1 else 1
+    window = _SERIES_PASSES * (q - 1) + 1
 
     def series(ns: np.ndarray) -> np.ndarray:
         return _chi_values(chi, ns) * np.exp(-s * np.log(ns))
@@ -302,10 +274,9 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
     # them is one window sum, the window itself is summed cumulatively
     head = _blocked_sum(series, 0, terms - 1).value
     cur = head + np.cumsum(series(np.arange(terms, terms + window)))
+    kernel = np.ones(q) / q
     for _ in range(_SERIES_PASSES):
-        if q > 1:
-            kernel = np.ones(q) / q
-            cur = np.convolve(cur, kernel, mode="valid")
+        cur = np.convolve(cur, kernel, mode="valid")
     return complex(cur[0])
 
 
@@ -314,55 +285,63 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _contour(alpha: float, T: float, max_panel: float):
-    """Gauss-Legendre nodes and dz-weights around the rectangle
-    [alpha, 1] x [-T, T], oriented counterclockwise.  The left side is the
-    right side run backwards: the same t nodes, reversed, with the weights
-    reversed and negated, so the two vertical sides share every t."""
+def _contour(alpha: float, T: float, max_panel: float) -> np.ndarray:
+    """Gauss-Legendre nodes around the rectangle [alpha, 1] x [-T, T], in
+    counterclockwise order.  The left side is the right side run backwards:
+    the same t nodes, reversed, so the two vertical sides share every t."""
     corners = [complex(alpha, -T), complex(1.0, -T), complex(1.0, T), complex(alpha, T)]
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    pts, wts = [], []
+    nodes = np.polynomial.legendre.leggauss(_GL_ORDER)[0]
+    pts = []
     for z0, z1 in zip(corners[:-1], corners[1:]):
         panels = max(1, math.ceil(abs(z1 - z0) / max_panel))
         i = np.arange(panels)[:, None]
         u0, u1 = i / panels, (i + 1) / panels
         half = (u1 - u0) / 2.0
         pts.append((z0 + ((u0 + u1) / 2.0 + half * nodes) * (z1 - z0)).ravel())
-        wts.append((weights * half * (z1 - z0)).ravel())
     pts.append(alpha + 1j * pts[1].imag[::-1])
-    wts.append(-wts[1][::-1])
-    return np.concatenate(pts), np.concatenate(wts)
+    return np.concatenate(pts)
 
 
 def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_panel: float):
-    """Winding numbers (1/2pi i) contour-int L'/L for every row of the
-    ``_chi_matrix`` X, whose row conj[c] is the conjugate of row c, plus the
-    smallest |L| seen on the contour.  Only the nodes with t > 0 are
-    evaluated (the Gauss-Legendre order is even): the lower half's integral
-    for chi is minus the conjugate of the upper half's for conj chi."""
-    pts, wts = _contour(alpha, T, max_panel)
-    upper = pts.imag > 0
-    lmat, lpmat = _l_sums(X, pts[upper], with_ds=True)
-    half = (lpmat / lmat) @ wts[upper]
-    return (half - half[conj].conj()) / (2j * math.pi), float(np.min(np.abs(lmat)))
+    """The turn of arg L around the contour over 2 pi for every row of the
+    ``_chi_matrix`` X, whose row conj[c] is the conjugate of row c: the sum of
+    the steps arg(L(z_{i+1}) / L(z_i)) between consecutive nodes.  Also the
+    largest |step| and the smallest |L| on the contour.
+
+    Only the nodes with t > 0 are evaluated (the Gauss-Legendre order is
+    even).  The lower half, in order, is the upper half reversed and mirrored,
+    and L(conj z, chi) = conj L(z, conj chi), so its steps for chi are the
+    upper half's steps for conj chi.  Two crossing steps join the halves, one
+    at each vertical side, from conj L(z, conj chi) to L(z, chi) at the first
+    upper node and back at the last."""
+    pts = _contour(alpha, T, max_panel)
+    lmat = _l_sums(X, pts[pts.imag > 0])
+    steps = np.angle(lmat[:, 1:] / lmat[:, :-1])
+    first, last = lmat[:, 0], lmat[:, -1]
+    crossings = np.angle(np.stack((first / first[conj].conj(), last[conj].conj() / last)))
+    half = steps.sum(axis=1)
+    turn = half + half[conj] + crossings.sum(axis=0)
+    max_step = max(np.abs(steps).max(), np.abs(crossings).max())
+    return turn / (2.0 * math.pi), float(max_step), float(np.min(np.abs(lmat)))
 
 
 def _stable_windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float):
-    """Refine panels until every winding snaps to a stable integer."""
+    """Refine panels until two trusted levels in a row give the same integer
+    windings; a level is trusted when no step of arg L reaches ``_MAX_STEP``."""
     results = None
     prev = None
     for panel in (0.5, 0.25, 0.125, 0.0625):
-        cur, min_abs = _windings(X, conj, alpha, T, panel)
+        cur, max_step, min_abs = _windings(X, conj, alpha, T, panel)
         if min_abs < 1e-10:
             raise ArithmeticError("contour passes through a zero")
-        if prev is not None:
-            snapped = np.round(cur.real)
-            ok = ((np.abs(cur - snapped) < _WINDING_TOL)
-                  & (np.abs(prev - snapped) < 2 * _WINDING_TOL))
-            if np.all(ok):
-                results = snapped.astype(int)
-                break
-        prev = cur
+        if max_step >= _MAX_STEP:
+            prev = None
+            continue
+        snapped = np.round(cur).astype(int)
+        if prev is not None and np.array_equal(snapped, prev):
+            results = snapped
+            break
+        prev = snapped
     if results is None:
         raise ArithmeticError("winding numbers failed to stabilize")
     if np.any(results < 0):
@@ -373,9 +352,13 @@ def _stable_windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float)
 def zero_count_rectangle(q, alpha: float, T: float) -> int:
     """Total zeros of all nonprincipal L mod q in alpha < sigma < 1, |t| <= T.
 
-    Argument-principle integration per character with adaptive refinement;
-    a contour passing through (or too near) a zero is retried with alpha
-    perturbed by 1e-6, as reported by ``zero_scan_report``.
+    Each character's count is the turn of arg L around the rectangle over
+    2 pi, summed over the steps between contour nodes; panels are refined
+    until two levels in a row, each with every step below pi/2, give the
+    same counts.  A contour passing through (or too near) a zero is retried
+    with alpha perturbed by 1e-6, as reported by ``zero_scan_report``; when
+    that fails too (a zero on the contour at alpha = 1/2 stays within 1e-6
+    of it) ArithmeticError is raised.
     """
     return zero_scan_report(q, alpha, T)["total_zeros"]
 

@@ -55,6 +55,10 @@ def test_computation_error_exit_code():
                    "--G", "0,0,1e300"])
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    # zeros on the contour (alpha = 1/2, L(s, chi_3) at 1/2 +- 8.04i) are not counted
+    res = run_cli(["zero-scan", "--q", "3", "--alpha", "0.5", "--T", "10"])
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: winding numbers failed to stabilize\n", res.stderr
 
 
 def test_nan_constant_is_an_error(capsys):

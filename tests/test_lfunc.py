@@ -132,6 +132,25 @@ def test_zero_scan_thin_rectangle():
     assert zero_count_rectangle(9, 0.995, 1.0) == 0
 
 
+def test_zero_scan_raises_on_zeros_on_the_contour():
+    """At alpha = 1/2 the zeros of L(s, chi_3) at 1/2 +- 8.04i lie on the
+    left side: arg L turns by about pi across each at every refinement level,
+    and still does 1e-6 inside it, so the scan raises instead of counting
+    each as a half."""
+    with pytest.raises(ArithmeticError, match="failed to stabilize"):
+        zero_scan_report(3, 0.5, 10.0)
+
+
+@pytest.mark.parametrize("q,T,zeros", [(3, 10.0, 2), (3, 15.0, 4), (4, 10.0, 2), (4, 15.0, 6)])
+def test_windings_count_known_zeros(q, T, zeros):
+    """Inside the critical strip the counter finds the zeros on the critical
+    line: mod 3 at t = +-8.0397, +-11.2492 (+-15.7046 lies past T = 15), mod 4
+    at t = +-6.0209, +-10.2437, +-12.9880."""
+    chis = [c for c in enumerate_characters(q) if not c.is_principal]
+    windings, _ = lfunc._stable_windings(lfunc._chi_matrix(chis), [0], 0.3, T)
+    assert windings.tolist() == [zeros]
+
+
 def test_zero_scan_validates_input():
     with pytest.raises(ValueError):
         zero_count_rectangle(27, 0.3, 5.0)
@@ -157,18 +176,14 @@ def test_batched_l_sums_match_single_points():
     (sigma + it, chi), (sigma - it, conj chi) has its upper member."""
     for q in (27, 243):
         X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
-        pts, _ = lfunc._contour(0.9, 10.0, 0.25)
+        pts = lfunc._contour(0.9, 10.0, 0.25)
         assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // (q * lfunc._n_terms(0.0))
         batch = lfunc._l_sums(X, pts)
-        dbatch = lfunc._l_sums(X, pts, with_ds=True)
         for j, s in enumerate(pts):
             assert np.array_equal(batch[:, j], lfunc._l_sums(X, [s])[:, 0]), (q, s)
-            lv, dv = lfunc._l_sums(X, [s], with_ds=True)
-            assert np.array_equal(dbatch[0][:, j], lv[:, 0]), (q, s)
-            assert np.array_equal(dbatch[1][:, j], dv[:, 0]), (q, s)
 
     X = lfunc._chi_matrix([c for c in enumerate_characters(27) if not c.is_principal])
-    pts, _ = lfunc._contour(0.9, 20.0, 0.25)
+    pts = lfunc._contour(0.9, 20.0, 0.25)
     batch = lfunc._l_sums(X, pts)
     single = np.stack([lfunc._l_sums(X, [s])[:, 0] for s in pts], axis=1)
     assert np.array_equal(batch, single)
@@ -191,21 +206,32 @@ def test_batched_l_sums_match_single_points():
         assert grid["min_abs"] == best and grid["at"] == best_at, (q, grid, best_at)
 
 
-def _complex_exp_kernel(s, a, n0, with_ds):
+def _g_ratio_prime(w):
+    """d/dw [expm1(w)/w] = (w exp(w) - expm1(w))/w^2, stable near 0."""
+    ew = np.exp(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (w * ew - (ew - 1.0)) / w**2
+    small = np.abs(w) < 1e-4
+    if small.any():
+        ws = w[small]
+        out[small] = 0.5 + ws / 3.0 + ws**2 / 8.0 + ws**3 / 30.0
+    return out
+
+
+def _complex_exp_kernel(s, a, n0, with_ds=False):
     """Reference Hurwitz kernel: every power (a+k)^{-s} and (a+N)^{-s-2j+1} as
-    its own complex exp, the Bernoulli terms added one j at a time."""
+    its own complex exp, the Bernoulli terms added one j at a time; with
+    ``with_ds`` the analytic d/ds values come second."""
     s = s[:, None]
     logs = np.log(a[:, None] + np.arange(n0, dtype=np.float64))
     pows = np.exp(-s[:, :, None] * logs)
     vals = pows.sum(axis=2)
-    if with_ds:
-        dvals = -(logs * pows).sum(axis=2)
+    dvals = -(logs * pows).sum(axis=2)
     ltop = np.log(a + float(n0))
     top_ms = np.exp(-s * ltop)
     w = (1.0 - s) * ltop
     vals = vals - ltop * lfunc._g_ratio(w) + 0.5 * top_ms
-    if with_ds:
-        dvals = dvals + ltop**2 * lfunc._g_ratio_prime(w) - 0.5 * ltop * top_ms
+    dvals = dvals + ltop**2 * _g_ratio_prime(w) - 0.5 * ltop * top_ms
     shifts = s + np.arange(2 * lfunc._EM_ORDER - 1)
     poch = np.cumprod(shifts, axis=1)[:, ::2]
     powterm = np.exp((-s - lfunc._TWO_J + 1)[:, :, None] * ltop)
@@ -213,10 +239,8 @@ def _complex_exp_kernel(s, a, n0, with_ds):
     for j in range(lfunc._EM_ORDER):
         vals = vals + terms[:, j]
     if not with_ds:
-        return vals[None]
-    dlog = np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
-    pr, pi, dr, di = poch.real, poch.imag, dlog.real, dlog.imag
-    dpoch = (pr * dr - pi * di) + 1j * (pr * di + pi * dr)
+        return vals
+    dpoch = poch * np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
     dterms = (lfunc._EM_COEFFS[:, None] * powterm) * (dpoch[:, :, None] - poch[:, :, None] * ltop)
     for j in range(lfunc._EM_ORDER):
         dvals = dvals + dterms[:, j]
@@ -225,7 +249,7 @@ def _complex_exp_kernel(s, a, n0, with_ds):
 
 def _assert_close(new, ref, rel, where):
     """Entries of new within rel of the reference, relative to the largest
-    reference entry of their row (one character's values or derivatives)."""
+    reference entry of their row (one character's values)."""
     scale = np.max(np.abs(ref), axis=-1, keepdims=True)
     err = np.max(np.abs(new - ref) / scale)
     assert err <= rel, (where, err)
@@ -233,41 +257,67 @@ def _assert_close(new, ref, rel, where):
 
 def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
     """The kernel that takes magnitudes per sigma and rotations per t agrees
-    with one complex exp per power to 1e-13, values and d/ds: on the contour
-    and the full grid at q = 27, 81 and 243, and at single points up to
-    |s| = 50 (past the n0 floor at |s| = 13.33), and in hurwitz_zeta."""
+    with one complex exp per power to 1e-13: on the contour and the full grid
+    at q = 27, 81 and 243, and at single points up to |s| = 50 (past the n0
+    floor at |s| = 13.33), and in hurwitz_zeta."""
     rng = np.random.default_rng(15)
     singles = (rng.uniform(0.5, 2.0, 40) + 1j * rng.uniform(-50.0, 50.0, 40)).tolist()
     singles += [complex(0.6, 0.0), complex(1.0, 13.0), complex(0.9, 14.0), complex(2.0, 50.0)]
     assert max(lfunc._n_terms(abs(s)) for s in singles) > lfunc._n_terms(0.0)
     sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
     grid = (sigmas[:, None] + 1j * np.linspace(-10.0, 10.0, lfunc._GRID_TS)).ravel()
-    contour, _ = lfunc._contour(0.9, 10.0, 0.25)
+    contour = lfunc._contour(0.9, 10.0, 0.25)
     for q in (27, 81, 243):
         X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
         batches = [("contour", contour), ("grid", grid)]
         batches += [(s, [s]) for s in singles[:: 1 if q == 27 else 4]]
         for where, pts in batches:
-            new = lfunc._l_sums(X, pts, with_ds=True)
+            new = lfunc._l_sums(X, pts)
             with monkeypatch.context() as m:
                 m.setattr(lfunc, "_hurwitz_core", _complex_exp_kernel)
-                ref = lfunc._l_sums(X, pts, with_ds=True)
-            _assert_close(new[0], ref[0], 1e-13, (q, where, "L"))
-            _assert_close(new[1], ref[1], 1e-13, (q, where, "L'"))
+                ref = lfunc._l_sums(X, pts)
+            _assert_close(new, ref, 1e-13, (q, where, "L"))
     for s in singles:
         for a in (0.3, 1.0):
             ref = complex(_complex_exp_kernel(np.array([s]), np.array([a]),
-                                              int(lfunc._n_terms(abs(s))), False)[0, 0, 0])
+                                              int(lfunc._n_terms(abs(s))))[0, 0])
             ref += 1.0 / (s - 1.0)
             assert abs(hurwitz_zeta(s, a) - ref) <= 1e-13 * abs(ref), (s, a)
+
+
+def _analytic_derivative(chi, s):
+    """L'(s, chi) = -log(q) L + q^{-s} sum_a chi(a) d/ds zeta(s, a/q), the last
+    from the reference kernel's analytic d/ds."""
+    q = chi.q
+    a = np.arange(1, q + 1) / q
+    vals, dvals = _complex_exp_kernel(np.array([s]), a, int(lfunc._n_terms(abs(s))), True)
+    x = lfunc._chi_matrix([chi])[0]
+    qs = q ** (-s)
+    return -math.log(q) * qs * (x @ vals[0]) + qs * (x @ dvals[0])
+
+
+def test_l_derivative_matches_analytic_derivative():
+    """L' from Cauchy's integral on a circle of 32 points agrees with the
+    analytic d/ds of the Hurwitz sum within 1e-12 of max(|L|, |L'|), and L is
+    l_value's, bit for bit, at seeded points with sigma in [0.5, 2], |t| <= 50."""
+    rng = np.random.default_rng(20)
+    for q in (3, 4, 9, 25, 27, 49, 81, 243):
+        chis = [c for c in enumerate_characters(q) if not c.is_principal]
+        for _ in range(12):
+            chi = chis[int(rng.integers(len(chis)))]
+            s = complex(rng.uniform(0.5, 2.0), rng.uniform(-50.0, 50.0))
+            val, deriv = l_derivative(chi, s)
+            assert val == l_value(chi, s), (q, s)
+            ref = _analytic_derivative(chi, s)
+            assert abs(deriv - ref) <= 1e-12 * max(abs(val), abs(ref)), (q, s, abs(deriv - ref))
 
 
 @pytest.mark.parametrize("alpha,T,max_panel", [(0.9, 10.0, 0.25), (0.5, 3.7, 0.0625),
                                                (0.613, 7.25, 0.5), (0.995, 1.0, 0.125)])
 def test_contour_left_side_retraces_right_side(alpha, T, max_panel):
     """The left side's nodes are the right side's t nodes in reverse order at
-    sigma = alpha, and its weights the right side's, reversed and negated."""
-    pts, wts = lfunc._contour(alpha, T, max_panel)
+    sigma = alpha."""
+    pts = lfunc._contour(alpha, T, max_panel)
     per_side = [lfunc._GL_ORDER * math.ceil(length / max_panel)
                 for length in (1.0 - alpha, 2.0 * T, 1.0 - alpha, 2.0 * T)]
     assert len(pts) == sum(per_side)
@@ -275,21 +325,22 @@ def test_contour_left_side_retraces_right_side(alpha, T, max_panel):
     left = slice(len(pts) - per_side[3], len(pts))
     assert np.all(pts[left].real == alpha) and np.all(pts[right].real == 1.0)
     assert np.array_equal(pts[left].imag, pts[right].imag[::-1])
-    assert np.array_equal(wts[left], -wts[right][::-1])
     assert np.all(pts[right].imag[1:] > pts[right].imag[:-1])
 
 
 def _full_contour_windings(X, alpha, T, max_panel):
-    """Oracle: L and L' at every node of the contour, both halves."""
-    pts, wts = lfunc._contour(alpha, T, max_panel)
-    lmat, lpmat = lfunc._l_sums(X, pts, with_ds=True)
-    return (lpmat / lmat) @ wts / (2j * math.pi), float(np.min(np.abs(lmat)))
+    """Oracle: L at every node of the contour, both halves, and the steps of
+    arg L between consecutive nodes, the last node back to the first."""
+    lmat = lfunc._l_sums(X, lfunc._contour(alpha, T, max_panel))
+    steps = np.angle(np.roll(lmat, -1, axis=1) / lmat)
+    return (steps.sum(axis=1) / (2 * math.pi), float(np.max(np.abs(steps))),
+            float(np.min(np.abs(lmat))))
 
 
 def test_mirror_half_scans_match_full_scans():
-    """The zero scan's upper-half windings and contour minimum, and the grid's
-    upper-half minimum, agree with evaluating every point of the contour and
-    of the full 9 x 201 grid."""
+    """The zero scan's upper-half windings, largest step and contour minimum,
+    and the grid's upper-half minimum, agree with evaluating every point of
+    the contour and of the full 9 x 201 grid."""
     cases = []
     for q in (27, 81):
         chis = [c for c in enumerate_characters(q) if not c.is_principal]
@@ -298,9 +349,10 @@ def test_mirror_half_scans_match_full_scans():
     for q, chis, conj in cases:
         X = lfunc._chi_matrix(chis)
         for panel in (0.5, 0.25):
-            half, half_min = lfunc._windings(X, conj, 0.9, 10.0, panel)
-            full, full_min = _full_contour_windings(X, 0.9, 10.0, panel)
+            half, half_step, half_min = lfunc._windings(X, conj, 0.9, 10.0, panel)
+            full, full_step, full_min = _full_contour_windings(X, 0.9, 10.0, panel)
             assert np.max(np.abs(half - full)) < 1e-12, (q, panel)
+            assert abs(half_step - full_step) < 1e-12, (q, panel)
             assert abs(half_min - full_min) <= 1e-12 * full_min, (q, panel)
     for q in (27, 81):
         X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
