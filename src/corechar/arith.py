@@ -44,9 +44,19 @@ def factor(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
+    return trial_division(n, n)[0]
+
+
+def trial_division(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+    """The primes of n >= 1 found by trial division with a 2,3,5 wheel up to
+    ``limit``, as [(p, v_p(n)), ...] ascending, and the part of n they leave:
+    1 when they are all of n's primes, else a number with no prime factor
+    up to ``limit``."""
     out: list[tuple[int, int]] = []
     p, i = 2, 0
     while p * p <= n:
+        if p > limit:
+            return out, n
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -57,7 +67,7 @@ def factor(n: int) -> list[tuple[int, int]]:
         i = i + 1 if i < 10 else 3
     if n > 1:
         out.append((n, 1))
-    return out
+    return out, 1
 
 
 def exp_or_inf(x: float) -> float:

@@ -40,6 +40,7 @@ from .arith import (
     crt_combine,
     discrete_log,
     dlog_table,
+    trial_division,
     unit_group_basis,
     valuation,
 )
@@ -56,6 +57,9 @@ __all__ = [
 
 # Value tables are built for moduli up to this size.
 VALUE_TABLE_CAP = 1 << 20
+# Numerators from which root_values builds gcd(a, den) prime by prime: below this
+# one np.gcd costs less than the passes' numpy calls (break-even 2-4k numerators)
+_PRIME_PASSES_FROM = 1 << 12
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -98,7 +102,7 @@ def root_values(numerators, den: int) -> np.ndarray:
     the reduced angle a/d, with e(0) and e(1/2) exact.  int64 while
     den < 2^62, Python ints beyond."""
     a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
-    g = np.gcd(a, den)
+    g = _den_gcd(a, den)
     a, d = a // g, den // g
     theta = 2 * math.pi * a.astype(np.float64) / d.astype(np.float64)
     zero, half = a == 0, 2 * a == d
@@ -106,6 +110,24 @@ def root_values(numerators, den: int) -> np.ndarray:
     out.real = np.where(zero, 1.0, np.where(half, -1.0, np.cos(theta)))
     out.imag = np.where(zero | half, 0.0, np.sin(theta))
     return out
+
+
+def _den_gcd(a: np.ndarray, den: int) -> np.ndarray:
+    """gcd(a, den) for every a of the array a: one np.gcd for fewer than
+    ``_PRIME_PASSES_FROM`` numerators, else built one prime p^e of den below
+    2^16 at a time, each pass over the numerators that p^(k-1) divides, and
+    a gcd with the part of den those primes leave."""
+    if len(a) < _PRIME_PASSES_FROM:
+        return np.gcd(a, den)
+    primes, rest = trial_division(den, 1 << 16)
+    g = np.gcd(a, rest) if rest > 1 else np.ones_like(a)
+    for p, e in primes:
+        at = np.flatnonzero(a % p == 0)
+        for _ in range(e - 1):
+            g[at] *= p
+            at = at[a[at] // g[at] % p == 0]
+        g[at] *= p
+    return g
 
 
 @lru_cache(maxsize=64)

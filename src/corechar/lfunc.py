@@ -21,11 +21,14 @@ the one with t >= 0, and only the unit residues a of the Hurwitz sum; the
 grid reports the first least value in (sigma, t, character) order.
 
 The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
-a real magnitude per distinct sigma and a rotation per distinct t among
-the points of a block, which are taken in (t, sigma) order.  The grid's 9
-sigmas share each of its t values, and the contour's left side runs
-through the right side's t nodes, reversed, so both vertical sides share
-every rotation.
+a real magnitude per distinct sigma among the points of a block and a
+rotation per run of equal t, the points being in (t, sigma) order; it sums
+the powers of a few runs with equal sigmas before it forms the next ones.
+The grid's 9 sigmas share each of its t values, and the contour's left side
+runs through the right side's t nodes, reversed, so both vertical sides
+share every rotation.  A point takes the fewest direct terms, at least 16,
+for which the standard Euler-Maclaurin remainder bound is 2^-64 (``_n_terms``
+derives it).
 """
 
 from __future__ import annotations
@@ -46,12 +49,9 @@ __all__ = [
     "hurwitz_zeta",
     "l_value",
     "l_value_series",
-    "l_derivative",
     "zero_count_rectangle",
     "zero_scan_report",
     "l_grid_min",
-    "EllContext",
-    "build_ell_context",
     "theorem3_bound",
     "Theorem3Bound",
     "lemma8_check",
@@ -72,10 +72,16 @@ _EM_ORDER = 12
 _TWO_J = np.arange(2, 2 * _EM_ORDER + 1, 2)
 # B_{2j}/(2j)! for j = 1.._EM_ORDER
 _EM_COEFFS = np.array([float(b) for b in _BERNOULLI]) / np.cumprod((_TWO_J - 1.0) * _TWO_J)
-# Hurwitz terms (points x unit residues x direct terms) per _l_sums block: 4 MiB
-# per complex array; one point's unit residues x direct terms may not pass
-# _HURWITZ_CAP (256 MiB of complex powers)
-_BLOCK_ENTRIES = 1 << 18
+# log of 2 zeta(25)/(2 pi)^25 (bounds |B~_25(x)|/25!) over 2^-64 (see _n_terms)
+_LOG_EM_REMAINDER = math.log(2.0 * 1.0000000298035035 / (2.0 * math.pi) ** 25) + 64 * math.log(2.0)
+_N_FLOOR = 16  # least direct terms; enough for every point with sigma > 0 and |s| <= 11.5
+# (point, unit residue) pairs per _l_sums block: the kernel's Bernoulli stack of
+# 1 + _EM_ORDER complex terms per pair is then 1.7 MiB; one point's unit residues
+# x direct terms may not pass _HURWITZ_CAP (256 MiB of complex powers)
+_BLOCK_ENTRIES = 1 << 13
+# powers (a+k)^{-s} the kernel forms at once (512 KiB of complex); runs of equal t
+# with equal sigmas share them, as each run costs about ten numpy calls
+_CHUNK_POWERS = 1 << 15
 _HURWITZ_CAP = 1 << 24
 _SERIES_PASSES = 3  # period averages of the series path
 _GL_ORDER = 12  # Gauss-Legendre nodes per contour panel
@@ -84,24 +90,36 @@ _GRID_SIGMAS, _GRID_TS = 9, 201  # |L| confirmation grid points along sigma and 
 
 
 def _g_ratio(w: np.ndarray) -> np.ndarray:
-    """expm1(w)/w for complex w, stable near 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.exp(w) - 1.0) / w
-    small = np.abs(w) < 1e-5
-    if small.any():
-        ws = w[small]
-        out[small] = 1.0 + ws / 2.0 * (1.0 + ws / 3.0 * (1.0 + ws / 4.0))
-    return out
+    """expm1(w)/w for complex w, 1 at w = 0."""
+    return np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0)
 
 
-def _n_terms(s_abs, residues: int = 1):
-    """Direct terms before the Euler-Maclaurin tail, for points up to |s| = s_abs
-    (a float or a float array), each point to be taken at ``residues`` values
-    of a; ValueError when a point's residues x direct terms exceed
-    ``_HURWITZ_CAP``, before anything that size is allocated."""
-    n = np.maximum(2 * _EM_ORDER + 8, np.ceil(1.2 * np.asarray(s_abs)) + 16)
-    if residues * np.max(n, initial=0) > _HURWITZ_CAP:
-        raise ValueError(f"|s| = {np.max(s_abs):.6g} needs more than {_HURWITZ_CAP} "
+def _n_terms(s, residues: int = 1):
+    """Direct terms N before the Euler-Maclaurin tail, for each point of s (a
+    complex number or array): the least N >= ``_N_FLOOR`` with
+
+        2 zeta(25)/(2 pi)^25 |(s)_25| N^{-sigma-24}/(sigma+24) <= 2^-64.
+
+    With N direct terms and the m = ``_EM_ORDER`` = 12 Bernoulli corrections
+    of ``_hurwitz_core``, the remainder of Euler-Maclaurin summation is
+
+        R = -(s)_25/25! int_0^inf B~_25(x) (a+N+x)^{-s-25} dx,
+
+    with (s)_25 = s(s+1)...(s+24) and B~_25 the periodic Bernoulli function.
+    Its Fourier series B~_n(x) = -n! sum_{k != 0} e(kx)/(2 pi i k)^n gives
+    |B~_25(x)|/25! <= 2 zeta(25)/(2 pi)^25, and for sigma > -24 the integral
+    of |(a+N+x)^{-s-25}| is (a+N)^{-sigma-24}/(sigma+24), at most
+    N^{-sigma-24}/(sigma+24) since a + N >= N.  So |R| is at most the left
+    side above.  ValueError when a point, taken at ``residues`` values of a,
+    needs more than ``_HURWITZ_CAP`` residues x direct terms (or no N
+    meets the bound), before anything that size is allocated."""
+    s = np.asarray(s, dtype=np.complex128)
+    ex = s.real + 2 * _EM_ORDER
+    with np.errstate(all="ignore"):
+        log_poch = np.log(np.abs(s[..., None] + np.arange(2 * _EM_ORDER + 1))).sum(axis=-1)
+        n = np.maximum(_N_FLOOR, np.ceil(np.exp((_LOG_EM_REMAINDER + log_poch - np.log(ex)) / ex)))
+    if not residues * n.max(initial=0) <= _HURWITZ_CAP:   # NaN fails
+        raise ValueError(f"|s| = {np.max(np.abs(s)):.6g} needs more than {_HURWITZ_CAP} "
                          "Hurwitz terms per point")
     return n.astype(np.int64)
 
@@ -116,31 +134,39 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
     time, so each point gets its own.  Each power (a+x)^{-s} is the product
     (a+x)^{-sigma} e^{-it log(a+x)}: the real magnitude is taken once per
     distinct sigma among the points and the rotation once per run of equal
-    t, which is once per distinct t for points sorted by t.
+    t, which is once per distinct t for points sorted by t.  Consecutive runs
+    with equal sigmas go together, up to ``_CHUNK_POWERS`` powers or one run,
+    into one reused buffer, and are summed before the next are formed.
     """
     sigma, t = s.real.tolist(), s.imag.tolist()
     sigmas = sorted(set(sigma))
     rank = {v: i for i, v in enumerate(sigmas)}
     si = [rank[v] for v in sigma]                     # each point's row of the magnitudes
-    runs = [i for i in range(1, len(t)) if t[i] != t[i - 1]]   # where runs of equal t start
+    width = len(a) * (n0 + 1)                         # powers per point
+    chunks = []                                       # [first point, end point, run length]
+    starts = [0, *[i for i in range(1, len(t)) if t[i] != t[i - 1]], len(t)]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        c = chunks[-1] if chunks else None
+        if (c and c[2] == hi - lo and (hi - c[0]) * width <= _CHUNK_POWERS
+                and si[lo:hi] == si[c[0]:c[0] + c[2]]):
+            c[1] = hi
+        else:
+            chunks.append([lo, hi, hi - lo])
     s = s[:, None]                                    # (m, 1)
     logs = np.log(a[:, None] + np.arange(n0 + 1.0))   # (len(a), n0 + 1); last column log(a + N)
     ltop = logs[:, n0]
-    # (a+k)^{-s}, in place: the rotation e^{-it log(a+k)} at the first point of each
-    # run, copied along the run, then both parts scaled by the magnitude
-    pows = np.empty((len(t), len(a), n0 + 1), dtype=np.complex128)
-    for lo, hi in zip([0, *runs], [*runs, len(t)]):
-        rot = pows[lo]
-        np.multiply(logs, -1j * t[lo], out=rot)
-        np.exp(rot, out=rot)
-        pows[lo + 1:hi] = rot
-    mag = np.exp(-np.array(sigmas)[:, None, None] * logs)[si]   # (a+k)^{-sigma}
-    for part in pows.real, pows.imag:
-        np.multiply(part, mag, out=part)
-    del mag
-    top_ms = pows[:, :, n0].copy()                    # (a+N)^{-s}
-    vals = pows[:, :, :n0].sum(axis=2)
-    del pows
+    mags = np.exp(-np.array(sigmas)[:, None, None] * logs)   # (a+k)^{-sigma}
+    buf = np.empty(max(hi - lo for lo, hi, _ in chunks) * width, dtype=np.complex128)
+    vals, top_ms = np.empty((2, len(t), len(a)), dtype=np.complex128)
+    for lo, hi, k in chunks:
+        runs = (hi - lo) // k
+        # each run's rotation e^{i theta}, theta = -t log(a+k): (runs, 1, len(a), n0 + 1)
+        theta = np.multiply.outer(-np.array(t[lo:hi:k]), logs)[:, None]
+        pows, run_mags = buf[:(hi - lo) * width].reshape(runs, k, *logs.shape), mags[si[lo:lo + k]]
+        np.multiply(np.cos(theta), run_mags, out=pows.real)
+        np.multiply(np.sin(theta), run_mags, out=pows.imag)
+        np.add.reduce(pows[..., :n0], axis=-1, out=vals[lo:hi].reshape(runs, k, len(a)))
+        top_ms[lo:hi] = pows[..., n0].reshape(hi - lo, len(a))   # (a+N)^{-s}
 
     # boundary minus pole: (a+N)^{1-s}/(s-1) - 1/(s-1) = -ltop * g((1-s) ltop)
     vals = vals - ltop * _g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
@@ -150,18 +176,20 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
     # (a+N)^{-s-2j+1} = (a+N)^{-s} (a+N)^{1-2j}, and (s)_{2j-1} is a running product
     # over s+i.
     poch = np.cumprod(s + np.arange(2 * _EM_ORDER - 1), axis=1)[:, ::2]   # (m, _EM_ORDER)
-    powterm = top_ms[:, None] * np.exp((1 - _TWO_J)[:, None] * ltop)
-    stack = np.empty((len(poch), 1 + _EM_ORDER, len(a)), dtype=np.complex128)
+    stack = np.empty((len(t), 1 + _EM_ORDER, len(a)), dtype=np.complex128)
     stack[:, 0] = vals
-    np.multiply((_EM_COEFFS * poch)[:, :, None], powterm, out=stack[:, 1:])
+    terms = stack[:, 1:]
+    np.multiply(top_ms[:, None], np.exp((1 - _TWO_J)[:, None] * ltop), out=terms)
+    np.multiply((_EM_COEFFS * poch)[:, :, None], terms, out=terms)
     return np.add.reduce(stack, axis=1)
 
 
 def hurwitz_zeta(s: complex, a) -> complex:
     """zeta(s, a) = sum_{k>=0} (a+k)^{-s} for Re s > 0, a in (0, 1].
 
-    Euler-Maclaurin with twelve Bernoulli corrections after an
-    |s|-proportional number of direct terms; errors at s = 1 (the pole).
+    Euler-Maclaurin with twelve Bernoulli corrections after the direct
+    terms that bound the remainder by 2^-64 (``_n_terms``); errors at s = 1
+    (the pole).
     """
     s, a = complex(s), float(a)
     if not cmath.isfinite(s):
@@ -170,7 +198,7 @@ def hurwitz_zeta(s: complex, a) -> complex:
         raise ValueError("a must lie in (0, 1]")
     if s == 1.0:
         raise ValueError("zeta(s, a) has a pole at s = 1")
-    core = _hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(abs(s))))
+    core = _hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(s)))
     return complex(core[0, 0]) + 1.0 / (s - 1.0)
 
 
@@ -186,9 +214,10 @@ def _l_sums(X: np.ndarray, s) -> np.ndarray:
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
     of a nonprincipal character gives L(s, chi) exactly.  Only the columns
     nonzero in some row (the units a, for character rows) reach the kernel.
-    Points are grouped by their own ``_n_terms`` and go in blocks of
-    ``_BLOCK_ENTRIES`` Hurwitz terms within a group, in (t, sigma) order, so
-    that the points of a block share their t and sigma values; each point
+    Points are grouped by their own ``_n_terms`` and go in blocks of at most
+    ``_BLOCK_ENTRIES`` (point, unit residue) pairs within a group, in
+    (t, sigma) order, so that the points of a block share their t and sigma
+    values and the kernel takes one rotation per run of equal t; each point
     takes its own matrix-vector product, so its values do not depend on the
     other points.
     """
@@ -199,10 +228,10 @@ def _l_sums(X: np.ndarray, s) -> np.ndarray:
     qf = math.log(q)
     out = np.empty((len(X), len(s)), dtype=np.complex128)
     order = np.lexsort((s.real, s.imag))
-    n0 = _n_terms(np.abs(s), len(units))[order]
+    n0 = _n_terms(s, len(units))[order]
+    step = max(1, _BLOCK_ENTRIES // len(units))
     for n in sorted(set(n0.tolist())):
         group = order[n0 == n]
-        step = max(1, _BLOCK_ENTRIES // (len(units) * n))
         for lo in range(0, len(group), step):
             at = group[lo:lo + step]
             blk = s[at]
@@ -234,23 +263,6 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
     if chi.is_principal:
         val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
     return val
-
-
-def l_derivative(chi: DirichletCharacter, s: complex) -> tuple[complex, complex]:
-    """(L(s, chi), L'(s, chi)) for nonprincipal chi, Re s > 0.
-
-    L' is Cauchy's integral on the circle s + r w, w the 32nd roots of unity
-    and r = min(1/4, Re(s)/2), so the circle stays in Re s > 0:
-    L' = mean(L(s + r w) / w) / r.  L comes from the same batch; a point's
-    value does not depend on its batch, so it is ``l_value``'s.
-    """
-    if chi.is_principal:
-        raise ValueError("derivative path is for nonprincipal characters")
-    s = _check_s(s)
-    r = min(0.25, s.real / 2.0)
-    w = np.exp(2j * math.pi * np.arange(32) / 32)
-    vals = _l_sums(_chi_matrix([chi]), [s, *(s + r * w)])[0]
-    return complex(vals[0]), complex(np.mean(vals[1:] / w) / r)
 
 
 def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
@@ -425,20 +437,9 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllContext:
-    """The recurring log scale ell = log(q (|t|+3)) and Z = e^{2 ell}."""
-
-    q: int
-    t: float
-    ell: float
-    Z: float
-
-
-def build_ell_context(q, t: float) -> EllContext:
-    mod = as_modulus(q)
-    ell = math.log(mod.q) + math.log(abs(t) + 3.0)
-    return EllContext(q=mod.q, t=t, ell=ell, Z=exp_or_inf(2.0 * ell))
+def _ell(q: int, t: float) -> float:
+    """The recurring log scale ell = log(q (|t|+3))."""
+    return math.log(q) + math.log(abs(t) + 3.0)
 
 
 @dataclass(frozen=True)
@@ -466,8 +467,7 @@ def theorem3_bound(q, eta: float, t: float, c_impl: float = 1.0) -> Theorem3Boun
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
     mod = as_modulus(q)
-    ctx = build_ell_context(mod, t)
-    ell = ctx.ell
+    ell = _ell(mod.q, t)
     t1 = eta * math.log(mod.core)
     t2 = eta**1.5 * ell
     t3 = eta * ell ** (2.0 / 3.0) * math.log(ell) ** (1.0 / 3.0)
@@ -513,8 +513,7 @@ def lemma8_check(q, Y: Optional[float] = None, eta: float = 0.1, t: float = 0.0,
     ly = math.log(Y) if log_y is None else float(log_y)
     if ly <= 0.0 or eta <= 0.0:
         raise ValueError("need Y > 1 and eta > 0")
-    ctx = build_ell_context(mod, t)
-    ell = ctx.ell
+    ell = _ell(mod.q, t)
     y_ok = ly >= gamma0 * math.log(mod.core)
     ceiling = xi0 * ly * ly / (ell * ell) - c0 * math.log(ell) / ly
     eta_ok = eta <= ceiling

@@ -113,11 +113,18 @@ def test_root_values_seeded_and_past_int64():
     nums = [rng.randrange(d) for _ in range(10**5)]
     expected = [RationalAngle.of(a, d).to_complex() for a in nums]
     assert np.array_equal(_bits(root_values(nums, d)), _bits(expected))
-    # d >= 2^62 runs on Python ints; numerators need not be reduced
-    for d in (1 << 62, 2**64 * 3**5, (10**9 + 7) * (10**9 + 9) * 81):
-        nums = [0, -1, 1, d // 2, d // 3, d - 1, 3 * d + 5] + [rng.randrange(d) for _ in range(50)]
-        expected = [RationalAngle.of(a, d).to_complex() for a in nums]
-        assert np.array_equal(_bits(root_values(nums, d)), _bits(expected))
+    # Numerators need not be reduced, and d >= 2^62 runs on Python ints.  The
+    # last two d have two primes above 2^16, which trial division leaves to a
+    # gcd (the last d is below 2^62); 50 numerators take one np.gcd, 5000 go
+    # prime by prime.
+    big = 10**9 + 7
+    for d in (1 << 62, 2**64 * 3**5, big * (10**9 + 9) * 81, big * (10**9 + 9) * 3):
+        for count in (50, 5000):
+            nums = [0, -1, 1, d // 2, d // 3, d - 1, 3 * d + 5]
+            nums += [rng.randrange(d) for _ in range(count)]
+            nums += [big * k for k in (1, 2, 3, 81, 10**9 + 10)]
+            expected = [RationalAngle.of(a, d).to_complex() for a in nums]
+            assert np.array_equal(_bits(root_values(nums, d)), _bits(expected))
 
 
 def test_evaluate_above_dlog_table_cap():

@@ -8,9 +8,7 @@ import pytest
 from corechar import lfunc
 from corechar.characters import enumerate_characters, principal_character, quadratic_character
 from corechar.lfunc import (
-    build_ell_context,
     hurwitz_zeta,
-    l_derivative,
     l_grid_min,
     l_value,
     l_value_series,
@@ -105,15 +103,6 @@ def test_l_principal_pole_handling():
     assert abs(val - expected) < 1e-10
 
 
-def test_l_derivative_numeric():
-    chi = enumerate_characters(27, primitive_only=True)[0]
-    s = complex(0.9, 2.0)
-    _, deriv = l_derivative(chi, s)
-    h = 1e-6
-    numeric = (l_value(chi, s + h) - l_value(chi, s - h)) / (2 * h)
-    assert abs(deriv - numeric) < 1e-7
-
-
 def test_zero_scan_q3():
     assert zero_count_rectangle(3, 0.9, 5.0) == 0
     grid = l_grid_min(3, 0.9, 5.0)
@@ -169,15 +158,16 @@ def test_chi_matrix_reads_chi_at_one_to_q(q):
 
 def test_batched_l_sums_match_single_points():
     """A batch of points gives each point's values alone, bit for bit, both
-    while the points need no more direct terms than the floor (|s| <= 13.33)
-    and past it, where each point keeps its own n0.  The grid scan reports the
+    while the points need no more direct terms than the floor of 16 (every
+    point with |s| <= 11.5 and sigma > 0) and past it, where each point keeps
+    its own n0 from the remainder bound.  The grid scan reports the
     point and character of a per-point loop that reads every character at the
     upper half (t >= 0) of the t grid only, where each mirror pair
     (sigma + it, chi), (sigma - it, conj chi) has its upper member."""
     for q in (27, 243):
         X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
         pts = lfunc._contour(0.9, 10.0, 0.25)
-        assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // (q * lfunc._n_terms(0.0))
+        assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // np.count_nonzero(X.any(axis=0))
         batch = lfunc._l_sums(X, pts)
         for j, s in enumerate(pts):
             assert np.array_equal(batch[:, j], lfunc._l_sums(X, [s])[:, 0]), (q, s)
@@ -206,45 +196,21 @@ def test_batched_l_sums_match_single_points():
         assert grid["min_abs"] == best and grid["at"] == best_at, (q, grid, best_at)
 
 
-def _g_ratio_prime(w):
-    """d/dw [expm1(w)/w] = (w exp(w) - expm1(w))/w^2, stable near 0."""
-    ew = np.exp(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (w * ew - (ew - 1.0)) / w**2
-    small = np.abs(w) < 1e-4
-    if small.any():
-        ws = w[small]
-        out[small] = 0.5 + ws / 3.0 + ws**2 / 8.0 + ws**3 / 30.0
-    return out
-
-
-def _complex_exp_kernel(s, a, n0, with_ds=False):
+def _complex_exp_kernel(s, a, n0):
     """Reference Hurwitz kernel: every power (a+k)^{-s} and (a+N)^{-s-2j+1} as
-    its own complex exp, the Bernoulli terms added one j at a time; with
-    ``with_ds`` the analytic d/ds values come second."""
+    its own complex exp, the Bernoulli terms added one j at a time."""
     s = s[:, None]
     logs = np.log(a[:, None] + np.arange(n0, dtype=np.float64))
-    pows = np.exp(-s[:, :, None] * logs)
-    vals = pows.sum(axis=2)
-    dvals = -(logs * pows).sum(axis=2)
+    vals = np.exp(-s[:, :, None] * logs).sum(axis=2)
     ltop = np.log(a + float(n0))
     top_ms = np.exp(-s * ltop)
-    w = (1.0 - s) * ltop
-    vals = vals - ltop * lfunc._g_ratio(w) + 0.5 * top_ms
-    dvals = dvals + ltop**2 * _g_ratio_prime(w) - 0.5 * ltop * top_ms
-    shifts = s + np.arange(2 * lfunc._EM_ORDER - 1)
-    poch = np.cumprod(shifts, axis=1)[:, ::2]
+    vals = vals - ltop * lfunc._g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
+    poch = np.cumprod(s + np.arange(2 * lfunc._EM_ORDER - 1), axis=1)[:, ::2]
     powterm = np.exp((-s - lfunc._TWO_J + 1)[:, :, None] * ltop)
     terms = (lfunc._EM_COEFFS * poch)[:, :, None] * powterm
     for j in range(lfunc._EM_ORDER):
         vals = vals + terms[:, j]
-    if not with_ds:
-        return vals
-    dpoch = poch * np.cumsum(np.reciprocal(shifts), axis=1)[:, ::2]
-    dterms = (lfunc._EM_COEFFS[:, None] * powterm) * (dpoch[:, :, None] - poch[:, :, None] * ltop)
-    for j in range(lfunc._EM_ORDER):
-        dvals = dvals + dterms[:, j]
-    return np.stack((vals, dvals))
+    return vals
 
 
 def _assert_close(new, ref, rel, where):
@@ -258,12 +224,12 @@ def _assert_close(new, ref, rel, where):
 def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
     """The kernel that takes magnitudes per sigma and rotations per t agrees
     with one complex exp per power to 1e-13: on the contour and the full grid
-    at q = 27, 81 and 243, and at single points up to |s| = 50 (past the n0
-    floor at |s| = 13.33), and in hurwitz_zeta."""
+    at q = 27, 81 and 243, and at single points up to |s| = 50 (past the
+    reach of the n0 floor, |s| = 11.5), and in hurwitz_zeta."""
     rng = np.random.default_rng(15)
     singles = (rng.uniform(0.5, 2.0, 40) + 1j * rng.uniform(-50.0, 50.0, 40)).tolist()
     singles += [complex(0.6, 0.0), complex(1.0, 13.0), complex(0.9, 14.0), complex(2.0, 50.0)]
-    assert max(lfunc._n_terms(abs(s)) for s in singles) > lfunc._n_terms(0.0)
+    assert max(lfunc._n_terms(s) for s in singles) > lfunc._N_FLOOR
     sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
     grid = (sigmas[:, None] + 1j * np.linspace(-10.0, 10.0, lfunc._GRID_TS)).ravel()
     contour = lfunc._contour(0.9, 10.0, 0.25)
@@ -280,36 +246,136 @@ def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
     for s in singles:
         for a in (0.3, 1.0):
             ref = complex(_complex_exp_kernel(np.array([s]), np.array([a]),
-                                              int(lfunc._n_terms(abs(s))))[0, 0])
+                                              int(lfunc._n_terms(s)))[0, 0])
             ref += 1.0 / (s - 1.0)
             assert abs(hurwitz_zeta(s, a) - ref) <= 1e-13 * abs(ref), (s, a)
 
 
-def _analytic_derivative(chi, s):
-    """L'(s, chi) = -log(q) L + q^{-s} sum_a chi(a) d/ds zeta(s, a/q), the last
-    from the reference kernel's analytic d/ds."""
-    q = chi.q
-    a = np.arange(1, q + 1) / q
-    vals, dvals = _complex_exp_kernel(np.array([s]), a, int(lfunc._n_terms(abs(s))), True)
-    x = lfunc._chi_matrix([chi])[0]
-    qs = q ** (-s)
-    return -math.log(q) * qs * (x @ vals[0]) + qs * (x @ dvals[0])
+def _stacked_kernel(s, a, n0):
+    """Reference Hurwitz kernel with ``_hurwitz_core``'s arithmetic in one
+    (points, residues, n0 + 1) array of powers: each run's rotation copied
+    along the run, the magnitudes gathered per point."""
+    sigma, t = s.real.tolist(), s.imag.tolist()
+    sigmas = sorted(set(sigma))
+    rank = {v: i for i, v in enumerate(sigmas)}
+    si = [rank[v] for v in sigma]
+    runs = [i for i in range(1, len(t)) if t[i] != t[i - 1]]
+    s = s[:, None]
+    logs = np.log(a[:, None] + np.arange(n0 + 1.0))
+    ltop = logs[:, n0]
+    pows = np.empty((len(t), len(a), n0 + 1), dtype=np.complex128)
+    for lo, hi in zip([0, *runs], [*runs, len(t)]):
+        rot = pows[lo]
+        np.multiply(logs, -1j * t[lo], out=rot)
+        np.exp(rot, out=rot)
+        pows[lo + 1:hi] = rot
+    mag = np.exp(-np.array(sigmas)[:, None, None] * logs)[si]
+    for part in pows.real, pows.imag:
+        np.multiply(part, mag, out=part)
+    top_ms = pows[:, :, n0].copy()
+    vals = pows[:, :, :n0].sum(axis=2)
+    vals = vals - ltop * lfunc._g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
+    poch = np.cumprod(s + np.arange(2 * lfunc._EM_ORDER - 1), axis=1)[:, ::2]
+    powterm = top_ms[:, None] * np.exp((1 - lfunc._TWO_J)[:, None] * ltop)
+    stack = np.empty((len(poch), 1 + lfunc._EM_ORDER, len(a)), dtype=np.complex128)
+    stack[:, 0] = vals
+    np.multiply((lfunc._EM_COEFFS * poch)[:, :, None], powterm, out=stack[:, 1:])
+    return np.add.reduce(stack, axis=1)
 
 
-def test_l_derivative_matches_analytic_derivative():
-    """L' from Cauchy's integral on a circle of 32 points agrees with the
-    analytic d/ds of the Hurwitz sum within 1e-12 of max(|L|, |L'|), and L is
-    l_value's, bit for bit, at seeded points with sigma in [0.5, 2], |t| <= 50."""
-    rng = np.random.default_rng(20)
-    for q in (3, 4, 9, 25, 27, 49, 81, 243):
-        chis = [c for c in enumerate_characters(q) if not c.is_principal]
-        for _ in range(12):
-            chi = chis[int(rng.integers(len(chis)))]
-            s = complex(rng.uniform(0.5, 2.0), rng.uniform(-50.0, 50.0))
-            val, deriv = l_derivative(chi, s)
-            assert val == l_value(chi, s), (q, s)
-            ref = _analytic_derivative(chi, s)
-            assert abs(deriv - ref) <= 1e-12 * max(abs(val), abs(ref)), (q, s, abs(deriv - ref))
+def test_run_kernel_matches_stacked_kernel(monkeypatch):
+    """The kernel that forms and sums its powers a few runs of equal t at a
+    time gives the stacked kernel's values bit for bit at equal n0: through
+    ``_l_sums`` on the contour, the grid and single points at q = 27, 81, 243
+    and 72, and directly at n0 = 16, 32 and 48 on points in (t, sigma)
+    order, among them runs whose sigmas change from run to run."""
+    rng = np.random.default_rng(21)
+    singles = (rng.uniform(0.5, 2.0, 12) + 1j * rng.uniform(-50.0, 50.0, 12)).tolist()
+    sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
+    grid = (sigmas[:, None] + 1j * np.linspace(-10.0, 10.0, lfunc._GRID_TS)).ravel()
+    batches = [("contour", lfunc._contour(0.9, 10.0, 0.25)), ("grid", grid)]
+    batches += [(s, [s]) for s in singles]
+    for q in (27, 81, 243, 72):
+        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        for where, pts in batches:
+            new = lfunc._l_sums(X, pts)
+            with monkeypatch.context() as m:
+                m.setattr(lfunc, "_hurwitz_core", _stacked_kernel)
+                ref = lfunc._l_sums(X, pts)
+            assert np.array_equal(new, ref), (q, where)
+    a = np.arange(1, 82)[np.arange(1, 82) % 3 != 0] / 81
+    pts = lfunc._contour(0.6, 7.0, 0.5)
+    pts = pts[np.lexsort((pts.real, pts.imag))]
+    # runs of two points whose sigmas change from run to run
+    pairs = np.sort([rng.choice([0.5, 0.7, 0.9, 1.0, 1.3], 2, replace=False) for _ in range(30)])
+    mixed = (pairs + 1j * np.sort(rng.uniform(0.0, 20.0, 30))[:, None]).ravel()
+    for n0 in (16, 32, 48):
+        for batch in (pts, mixed):
+            new = lfunc._hurwitz_core(batch, a, n0)
+            assert np.array_equal(new, _stacked_kernel(batch, a, n0)), n0
+
+
+def _remainder_bound(s, n):
+    """2 zeta(25)/(2 pi)^25 |(s)_25| n^{-sigma-24}/(sigma+24): the bound on the
+    Euler-Maclaurin remainder after n direct terms and 12 corrections."""
+    zeta25 = math.fsum(k ** -25.0 for k in range(1, 100))
+    poch = math.prod(abs(s + i) for i in range(25))
+    return 2 * zeta25 / (2 * math.pi) ** 25 * poch * n ** (-s.real - 24) / (s.real + 24)
+
+
+def test_n_terms_is_least_n_meeting_the_remainder_bound():
+    """Each point's n0 is the least N >= 16 whose remainder bound is at most
+    2^-64, for seeded |s| <= 50 and sigma in [0.5, 2], alone or in an array."""
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0.5, 2.0, 200) + 1j * rng.uniform(-50.0, 50.0, 200)
+    pts = pts[np.abs(pts) <= 50.0]
+    n0 = lfunc._n_terms(pts)
+    assert np.max(n0) > 2 * lfunc._N_FLOOR and np.min(n0) == lfunc._N_FLOOR
+    for s, n in zip(pts.tolist(), n0.tolist()):
+        assert n == lfunc._n_terms(s)
+        assert _remainder_bound(s, n) <= 2.0 ** -64, (s, n)
+        assert n == lfunc._N_FLOOR or _remainder_bound(s, n - 1) > 2.0 ** -64, (s, n)
+
+
+def test_kernel_at_its_n0_matches_four_times_n0():
+    """Past the stated remainder bound, more direct terms change a Hurwitz
+    row only by rounding: at 4 n0 every point's row agrees with its row at
+    n0 within 8 eps (1 + |t|) of the row's largest value (the phases
+    t log(a+k) are rounded to eps |t log(a+k)|), on the contour and at
+    seeded single points up to |s| = 50, q = 27, 243 and 72."""
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(22)
+    singles = rng.uniform(0.5, 2.0, 30) + 1j * rng.uniform(-50.0, 50.0, 30)
+    contour = lfunc._contour(0.9, 10.0, 0.5)
+    for q in (27, 243, 72):
+        units = np.flatnonzero([math.gcd(u, q) == 1 for u in range(1, q + 1)])
+        a = (units + 1) / q
+        for s in np.concatenate((contour[contour.imag > 0], singles)):
+            n0 = int(lfunc._n_terms(s, len(a)))
+            row = lfunc._hurwitz_core(np.array([s]), a, n0)[0]
+            ref = lfunc._hurwitz_core(np.array([s]), a, 4 * n0)[0]
+            err = np.max(np.abs(row - ref)) / np.max(np.abs(ref))
+            assert err <= 8 * eps * (1 + abs(s.imag)), (q, s, err)
+
+
+def _taylor_g(w: complex) -> complex:
+    """expm1(w)/w = sum_k w^k/(k+1)!, by Horner over 20 terms."""
+    out = 0j
+    for k in range(20, -1, -1):
+        out = 1 + out * w / (k + 2)
+    return out
+
+
+def test_g_ratio_matches_taylor_sum():
+    """expm1(w)/w to a few ulps for 1e-8 <= |w| <= 1e-2 in eight directions,
+    where exp(w) - 1 loses up to eps/|w| to cancellation; 1 at w = 0."""
+    ws = np.array([r * complex(math.cos(ang), math.sin(ang))
+                   for r in np.logspace(-8, -2, 13)
+                   for ang in np.arange(8) * math.pi / 4 + 0.3] + [2e-5, 1e-4 * (1 + 1j)])
+    ref = np.array([_taylor_g(w) for w in ws.tolist()])
+    err = np.abs(lfunc._g_ratio(ws) - ref) / np.abs(ref)
+    assert np.max(err) <= 1e-15, ws[np.argmax(err)]
+    assert lfunc._g_ratio(np.zeros(3, dtype=np.complex128)).tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("alpha,T,max_panel", [(0.9, 10.0, 0.25), (0.5, 3.7, 0.0625),
@@ -383,9 +449,11 @@ def test_principal_l_drops_non_units(q):
 
 
 def test_ell_context():
-    ctx = build_ell_context(27, 2.0)
-    assert abs(ctx.ell - math.log(27 * 5.0)) < 1e-12
-    assert abs(ctx.Z - math.exp(2 * ctx.ell)) < 1e-6 * ctx.Z
+    """theorem3_bound and lemma8_check report ell = log(q (|t| + 3))."""
+    for t in (2.0, -2.0):
+        ell = math.log(27 * 5.0)
+        assert abs(theorem3_bound(27, 0.1, t).ell - ell) < 1e-12
+        assert abs(lemma8_check(27, Y=10.0, eta=0.1, t=t).ell - ell) < 1e-12
 
 
 def test_theorem3_bound_shapes():
@@ -413,7 +481,7 @@ def test_lemma8_check():
     assert rep.bound == pytest.approx(1e9, rel=1e-6)
     # the three-way Y recipe satisfies the window for a large constant
     for eta in (1e-3, 1e-2):
-        ell = build_ell_context(q, 0.0).ell
+        ell = lfunc._ell(q, 0.0)
         log_y = 400.0 * max(math.log(3), math.sqrt(eta) * ell,
                             ell ** (2 / 3) * math.log(ell) ** (1 / 3))
         rep = lemma8_check(q, eta=eta, t=0.0, log_y=log_y,
