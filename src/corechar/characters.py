@@ -1,29 +1,34 @@
 """Dirichlet characters with exact integer-angle values.
 
-A character mod q is stored as one exponent vector per prime-power part of
-q, taken against the canonical unit-group basis of that prime power.  With
-L = chi.order every value is chi(n) = e(A(n)/L) for an integer numerator
-0 <= A(n) < L (e(t) = exp(2*pi*i*t)), computed from discrete logs as
+A character mod q is one exponent k_j per generator j of the canonical
+unit-group basis of every prime power of q; the characters mod q are the
+rows of one exponent matrix (``character_rows``, with each row's conjugate
+row and a primitive mask from one conductor closed form), and objects are
+built from rows (``characters_of_rows``) only where a label or a scalar
+value is needed.  With L a common multiple of a row's order, every value is
+chi(n) = e(A(n)/L) for an integer numerator 0 <= A(n) < L
+(e(t) = exp(2*pi*i*t)), computed from discrete logs as
 
     A(n) = sum_j w_j * dlog_j(n mod p^gamma) mod L,  w_j = k_j * L / o_j,
 
-over the basis generators j of order o_j and exponents k_j.  Two kernels
-compute A: ``angle_numerator`` for one n, and ``angle_numerators`` for an
-array, one dlog table gather per prime power, or ``angle_numerator`` per
-element when a prime power of q is above the dlog table cap.  ``evaluate``
-reduces A(n) to a ``RationalAngle``; ``crt_restrict`` reads chi at one CRT
-lift.  ``value_table`` holds A and the complex values on all residues, in
-one small cache keyed by the character: equal characters share a table,
-and a list of characters pins none.
-``root_values`` turns integer angles into complex values, each exactly as
-``RationalAngle.to_complex`` does; that conversion happens only at
+over the basis generators j of order o_j.  Two kernels compute A:
+``angle_numerator`` for one n, and ``_numerator_rows`` for an array of n
+and one row or all rows at once, one dlog table gather per prime power;
+``angle_numerators`` is its one row over L = chi.order, or
+``angle_numerator`` per element when a prime power of q is above the dlog
+table cap.  ``evaluate`` reduces A(n) to a ``RationalAngle``;
+``crt_restrict`` reads chi at one CRT lift.  ``value_table`` holds A and
+the complex values on all residues, in one small cache keyed by the
+character: equal characters share a table, and a list of characters pins
+none.  ``root_values`` turns integer angles into complex values, each
+exactly as ``RationalAngle.to_complex`` does, in lowest terms, so any
+common multiple L gives the same bits; that conversion happens only at
 summation boundaries.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -42,7 +47,6 @@ from .arith import (
     dlog_table,
     trial_division,
     unit_group_basis,
-    valuation,
 )
 
 __all__ = [
@@ -51,6 +55,8 @@ __all__ = [
     "principal_character",
     "quadratic_character",
     "enumerate_characters",
+    "character_rows",
+    "characters_of_rows",
     "crt_restrict",
     "RestrictedCharacter",
 ]
@@ -210,27 +216,15 @@ class DirichletCharacter:
 
     def angle_numerators(self, ns) -> np.ndarray:
         """``angle_numerator`` of every n of the integer array ns (an object
-        array past 2^63), -1 where gcd(n, q) > 1: one dlog table gather per
-        prime power, or ``angle_numerator`` per n above the dlog table cap."""
+        array past 2^63), -1 where gcd(n, q) > 1: the one row of
+        ``_numerator_rows`` over L = order, or ``angle_numerator`` per n
+        above the dlog table cap."""
         ns = np.asarray(ns)
-        L = self.order
-        # with h = gcd(k_j, o_j): w_j*dlog_j = ((k_j/h)*dlog_j mod o_j/h) * L/(o_j/h)
-        # mod L, where (k_j/h)*dlog_j < o_j^2 <= 2^44 under the table cap; every
-        # term and the running sum stay below L: int64 while L < 2^62, else ints
-        dtype = np.int64 if L < 1 << 62 else object
         if any(p**g > DLOG_TABLE_CAP for p, g in self.modulus.factors):
             return np.array([-1 if a is None else a for a in map(self.angle_numerator, ns.tolist())],
-                            dtype=dtype)
-        acc = np.zeros(len(ns), dtype=dtype)
-        unit = np.ones(len(ns), dtype=bool)
-        for (p, g), exps in zip(self.modulus.factors, self.components):
-            unit &= ns % p != 0
-            logs = dlog_table(p, g)[(ns % p**g).astype(np.int64)]
-            for ell, k, o in zip(logs.T, exps, unit_group_basis(p, g).orders):
-                h = math.gcd(k, o)
-                acc = (acc + (ell * (k // h) % (o // h)).astype(dtype) * (L * h // o)) % L
-        acc[~unit] = -1
-        return acc
+                            dtype=np.int64 if self.order < 1 << 62 else object)
+        row = [k for exps in self.components for k in exps]
+        return _numerator_rows(self.modulus, np.array([row], dtype=np.int64), self.order, ns)[0]
 
     def evaluate(self, n: int) -> Optional[RationalAngle]:
         """Exact angle of chi(n), or None when gcd(n, q) > 1 (the value 0)."""
@@ -261,10 +255,8 @@ class DirichletCharacter:
     @cached_property
     def conductor(self) -> int:
         """Least q* | q such that chi factors through (Z/q*)^x."""
-        cond = 1
-        for (p, g), exps in zip(self.modulus.factors, self.components):
-            cond *= p ** _component_conductor_exponent(p, g, exps)
-        return cond
+        return math.prod(p ** int(_conductor_exponents(p, g, [exps])[0])
+                         for (p, g), exps in zip(self.modulus.factors, self.components))
 
     @property
     def is_primitive(self) -> bool:
@@ -304,6 +296,31 @@ class DirichletCharacter:
         return f"chi[{self.q}|" + ";".join(parts) + "]"
 
 
+def _numerator_rows(m: FactoredModulus, E: np.ndarray, L: int, ns) -> np.ndarray:
+    """A(n) over L, a common multiple of the rows' orders, for every row of the
+    exponent matrix E (see ``character_rows``) and every n of the integer
+    array ns, -1 where gcd(n, q) > 1: one dlog table gather per prime power
+    of m, each under the dlog table cap."""
+    # with h = gcd(k_j, o_j), k = k_j/h and oh = o_j/h: w_j*dlog_j = (k*dlog_j mod oh)
+    # * L/oh mod L, where k*dlog_j < o_j^2 <= 2^44 under the table cap; every
+    # term and the running sum stay below L: int64 while L < 2^62, else ints
+    dtype = np.int64 if L < 1 << 62 else object
+    orders, spans = _columns(m)
+    h = np.gcd(E, orders)
+    k, oh = E // h, orders // h
+    w = L // oh.astype(dtype)
+    acc = np.zeros((len(E), len(ns)), dtype=dtype)
+    unit = np.ones(len(ns), dtype=bool)
+    for p, g, lo, hi in spans:
+        unit &= ns % p != 0
+        logs = dlog_table(p, g)[(ns % p**g).astype(np.int64)]
+        for j, ell in zip(range(lo, hi), logs.T):
+            term = (ell * k[:, j, None] % oh[:, j, None]).astype(dtype, copy=False)
+            acc = (acc + term * w[:, j, None]) % L
+    acc[:, ~unit] = -1
+    return acc
+
+
 # At VALUE_TABLE_CAP = 2^20 residues one table holds 24 MiB (int64
 # numerators and complex128 values), so this cache holds at most 192 MiB.
 @lru_cache(maxsize=8)
@@ -317,22 +334,24 @@ def _value_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     return numerators, values
 
 
-def _component_conductor_exponent(p: int, gamma: int, exps: tuple[int, ...]) -> int:
-    """Exponent of p in the conductor of a prime-power character component.
+def _conductor_exponents(p: int, gamma: int, E) -> np.ndarray:
+    """Exponent of p in the conductor of every row of E, the exponent vectors
+    of characters mod p^gamma against ``unit_group_basis(p, gamma)``.
 
     Derived from the basis structure: for odd p (cyclic, generator order
-    p^(gamma-1)(p-1)) the component is trivial on the units = 1 mod p^beta
-    exactly when p^(gamma-beta) | k, so beta = max(1, gamma - v_p(k)).  For
-    p = 2 the {-1, 5} basis gives conductor 1, 4 or 2^max(3, gamma - v2(e2)):
-    the {-1} part never raises it above 4, the 5-part floor is 8.
+    p^(gamma-1)(p-1)) a row k is trivial on the units = 1 mod p^beta
+    exactly when p^(gamma-beta) | k, so beta = max(1, gamma - v_p(k)), which
+    is gamma less the e in 1..gamma-1 with p^e | k.  For p = 2 the {-1, 5}
+    basis gives conductor 1, 4 or 2^max(3, gamma - v2(e2)): the {-1} part
+    never raises it above 4, the 5-part floor is 8.  The trivial row has 0.
     """
-    if all(k == 0 for k in exps):
-        return 0
-    if p != 2:
-        return max(1, gamma - valuation(exps[0], p))
-    if gamma == 2 or exps[1] == 0:
-        return 2
-    return max(3, gamma - valuation(exps[1], 2))
+    E = np.asarray(E, dtype=np.int64 if p**gamma < 1 << 63 else object)
+    if p == 2 and gamma < 3:
+        beta = 2
+    else:
+        k, top = (E[:, 0], gamma - 1) if p != 2 else (E[:, 1], gamma - 3)
+        beta = np.where(k == 0, 2, gamma - sum(k % p**e == 0 for e in range(1, top + 1)))
+    return np.where(E.any(axis=1), beta, 0)
 
 
 def principal_character(q) -> DirichletCharacter:
@@ -354,22 +373,50 @@ def quadratic_character(q) -> DirichletCharacter:
     return DirichletCharacter(m, ((order // 2,),))
 
 
-def enumerate_characters(q, primitive_only: bool = False) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q in lexicographic exponent order."""
+@lru_cache(maxsize=64)
+def _columns(m: FactoredModulus) -> tuple[np.ndarray, tuple[tuple[int, int, int, int], ...]]:
+    """The columns of an exponent row mod m, one per basis generator of every
+    prime power in turn: their orders (read-only), and (p, gamma, lo, hi) per
+    prime power, whose exponents are the columns lo..hi-1."""
+    orders = np.array([o for p, g in m.factors for o in unit_group_basis(p, g).orders], dtype=np.int64)
+    orders.flags.writeable = False
+    ends = np.cumsum([0] + [len(unit_group_basis(p, g).orders) for p, g in m.factors]).tolist()
+    return orders, tuple((p, g, lo, hi) for (p, g), lo, hi in zip(m.factors, ends, ends[1:]))
+
+
+def character_rows(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, conj, primitive): the characters mod q as the rows of one int64
+    exponent matrix E, each row the exponent vectors of its ``components``
+    end to end, in lexicographic order (``enumerate_characters``' order, so
+    row 0 is principal); conj[c] is the row of row c's conjugate, and
+    primitive[c] whether row c is primitive.  ValueError past 2^22 rows (the
+    dlog table cap), before anything that size is allocated."""
     m = as_modulus(q)
-    ranges = []
-    for p, g in m.factors:
-        basis = unit_group_basis(p, g)
-        ranges.append(
-            list(itertools.product(*(range(o) for o in basis.orders)))
-        )
-    out = []
-    for combo in itertools.product(*ranges):
-        chi = DirichletCharacter(m, tuple(combo))
-        if primitive_only and not chi.is_primitive:
-            continue
-        out.append(chi)
-    return out
+    orders, spans = _columns(m)
+    count = math.prod(orders.tolist())
+    if count > DLOG_TABLE_CAP:
+        raise ValueError(f"{count} characters mod {m.q} exceed the size cap of the rows")
+    E = np.indices(orders, dtype=np.int64).reshape(len(orders), count).T
+    # a scalar when q has no generators (q = 1, 2), so reshaped to one row
+    conj = np.ravel_multi_index(tuple((-E % orders).T), orders).reshape(len(E))
+    primitive = np.ones(len(E), dtype=bool)
+    for p, g, lo, hi in spans:
+        primitive &= _conductor_exponents(p, g, E[:, lo:hi]) == g
+    return E, conj, primitive
+
+
+def characters_of_rows(q, E) -> list[DirichletCharacter]:
+    """The character of every row of E, rows of ``character_rows(q)``'s E."""
+    m = as_modulus(q)
+    spans = [slice(lo, hi) for _, _, lo, hi in _columns(m)[1]]
+    return [DirichletCharacter(m, tuple(tuple(row[s]) for s in spans)) for row in E.tolist()]
+
+
+def enumerate_characters(q, primitive_only: bool = False) -> list[DirichletCharacter]:
+    """All phi(q) characters mod q in lexicographic exponent order, or the
+    primitive ones only: the objects of ``character_rows(q)``'s rows."""
+    E, _, primitive = character_rows(q)
+    return characters_of_rows(q, E[primitive] if primitive_only else E)
 
 
 class RestrictedCharacter(NamedTuple):

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .arith import as_modulus
-from .characters import DirichletCharacter, enumerate_characters, principal_character, quadratic_character
+from .characters import (DirichletCharacter, character_rows, characters_of_rows, enumerate_characters,
+                         principal_character, quadratic_character)
 from .config import DEFAULT_CONFIG, RunConfig
 from .expsums import RealPolynomial, char_sum, decompose, dirichlet_poly, twisted_sum
 from .lfunc import (
@@ -112,7 +113,8 @@ def _sum_payload(result) -> dict:
 
 
 def parse_character(spec: str, q) -> DirichletCharacter:
-    """'principal', 'quadratic', 'index:K', 'primitive:K', or inline JSON."""
+    """'principal', 'quadratic', 'index:K', 'primitive:K', or inline JSON; the
+    index forms build only row K of the (primitive) ``character_rows``."""
     mod = as_modulus(q)
     if spec == "principal":
         return principal_character(mod)
@@ -121,11 +123,12 @@ def parse_character(spec: str, q) -> DirichletCharacter:
     kind, _, idx = spec.partition(":")
     if kind in ("index", "primitive"):
         idx = int(idx)
-        chars = enumerate_characters(mod, primitive_only=kind == "primitive")
-        if not 0 <= idx < len(chars):
+        E, _, primitive = character_rows(mod)
+        rows = E[primitive] if kind == "primitive" else E
+        if not 0 <= idx < len(rows):
             what = "index" if kind == "index" else "primitive index"
-            raise ValueError(f"{what} {idx} out of range 0..{len(chars) - 1}")
-        return chars[idx]
+            raise ValueError(f"{what} {idx} out of range 0..{len(rows) - 1}")
+        return characters_of_rows(mod, rows[idx:idx + 1])[0]
     data = json.loads(spec)
     chi = DirichletCharacter.from_dict(data)
     if chi.q != mod.q:

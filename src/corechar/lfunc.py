@@ -14,11 +14,16 @@ the argument principle counts the zeros inside.  A refinement level is
 trusted when every step is below pi/2, and the count is taken once two
 trusted levels in a row agree; a contour running through zeros (as the side
 sigma = 1/2 can) never passes the step guard, and the scan raises.  An |L|
-lower-bound grid scan serves as the independent confirmation.  Both pass
-all their points to the blocked Hurwitz kernel at once, and each evaluates
-one member of every mirror pair (sigma + it on chi, sigma - it on conj chi),
-the one with t >= 0, and only the unit residues a of the Hurwitz sum; the
-grid reports the first least value in (sigma, t, character) order.
+lower-bound grid scan serves as the independent confirmation.  Both read
+every nonprincipal character's chi(1..q) from the characters' exponent rows
+through the one numerator kernel, with no character object and no value
+table (objects are built for the labels only); ``l_value`` reads its one
+character through ``expsums._chi_values``, and refuses a point where L is
+not finite.  Both scans pass all their points to the blocked Hurwitz kernel
+at once, and each evaluates one member of every mirror pair (sigma + it on
+chi, sigma - it on conj chi), the one with t >= 0, and only the unit
+residues a of the Hurwitz sum; the grid reports the first least value in
+(sigma, t, character) order.
 
 The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
 a real magnitude per distinct sigma among the points of a block and a
@@ -41,8 +46,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import as_modulus, exp_or_inf
-from .characters import DirichletCharacter, enumerate_characters
+from .arith import FactoredModulus, as_modulus, exp_or_inf
+from .characters import (DirichletCharacter, _columns, _numerator_rows, _roots_of_unity, character_rows,
+                         enumerate_characters)
 from .expsums import _blocked_sum, _chi_values
 
 __all__ = [
@@ -202,14 +208,23 @@ def hurwitz_zeta(s: complex, a) -> complex:
     return complex(core[0, 0]) + 1.0 / (s - 1.0)
 
 
-def _chi_matrix(chis: Sequence[DirichletCharacter]) -> np.ndarray:
-    """(n_chi, q) complex matrix of chi(a) in column a-1 for a = 1..q."""
-    return np.stack([_chi_values(chi, np.arange(1, chi.q + 1)) for chi in chis])
+def _chi_rows(mod: FactoredModulus) -> tuple[np.ndarray, np.ndarray]:
+    """(X, conj): chi(a) in column a-1 for a = 1..q, one row per nonprincipal
+    character mod q in ``enumerate_characters`` order, and the row of each
+    row's conjugate.  Read from ``character_rows`` at once over L = lcm of the
+    generator orders; ``root_values`` reduces every angle, so each row is its
+    character's value table bit for bit."""
+    E, conj, _ = character_rows(mod)
+    L = math.lcm(*_columns(mod)[0].tolist())
+    A = _numerator_rows(mod, E[1:], L, np.arange(1, mod.q + 1))
+    # row 0 is the principal character; A = -1 off the units reads the appended 0
+    return np.append(_roots_of_unity(L), 0j)[A], conj[1:] - 1
 
 
 def _l_sums(X: np.ndarray, s) -> np.ndarray:
-    """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of a ``_chi_matrix``
-    X at every point of the vector s: an array of shape (len(X), len(s)).
+    """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of X (chi(a) at
+    a = 1..q, as ``_chi_rows`` gives them) at every point of the vector s: an
+    array of shape (len(X), len(s)).
 
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
     of a nonprincipal character gives L(s, chi) exactly.  Only the columns
@@ -254,14 +269,18 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
 
     Nonprincipal characters are entire here (the zeta poles cancel exactly
     in the regularized sum); the principal character keeps the pole and
-    errors at s = 1.
+    errors at s = 1.  ValueError far right, where a Hurwitz power
+    (a/q)^{-sigma} overflows a double and L is not finite.
     """
     s = _check_s(s)
     if chi.is_principal and s == 1.0:
         raise ValueError("L(s, principal) has a pole at s = 1")
-    val = complex(_l_sums(_chi_matrix([chi]), [s])[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = complex(_l_sums(_chi_values(chi, np.arange(1, chi.q + 1))[None], [s])[0, 0])
     if chi.is_principal:
         val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
+    if not cmath.isfinite(val):
+        raise ValueError("L(s, chi) is not finite: a Hurwitz power overflows a double")
     return val
 
 
@@ -315,8 +334,8 @@ def _contour(alpha: float, T: float, max_panel: float) -> np.ndarray:
 
 
 def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_panel: float):
-    """The turn of arg L around the contour over 2 pi for every row of the
-    ``_chi_matrix`` X, whose row conj[c] is the conjugate of row c: the sum of
+    """The turn of arg L around the contour over 2 pi for every row of
+    ``_chi_rows``' X, whose row conj[c] is the conjugate of row c: the sum of
     the steps arg(L(z_{i+1}) / L(z_i)) between consecutive nodes.  Also the
     largest |step| and the smallest |L| on the contour.
 
@@ -384,13 +403,11 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
     if T < 1.0:
         raise ValueError("T must be >= 1")
     mod = as_modulus(q)
-    chis = [c for c in enumerate_characters(mod) if not c.is_principal]
+    X, conj = _chi_rows(mod)
     used_alpha = alpha
     perturbed = False
     windings, min_abs = [], math.inf
-    if chis:
-        index = {chi.components: i for i, chi in enumerate(chis)}
-        X, conj = _chi_matrix(chis), [index[chi.conjugate().components] for chi in chis]
+    if len(X):
         try:
             windings, min_abs = _stable_windings(X, conj, alpha, T)
         except ArithmeticError:
@@ -399,7 +416,7 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
             windings, min_abs = _stable_windings(X, conj, used_alpha, T)
     per_char = [
         {"character": chi.label(), "zeros": int(w)}
-        for chi, w in zip(chis, windings)
+        for chi, w in zip(enumerate_characters(mod)[1:], windings)
     ]
     return {
         "q": mod.q, "alpha": alpha, "alpha_used": used_alpha, "T": T,
@@ -420,15 +437,16 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
     least value in (sigma, t, character) order.
     """
     mod = as_modulus(q)
-    chis = [c for c in enumerate_characters(mod) if not c.is_principal]
-    if not chis:
+    X, _ = _chi_rows(mod)
+    if not len(X):
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
     ts = np.linspace(-T, T, _GRID_TS)[_GRID_TS // 2:]
-    absl = np.abs(_l_sums(_chi_matrix(chis), (sigmas[:, None] + 1j * ts).ravel()))
-    absl = absl.reshape(len(chis), _GRID_SIGMAS, len(ts)).transpose(1, 2, 0)
+    absl = np.abs(_l_sums(X, (sigmas[:, None] + 1j * ts).ravel()))
+    absl = absl.reshape(len(X), _GRID_SIGMAS, len(ts)).transpose(1, 2, 0)
     i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
-    at = {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": chis[c].label()}
+    label = enumerate_characters(mod)[1 + c].label()
+    at = {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": label}
     return {"q": mod.q, "min_abs": float(absl[i, j, c]), "at": at}
 
 

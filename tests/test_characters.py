@@ -1,5 +1,6 @@
 """Character construction, exact values, conductors, and the CRT restriction."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -13,6 +14,8 @@ from corechar.characters import (
     VALUE_TABLE_CAP,
     DirichletCharacter,
     RationalAngle,
+    character_rows,
+    characters_of_rows,
     crt_restrict,
     enumerate_characters,
     principal_character,
@@ -198,6 +201,41 @@ def test_enumeration_deterministic():
     labels = [c.label() for c in enumerate_characters(45)]
     assert labels == [c.label() for c in enumerate_characters(45)]
     assert len(labels) == len(set(labels)) == 24  # phi(45)
+
+
+_EDGE_MODULI = [1, 2, 4, 8, 2**7, 3**5, 45, 72, 864, 2592]
+
+
+@pytest.mark.parametrize("q", _EDGE_MODULI)
+def test_enumeration_matches_product_oracle(q):
+    """The rows give the characters of the definition: every exponent vector
+    of every prime power in lexicographic order, by itertools.product over
+    each generator's range(o), filtered by the scalar conductor."""
+    m = FactoredModulus.from_int(q)
+    per_pp = [list(itertools.product(*map(range, unit_group_basis(p, g).orders)))
+              for p, g in m.factors]
+    oracle = [DirichletCharacter(m, combo) for combo in itertools.product(*per_pp)]
+    assert enumerate_characters(q) == oracle
+    assert enumerate_characters(q, primitive_only=True) == [c for c in oracle if c.conductor == q]
+    E, _, primitive = character_rows(q)
+    assert characters_of_rows(q, E) == oracle and E.dtype == np.int64
+    assert primitive.tolist() == [c.conductor == q for c in oracle]
+
+
+def test_character_rows_size_cap():
+    """Past 2^22 characters the rows are refused before they are allocated:
+    7 * 2^21 has 1.5 * 2^22 characters and 3^20 has 2.3 * 10^9."""
+    for q in (7 * 2**21, 3**20):
+        with pytest.raises(ValueError, match="size cap"):
+            character_rows(q)
+
+
+@pytest.mark.parametrize("q", _EDGE_MODULI)
+def test_conjugate_row_index(q):
+    """Row conj[c] holds the exponents of the conjugate of row c's character."""
+    E, conj, _ = character_rows(q)
+    for c, chi in enumerate(characters_of_rows(q, E)):
+        assert characters_of_rows(q, E[conj[c]:conj[c] + 1]) == [chi.conjugate()]
 
 
 def test_conductor_examples():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from corechar.characters import enumerate_characters
 from corechar.cli import build_parser, emit_json, main, parse_character, parse_polynomial
 
 
@@ -82,6 +83,9 @@ _WINDOW = ["--q", "9", "--chi", "index:1", "--M", "0", "--N", "10"]
     ["decompose", *_WINDOW, "--s", "2", "--G", "0,1e400"],
     ["zfr-params", "--q", "729", "--eta", "0.05", "--T", "5", "--M", "nan"],
     ["zfr-params", "--q", "729", "--eta", "0.05", "--T", "nan", "--M", "100"],
+    # finite points far right, where a Hurwitz power (a/q)^-sigma overflows
+    ["lfunc-eval", "--q", "243", "--chi", "index:1", "--sigma", "200"],
+    ["lfunc-eval", "--q", "243", "--chi", "index:1", "--sigma", "1e6"],
 ])
 def test_non_finite_number_is_an_error(argv, capsys):
     assert main(argv) == 1
@@ -187,6 +191,18 @@ def test_parse_character_specs():
     assert str(chi.evaluate(2)) == "1/6"
     with pytest.raises(ValueError):
         parse_character("index:99", 9)
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 72, 243])
+def test_parse_character_rows_are_enumeration_order(q):
+    """'index:K' and 'primitive:K' build the character at K of the full and
+    of the primitive enumeration, and refuse K past either end."""
+    for kind, primitive_only in (("index", False), ("primitive", True)):
+        chis = enumerate_characters(q, primitive_only=primitive_only)
+        assert [parse_character(f"{kind}:{k}", q) for k in range(len(chis))] == chis
+        for k in (-1, len(chis)):
+            with pytest.raises(ValueError, match="out of range"):
+                parse_character(f"{kind}:{k}", q)
 
 
 def test_emit_json_formatting():

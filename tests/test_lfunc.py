@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from corechar import lfunc
-from corechar.characters import enumerate_characters, principal_character, quadratic_character
+from corechar.arith import as_modulus
+from corechar.characters import (_value_table, enumerate_characters, principal_character,
+                                  quadratic_character)
+from corechar.expsums import _chi_values
 from corechar.lfunc import (
     hurwitz_zeta,
     l_grid_min,
@@ -75,6 +78,17 @@ def test_l_value_sigma2_against_partial_sums():
     assert abs(l_value(chi, s) - partial) < 1e-9  # tail < q/(n_terms)^2 summed by parts
 
 
+def test_l_value_refuses_an_overflowing_power():
+    """Far right of the line (1/q)^-sigma passes a double at q = 243, and L is
+    refused rather than returned as NaN; at q = 3 the powers still fit, and
+    L(400, chi) rounds to 1."""
+    chi = enumerate_characters(243)[1]
+    for s in (130.0, 200.0, 1e6):
+        with pytest.raises(ValueError, match="not finite"):
+            l_value(chi, s)
+    assert l_value(enumerate_characters(3)[1], 400.0) == 1.0
+
+
 def test_l_dual_paths_agree():
     points = [complex(0.6, 0.0), complex(1.0, 5.5), complex(2.0, 50.0), complex(0.8, -13.0)]
     for q in (3, 9, 27):
@@ -135,9 +149,18 @@ def test_windings_count_known_zeros(q, T, zeros):
     """Inside the critical strip the counter finds the zeros on the critical
     line: mod 3 at t = +-8.0397, +-11.2492 (+-15.7046 lies past T = 15), mod 4
     at t = +-6.0209, +-10.2437, +-12.9880."""
-    chis = [c for c in enumerate_characters(q) if not c.is_principal]
-    windings, _ = lfunc._stable_windings(lfunc._chi_matrix(chis), [0], 0.3, T)
+    windings, _ = lfunc._stable_windings(*lfunc._chi_rows(as_modulus(q)), 0.3, T)
     assert windings.tolist() == [zeros]
+
+
+def test_scans_build_no_value_table():
+    """The scans read every character from the exponent rows: a zero scan and
+    a grid scan at q = 243 leave the value-table cache's counts as they were."""
+    before = _value_table.cache_info()
+    zero_scan_report(243, 0.9, 3.0)
+    l_grid_min(243, 0.9, 3.0)
+    after = _value_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_zero_scan_validates_input():
@@ -147,13 +170,18 @@ def test_zero_scan_validates_input():
         zero_count_rectangle(27, 0.9, 0.5)
 
 
-@pytest.mark.parametrize("q", [1, 2, 27, 72])
-def test_chi_matrix_reads_chi_at_one_to_q(q):
-    """Row c of the matrix holds chi_c(a) at a = 1..q: the value table with
-    its column 0 (a = q) moved to the end, bit for bit."""
-    chis = enumerate_characters(q)
-    rows = np.stack([chi.value_table[1] for chi in chis])
-    assert np.array_equal(lfunc._chi_matrix(chis), np.concatenate((rows[:, 1:], rows[:, :1]), axis=1))
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 2**7, 3**5, 27, 45, 72, 864, 2592])
+def test_chi_rows_read_chi_at_one_to_q(q):
+    """Row c holds chi_c(a) at a = 1..q for the nonprincipal characters in
+    enumeration order: the value table with its column 0 (a = q) moved to
+    the end, bit for bit, and conj[c] is the row of chi_c's conjugate."""
+    chis = enumerate_characters(q)[1:]
+    X, conj = lfunc._chi_rows(as_modulus(q))
+    assert X.shape == (len(chis), q)
+    for row, chi in zip(X, chis):
+        values = chi.value_table[1]
+        assert np.array_equal(row, np.concatenate((values[1:], values[:1])))
+    assert [chis[c] for c in conj.tolist()] == [chi.conjugate() for chi in chis]
 
 
 def test_batched_l_sums_match_single_points():
@@ -165,23 +193,22 @@ def test_batched_l_sums_match_single_points():
     upper half (t >= 0) of the t grid only, where each mirror pair
     (sigma + it, chi), (sigma - it, conj chi) has its upper member."""
     for q in (27, 243):
-        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        X, _ = lfunc._chi_rows(as_modulus(q))
         pts = lfunc._contour(0.9, 10.0, 0.25)
         assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // np.count_nonzero(X.any(axis=0))
         batch = lfunc._l_sums(X, pts)
         for j, s in enumerate(pts):
             assert np.array_equal(batch[:, j], lfunc._l_sums(X, [s])[:, 0]), (q, s)
 
-    X = lfunc._chi_matrix([c for c in enumerate_characters(27) if not c.is_principal])
+    X, _ = lfunc._chi_rows(as_modulus(27))
     pts = lfunc._contour(0.9, 20.0, 0.25)
     batch = lfunc._l_sums(X, pts)
     single = np.stack([lfunc._l_sums(X, [s])[:, 0] for s in pts], axis=1)
     assert np.array_equal(batch, single)
 
     for q in (27, 81):
-        chis = [c for c in enumerate_characters(q) if not c.is_principal]
-        X = lfunc._chi_matrix(chis)
-        labels = [c.label() for c in chis]
+        X, _ = lfunc._chi_rows(as_modulus(q))
+        labels = [c.label() for c in enumerate_characters(q)[1:]]
         ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
         best, best_at = math.inf, None
         for sigma in np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS):
@@ -234,7 +261,7 @@ def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
     grid = (sigmas[:, None] + 1j * np.linspace(-10.0, 10.0, lfunc._GRID_TS)).ravel()
     contour = lfunc._contour(0.9, 10.0, 0.25)
     for q in (27, 81, 243):
-        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        X, _ = lfunc._chi_rows(as_modulus(q))
         batches = [("contour", contour), ("grid", grid)]
         batches += [(s, [s]) for s in singles[:: 1 if q == 27 else 4]]
         for where, pts in batches:
@@ -296,7 +323,7 @@ def test_run_kernel_matches_stacked_kernel(monkeypatch):
     batches = [("contour", lfunc._contour(0.9, 10.0, 0.25)), ("grid", grid)]
     batches += [(s, [s]) for s in singles]
     for q in (27, 81, 243, 72):
-        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        X, _ = lfunc._chi_rows(as_modulus(q))
         for where, pts in batches:
             new = lfunc._l_sums(X, pts)
             with monkeypatch.context() as m:
@@ -407,13 +434,9 @@ def test_mirror_half_scans_match_full_scans():
     """The zero scan's upper-half windings, largest step and contour minimum,
     and the grid's upper-half minimum, agree with evaluating every point of
     the contour and of the full 9 x 201 grid."""
-    cases = []
-    for q in (27, 81):
-        chis = [c for c in enumerate_characters(q) if not c.is_principal]
-        cases.append((q, chis, [chis.index(c.conjugate()) for c in chis]))
-    cases.append((27, [quadratic_character(27)], [0]))
-    for q, chis, conj in cases:
-        X = lfunc._chi_matrix(chis)
+    cases = [(q, *lfunc._chi_rows(as_modulus(q))) for q in (27, 81)]
+    cases.append((27, _chi_values(quadratic_character(27), np.arange(1, 28))[None], [0]))
+    for q, X, conj in cases:
         for panel in (0.5, 0.25):
             half, half_step, half_min = lfunc._windings(X, conj, 0.9, 10.0, panel)
             full, full_step, full_min = _full_contour_windings(X, 0.9, 10.0, panel)
@@ -421,7 +444,7 @@ def test_mirror_half_scans_match_full_scans():
             assert abs(half_step - full_step) < 1e-12, (q, panel)
             assert abs(half_min - full_min) <= 1e-12 * full_min, (q, panel)
     for q in (27, 81):
-        X = lfunc._chi_matrix([c for c in enumerate_characters(q) if not c.is_principal])
+        X, _ = lfunc._chi_rows(as_modulus(q))
         sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
         ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
         full = np.min(np.abs(lfunc._l_sums(X, (sigmas[:, None] + 1j * ts).ravel())))
