@@ -406,10 +406,21 @@ def character_rows(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def characters_of_rows(q, E) -> list[DirichletCharacter]:
-    """The character of every row of E, rows of ``character_rows(q)``'s E."""
+    """The character of every row of E, rows of ``character_rows(q)``'s E.
+
+    Those rows are in range by construction, so the objects are made without
+    the constructor's per-exponent check.  The fields are set one by one, as
+    the constructor sets them, so that the objects share their dict keys.
+    """
     m = as_modulus(q)
     spans = [slice(lo, hi) for _, _, lo, hi in _columns(m)[1]]
-    return [DirichletCharacter(m, tuple(tuple(row[s]) for s in spans)) for row in E.tolist()]
+    out = []
+    for row in E.tolist():
+        chi = object.__new__(DirichletCharacter)
+        object.__setattr__(chi, "modulus", m)
+        object.__setattr__(chi, "components", tuple(tuple(row[s]) for s in spans))
+        out.append(chi)
+    return out
 
 
 def enumerate_characters(q, primitive_only: bool = False) -> list[DirichletCharacter]:

@@ -5,14 +5,31 @@ every contribution is log p with an integer multiplicity, so partition
 identities across residue classes can be checked exactly on the
 multiplicity level, independent of floating-point summation order.
 
-One counting function serves every path.  It sieves only the window
-(lo, hi], in segments of 2^20, with the base primes up to sqrt(hi) that
-come from the same sieve applied to [2, sqrt(hi)], so a window costs
-O(h + sqrt(x)).  The higher powers p^j (j >= 2) are made as arrays over the
-base primes.  A class's multiplicities stay two int64 arrays, ascending
+One counting function serves every path.  It sieves only the terms
+n = a + q·k of one progression in the window (lo, hi], in segments of 2^20
+terms, and at odd q only the odd ones, with the base primes up to sqrt(hi)
+that come from the same sieve applied to [2, sqrt(hi)] with q = 1, so a
+class's window costs O(h/q + sqrt(x)).  The higher powers p^j (j >= 2) are made as arrays over
+the base primes.  A class's multiplicities stay two int64 arrays, ascending
 primes and their counts, and ``PsiCounts`` reads them as a p -> count
-mapping.  Every intermediate is at most hi + sqrt(hi), so windows with
-hi < 2^62 are exact in int64; beyond that the sieve raises.
+mapping.
+
+int64 exactness.  The sieve takes hi < 2^62 and raises beyond; a class
+whose modulus exceeds hi is first restated under the modulus hi + 1, so
+q <= 2^62, and an odd q < 2^62 is doubled, so the sieve's q and a < q stay
+below 2^63.  Every base prime p is at most sqrt(hi) < 2^31.  Then:
+
+- a term a + q·k is formed only for k up to (hi - a) // q, so it is <= hi,
+  and so is every k and every offset between two k;
+- a power p^j is formed only while p^(j-1) <= hi // p, so it is <= hi;
+- a multiple p·m of a base prime is formed with m <= max(p, ceil(n / p))
+  for a term n <= hi, so p·m <= hi + sqrt(hi); the first multiple of p in
+  the class, p·(m + d) with 0 <= d < q, is formed only once
+  d <= (hi - p·m) // p, so it is <= hi;
+- a·p^-1 mod q is reduced from Python ints, one ``pow`` per distinct
+  p mod q, and is below q;
+- an ``np.repeat`` array holds o - s·i, where the step s < 2^31 and i counts
+  fewer than ``_REPEAT_CHUNK`` · ``_FEW`` = 2^16 strikes.
 """
 
 from __future__ import annotations
@@ -20,7 +37,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -37,7 +53,9 @@ __all__ = [
     "short_interval_check",
 ]
 
-_SEGMENT = 1 << 20
+_SEGMENT = 1 << 20  # terms of the progression per segment
+_FEW = 16  # a base prime with fewer strikes per segment strikes through np.repeat
+_REPEAT_CHUNK = 1 << 12  # primes per np.repeat index array
 _LOG_CHUNK = 1 << 16  # primes per math.log chunk of _psi_values
 
 
@@ -53,36 +71,101 @@ def von_mangoldt(n: int) -> float:
     return math.log(facs[0][0])
 
 
-def _sieve(lo: int, hi: int, base: np.ndarray) -> Iterator[np.ndarray]:
-    """Primes in (lo, hi], ascending, in segments of at most 2^20.
+def _first_strikes(p: np.ndarray, k: int, hi: int, q: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, step) for the base primes p that divide terms a + q·k' with
+    k' >= k: first is the least such k' whose term is >= p^2, and step the
+    distance in k' to the next, ascending by step.  A prime whose first such
+    term lies past hi may be dropped.
+
+    A prime dividing gcd(a, q) divides every term, so its step is 1.  Another
+    prime dividing q divides none and is dropped.  Any other p divides the
+    terms p·m with m = a·p^-1 (mod q), every p-th term.
+    """
+    g = math.gcd(a, q)
+    n = a + q * k
+    whole = p[g % p == 0]
+    whole_first = np.maximum(k, -(-(whole * whole - a) // q))
+    p = p[q % p != 0]
+    m0 = np.zeros_like(p)
+    if a:  # else a·p^-1 = 0
+        res, which = np.unique(p % q, return_inverse=True)
+        m0 = np.array([a * pow(r, -1, q) % q for r in res.tolist()], dtype=np.int64)[which]
+    m = np.maximum(p, -(-n // p))  # p·m is the least multiple of p >= max(p^2, n)
+    pm = p * m
+    d = (m0 - m) % q
+    strikes = d <= (hi - pm) // p
+    p, pm, d = p[strikes], pm[strikes], d[strikes]
+    first = np.concatenate([whole_first, (pm + p * d - a) // q])
+    return first, np.concatenate([np.ones_like(whole), p])
+
+
+def _sieve(lo: int, hi: int, base: np.ndarray, q: int, a: int) -> Iterator[np.ndarray]:
+    """Primes n = a + q·k in (lo, hi], 0 <= a < q, ascending, in segments of
+    at most 2^20 terms of the progression.
 
     ``base`` holds every prime up to sqrt(hi), ascending.  Multiples of each
-    base prime are struck from max(p^2, first multiple >= segment start), so
-    the base primes themselves survive.  Base primes shorter than the
-    segment strike by slices; a longer one strikes it at most once, so all
-    of those strike through one array of first multiples.
+    base prime are struck from p^2 on, so the base primes themselves survive.
+    A base prime no longer than the longest segment's span (q times its
+    terms less one) strikes every step-th term from its first
+    (``_first_strikes``): by one slice per segment when it has at least
+    ``_FEW`` strikes there, else through one ``np.repeat`` index array per
+    ``_REPEAT_CHUNK`` primes.  A longer prime has at most one multiple in a
+    segment's span, its least multiple past the segment's first term, which
+    strikes only if it lies in the class.
     """
-    start = max(lo + 1, 2)
-    while start <= hi:
-        stop = min(start + _SEGMENT, hi + 1)
-        seg = np.ones(stop - start, dtype=bool)
-        short = int(np.searchsorted(base, stop - start))
-        for p in base[:short].tolist():
-            if p * p >= stop:
-                break
-            seg[max(p * p, -(-start // p) * p) - start::p] = False
-        long = base[short:]
-        first = np.maximum(long * long, -(-start // long) * long)
-        seg[first[first < stop] - start] = False
-        yield np.flatnonzero(seg) + start
-        start = stop
+    k = max(0, -(-(max(lo + 1, 2) - a) // q))
+    end = (hi - a) // q  # the last k
+    if k > end:
+        return
+    # the base primes no longer than the longest segment's span
+    cut = int(np.searchsorted(base, q * (min(_SEGMENT, end - k + 1) - 1), side="right"))
+    first, step = _first_strikes(base[:cut], k, hi, q, a)
+    long = base[cut:]
+    while k <= end:
+        size = min(_SEGMENT, end - k + 1)
+        seg = np.ones(size, dtype=bool)
+        off = first - k
+        off = np.maximum(off, off % step)  # the first strike at or past k
+        many = int(np.searchsorted(step, size // _FEW, side="right"))
+        for o, s in zip(off[:many].tolist(), step[:many].tolist()):
+            seg[o::s] = False
+        for i in range(many, len(step), _REPEAT_CHUNK):
+            o, s = off[i:i + _REPEAT_CHUNK], step[i:i + _REPEAT_CHUNK]
+            times = np.maximum(-((o - size) // s), 0)
+            before = np.cumsum(times) - times
+            seg[np.repeat(o - s * before, times)
+                + np.repeat(s, times) * np.arange(before[-1] + times[-1])] = False
+        start = a + q * k
+        last = start + q * (size - 1)
+        m = -start // long
+        m *= long
+        np.negative(m, out=m)
+        sq = int(np.searchsorted(long, math.isqrt(start), side="right"))  # p^2 > start
+        np.maximum(m[sq:], long[sq:] * long[sq:], out=m[sq:])
+        m = m[m <= last]
+        m = m[(m - a) % q == 0]
+        seg[(m - start) // q] = False
+        yield np.flatnonzero(seg) * q + start
+        k += size
+
+
+def _primes_in(lo: int, hi: int, base: np.ndarray, q: int = 1, a: int = 0) -> np.ndarray:
+    """Primes n = a (mod q) in (lo, hi], 0 <= a < q, ascending.  At odd q the
+    even terms hold no prime but 2, so only the odd terms, a progression
+    mod 2q of half the terms, are sieved."""
+    two = np.empty(0, dtype=np.int64)
+    if q % 2:
+        if (2 - a) % q == 0 and lo < 2 <= hi:
+            two = np.array([2], dtype=np.int64)
+        q, a = 2 * q, a if a % 2 else a + q
+    return np.concatenate([two, *_sieve(lo, hi, base, q, a)])
 
 
 def _primes_to(n: int) -> np.ndarray:
     """Every prime up to n: the same sieve, applied recursively to [2, n]."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate(list(_sieve(0, n, _primes_to(math.isqrt(n)))))
+    return _primes_in(0, n, _primes_to(math.isqrt(n)))
 
 
 def _class_counts(lo: int, hi: int, q: int,
@@ -90,19 +173,24 @@ def _class_counts(lo: int, hi: int, q: int,
     """(residues, primes, counts) of the prime powers in (lo, hi]: one entry
     per prime p and class c mod q that holds a power p^j of the window, with
     the number of those powers.  The entries are int64 arrays sorted by class,
-    then by prime.  Only the class of a is kept when a is given.
+    then by prime.  Only the class of a is sieved and kept when a is given.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if hi >= 1 << 62:
         raise ValueError(f"window end {hi} >= 2^62: the sieve's int64 arithmetic "
                          "is proved exact only below 2^62")
+    if a is not None:
+        a %= q
+        if q > hi:
+            # the class meets [0, hi] in a alone, if at all, and so does the
+            # class of a mod hi + 1, which int64 holds
+            if a > hi:
+                return (np.empty(0, dtype=np.int64),) * 3
+            q = max(hi, 0) + 1
     root = math.isqrt(max(hi, 0))
     base = _primes_to(root)
-    segments = _sieve(lo, hi, base)
-    if a is not None:
-        segments = (seg[seg % q == a % q] for seg in segments)
-    primes = np.concatenate([base[:0], *segments])
+    primes = _primes_in(lo, hi, base, *(() if a is None else (q, a)))
     split = int(np.searchsorted(primes, root, side="right"))
     # The low entries: the primes of the window up to sqrt(hi), then every
     # higher power pw = p^j of the window, whose base p is a base prime.
@@ -118,7 +206,7 @@ def _class_counts(lo: int, hi: int, q: int,
         pw = pw[more] * p
     low_p, low_r = np.concatenate(bases), np.concatenate(powers) % q
     if a is not None:
-        keep = low_r == a % q
+        keep = low_r == a
         low_p, low_r = low_p[keep], low_r[keep]
     # one count per (prime, class) of the low entries, ascending by prime
     (low_p, low_r), low_c = np.unique(np.stack([low_p, low_r]), axis=1, return_counts=True)
@@ -203,20 +291,34 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
                 with_counts: bool) -> list[PsiValue]:
     """One PsiValue per slice bounds[i]:bounds[i + 1] of the arrays.
 
+    The value is the sum of the float terms t = count * math.log(p), rounded
+    once, which is what math.fsum returns.  Proof that it is summed exactly:
+    every t is at least log 2 > 1/2 (count >= 1, p >= 2) and below 64
+    (count * log p <= log hi < 43, since the count powers of p are distinct
+    and at most hi < 2^62).  A double in [1/2, 64) is a multiple of 2^-53, so
+    t = m·2^-53 with an integer m < 2^59.  The m of one ``_LOG_CHUNK`` = 2^16
+    terms are summed as int64 high and low 32-bit halves, below 2^16·2^27 and
+    2^16·2^32, and the chunks' sums are added as Python ints.  Python rounds
+    an int to the nearest double, ties to even, as fsum rounds its exact sum,
+    and the scaling by 2^-53 that follows is exact.
+
     math.log, not np.log: the two differ in the last bit at 44 primes below
-    10^7, and fsum is correctly rounded, so the value is the same bits as a
-    sum over any order of the same count * math.log(p) terms.  The logs are
-    taken ``_LOG_CHUNK`` primes at a time and one fsum per slice reads all
-    the chunks through one iterator, so no Python list spans a whole class.
+    10^7.  The logs are taken ``_LOG_CHUNK`` primes at a time, so no Python
+    list spans a whole class.
     """
-    def chunks(i: int, j: int):
-        for lo in range(i, j, _LOG_CHUNK):
-            hi = min(lo + _LOG_CHUNK, j)
-            logs = np.fromiter(map(math.log, primes[lo:hi].tolist()), np.float64, hi - lo)
-            yield (counts[lo:hi] * logs).tolist()
-    return [PsiValue(math.fsum(chain.from_iterable(chunks(i, j))),
+    cuts = np.asarray(bounds)
+    sums = np.zeros(len(bounds) - 1, dtype=object)
+    for lo in range(bounds[0], bounds[-1], _LOG_CHUNK):
+        hi = min(lo + _LOG_CHUNK, bounds[-1])
+        logs = np.fromiter(map(math.log, primes[lo:hi].tolist()), np.float64, hi - lo)
+        m = np.ldexp(counts[lo:hi] * logs, 53).astype(np.int64)
+        at = np.clip(cuts, lo, hi) - lo
+        for shift, half in ((32, m >> 32), (0, m & 0xFFFFFFFF)):
+            run = np.concatenate([[0], np.cumsum(half)])
+            sums += np.diff(run[at]).astype(object) << shift
+    return [PsiValue(math.ldexp(float(total), -53),
                      PsiCounts(primes[i:j], counts[i:j]) if with_counts else None)
-            for i, j in zip(bounds, bounds[1:])]
+            for total, i, j in zip(sums.tolist(), bounds, bounds[1:])]
 
 
 def _psi_window(lo: float, hi: float, q: int, a: int,

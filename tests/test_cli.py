@@ -71,6 +71,18 @@ def test_nan_constant_is_an_error(capsys):
     assert "eps > 0" in capsys.readouterr().err
 
 
+def test_psi_progression_past_int64(capsys):
+    """A modulus past int64 is answered exactly: the window holds a mod q
+    alone, if anything."""
+    argv = ["psi-progression", "--q", str(2**64 + 1), "--x", "1000", "--h", "100"]
+    assert main(argv + ["--a", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["q"] == 2**64 + 1 and data["delta_psi"] == 0 and data["empty_interval"]
+    assert main(argv + ["--a", "1009"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["delta_psi"] == float(f"{math.log(1009):.15g}") and not data["empty_interval"]
+
+
 _WINDOW = ["--q", "9", "--chi", "index:1", "--M", "0", "--N", "10"]
 
 

@@ -2,13 +2,16 @@
 
 import math
 import pickle
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from corechar.primes import (
+    _LOG_CHUNK,
     PsiCounts,
+    _psi_values,
     _psi_window,
     psi,
     psi_by_class,
@@ -178,6 +181,16 @@ def _fsum_counts(counts: dict[int, int]) -> float:
     (10**4, 3 * 10**5, 72, 5),                 # 2^a 3^b
     (10**3, 10**5, 2**5 * 3**4, 2**5 + 3**4),
     (500, 6 * 10**4, 2**3 * 3**2, 0),          # a class mod 72 with no prime power
+    (0, 3 * 10**6, 2, 1),                      # progressions longer than one
+    (10**7, 3.2 * 10**7, 5, 3),                # 2^20-term segment (odd q sieves
+                                               # its odd terms alone)
+    (0, 76 * 10**6, 72, 5),
+    (10**4, 5 * 10**4, 2 * 10007, 10007),      # gcd(a, q) = 10007 > sqrt(hi)
+    (0, 10**5, 2**6, 3),                       # 2^gamma and 2^a 3^b classes
+    (0, 10**5, 2**5, 2),                       # whose window holds base primes,
+    (10, 2 * 10**5, 2**3 * 3**2, 7),           # units and not
+    (0, 10**5, 2**4 * 3**3, 3),
+    (0, 10**5, 2**4 * 3**3, 2**4),
 ])
 def test_window_matches_full_sieve(lo, hi, q, a):
     expected = _sieved_counts(math.floor(lo), math.floor(hi), q, a)
@@ -188,6 +201,51 @@ def test_window_matches_full_sieve(lo, hi, q, a):
         assert psi_progression(hi, q, a, with_counts=True) == got
     elif math.gcd(a, q) == 1:  # short_interval_check takes units only
         assert short_interval_check(q, a, lo, hi - lo).delta_psi == got.value
+
+
+def test_window_matches_full_sieve_at_random():
+    """Seeded windows over moduli small and large, units and not, some
+    classes past [0, hi] and a >= q."""
+    rng = random.Random(23)
+    for _ in range(500):
+        hi = rng.randrange(1, 3 * 10**5)
+        lo = rng.choice([0, rng.randrange(hi), hi - rng.randrange(min(hi, 10**3) + 1)])
+        q = rng.choice([rng.randrange(1, 50), 2**rng.randrange(12), 2**rng.randrange(8) * 3**rng.randrange(6),
+                        rng.randrange(1, 2 * hi + 2)])
+        a = rng.randrange(3 * q)
+        got = _psi_window(lo, hi, q, a, with_counts=True)
+        assert got.counts == _sieved_counts(lo, hi, q, a), (lo, hi, q, a)
+
+
+@pytest.mark.parametrize("q", [2**64 + 1, 2**62, 10**30])
+def test_moduli_past_int64_answer_exactly(q):
+    """Past the window's end the class holds a mod q alone, if anything."""
+    assert _psi_window(1000, 1100, q, 1).value == 0.0
+    assert _psi_window(1000, 1100, q, 1009, with_counts=True).counts == {1009: 1}
+    assert _psi_window(1000, 1100, q, 1024 + q, with_counts=True).counts == {2: 1}
+    assert _psi_window(1000, 1100, q, 1001, with_counts=True).counts == {}
+    assert psi_progression(10**6, q, 3**12, with_counts=True).counts == {3: 1}
+    rep = short_interval_check(q, 1, 1000, 100)
+    assert rep.empty_interval and rep.delta_psi == 0.0 and rep.a == 1
+
+
+def test_psi_values_are_fsum_bit_for_bit():
+    """The integer sum rounds as fsum does: empty slices, counts > 1, log 2
+    terms, and a slice longer than one log chunk."""
+    rng = random.Random(7)
+    n = _LOG_CHUNK + 5000
+    primes = np.array([2 if rng.random() < 0.1 else rng.randrange(3, 2**31) for _ in range(n)],
+                      dtype=np.int64)
+    # count * log p <= log 2^62, as for the powers of a window below 2^62
+    counts = np.array([rng.randint(1, int(62 / math.log2(p))) for p in primes.tolist()], dtype=np.int64)
+    bounds = [0, 0, 1, 1, 17, 900, 900, 4000, n - 3, n]
+    bounds[-2:-2] = sorted(rng.sample(range(4000, n - 3), 6))
+    for i, v in enumerate(_psi_values(primes, counts, bounds, with_counts=False)):
+        lo, hi = bounds[i], bounds[i + 1]
+        expected = math.fsum(c * math.log(p) for p, c in zip(primes[lo:hi].tolist(), counts[lo:hi].tolist()))
+        assert v.value.hex() == expected.hex(), (lo, hi)
+    whole = _psi_values(primes, counts, [0, n], with_counts=False)[0].value
+    assert whole == math.fsum(c * math.log(p) for p, c in zip(primes.tolist(), counts.tolist()))
 
 
 def _is_prime(n: int) -> bool:
