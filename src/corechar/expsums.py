@@ -5,25 +5,37 @@ Exact mode covers terms that are roots of unity with exact rational angles
 (pure character sums, polynomial twists with rational coefficients): each
 is an integer numerator over one denominator, chi's numerators A(n) over its
 order L lifted to lcm(L, den) to add a twist's numerators over den.
-Every exact window is counted by ``_exact_window`` over ``_blocks``: the
-numerators depend on n only mod a period (q, or lcm(q, den) under a twist),
-so whole periods are counted once.  ``_exact_sum`` keeps that histogram (numpy
-arrays), takes its value once as an fsum over ``root_values`` and reads it
-as ``exact_angle_terms``.  Float mode has one reducer, ``_blocked_sum``:
-block sums combined left to right, so a result depends only on the window
-and the summand; a sum that is not finite raises.  ``decompose``'s V and
-the head of ``lfunc.l_value_series`` are such window sums too.
 
-A rational twist e(G(n)) depends only on n mod den, G's common denominator.
-When den <= min(N, _BLOCK), N the number of terms twisted, G's numerators
-are taken once for the den residues and read per term, and float mode reads
-e(G(n)) from one table of den values, bit for bit the per-term values;
-larger den runs Horner's rule term by term.
+Every window (M, M+N] is walked in the blocks of ``_spans``, and a reader
+(n0, size) -> array gives a block's numerators or terms.  chi and a rational
+twist e(G(n)) depend on n only mod q and mod den, so a value-table
+character and a tabled twist are read as slices of their tables
+(``_periodic``): one periodic extension per call where a table is shorter
+than a block, and no n mod m or gather per block.  Only the readers that
+need n itself take an array of the block's integers (``_arange``): chi above
+the value-table cap, Horner's rule for a large den, n^{it}, and
+``decompose``'s grid.
+
+``_window_histogram`` counts an exact window block by block, and whole
+periods (q, or lcm(q, den) under a twist) once.  ``_exact_sum`` keeps that
+histogram (numpy arrays), reads it as ``exact_angle_terms``, and takes its
+value from ``root_values`` rounded once, by ``_fsum``: math.fsum's bits from
+integer bins.  Float mode has one reducer, ``_window_sum``: block sums
+combined left to right, so a result depends only on the window and the
+summand; a sum that is not finite raises.  ``decompose``'s V and the head of
+``lfunc.l_value_series`` are such window sums too, over the blocks'
+integers (``_blocked_sum``).
+
+A rational twist has a table when den <= min(N, _BLOCK), N the number of
+terms twisted: G's numerators at the den residues (``_residue_table``), and
+in float mode e(G(r)) at them, bit for bit the per-term values.  A larger
+den runs Horner's rule term by term.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -50,6 +62,8 @@ __all__ = [
 _EXACT_CAP = 10**7  # most terms of an exact char_sum above the value table cap
 _TWISTED_EXACT_CAP = 2 * 10**5  # most terms of an exact twisted_sum (rational G)
 _BLOCK = 1 << 16
+_FSUM_FROM = 1024  # shortest array that _fsum bins: math.fsum is faster below
+_FSUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,6 +215,52 @@ def _merge(numerators: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return a[first], np.add.reduceat(counts, first)
 
 
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum(x) of a float64 array x, bit for bit, from integer bins.
+
+    np.frexp writes each finite double as f·2^e with 1/2 <= |f| < 1, so
+    x = m·2^(e-53) with m = f·2^53 an integer, |m| < 2^53 (a subnormal's f
+    has fewer bits, so its m is an integer too).  m splits into the integers
+    h = floor(f·2^27), |h| <= 2^27, and l = (f·2^27 - h)·2^26 in [0, 2^26),
+    m = h·2^26 + l; each step is exact in float64.  Per chunk of
+    ``_FSUM_CHUNK`` = 2^16 doubles, binned by e, np.bincount sums the h and
+    the l of each bin in float64.  Every partial sum is an integer below
+    2^16·2^27 = 2^43 < 2^53, so every addition is exact.  The bins add as
+    Python ints into S with sum(x) = S·2^k exactly, k = (least e) - 53, and
+    S·2^k is rounded once to the nearest double, ties to even: by int to
+    float for k >= 0, and by Python's correctly rounded int true division
+    S / 2^-k for k < 0, subnormal results included.  math.fsum also returns
+    the exact sum rounded to nearest, ties to even, and an exact zero as
+    +0.0, as S = 0 gives, so the two agree bit for bit.
+
+    math.fsum itself takes arrays shorter than ``_FSUM_FROM``, where it is
+    faster, arrays with a term that is not finite, and arrays whose sum of
+    |x| could reach 2^1021, where fsum may raise on an intermediate
+    overflow."""
+    n = len(x)
+    if n < _FSUM_FROM:
+        return math.fsum(x)
+    bins: dict[int, int] = {}
+    for i in range(0, n, _FSUM_CHUNK):
+        f, e = np.frexp(x[i:i + _FSUM_CHUNK])
+        if not np.isfinite(f).all() or int(e.max()) + n.bit_length() > 1021:
+            return math.fsum(x)
+        e0 = int(e.min())
+        e -= e0
+        f = np.ldexp(f, 27, out=f)
+        h = np.floor(f)
+        f -= h
+        for shift, half in ((26, h), (0, np.ldexp(f, 26, out=f))):
+            sums = np.bincount(e, weights=half)
+            for j in np.flatnonzero(sums).tolist():
+                bins[e0 + j] = bins.get(e0 + j, 0) + (int(sums[j]) << shift)
+    if not bins:
+        return 0.0
+    low = min(bins)
+    S, k = sum(v << (b - low) for b, v in bins.items()), low - 53
+    return float(S << k) if k >= 0 else S / (1 << -k)
+
+
 def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
     """Exact-mode result for the terms e(numerators[i]/den), counts[i] of each.
 
@@ -211,7 +271,7 @@ def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> Sum
     a, merged = _merge(a[keep], counts[keep])
     roots = root_values(a, den)
     weights = merged.astype(np.float64)
-    value = complex(math.fsum(weights * roots.real), math.fsum(weights * roots.imag))
+    value = complex(_fsum(weights * roots.real), _fsum(weights * roots.imag))
     return SumResult(value, term_count, "exact", AngleCounts(a, merged, den))
 
 
@@ -263,54 +323,137 @@ def _residue_table(G: RealPolynomial, N: int) -> Optional[np.ndarray]:
     return _phase_numerators(nums, den, np.arange(den)) if den <= min(N, _BLOCK) else None
 
 
+def _twist_table(G: RealPolynomial, N: int) -> Optional[np.ndarray]:
+    """e(G(r)) at the residues r = 0, ..., den-1 of ``_residue_table``, each
+    bit for bit ``np.exp(2j pi G.phases(r))``; None when there is no table."""
+    table = _residue_table(G, N)
+    return None if table is None else np.exp(2j * np.pi * (table.astype(np.float64) / len(table)))
+
+
 def _twist_factors(G: RealPolynomial, N: int):
     """ns -> e(G(n)) for every n of ns, as ``np.exp(2j pi G.phases(ns))`` and
-    bit for bit the same: gathered from one value per residue when
-    ``_residue_table`` gives a table, evaluated term by term otherwise."""
-    table = _residue_table(G, N)
-    if table is None:
+    bit for bit the same: gathered from ``_twist_table`` when there is one,
+    evaluated term by term otherwise."""
+    E = _twist_table(G, N)
+    if E is None:
         return lambda ns: np.exp(2j * np.pi * G.phases(ns))
-    den = len(table)
-    E = np.exp(2j * np.pi * (table.astype(np.float64) / den))
-    return lambda ns: E[_residues(ns, den)]
+    return lambda ns: E[_residues(ns, len(E))]
+
+
+def _spans(M: int, N: int, block: int = _BLOCK):
+    """(n0, size) of each block of the window (M, M+N]: runs of at most
+    ``block`` consecutive integers n0, ..., n0 + size - 1.  Every window sum
+    and ``decompose`` walk these blocks."""
+    for n0 in range(M + 1, M + N + 1, block):
+        yield n0, min(block, M + N + 1 - n0)
+
+
+def _arange(n0: int, size: int) -> np.ndarray:
+    """n0, ..., n0 + size - 1, int64 below 2^63 and Python ints beyond
+    (np.arange would round through floats)."""
+    return n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
 
 def _blocks(M: int, N: int, block: int = _BLOCK):
-    """The window (M, M+N] as consecutive integer arrays of at most ``block``
-    terms, int64 below 2^63 and Python ints beyond (np.arange would round
-    through floats).  Every window sum and ``decompose`` walk these blocks."""
-    for n0 in range(M + 1, M + N + 1, block):
-        size = min(block, M + N + 1 - n0)
-        yield n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
+    """The integers of each block of ``_spans(M, N, block)`` as one array."""
+    return (_arange(n0, size) for n0, size in _spans(M, N, block))
 
 
-def _exact_window(block_numerators, M: int, N: int, den: int, period: int) -> SumResult:
-    """Exact sum of e(t/den) over (M, M+N]: t = block_numerators(ns) per block, -1 a zero term.
+def _periodic(table: np.ndarray, N: int, block: int = _BLOCK):
+    """(n0, size) -> table[(n0 + i) mod m], i < size, m = len(table), for the
+    blocks of a window of N terms, read as a slice and never by a gather.
+
+    With b = min(N, block) the longest block: when m < b a block may wrap m
+    more than once, and every block is a slice of one periodic extension of
+    b + m - 1 entries (start n0 mod m <= m - 1, end below m - 1 + b).
+    Otherwise a block wraps m at most once: a slice of table, or its two
+    ends joined."""
+    m, b = len(table), min(N, block)
+    if m < b:
+        ext = np.resize(table, b + m - 1)
+        return lambda n0, size: ext[n0 % m:n0 % m + size]
+
+    def read(n0, size):
+        r = n0 % m
+        return table[r:r + size] if r + size <= m else np.concatenate((table[r:], table[:r + size - m]))
+    return read
+
+
+def _chi_reader(chi: DirichletCharacter, N: int, values: bool = False):
+    """(n0, size) -> chi's numerators, or with ``values`` its values, at n0,
+    ..., n0 + size - 1 for the blocks of a window of N terms: periodic
+    slices of the value table when one exists, ``_chi_numerators`` or
+    ``_chi_values`` of the block's integers above the cap."""
+    if chi.q <= VALUE_TABLE_CAP:
+        return _periodic(chi.value_table[int(values)], N)
+    at = _chi_values if values else _chi_numerators
+    return lambda n0, size: at(chi, _arange(n0, size))
+
+
+def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: int):
+    """(n0, size) -> t(n) over the units n of the block, chi(n) e(G(n)) = e(t(n)/D).
+
+    t(n) = A(n) D/L + num(n) D/den mod D, L = chi.order, with both addends
+    below D: int64 while D < 2^62, Python ints beyond.  num(n) is read from
+    periodic slices of ``_residue_table`` when there is one, and by Horner's
+    rule on the units of the block otherwise."""
+    (nums, den), L = G.angle_data(), chi.order
+    dtype = np.int64 if D < 1 << 62 else object
+    chi_numerators, table = _chi_reader(chi, N), _residue_table(G, N)
+    if table is None:
+        def phase(n0, size, unit):
+            return _phase_numerators(nums, den, _arange(n0, size)[unit])
+    else:
+        read_table = _periodic(table, N)
+
+        def phase(n0, size, unit):
+            return read_table(n0, size)[unit]
+
+    def read(n0, size):
+        A = chi_numerators(n0, size)
+        unit = A >= 0
+        return (A[unit].astype(dtype, copy=False) * (D // L)
+                + phase(n0, size, unit).astype(dtype, copy=False) * (D // den)) % D
+    return read
+
+
+def _window_histogram(read, M: int, N: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, counts) of the exact window of the terms e(t/den) over
+    (M, M+N], t = read(n0, size) per block of ``_spans``, negative on a zero
+    term: each block's ``np.unique`` counts, concatenated and not merged.
 
     t depends on n only mod period, so N = k period + rem terms count the
-    histogram of (M, M+period] k times and that of (M, M+rem] once."""
+    histogram of (M, M+period] k times and that of (M, M+rem] once.  The
+    caller hands the histogram to ``_exact_sum`` after this returns, so that
+    ``read``'s periodic extensions are freed before the value is taken."""
     k, rem = divmod(N, period)
     dtype = np.int64 if N < 1 << 63 else object  # no count exceeds N
     hists = [(a, c.astype(dtype, copy=False) * times)
              for times, n in ((k, period), (1, rem)) if times
              for a, c in (np.unique(t[t >= 0], return_counts=True)
-                          for t in map(block_numerators, _blocks(M, n)))]
-    return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
+                          for t in itertools.starmap(read, _spans(M, n)))]
+    return tuple(map(np.concatenate, zip(*hists)))
 
 
-def _blocked_sum(block_terms, M: int, N: int, block: int = _BLOCK) -> SumResult:
-    """sum of block_terms(ns) over n in (M, M+N], float mode: the block sums
-    over ``_blocks(M, N, block)`` are combined left to right with fsum.
+def _window_sum(read, M: int, N: int, block: int = _BLOCK) -> SumResult:
+    """sum over n in (M, M+N] in float mode: read(n0, size) gives the terms
+    of each block of ``_spans(M, N, block)``, and the block sums are
+    combined left to right with fsum.
 
     Every float term is bounded, so a sum that is not finite means a phase
     overflowed a double: ValueError, in place of numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         parts = [(float(np.sum(t.real)), float(np.sum(t.imag)))
-                 for t in map(block_terms, _blocks(M, N, block))]
+                 for t in itertools.starmap(read, _spans(M, N, block))]
     value = complex(*map(math.fsum, zip(*parts)))
     if not cmath.isfinite(value):
         raise ValueError("float sum is not finite: a phase overflows a double")
     return SumResult(value, N, "float")
+
+
+def _blocked_sum(block_terms, M: int, N: int, block: int = _BLOCK) -> SumResult:
+    """``_window_sum`` of block_terms(ns) over the integers ns of each block."""
+    return _window_sum(lambda n0, size: block_terms(_arange(n0, size)), M, N, block)
 
 
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
@@ -323,8 +466,8 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     if N < 1:
         raise ValueError("N must be >= 1")
     if chi.q <= VALUE_TABLE_CAP or N <= _EXACT_CAP:
-        return _exact_window(lambda ns: _chi_numerators(chi, ns), M, N, chi.order, chi.q)
-    return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
+        return _exact_sum(*_window_histogram(_chi_reader(chi, N), M, N, chi.q), chi.order, N)
+    return _window_sum(_chi_reader(chi, N, values=True), M, N)
 
 
 def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> SumResult:
@@ -338,26 +481,20 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
     if G.is_zero:
         return char_sum(chi, M, N)
     if G.is_rational and N <= _TWISTED_EXACT_CAP:
-        # chi(n) e(G(n)) = e(t(n)/D), D = lcm(L, den), t(n) = A(n) D/L + num(n) D/den
-        # mod D with both addends below D: int64 while D < 2^62, Python ints beyond
-        (nums, den), L = G.angle_data(), chi.order
-        D = math.lcm(L, den)
-        dtype = np.int64 if D < 1 << 62 else object
-        table = _residue_table(G, N)
-
-        def numerators(ns):
-            A = _chi_numerators(chi, ns)
-            ns, A = ns[A >= 0], A[A >= 0]
-            phase = _phase_numerators(nums, den, ns) if table is None else table[_residues(ns, den)]
-            return (A.astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
-        return _exact_window(numerators, M, N, D, math.lcm(chi.q, den))
-    twist = _twist_factors(G, N)
-
-    def terms(ns):
-        t = _chi_values(chi, ns)
-        t *= twist(ns)  # in place: one block-sized temporary fewer
-        return t
-    return _blocked_sum(terms, M, N)
+        den = G.angle_data()[1]
+        D = math.lcm(chi.order, den)
+        hist = _window_histogram(_twisted_numerators(chi, G, N, D), M, N, math.lcm(chi.q, den))
+        return _exact_sum(*hist, D, N)
+    values, E = _chi_reader(chi, N, values=True), _twist_table(G, N)
+    if E is None:
+        def twist(n0, size):
+            return np.exp(2j * np.pi * G.phases(_arange(n0, size)))
+    else:
+        twist = _periodic(E, N)
+    # np.multiply, not *: numpy may reuse a temporary right operand for the
+    # product and swap the operands, and with FMA the imaginary part of a
+    # complex product depends on their order
+    return _window_sum(lambda n0, size: np.multiply(values(n0, size), twist(n0, size)), M, N)
 
 
 def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResult:
@@ -370,8 +507,9 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
         raise ValueError("t must be finite")
     if t == 0:
         return char_sum(chi, M, N)
-    return _blocked_sum(
-        lambda ns: _chi_values(chi, ns) * np.exp(1j * t * np.log(ns.astype(np.float64))), M, N)
+    values = _chi_reader(chi, N, values=True)
+    return _window_sum(lambda n0, size: np.multiply(  # the operand order of chi * e(...), see twisted_sum
+        values(n0, size), np.exp(1j * t * np.log(_arange(n0, size).astype(np.float64)))), M, N)
 
 
 def taylor_approx_poly(nu: int) -> RealPolynomial:
@@ -396,7 +534,7 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
         nums, den = g.angle_data()
         return _exact_sum(_phase_numerators(nums, den, prods), counts, den, P * P)
     terms = counts * np.exp(2j * np.pi * g.phases(prods))
-    return SumResult(complex(math.fsum(terms.real), math.fsum(terms.imag)), P * P, "float")
+    return SumResult(complex(_fsum(terms.real), _fsum(terms.imag)), P * P, "float")
 
 
 @dataclass(frozen=True)

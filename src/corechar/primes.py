@@ -57,6 +57,7 @@ _SEGMENT = 1 << 20  # terms of the progression per segment
 _FEW = 16  # a base prime with fewer strikes per segment strikes through np.repeat
 _REPEAT_CHUNK = 1 << 12  # primes per np.repeat index array
 _LOG_CHUNK = 1 << 16  # primes per math.log chunk of _psi_values
+_CLASSES_CAP = 1 << 22  # most classes mod q in one psi_by_class result
 
 
 def von_mangoldt(n: int) -> float:
@@ -345,8 +346,12 @@ def psi_by_class(x: float, q: int, with_counts: bool = False) -> dict[int, PsiVa
     """psi(x; q, a) for every residue class a mod q in one sieve pass.
 
     The classes partition the prime powers, so the returned values merge
-    exactly (multiplicity by multiplicity) into psi(x).
+    exactly (multiplicity by multiplicity) into psi(x).  ValueError for q
+    above ``_CLASSES_CAP`` = 2^22, before anything is allocated: the result
+    holds one entry per class.
     """
+    if q > _CLASSES_CAP:
+        raise ValueError(f"q = {q} exceeds the cap of 2^22 classes in one psi_by_class result")
     residues, primes, counts = _class_counts(0, math.floor(x), q)
     bounds = np.searchsorted(residues, np.arange(q + 1)).tolist()
     return dict(enumerate(_psi_values(primes, counts, bounds, with_counts)))

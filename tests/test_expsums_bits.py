@@ -1,0 +1,307 @@
+"""Bits of the sum layer: ``_fsum`` against math.fsum, and the periodic
+window readers against the per-block gathers they replaced."""
+
+import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corechar import expsums
+from corechar.arith import as_modulus
+from corechar.characters import VALUE_TABLE_CAP, DirichletCharacter, root_values
+from corechar.expsums import (
+    _BLOCK,
+    _EXACT_CAP,
+    _TWISTED_EXACT_CAP,
+    RealPolynomial,
+    _blocked_sum,
+    _blocks,
+    _chi_numerators,
+    _chi_values,
+    _exact_sum,
+    _fsum,
+    _phase_numerators,
+    _residue_table,
+    _residues,
+    char_sum,
+    dirichlet_poly,
+    twisted_sum,
+)
+
+# ---------------------------------------------------------------------------
+# _fsum is math.fsum, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_fsum(x):
+    """_fsum(x) returns math.fsum(x)'s bits (the sign of zero and NaN
+    included), or raises what math.fsum raises."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        want = math.fsum(x)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _fsum(x)
+        return
+    assert _fsum(x).hex() == want.hex()
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_doubles, max_size=300))
+def test_fsum_matches_math_fsum_on_finite_lists(xs):
+    """Every list goes through the bins (the size floor lowered to 1), and
+    once more at the real floor."""
+    with mock.patch.object(expsums, "_FSUM_FROM", 1):
+        _assert_fsum(xs)
+    _assert_fsum(xs)
+
+
+def _seeded_arrays():
+    rng = np.random.default_rng(2024)
+    n = 5000
+    wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    subnormal = rng.integers(-(1 << 52), 1 << 52, n) * 5e-324
+    mixed = np.concatenate((subnormal[:100], wide[:100], rng.standard_normal(2000)))
+    half = rng.standard_normal(3000) * 10.0 ** rng.uniform(-20, 20, 3000)
+    cancel = rng.permutation(np.concatenate((half, -half)))
+    pad = np.zeros(2000)
+    ties = [
+        [1.0, 2.0**-53],                 # 1 + 2^-53: halfway, to the even 1
+        [1.0, 2.0**-52, 2.0**-53],       # halfway, to the even 1 + 2^-51
+        [2.0**53, 1.0],                  # 2^53 + 1: to the even 2^53
+        [2.0**53, 3.0],                  # 2^53 + 3: to the even 2^53 + 4
+        [-(2.0**53), -1.0, 2.0**-60, -(2.0**-60)],
+        [1e300, 1e-300, -1e300],         # the tiny term survives exactly
+    ]
+    arrays = [wide, subnormal, mixed, cancel, -cancel, np.concatenate((cancel, [-0.0])),
+              np.full(3000, -0.0), np.full(1500, 5e-324), np.full(1500, -5e-324),
+              # more than one 2^16 chunk, some bins on both sides
+              rng.standard_normal(2 * (1 << 16) + 7) * 10.0 ** rng.integers(-30, 30, 2 * (1 << 16) + 7),
+              # sums of |x| near the 2^1021 fallback, and past it: fsum overflows
+              np.full(1100, 2.0**1009), np.full(1100, 2.0**1010),
+              np.concatenate((np.full(600, 1e308), np.full(600, -1e308)))]
+    arrays += [np.concatenate((pad, t, pad)) for t in ties]
+    return arrays
+
+
+@pytest.mark.parametrize("i", range(len(_seeded_arrays())))
+def test_fsum_matches_math_fsum_on_seeded_arrays(i):
+    _assert_fsum(_seeded_arrays()[i])
+
+
+@pytest.mark.parametrize("den,count", [(10**7 + 19, 2 * 10**5), (3**8 * 9973, 70000), (2 * 3**7, 1500)])
+def test_fsum_matches_math_fsum_on_weighted_roots(den, count):
+    """Counts times ``root_values``, as ``_exact_sum`` hands them over."""
+    rng = np.random.default_rng(den)
+    a = np.unique(rng.integers(0, den, count))
+    weights = rng.integers(1, 4, len(a)).astype(np.float64)
+    roots = root_values(a, den)
+    _assert_fsum(weights * roots.real)
+    _assert_fsum(weights * roots.imag)
+    # strided views, as double_sum's float path hands them over
+    terms = weights * roots
+    _assert_fsum(terms.real)
+    _assert_fsum(terms.imag)
+
+
+@pytest.mark.parametrize("bad", [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+                                 [math.inf, math.nan], [math.inf, 1e308, 1e308]])
+def test_fsum_of_non_finite_input_is_math_fsum(bad):
+    for at in (0, 1500, 3000 - len(bad)):
+        x = np.ones(3000)
+        x[at:at + len(bad)] = bad
+        _assert_fsum(x)
+
+
+# ---------------------------------------------------------------------------
+# The periodic readers give the gathers' bits
+# ---------------------------------------------------------------------------
+
+
+def _gather_exact_window(block_numerators, M, N, den, period):
+    """An exact window counted as the sums counted it with gathers: block by
+    block over ``_blocks``, whole periods once."""
+    k, rem = divmod(N, period)
+    dtype = np.int64 if N < 1 << 63 else object
+    hists = [(a, c.astype(dtype, copy=False) * times)
+             for times, n in ((k, period), (1, rem)) if times
+             for a, c in (np.unique(t[t >= 0], return_counts=True)
+                          for t in map(block_numerators, _blocks(M, n)))]
+    return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
+
+
+def _gather_char_sum(chi, M, N):
+    if chi.q <= VALUE_TABLE_CAP or N <= _EXACT_CAP:
+        return _gather_exact_window(lambda ns: _chi_numerators(chi, ns), M, N, chi.order, chi.q)
+    return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
+
+
+def _gather_twisted_sum(chi, M, N, G):
+    """``twisted_sum`` with chi gathered at ns % q and a rational twist at
+    ns % den from its residue table, for every block's integers ns."""
+    if G.is_zero:
+        return _gather_char_sum(chi, M, N)
+    table = _residue_table(G, N)
+    if G.is_rational and N <= _TWISTED_EXACT_CAP:
+        (nums, den), L = G.angle_data(), chi.order
+        D = math.lcm(L, den)
+        dtype = np.int64 if D < 1 << 62 else object
+
+        def numerators(ns):
+            A = _chi_numerators(chi, ns)
+            ns, A = ns[A >= 0], A[A >= 0]
+            phase = _phase_numerators(nums, den, ns) if table is None else table[_residues(ns, den)]
+            return (A.astype(dtype) * (D // L) + phase.astype(dtype) * (D // den)) % D
+        return _gather_exact_window(numerators, M, N, D, math.lcm(chi.q, den))
+    if table is None:
+        def twist(ns):
+            return np.exp(2j * np.pi * G.phases(ns))
+    else:
+        E = np.exp(2j * np.pi * (table.astype(np.float64) / len(table)))
+
+        def twist(ns):
+            return E[_residues(ns, len(E))]
+
+    def terms(ns):
+        t = _chi_values(chi, ns)
+        t *= twist(ns)
+        return t
+    return _blocked_sum(terms, M, N)
+
+
+def _gather_dirichlet_poly(chi, M, N, t):
+    return _blocked_sum(
+        lambda ns: _chi_values(chi, ns) * np.exp(1j * t * np.log(ns.astype(np.float64))), M, N)
+
+
+def _assert_same_bits(res, want):
+    assert (res.value.real.hex(), res.value.imag.hex(), res.mode, res.term_count) == \
+        (want.value.real.hex(), want.value.imag.hex(), want.mode, want.term_count)
+    got, exp = res.exact_angle_terms, want.exact_angle_terms
+    if exp is None:
+        assert got is None
+        return
+    assert got.den == exp.den
+    assert np.array_equal(got.numerators, exp.numerators)
+    assert got.counts.dtype == exp.counts.dtype and np.array_equal(got.counts, exp.counts)
+    # the value is the fsum of the histogram, as before the binned sum
+    roots, w = root_values(exp.numerators, exp.den), exp.counts.astype(np.float64)
+    assert res.value == complex(math.fsum(w * roots.real), math.fsum(w * roots.imag))
+
+
+def _chi(q, comps):
+    return DirichletCharacter(as_modulus(q), comps)
+
+
+def _edge_starts(m, b):
+    """Window offsets M whose first block starts (n0 = M + 1) at the residues
+    mod m next to a wrap: at 0, 1 and m - 1, and, when a block fits in m,
+    where it ends just before, at and just past m."""
+    residues = {0, 1, m - 1} | ({m - b - 1, m - b, m - b + 1} if m >= b else set())
+    return [10**6 * m + r - 1 for r in sorted(r for r in residues if r >= 0)]
+
+
+# (q, components, M, N, G's coefficients)
+_Q729, _Q2_17 = ((5,),), ((1, 3),)
+READER_CASES = (
+    # N < q, and N over many periods of q and of lcm(q, den)
+    [(3**8, ((7,),), 12345, 1000, [0, Fraction(1, 7), Fraction(3, 11)]),
+     (27, ((2,),), 10**6 + 5, 150000, [0, Fraction(1, 7)]),
+     (27, ((2,),), 10**6 + 5, 2 * 10**5 + 3, [0, Fraction(1, 7)])]
+    # block starts next to every wrap: q and den below a block (extensions) ...
+    + [(729, _Q729, M, 2 * _BLOCK + 3, [0, Fraction(2, 7), Fraction(1, 77)])
+       for M in _edge_starts(729, _BLOCK)]
+    # ... and q, den = _BLOCK at least a block (slices, or two ends joined)
+    + [(2**17, _Q2_17, M, 2 * _BLOCK + 5, [0, Fraction(1, 3), Fraction(5, _BLOCK)])
+       for M in _edge_starts(2**17, _BLOCK)]
+    + [(2**17, _Q2_17, M, _TWISTED_EXACT_CAP + 9, [0, Fraction(1, 3), Fraction(5, _BLOCK)])
+       for M in _edge_starts(_BLOCK, _BLOCK)]
+    # den > min(N, 2^16): Horner's rule term by term
+    + [(729, _Q729, 777, 1.5 * _BLOCK, [0, Fraction(1, _BLOCK + 1), Fraction(3, _BLOCK + 1)]),
+       (729, _Q729, 777, 500, [0, Fraction(1, 1000)]),
+       (729, _Q729, 777, _TWISTED_EXACT_CAP + 1, [0, Fraction(1, _BLOCK + 1)])]
+    # M + N straddling 2^63: object arrays
+    + [(243, ((4,),), 2**63 - _BLOCK - 5, 2 * _BLOCK, [0, Fraction(1, 7), Fraction(2, 11)]),
+       (243, ((4,),), 2**63 - _BLOCK - 5, _TWISTED_EXACT_CAP + 2, [0, Fraction(1, 7)]),
+       (2**17, _Q2_17, 2**63 - 7, 1000, [0, Fraction(1, 7)])]
+    # edge moduli: 1, 2, 4, 2^gamma and mixed 2^a 3^b
+    + [(q, comps, 10**9 + 11, N, [0, Fraction(1, 7), Fraction(1, 9)])
+       for q, comps in [(1, ()), (2, ((),)), (4, ((1,),)), (2**10, ((1, 5),)),
+                        (2592, ((1, 3), (5,))), (1944, ((1, 1), (7,)))]
+       for N in (70001, _TWISTED_EXACT_CAP + 4)]
+    # above VALUE_TABLE_CAP: the integers of each block, as before
+    + [(3**13, ((2,),), 10**6 + 5, 5000, [0, Fraction(1, 7), Fraction(2, 11)]),
+       (3**13, ((2,),), 10**6 + 5, _TWISTED_EXACT_CAP + 1, [0, Fraction(1, 7)])]
+)
+
+
+@pytest.mark.parametrize("q,comps,M,N,coeffs", READER_CASES)
+def test_readers_give_the_gathers_bits(q, comps, M, N, coeffs):
+    """twisted_sum (exact or float by N), char_sum and, on the shorter
+    windows, a float twist term by term and dirichlet_poly: the same value
+    bits, mode and exact histogram as the per-block gathers."""
+    N = int(N)
+    chi = _chi(q, comps)
+    G = RealPolynomial.make(coeffs)
+    _assert_same_bits(twisted_sum(chi, M, N, G), _gather_twisted_sum(chi, M, N, G))
+    _assert_same_bits(char_sum(chi, M, N), _gather_char_sum(chi, M, N))
+    if N <= 1.5 * _BLOCK:
+        Gf = RealPolynomial.make([0, 0.1234567, 1 / 3])
+        _assert_same_bits(twisted_sum(chi, M, N, Gf), _gather_twisted_sum(chi, M, N, Gf))
+        _assert_same_bits(dirichlet_poly(chi, M, N, 3.7), _gather_dirichlet_poly(chi, M, N, 3.7))
+
+
+def test_twisted_windows_take_no_residues_per_block(monkeypatch):
+    """At a value-table modulus with den <= min(N, 2^16), exact and float
+    windows read chi and the twist as slices: the only ``_residues`` call is
+    the one that builds the twist's residue table."""
+    chi = _chi(729, _Q729)
+    G = RealPolynomial.make([0, Fraction(2, 7), Fraction(1, 77)])
+    calls = []
+
+    def counted(ns, m):
+        calls.append((len(ns), m))
+        return _residues(ns, m)
+    monkeypatch.setattr(expsums, "_residues", counted)
+    for N in (_TWISTED_EXACT_CAP, _TWISTED_EXACT_CAP + 1):
+        calls.clear()
+        res = twisted_sum(chi, 10**6 + 3, N, G)
+        assert res.mode == ("exact" if N == _TWISTED_EXACT_CAP else "float")
+        assert calls == [(77, 77)]
+
+
+def test_periodic_extensions_stay_short(monkeypatch):
+    """An extension is made only for a period shorter than a block, and is
+    shorter than a block plus that period: a 10-term window at q = 2^20
+    extends only its 7-residue twist, to 10 + 7 - 1 entries, and copies no
+    character table."""
+    made = []
+    resize = np.resize
+
+    def recorded(a, new_shape):
+        made.append((len(a), new_shape))
+        return resize(a, new_shape)
+    monkeypatch.setattr(np, "resize", recorded)
+    chi = _chi(2**20, ((1, 3),))
+    chi.value_table
+    G = RealPolynomial.make([0, Fraction(1, 7)])
+    for Gx in (G, RealPolynomial.make([0, 0.25, 1 / 3])):
+        twisted_sum(chi, 123456, 10, Gx)
+        char_sum(chi, 123456, 10)
+    assert made == [(7, 16)]
+    tracemalloc.start()
+    twisted_sum(chi, 123456, 10, G)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 16, peak  # the tables are 8 and 16 MiB
+    twisted_sum(chi, 123456, 10**5, G)
+    twisted_sum(_chi(729, _Q729), 123456, 10**5, G)
+    assert made and all(m < _BLOCK and length < _BLOCK + m for m, length in made)

@@ -72,6 +72,22 @@ def test_partition_reconstructs_psi_exactly():
         assert recombined == full.value
 
 
+def test_psi_by_class_refuses_q_above_its_cap():
+    """One entry per class: q past 2^22 is refused with a ValueError that
+    names the bound, before the 8 TiB class array of q = 2^40 is allocated
+    or q = 2^64 + 1 overflows int64."""
+    for q in (2**40, 2**64 + 1):
+        with pytest.raises(ValueError, match=r"cap of 2\^22 classes"):
+            psi_by_class(1000, q)
+    q = 10007
+    per_class = psi_by_class(1000, q, with_counts=True)
+    assert len(per_class) == q
+    merged = Counter()
+    for pv in per_class.values():
+        merged.update(dict(pv.counts.items()))
+    assert merged == Counter(dict(psi(1000, with_counts=True).counts.items()))
+
+
 def test_psi_trend_reported():
     vals = {k: psi(10**k).value for k in (3, 4, 5)}
     for k, v in vals.items():
