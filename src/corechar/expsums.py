@@ -13,8 +13,7 @@ character and a tabled twist are read as slices of their tables
 (``_periodic``): one periodic extension per call where a table is shorter
 than a block, and no n mod m or gather per block.  Only the readers that
 need n itself take an array of the block's integers (``_arange``): chi above
-the value-table cap, Horner's rule for a large den, n^{it}, and
-``decompose``'s grid.
+the value-table cap, Horner's rule for a large den, and n^{it}.
 
 ``_window_histogram`` counts an exact window block by block, and whole
 periods (q, or lcm(q, den) under a twist) once.  ``_exact_sum`` keeps that
@@ -22,9 +21,9 @@ histogram (numpy arrays), reads it as ``exact_angle_terms``, and takes its
 value from ``root_values`` rounded once, by ``_fsum``: math.fsum's bits from
 integer bins.  Float mode has one reducer, ``_window_sum``: block sums
 combined left to right, so a result depends only on the window and the
-summand; a sum that is not finite raises.  ``decompose``'s V and the head of
-``lfunc.l_value_series`` are such window sums too, over the blocks'
-integers (``_blocked_sum``).
+summand; a sum that is not finite raises.  ``decompose``'s V sums float
+``twisted_sum``'s terms weighted by ``_shift_weights``, and the head of
+``lfunc.l_value_series`` is one over the blocks' integers (``_blocked_sum``).
 
 A rational twist has a table when den <= min(N, _BLOCK), N the number of
 terms twisted: G's numerators at the den residues (``_residue_table``), and
@@ -323,29 +322,12 @@ def _residue_table(G: RealPolynomial, N: int) -> Optional[np.ndarray]:
     return _phase_numerators(nums, den, np.arange(den)) if den <= min(N, _BLOCK) else None
 
 
-def _twist_table(G: RealPolynomial, N: int) -> Optional[np.ndarray]:
-    """e(G(r)) at the residues r = 0, ..., den-1 of ``_residue_table``, each
-    bit for bit ``np.exp(2j pi G.phases(r))``; None when there is no table."""
-    table = _residue_table(G, N)
-    return None if table is None else np.exp(2j * np.pi * (table.astype(np.float64) / len(table)))
-
-
-def _twist_factors(G: RealPolynomial, N: int):
-    """ns -> e(G(n)) for every n of ns, as ``np.exp(2j pi G.phases(ns))`` and
-    bit for bit the same: gathered from ``_twist_table`` when there is one,
-    evaluated term by term otherwise."""
-    E = _twist_table(G, N)
-    if E is None:
-        return lambda ns: np.exp(2j * np.pi * G.phases(ns))
-    return lambda ns: E[_residues(ns, len(E))]
-
-
-def _spans(M: int, N: int, block: int = _BLOCK):
+def _spans(M: int, N: int):
     """(n0, size) of each block of the window (M, M+N]: runs of at most
-    ``block`` consecutive integers n0, ..., n0 + size - 1.  Every window sum
-    and ``decompose`` walk these blocks."""
-    for n0 in range(M + 1, M + N + 1, block):
-        yield n0, min(block, M + N + 1 - n0)
+    ``_BLOCK`` consecutive integers n0, ..., n0 + size - 1.  Every window sum
+    walks these blocks."""
+    for n0 in range(M + 1, M + N + 1, _BLOCK):
+        yield n0, min(_BLOCK, M + N + 1 - n0)
 
 
 def _arange(n0: int, size: int) -> np.ndarray:
@@ -354,21 +336,16 @@ def _arange(n0: int, size: int) -> np.ndarray:
     return n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
 
-def _blocks(M: int, N: int, block: int = _BLOCK):
-    """The integers of each block of ``_spans(M, N, block)`` as one array."""
-    return (_arange(n0, size) for n0, size in _spans(M, N, block))
-
-
-def _periodic(table: np.ndarray, N: int, block: int = _BLOCK):
+def _periodic(table: np.ndarray, N: int):
     """(n0, size) -> table[(n0 + i) mod m], i < size, m = len(table), for the
     blocks of a window of N terms, read as a slice and never by a gather.
 
-    With b = min(N, block) the longest block: when m < b a block may wrap m
+    With b = min(N, _BLOCK) the longest block: when m < b a block may wrap m
     more than once, and every block is a slice of one periodic extension of
     b + m - 1 entries (start n0 mod m <= m - 1, end below m - 1 + b).
     Otherwise a block wraps m at most once: a slice of table, or its two
     ends joined."""
-    m, b = len(table), min(N, block)
+    m, b = len(table), min(N, _BLOCK)
     if m < b:
         ext = np.resize(table, b + m - 1)
         return lambda n0, size: ext[n0 % m:n0 % m + size]
@@ -388,6 +365,26 @@ def _chi_reader(chi: DirichletCharacter, N: int, values: bool = False):
         return _periodic(chi.value_table[int(values)], N)
     at = _chi_values if values else _chi_numerators
     return lambda n0, size: at(chi, _arange(n0, size))
+
+
+def _twisted_terms(chi: DirichletCharacter, G: RealPolynomial, N: int):
+    """(n0, size) -> chi(n) e(G(n)) for the blocks of a window of N terms:
+    ``_chi_reader``'s values (alone when G = 0, maybe views of a table) times
+    e(G) at the residues of ``_residue_table`` read as periodic slices, or
+    else term by term, the same bits."""
+    values = _chi_reader(chi, N, values=True)
+    if G.is_zero:
+        return values
+    table = _residue_table(G, N)
+    if table is None:
+        def twist(n0, size):
+            return np.exp(2j * np.pi * G.phases(_arange(n0, size)))
+    else:
+        twist = _periodic(np.exp(2j * np.pi * (table.astype(np.float64) / len(table))), N)
+    # np.multiply, not *: numpy may reuse a temporary right operand for the
+    # product and swap the operands, and with FMA the imaginary part of a
+    # complex product depends on their order
+    return lambda n0, size: np.multiply(values(n0, size), twist(n0, size))
 
 
 def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: int):
@@ -435,25 +432,25 @@ def _window_histogram(read, M: int, N: int, period: int) -> tuple[np.ndarray, np
     return tuple(map(np.concatenate, zip(*hists)))
 
 
-def _window_sum(read, M: int, N: int, block: int = _BLOCK) -> SumResult:
+def _window_sum(read, M: int, N: int) -> SumResult:
     """sum over n in (M, M+N] in float mode: read(n0, size) gives the terms
-    of each block of ``_spans(M, N, block)``, and the block sums are
+    of each block of ``_spans(M, N)``, and the block sums are
     combined left to right with fsum.
 
     Every float term is bounded, so a sum that is not finite means a phase
     overflowed a double: ValueError, in place of numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         parts = [(float(np.sum(t.real)), float(np.sum(t.imag)))
-                 for t in itertools.starmap(read, _spans(M, N, block))]
+                 for t in itertools.starmap(read, _spans(M, N))]
     value = complex(*map(math.fsum, zip(*parts)))
     if not cmath.isfinite(value):
         raise ValueError("float sum is not finite: a phase overflows a double")
     return SumResult(value, N, "float")
 
 
-def _blocked_sum(block_terms, M: int, N: int, block: int = _BLOCK) -> SumResult:
+def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
     """``_window_sum`` of block_terms(ns) over the integers ns of each block."""
-    return _window_sum(lambda n0, size: block_terms(_arange(n0, size)), M, N, block)
+    return _window_sum(lambda n0, size: block_terms(_arange(n0, size)), M, N)
 
 
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
@@ -485,16 +482,7 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
         D = math.lcm(chi.order, den)
         hist = _window_histogram(_twisted_numerators(chi, G, N, D), M, N, math.lcm(chi.q, den))
         return _exact_sum(*hist, D, N)
-    values, E = _chi_reader(chi, N, values=True), _twist_table(G, N)
-    if E is None:
-        def twist(n0, size):
-            return np.exp(2j * np.pi * G.phases(_arange(n0, size)))
-    else:
-        twist = _periodic(E, N)
-    # np.multiply, not *: numpy may reuse a temporary right operand for the
-    # product and swap the operands, and with FMA the imaginary part of a
-    # complex product depends on their order
-    return _window_sum(lambda n0, size: np.multiply(values(n0, size), twist(n0, size)), M, N)
+    return _window_sum(_twisted_terms(chi, G, N), M, N)
 
 
 def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResult:
@@ -508,7 +496,7 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
     if t == 0:
         return char_sum(chi, M, N)
     values = _chi_reader(chi, N, values=True)
-    return _window_sum(lambda n0, size: np.multiply(  # the operand order of chi * e(...), see twisted_sum
+    return _window_sum(lambda n0, size: np.multiply(  # the operand order of chi * e(...), see _twisted_terms
         values(n0, size), np.exp(1j * t * np.log(_arange(n0, size).astype(np.float64)))), M, N)
 
 
@@ -537,6 +525,21 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
     return SumResult(complex(_fsum(terms.real), _fsum(terms.imag)), P * P, "float")
 
 
+def _shift_weights(P: int, M: int, N: int):
+    """(n0, size) -> ``decompose``'s K(x) at x = n0, ..., n0 + size - 1: the
+    sorted shifts P yz below k = x - M less those below k - N, int64 at any M."""
+    ys = np.arange(1, P + 1, dtype=np.int64)
+    shifts = np.sort(P * np.outer(ys, ys).ravel())
+
+    def read(n0, size):
+        k = np.arange(n0 - M, n0 - M + size, dtype=np.int64)
+        K = np.searchsorted(shifts, k)
+        k -= N
+        K -= np.searchsorted(shifts, k)
+        return K
+    return read
+
+
 @dataclass(frozen=True)
 class DecomposeResult:
     """Outcome of the shift decomposition S = core^{-2s} V + O(core^{3s})."""
@@ -559,12 +562,13 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     and compare core^{-2s} V against the direct window sum.
 
     cN is the set of n in (M, M+N] coprime to q, nbar the inverse of n mod
-    q, and H_n(x) = G(n + core^s x).  As n (1 + core^s nbar yz) = n + core^s yz
-    mod q, V is the window sum of chi(m) e(G(m)) over m = n + core^s yz, a
-    unit exactly when n is, taken about _BLOCK / core^(2s) n per block.
-    The residual |S - core^{-2s} V| is checked against residual_constant *
-    core^{3s}; the constant stands in for an unspecified absolute one and
-    is echoed in the result.
+    q, P = core^s and H_n(x) = G(n + P x).  A term is chi(x) e(G(x)) at x =
+    n + P yz, as n (1 + P nbar yz) = x mod q, and x is a unit exactly when n
+    is (P has every prime of q), so grouped by x in (M + P, M + N + P^3]
+    V = sum_x K(x) chi(x) e(G(x)), K(x) = #{(y, z) : M < x - P yz <= M + N}:
+    N + P^3 - P terms, which the budget bounds as it does the grid's
+    ``term_count``, coprime_count P^2.  |S - core^{-2s} V| is checked against
+    residual_constant * core^{3s}, a stand-in for an unspecified constant.
     """
     if s < 2:
         raise ValueError("shift exponent s must be >= 2")
@@ -577,16 +581,12 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     work = coprime * P * P
     if work > work_budget or P * P > (1 << 26):
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
-    ys = np.arange(1, P + 1, dtype=np.int64)
-    yz = np.outer(ys, ys).ravel()
-    Pyz = P * yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)  # n + P yz <= M+N+P^3
-    twist = _twist_factors(G, work)
-
-    def terms(ns):
-        grid = (ns[_chi_numerators(chi, ns) >= 0][:, None] + Pyz).ravel()
-        return _chi_values(chi, grid) * twist(grid)
-    v_total = _blocked_sum(terms, M, N, max(1, _BLOCK // (P * P))).value
-
+    walk = N + P**3 - P
+    if walk > work_budget:
+        raise ValueError(f"window ({M + P}, {M + N + P**3}] of {walk} terms exceeds budget {work_budget}")
+    weights, terms = _shift_weights(P, M, N), _twisted_terms(chi, G, walk)
+    v_total = _window_sum(lambda n0, size: np.multiply(terms(n0, size), weights(n0, size)),
+                          M + P, walk).value
     s_val = twisted_sum(chi, M, N, G).value
     recon = v_total / (P * P)
     residual = abs(s_val - recon)

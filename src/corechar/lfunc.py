@@ -394,14 +394,17 @@ def zero_count_rectangle(q, alpha: float, T: float) -> int:
     return zero_scan_report(q, alpha, T)["total_zeros"]
 
 
+def _check_rectangle(alpha: float, T: float) -> None:
+    """The scans' rectangle: 1/2 <= alpha < 1, in Re s > 0, and 1 <= T < inf; NaN fails."""
+    if not (0.5 <= alpha < 1.0 and 1.0 <= T < math.inf):
+        raise ValueError("need a finite alpha in [1/2, 1) and a finite T >= 1")
+
+
 def zero_scan_report(q, alpha: float, T: float) -> dict:
     """Zero counts of every nonprincipal L mod q in alpha < sigma < 1, |t| <= T,
     their total, the least |L| on the final contour (``contour_min_abs_l``, inf
     without nonprincipal characters) and whether alpha was perturbed by 1e-6."""
-    if not 0.5 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [1/2, 1)")
-    if T < 1.0:
-        raise ValueError("T must be >= 1")
+    _check_rectangle(alpha, T)
     mod = as_modulus(q)
     X, conj = _chi_rows(mod)
     used_alpha = alpha
@@ -436,6 +439,7 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
     mirror pair is read once, at its upper member; ``at`` is the first
     least value in (sigma, t, character) order.
     """
+    _check_rectangle(alpha, T)
     mod = as_modulus(q)
     X, _ = _chi_rows(mod)
     if not len(X):

@@ -95,6 +95,8 @@ _WINDOW = ["--q", "9", "--chi", "index:1", "--M", "0", "--N", "10"]
     ["decompose", *_WINDOW, "--s", "2", "--G", "0,1e400"],
     ["zfr-params", "--q", "729", "--eta", "0.05", "--T", "5", "--M", "nan"],
     ["zfr-params", "--q", "729", "--eta", "0.05", "--T", "nan", "--M", "100"],
+    ["zero-scan", "--q", "27", "--alpha", "0.9", "--T", "nan"],
+    ["zero-scan", "--q", "27", "--alpha", "0.9", "--T", "inf"],
     # finite points far right, where a Hurwitz power (a/q)^-sigma overflows
     ["lfunc-eval", "--q", "243", "--chi", "index:1", "--sigma", "200"],
     ["lfunc-eval", "--q", "243", "--chi", "index:1", "--sigma", "1e6"],

@@ -25,12 +25,14 @@ from corechar.characters import (
 from corechar.expsums import (
     _BLOCK,
     RealPolynomial,
+    _arange,
     _blocked_sum,
-    _blocks,
     _chi_numerators,
     _chi_values,
     _exact_sum,
     _phase_numerators,
+    _shift_weights,
+    _spans,
     char_sum,
     decompose,
     dirichlet_poly,
@@ -237,6 +239,33 @@ def test_decompose_counts_coprime_n_before_the_budget():
         assert res.coprime_count == expected and res.term_count == expected * 36**2, (M, N)
 
 
+def test_decompose_refuses_a_long_walk_before_allocating():
+    """V walks N + P^3 - P terms: at q = 27, s = 7 (P = 2187) a window of 100
+    passes the grid check (67 P^2 < 10^9) and is refused as a walk of about
+    10^10 terms, before any array of the P^2 shifts is made."""
+    chi = enumerate_characters(27, primitive_only=True)[0]
+    tracemalloc.start()
+    with pytest.raises(ValueError, match=r"window \(2187, 10460353303\] of 10460351116 terms"):
+        decompose(chi, 0, 100, RealPolynomial.zero(), 7)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("N", [3, 4, 30, 100])
+def test_shift_weights_count_the_grid(N):
+    """K(x) against a count over every pair (y, z) at P = 4, for N < P, N = P,
+    P < N < P^3 and N > P^3, one step past each end of the walk included;
+    every grid term (n, y, z) lands on exactly one x."""
+    P, M = 4, 10**19
+    lo, hi = M + P, M + N + P**3
+    got = _shift_weights(P, M, N)(lo, hi - lo + 2)
+    want = [sum(M < x - P * y * z <= M + N for y in range(1, P + 1) for z in range(1, P + 1))
+            for x in range(lo, hi + 2)]
+    assert got.tolist() == want
+    assert want[0] == want[-1] == 0 and sum(want) == N * P * P
+
+
 def test_decompose_holds_one_block_of_memory():
     """V walks the window's blocks and holds no list of every coprime n:
     listing the 2*10^5 coprime n first peaks at 11.2 MiB here."""
@@ -298,6 +327,9 @@ def test_decompose_large_phase_denominator():
         (chi81, 10**6, 1300),
         # above the value table cap
         (_second_primitive_character(3**13), 10**6, 30),
+        # cores 1, 2 and 6 (P = 1, 4 and 36)
+        *((enumerate_characters(q)[-1], 10**6, N)
+          for q, N in [(1, 12), (2, 12), (4, 12), (2**5, 12), (72, 8), (216, 8)]),
     ]:
         q, P = chi.q, chi.modulus.core ** s
         res = decompose(chi, M, N, G, s)
@@ -419,7 +451,8 @@ def test_full_period_sums_do_not_pin_value_tables():
 def _period_free_window(block_numerators, M, N, den):
     """An exact window counted block by block over all of (M, M+N], with no
     use of a period: the reference for counting whole periods once."""
-    hists = [np.unique(t[t >= 0], return_counts=True) for t in map(block_numerators, _blocks(M, N))]
+    hists = [np.unique(t[t >= 0], return_counts=True)
+             for t in (block_numerators(_arange(*span)) for span in _spans(M, N))]
     return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
 
 
@@ -546,21 +579,21 @@ def test_twisted_sum_float_bits_match_term_by_term(q, M, coeffs):
 
 
 def _decompose_v_term_by_term(chi, M, N, G, s):
-    """V of ``decompose`` summed as its reducer sums it, from the value table
-    and with e(G) taken term by term: chi(n + P yz) e(G(n + P yz)) over the
-    units n of each run of _BLOCK // P^2 consecutive n of the window and
-    every y, z <= P, each run's terms summed by np.sum and the runs by fsum."""
+    """V of ``decompose`` summed as its reducer sums it: K(x) chi(x) e(G(x))
+    over x in (M + P, M + N + P^3], K(x) the number of y, z <= P with
+    M < x - P yz <= M + N counted pair by pair, chi from the value table and
+    e(G) term by term; each run of _BLOCK consecutive x summed by np.sum and
+    the runs by fsum."""
     q, P = chi.q, chi.modulus.core**s
-    vals = chi.value_table[1]
-    ys = np.arange(1, P + 1, dtype=np.int64)
-    Pyz = P * np.outer(ys, ys).ravel().astype(np.int64 if M + N + P**3 < 1 << 63 else object)
-    rows = max(1, _BLOCK // (P * P))
+    Pyz = np.array([P * y * z for y in range(1, P + 1) for z in range(1, P + 1)])
+    lo, hi = M + P, M + N + P**3
     re, im = [], []
-    for lo in range(M + 1, M + N + 1, rows):
-        n = np.array([m for m in range(lo, min(lo + rows, M + N + 1)) if math.gcd(m, q) == 1],
-                     dtype=Pyz.dtype)
-        grid = (n[:, None] + Pyz).ravel()
-        t = vals[(grid % q).astype(np.int64)] * np.exp(2j * np.pi * G.phases(grid))
+    for x0 in range(lo + 1, hi + 1, _BLOCK):
+        xs = np.array(range(x0, min(x0 + _BLOCK, hi + 1)), dtype=np.int64 if hi < 1 << 63 else object)
+        k = (xs - M).astype(np.int64)[:, None]
+        K = ((k - N <= Pyz) & (Pyz < k)).sum(axis=1)
+        t = np.multiply(chi.value_table[1][(xs % q).astype(np.int64)], np.exp(2j * np.pi * G.phases(xs)))
+        t = np.multiply(t, K)
         re.append(float(np.sum(t.real)))
         im.append(float(np.sum(t.imag)))
     return complex(math.fsum(re), math.fsum(im))
@@ -569,10 +602,12 @@ def _decompose_v_term_by_term(chi, M, N, G, s):
 @pytest.mark.parametrize("q,M,N,coeffs", [
     (27, 100, 200, [0, Fraction(1, 7)]),
     (81, 10**6, 1300, [Fraction(1, 3), Fraction(1, 7), Fraction(2, 11)]),
-    # 867 coprime n, 70227 grid terms: den = _BLOCK reads the table
+    # a walk of 2020 x: den = _BLOCK and den = _BLOCK + 1 both run Horner term by term
     (27, 0, 1300, [0, Fraction(5, 64), Fraction(1, 2), Fraction(3, _BLOCK)]),
     (27, 0, 1300, [0, Fraction(1, _BLOCK + 1)]),
     (81, 2**63 - 100, 50, [0, Fraction(1, 7), Fraction(2, 11)]),
+    # a walk of _BLOCK + 720 x, two blocks: den = _BLOCK reads the table
+    (27, 0, _BLOCK, [0, Fraction(5, 64), Fraction(1, 2), Fraction(3, _BLOCK)]),
 ])
 def test_decompose_v_bits_match_term_by_term(q, M, N, coeffs):
     chi = enumerate_characters(q, primitive_only=True)[0]

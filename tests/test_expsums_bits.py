@@ -19,8 +19,8 @@ from corechar.expsums import (
     _EXACT_CAP,
     _TWISTED_EXACT_CAP,
     RealPolynomial,
+    _arange,
     _blocked_sum,
-    _blocks,
     _chi_numerators,
     _chi_values,
     _exact_sum,
@@ -28,7 +28,9 @@ from corechar.expsums import (
     _phase_numerators,
     _residue_table,
     _residues,
+    _spans,
     char_sum,
+    decompose,
     dirichlet_poly,
     twisted_sum,
 )
@@ -128,13 +130,13 @@ def test_fsum_of_non_finite_input_is_math_fsum(bad):
 
 def _gather_exact_window(block_numerators, M, N, den, period):
     """An exact window counted as the sums counted it with gathers: block by
-    block over ``_blocks``, whole periods once."""
+    block over ``_spans``, whole periods once."""
     k, rem = divmod(N, period)
     dtype = np.int64 if N < 1 << 63 else object
     hists = [(a, c.astype(dtype, copy=False) * times)
              for times, n in ((k, period), (1, rem)) if times
              for a, c in (np.unique(t[t >= 0], return_counts=True)
-                          for t in map(block_numerators, _blocks(M, n)))]
+                          for t in (block_numerators(_arange(*span)) for span in _spans(M, n)))]
     return _exact_sum(*map(np.concatenate, zip(*hists)), den, N)
 
 
@@ -276,6 +278,23 @@ def test_twisted_windows_take_no_residues_per_block(monkeypatch):
         res = twisted_sum(chi, 10**6 + 3, N, G)
         assert res.mode == ("exact" if N == _TWISTED_EXACT_CAP else "float")
         assert calls == [(77, 77)]
+
+
+def test_decompose_takes_no_residues_per_block(monkeypatch):
+    """decompose at a value-table modulus with a tabled twist reads V's chi
+    and e(G) as slices too: the only ``_residues`` calls build the twist's
+    residue tables, one for the direct sum S and one for V's walk."""
+    chi = _chi(729, _Q729)
+    G = RealPolynomial.make([0, Fraction(2, 7), Fraction(1, 77)])
+    calls = []
+
+    def counted(ns, m):
+        calls.append((len(ns), m))
+        return _residues(ns, m)
+    monkeypatch.setattr(expsums, "_residues", counted)
+    res = decompose(chi, 10**6 + 3, 3 * _BLOCK, G, 2)
+    assert res.coprime_count == 2 * _BLOCK
+    assert calls == [(77, 77)] * 2
 
 
 def test_periodic_extensions_stay_short(monkeypatch):

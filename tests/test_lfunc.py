@@ -153,6 +153,18 @@ def test_windings_count_known_zeros(q, T, zeros):
     assert windings.tolist() == [zeros]
 
 
+@pytest.mark.parametrize("alpha,T", [
+    (-1.0, 10.0), (1.5, 10.0), (1.0, 10.0), (math.nan, 10.0),
+    (0.9, 0.5), (0.9, math.nan), (0.9, math.inf),
+])
+def test_scans_check_their_rectangle(alpha, T):
+    """Both scans take only 1/2 <= alpha < 1 and finite T >= 1: at alpha = -1
+    the grid would evaluate L at sigma <= 0, outside the kernel's Re s > 0."""
+    for scan in (l_grid_min, zero_scan_report):
+        with pytest.raises(ValueError, match="finite"):
+            scan(27, alpha, T)
+
+
 def test_scans_build_no_value_table():
     """The scans read every character from the exponent rows: a zero scan and
     a grid scan at q = 243 leave the value-table cache's counts as they were."""
