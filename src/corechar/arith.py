@@ -196,13 +196,6 @@ class UnitGroupBasis:
     # prime factorization of each order, for Pohlig-Hellman
     _order_factors: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, default=())
 
-    @property
-    def group_order(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
-
 
 @lru_cache(maxsize=None)
 def _least_lifting_primitive_root(p: int) -> int:

@@ -13,17 +13,16 @@ chi(n) = e(A(n)/L) for an integer numerator 0 <= A(n) < L
 
 over the basis generators j of order o_j.  Two kernels compute A:
 ``angle_numerator`` for one n, and ``_numerator_rows`` for an array of n
-and one row or all rows at once, one dlog table gather per prime power;
-``angle_numerators`` is its one row over L = chi.order, or
-``angle_numerator`` per element when a prime power of q is above the dlog
-table cap.  ``evaluate`` reduces A(n) to a ``RationalAngle``;
-``crt_restrict`` reads chi at one CRT lift.  ``value_table`` holds A and
-the complex values on all residues, in one small cache keyed by the
-character: equal characters share a table, and a list of characters pins
-none.  ``root_values`` turns integer angles into complex values, each
-exactly as ``RationalAngle.to_complex`` does, in lowest terms, so any
-common multiple L gives the same bits; that conversion happens only at
-summation boundaries.
+and one row or all rows at once, one dlog table gather per prime power
+(``discrete_log`` per element above the dlog table cap);
+``angle_numerators`` is its one row over L = chi.order.  ``evaluate``
+reduces A(n) to a ``RationalAngle``; ``crt_restrict`` reads chi at one CRT
+lift.  ``value_table`` holds A and the complex values on all residues, in
+one small cache keyed by the character: equal characters share a table,
+and a list of characters pins none.  ``root_values`` turns integer angles
+into complex values, each exactly as ``RationalAngle.to_complex`` does, in
+lowest terms, so any common multiple L gives the same bits; that
+conversion happens only at summation boundaries.
 """
 
 from __future__ import annotations
@@ -185,10 +184,6 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(k == 0 for exps in self.components for k in exps)
 
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
-
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
@@ -217,14 +212,14 @@ class DirichletCharacter:
     def angle_numerators(self, ns) -> np.ndarray:
         """``angle_numerator`` of every n of the integer array ns (an object
         array past 2^63), -1 where gcd(n, q) > 1: the one row of
-        ``_numerator_rows`` over L = order, or ``angle_numerator`` per n
-        above the dlog table cap."""
-        ns = np.asarray(ns)
-        if any(p**g > DLOG_TABLE_CAP for p, g in self.modulus.factors):
-            return np.array([-1 if a is None else a for a in map(self.angle_numerator, ns.tolist())],
-                            dtype=np.int64 if self.order < 1 << 62 else object)
-        row = [k for exps in self.components for k in exps]
-        return _numerator_rows(self.modulus, np.array([row], dtype=np.int64), self.order, ns)[0]
+        ``_numerator_rows`` over L = order."""
+        return _numerator_rows(self.modulus, self.row, self.order, np.asarray(ns))[0]
+
+    @property
+    def row(self) -> np.ndarray:
+        """The exponent vectors end to end, as the one row of an int64
+        exponent matrix (``character_rows``)."""
+        return np.array([[k for exps in self.components for k in exps]], dtype=np.int64)
 
     def evaluate(self, n: int) -> Optional[RationalAngle]:
         """Exact angle of chi(n), or None when gcd(n, q) > 1 (the value 0)."""
@@ -296,14 +291,27 @@ class DirichletCharacter:
         return f"chi[{self.q}|" + ";".join(parts) + "]"
 
 
+def _dlogs(p: int, g: int, ns: np.ndarray) -> np.ndarray:
+    """The ``dlog_table`` rows of ns mod p^g: one gather under the dlog table
+    cap, and above it ``discrete_log`` of each unit as Python ints (rows of
+    -1 off the units)."""
+    if p**g <= DLOG_TABLE_CAP:
+        return dlog_table(p, g)[(ns % p**g).astype(np.int64)]
+    basis = unit_group_basis(p, g)
+    blank = [-1] * len(basis.orders)
+    return np.array([discrete_log(n, basis) if n % p else blank for n in ns.tolist()],
+                    dtype=object).reshape(len(ns), len(basis.orders))
+
+
 def _numerator_rows(m: FactoredModulus, E: np.ndarray, L: int, ns) -> np.ndarray:
     """A(n) over L, a common multiple of the rows' orders, for every row of the
     exponent matrix E (see ``character_rows``) and every n of the integer
-    array ns, -1 where gcd(n, q) > 1: one dlog table gather per prime power
-    of m, each under the dlog table cap."""
+    array ns, -1 where gcd(n, q) > 1: the discrete logs of ns once per prime
+    power of m (``_dlogs``)."""
     # with h = gcd(k_j, o_j), k = k_j/h and oh = o_j/h: w_j*dlog_j = (k*dlog_j mod oh)
-    # * L/oh mod L, where k*dlog_j < o_j^2 <= 2^44 under the table cap; every
-    # term and the running sum stay below L: int64 while L < 2^62, else ints
+    # * L/oh mod L, where k*dlog_j < o_j^2 <= 2^44 under the table cap (Python
+    # ints above it); every term and the running sum stay below L: int64 while
+    # L < 2^62, else ints
     dtype = np.int64 if L < 1 << 62 else object
     orders, spans = _columns(m)
     h = np.gcd(E, orders)
@@ -313,7 +321,7 @@ def _numerator_rows(m: FactoredModulus, E: np.ndarray, L: int, ns) -> np.ndarray
     unit = np.ones(len(ns), dtype=bool)
     for p, g, lo, hi in spans:
         unit &= ns % p != 0
-        logs = dlog_table(p, g)[(ns % p**g).astype(np.int64)]
+        logs = _dlogs(p, g, ns)
         for j, ell in zip(range(lo, hi), logs.T):
             term = (ell * k[:, j, None] % oh[:, j, None]).astype(dtype, copy=False)
             acc = (acc + term * w[:, j, None]) % L
@@ -392,17 +400,22 @@ def character_rows(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     primitive[c] whether row c is primitive.  ValueError past 2^22 rows (the
     dlog table cap), before anything that size is allocated."""
     m = as_modulus(q)
-    orders, spans = _columns(m)
+    orders = _columns(m)[0]
     count = math.prod(orders.tolist())
     if count > DLOG_TABLE_CAP:
         raise ValueError(f"{count} characters mod {m.q} exceed the size cap of the rows")
     E = np.indices(orders, dtype=np.int64).reshape(len(orders), count).T
     # a scalar when q has no generators (q = 1, 2), so reshaped to one row
     conj = np.ravel_multi_index(tuple((-E % orders).T), orders).reshape(len(E))
+    return E, conj, _primitive_rows(m, E)
+
+
+def _primitive_rows(m: FactoredModulus, E: np.ndarray) -> np.ndarray:
+    """Whether each row of the exponent matrix E mod m is primitive."""
     primitive = np.ones(len(E), dtype=bool)
-    for p, g, lo, hi in spans:
+    for p, g, lo, hi in _columns(m)[1]:
         primitive &= _conductor_exponents(p, g, E[:, lo:hi]) == g
-    return E, conj, primitive
+    return primitive
 
 
 def characters_of_rows(q, E) -> list[DirichletCharacter]:

@@ -32,11 +32,11 @@ from .lfunc import (
     zero_scan_report,
 )
 from .postnikov import (
-    find_postnikov_m,
     main_bound_log,
     minimal_postnikov_degree,
     nontriviality_threshold_iwaniec,
     nontriviality_threshold_main,
+    postnikov_multipliers,
 )
 from .primes import psi, short_interval_check
 from .vinogradov import count_vinogradov, ford_bound, ford_k_search, korobov_check
@@ -209,10 +209,11 @@ def cmd_decompose(args, cfg: RunConfig) -> dict:
 def cmd_postnikov_verify(args, cfg: RunConfig) -> dict:
     mod = as_modulus(args.q)
     d = args.d if args.d is not None else minimal_postnikov_degree(mod)
-    rows = []
-    for idx, chi in enumerate(enumerate_characters(mod, primitive_only=True)):
-        m = find_postnikov_m(chi, d)
-        rows.append({"index": idx, "character": chi.label(), "m": str(m)})
+    E, _, primitive = character_rows(mod)
+    E = E[primitive]
+    ms = postnikov_multipliers(mod, d, E)
+    rows = [{"index": idx, "character": chi.label(), "m": str(m)}
+            for idx, (chi, m) in enumerate(zip(characters_of_rows(mod, E), ms))]
     return _report("postnikov-verify", cfg, {
         "q": args.q, "d": d, "tau": mod.tau, "core": str(mod.core),
         "primitive_characters": len(rows), "verified": True, "multipliers": rows,

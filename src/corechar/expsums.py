@@ -63,6 +63,7 @@ _TWISTED_EXACT_CAP = 2 * 10**5  # most terms of an exact twisted_sum (rational G
 _BLOCK = 1 << 16
 _FSUM_FROM = 1024  # shortest array that _fsum bins: math.fsum is faster below
 _FSUM_CHUNK = 1 << 16
+_UNIQUE_CAP = 1 << 20  # most terms of an aperiodic exact window sorted at once (8 MiB int64)
 
 
 @dataclass(frozen=True)
@@ -263,11 +264,14 @@ def _fsum(x: np.ndarray) -> float:
 def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
     """Exact-mode result for the terms e(numerators[i]/den), counts[i] of each.
 
-    Numerators equal mod den merge before the value is taken.  They are
-    int64 while den < 2^62 and Python ints beyond; counts keep their dtype."""
+    Numerators equal mod den merge before the value is taken, unless they
+    are distinct and ascending already.  They are int64 while den < 2^62 and
+    Python ints beyond; counts keep their dtype."""
     a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
     keep = counts != 0
-    a, merged = _merge(a[keep], counts[keep])
+    a, merged = a[keep], counts[keep]
+    if (a[1:] <= a[:-1]).any():
+        a, merged = _merge(a, merged)
     roots = root_values(a, den)
     weights = merged.astype(np.float64)
     value = complex(_fsum(weights * roots.real), _fsum(weights * roots.imag))
@@ -420,16 +424,26 @@ def _window_histogram(read, M: int, N: int, period: int) -> tuple[np.ndarray, np
     term: each block's ``np.unique`` counts, concatenated and not merged.
 
     t depends on n only mod period, so N = k period + rem terms count the
-    histogram of (M, M+period] k times and that of (M, M+rem] once.  The
+    histogram of (M, M+period] k times and that of (M, M+rem] once.  A
+    window of no whole period and at most ``_UNIQUE_CAP`` terms is one
+    ``np.unique`` over all its numerators: the merged histogram.  The
     caller hands the histogram to ``_exact_sum`` after this returns, so that
     ``read``'s periodic extensions are freed before the value is taken."""
     k, rem = divmod(N, period)
+    if not k and N <= _UNIQUE_CAP:
+        return np.unique(np.concatenate([t[t >= 0] for t in itertools.starmap(read, _spans(M, N))]),
+                         return_counts=True)
     dtype = np.int64 if N < 1 << 63 else object  # no count exceeds N
     hists = [(a, c.astype(dtype, copy=False) * times)
              for times, n in ((k, period), (1, rem)) if times
              for a, c in (np.unique(t[t >= 0], return_counts=True)
                           for t in itertools.starmap(read, _spans(M, n)))]
     return tuple(map(np.concatenate, zip(*hists)))
+
+
+def _parts(t: np.ndarray) -> tuple[float, float]:
+    """The sums of the real and of the imaginary parts of one block."""
+    return float(np.sum(t.real)), float(np.sum(t.imag))
 
 
 def _window_sum(read, M: int, N: int) -> SumResult:
@@ -439,9 +453,8 @@ def _window_sum(read, M: int, N: int) -> SumResult:
 
     Every float term is bounded, so a sum that is not finite means a phase
     overflowed a double: ValueError, in place of numpy's warnings."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = [(float(np.sum(t.real)), float(np.sum(t.imag)))
-                 for t in itertools.starmap(read, _spans(M, N))]
+    with np.errstate(over="ignore", invalid="ignore"):  # each block is freed before the next is read
+        parts = [_parts(read(n0, size)) for n0, size in _spans(M, N)]
     value = complex(*map(math.fsum, zip(*parts)))
     if not cmath.isfinite(value):
         raise ValueError("float sum is not finite: a phase overflows a double")
@@ -527,7 +540,8 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
 
 def _shift_weights(P: int, M: int, N: int):
     """(n0, size) -> ``decompose``'s K(x) at x = n0, ..., n0 + size - 1: the
-    sorted shifts P yz below k = x - M less those below k - N, int64 at any M."""
+    sorted shifts P yz below k = x - M less those below k - N (k int64 at any
+    M), as int32: K <= P^2 <= 2^26 under ``decompose``'s grid cap."""
     ys = np.arange(1, P + 1, dtype=np.int64)
     shifts = np.sort(P * np.outer(ys, ys).ravel())
 
@@ -536,7 +550,7 @@ def _shift_weights(P: int, M: int, N: int):
         K = np.searchsorted(shifts, k)
         k -= N
         K -= np.searchsorted(shifts, k)
-        return K
+        return K.astype(np.int32)
     return read
 
 
@@ -584,10 +598,13 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     walk = N + P**3 - P
     if walk > work_budget:
         raise ValueError(f"window ({M + P}, {M + N + P**3}] of {walk} terms exceeds budget {work_budget}")
+    s_val = twisted_sum(chi, M, N, G).value  # before V's readers hold their extensions
     weights, terms = _shift_weights(P, M, N), _twisted_terms(chi, G, walk)
-    v_total = _window_sum(lambda n0, size: np.multiply(terms(n0, size), weights(n0, size)),
-                          M + P, walk).value
-    s_val = twisted_sum(chi, M, N, G).value
+
+    def weighted(n0, size):
+        w = weights(n0, size)  # first, so that its search arrays are gone before the terms exist
+        return np.multiply(terms(n0, size), w)
+    v_total = _window_sum(weighted, M + P, walk).value
     recon = v_total / (P * P)
     residual = abs(s_val - recon)
     allowance = residual_constant * float(coreq) ** (3 * s)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .arith import FactoredModulus, as_modulus, exp_or_inf
 from .characters import (DirichletCharacter, _columns, _numerator_rows, _roots_of_unity, character_rows,
-                         enumerate_characters)
+                         characters_of_rows, enumerate_characters)
 from .expsums import _blocked_sum, _chi_values
 
 __all__ = [
@@ -449,7 +449,7 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
     absl = np.abs(_l_sums(X, (sigmas[:, None] + 1j * ts).ravel()))
     absl = absl.reshape(len(X), _GRID_SIGMAS, len(ts)).transpose(1, 2, 0)
     i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
-    label = enumerate_characters(mod)[1 + c].label()
+    label = characters_of_rows(mod, character_rows(mod)[0][1 + c:2 + c])[0].label()
     at = {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": label}
     return {"q": mod.q, "min_abs": float(absl[i, j, c]), "at": at}
 

@@ -4,14 +4,18 @@ The central identity here represents a primitive character on the
 principal congruence subgroup: chi(1 + tau*core*x) = e(f(x)) with
 f(x) = m/q * F_d(tau*core*x), where F_d is the degree-d truncation of
 log(1+x) and m is an integer unit mod q that is divisible by every
-r in [1, d] coprime to q.  The multiplier search is done by solving the
-exact angle congruences and is always verified exhaustively over a full
-set of subgroup representatives before returning.
+r in [1, d] coprime to q.  One multiplier search serves any set of
+primitive characters, given as exponent rows (``postnikov_multipliers``;
+``find_postnikov_m`` is its one-row call): it solves the exact angle
+congruences of every row at once, through a CRT whose moduli all rows
+share, and verifies every row exhaustively over a full set of subgroup
+representatives before returning, all as array passes over blocks of rows.
 
 The module also evaluates the two competing character-sum bound shapes
 (the rho^{-2}-savings bound and the older rho^{-2}/log-rho one) and their
-nontriviality thresholds, plus the parameter ledger (rho, mu, s, d, L)
-that drives the double-sum machinery.
+nontriviality thresholds, the older one's by one array scan of its grid
+that returns the scalar scan's bits, plus the parameter ledger (rho, mu,
+s, d, L) that drives the double-sum machinery.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import as_modulus, crt_combine, exp_or_inf
-from .characters import DirichletCharacter
+from .arith import as_modulus, exp_or_inf
+from .characters import DirichletCharacter, _columns, _numerator_rows, _primitive_rows, character_rows
 from .expsums import RealPolynomial, _phase_numerators
 
 __all__ = [
@@ -33,6 +37,7 @@ __all__ = [
     "fd_eval",
     "minimal_postnikov_degree",
     "find_postnikov_m",
+    "postnikov_multipliers",
     "shifted_poly",
     "TruncatedLogPolynomial",
     "BoundParameters",
@@ -84,9 +89,9 @@ def _postnikov_grid(q: int, d: int):
     step = mod.tau * mod.core
     nums, den = RealPolynomial.make(
         [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
-    # find_postnikov_m checks (m mod lcm(dd))*nn mod dd * order == a*dd, where
-    # (m mod lcm(dd))*nn < den^2 and both sides are below dd*order < den*q
-    # (a < order < q): int64 is exact while den*max(den, q) < 2^63
+    # the multiplier search checks (m mod lcm(dd))*nn mod dd * L == A*dd, where
+    # (m mod lcm(dd))*nn < den^2 and both sides are below dd*L < den*q
+    # (A < L < q): int64 is exact while den*max(den, q) < 2^63
     dtype = np.int64 if den * max(den, q) < 1 << 63 else object
     u = _phase_numerators(nums, den, np.arange(q // step)).astype(dtype)
     g = np.gcd(u, den)
@@ -104,69 +109,157 @@ def _divisibility_modulus(q: int, d: int) -> int:
     return out
 
 
-def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
-    """Least positive m with chi(1+tau*core*x) = e(m*F_d(tau*core*x)/q) for all x.
+class _SearchPlan(NamedTuple):
+    """What the multiplier search reads per (q, d), besides the grid."""
 
-    One congruence per distinct reduced denominator dd_x of F_d(tau*core*x)/q
-    (every x with the same dd_x pins the same residue of m when m exists) is
-    CRT-combined with the divisibility r | m for r in [1, d] coprime to q;
-    gcd(m, q) = 1 is then enforced.  Before returning, the identity is
-    re-verified at every x in exact integer arithmetic.
+    ns: np.ndarray  # the points 1 + tau*core*x, below q
+    L: int  # lcm of the generator orders
+    xs: np.ndarray  # per congruence: the x it is read at, L/g, (dd/g) nn^-1 mod dd and dd
+    cuts: np.ndarray
+    coefs: np.ndarray
+    moduli: np.ndarray
+    cols: list  # per prime power of M: the congruence whose modulus it divides, and C_p
+    idem: np.ndarray
+    M: int
+    lcm_dd: int
 
-    The identity pins m only modulo the lcm L of the angle denominators,
-    and L generally exceeds q, so the least valid m can too (already for
-    q = 25 some primitive characters force m = 36).
 
-    Raises ValueError when no multiplier exists, which signals a
-    non-primitive input (or an implementation fault).
+@lru_cache(maxsize=32)
+def _search_plan(q: int, d: int) -> _SearchPlan:
+    """The congruences on the multiplier m that every character shares, per (q, d).
+
+    At the first x of each distinct dd the identity reads m nn = A dd/L
+    (mod dd).  With g = gcd(L, dd) it is solvable exactly when L/g divides
+    A, and then m = (A g/L) (dd/g) nn^-1 = r (mod dd).  The last
+    congruence, m = 0 mod div (``_divisibility_modulus``), is read the same
+    way at x = 0, where A = 0, with L/g = 1.  Only the residues r differ
+    from character to character.  Let M be the lcm of the moduli and p^e
+    each prime power exactly dividing M.  A solution has m = r mod p^e for
+    a modulus that p^e divides, so the least one is sum_p r C_p mod M,
+    C_p = 1 mod p^e and 0 mod M/p^e (r C_p mod M depends on r mod p^e
+    only), which the caller checks against every congruence.  The primes of
+    M are those of q and those up to d, as dd divides q lcm(1..d).
     """
-    q = chi.q
-    mod = chi.modulus
+    mod = as_modulus(q)
+    nn, dd, first = _postnikov_grid(q, d)
+    dens = dd[first].tolist()
+    moduli = dens + [_divisibility_modulus(q, d)]
+    M = math.lcm(*moduli)
+    L = math.lcm(*_columns(mod)[0].tolist())
+    cols, idem, rest = [], [], M
+    # ascending, so a composite finds its primes already divided out
+    for p in sorted({p for p, _ in mod.factors}.union(range(2, d + 1))):
+        pe = 1
+        while rest % p == 0:
+            rest, pe = rest // p, pe * p
+        if pe > 1:
+            cols.append(next(i for i, m in enumerate(moduli) if m % pe == 0))
+            idem.append(M // pe * pow(M // pe, -1, pe))
+    # the terms r C_p < modulus M and, in the caller's gcd step, m < 65 M
+    bound = M * (sum(moduli[c] for c in cols) + 65)
+    step = mod.tau * mod.core
+    ns = 1 + step * np.arange(q // step, dtype=np.int64 if q < 1 << 63 else object)
+    ns.flags.writeable = False
+    gs = [math.gcd(L, m) for m in dens]
+    return _SearchPlan(
+        ns=ns, L=L, xs=np.append(first, 0), cuts=np.array([L // g for g in gs] + [1], dtype=nn.dtype),
+        coefs=np.array([m // g * pow(n, -1, m) % m for m, g, n in zip(dens, gs, nn[first].tolist())] + [0],
+                       dtype=nn.dtype),
+        moduli=np.array(moduli, dtype=nn.dtype), cols=cols,
+        idem=np.array(idem, dtype=nn.dtype if bound < 1 << 63 else object), M=M,
+        lcm_dd=math.lcm(*dens))
+
+
+# Entries (rows x points) of one block of the multiplier search: 1 MiB an int64 array
+_SEARCH_BLOCK = 1 << 17
+
+
+def postnikov_multipliers(q, d: int, rows=None) -> list[int]:
+    """``find_postnikov_m`` of every primitive character mod q, in
+    ``enumerate_characters(q, primitive_only=True)`` order, or of the
+    character of every row of ``rows``, exponent rows mod q as
+    ``character_rows`` gives them: one search for all of them."""
+    mod = as_modulus(q)
+    if rows is None:
+        E, _, primitive = character_rows(mod)
+        rows = E[primitive]
+    if not len(rows):
+        return []
+    return _multipliers(mod, d, rows, _primitive_rows(mod, rows).all())
+
+
+def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
+    """Least positive m with chi(1+tau*core*x) = e(m*F_d(tau*core*x)/q) for all x:
+    the one-row call of the search of ``postnikov_multipliers``.
+
+    m is an integer unit mod q divisible by every r in [1, d] coprime to q,
+    verified exhaustively at every x.  Raises ValueError when no multiplier
+    exists, which signals a non-primitive input (or an implementation fault).
+    """
+    return _multipliers(chi.modulus, d, chi.row, chi.is_primitive)[0]
+
+
+def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
+    """The least multiplier of the character of every row of ``rows``, all
+    primitive when ``primitive`` holds (else ValueError).
+
+    Block by block of rows, ``_numerator_rows`` gives chi(1 + tau*core*x) =
+    e(A/L) over L = lcm of the generator orders at every x.  The residues of
+    ``_search_plan`` at the first x of each distinct dd (every x with that
+    dd pins the same residue when m exists), its CRT, the steps of M up to
+    gcd(m, q) = 1, and the exact check of the identity at every (row, x)
+    are array passes.
+
+    Bounds: with den the common denominator of u_x, A < L < q, dd | den,
+    div | den (the coprime parts of F_d's 1/r) and m mod lcm(dd) < den, so
+    A dd, (m mod lcm(dd)) nn and the residues times their coefficients stay
+    below den max(den, q): int64 on the grid's int64 (see
+    ``_postnikov_grid``).  M passes 2^63 at large gamma: the CRT's terms
+    r C_p stay below modulus times M and the steps of M below 65 M, so the
+    CRT is int64 where ``_search_plan`` finds their sum below 2^63, and
+    Python ints otherwise.
+
+    The identity pins m only modulo the lcm of the angle denominators, and
+    that generally exceeds q, so the least valid m can too (already for
+    q = 25 some primitive characters force m = 36).
+    """
+    q = mod.q
     if q < 2:
         raise ValueError("modulus must be >= 2")
     if any(d < 2 * e for _, e in mod.factors):
         raise ValueError(f"need q^2 | core^d, i.e. d >= {2 * mod.gamma_max}")
-    if not chi.is_primitive:
+    if not primitive:
         raise ValueError("character is not primitive; no coprime multiplier exists")
-
-    step = mod.tau * mod.core
-    count = q // step
+    count = q // (mod.tau * mod.core)
     if count > (1 << 22):
         raise ValueError(
             f"exhaustive verification over {count} points exceeds the work cap")
-    nn, dd, first = _postnikov_grid(q, d)
-    # chi(1 + step*x) = e(a_x/order); with u_x = nn/dd the identity at x
-    # reads m*nn = a_x*dd/order (mod dd), solvable exactly when order | a_x*dd,
-    # that is when the reduced denominator of a_x/order divides dd
-    order = chi.order
-    xs = np.arange(count, dtype=np.int64 if q < 1 << 63 else object)  # 1 + step*xs < q
-    numerators = chi.angle_numerators(1 + step * xs).astype(nn.dtype, copy=False)
-
-    congruences = [(0, _divisibility_modulus(q, d))]
-    dens = dd[first].tolist()
-    for nx, dx, ax in zip(nn[first].tolist(), dens, numerators[first].tolist()):
-        target, rem = divmod(ax * dx, order)
-        if rem:
+    nn, dd, _ = _postnikov_grid(q, d)
+    plan = _search_plan(q, d)
+    block, out = max(1, _SEARCH_BLOCK // count), []
+    for lo in range(0, len(rows), block):
+        A = _numerator_rows(mod, rows[lo:lo + block], plan.L, plan.ns).astype(nn.dtype, copy=False)
+        a = A[:, plan.xs]
+        if (a % plan.cuts).any():
             raise ValueError("angle congruence unsolvable; character not primitive?")
-        congruences.append((pow(nx, -1, dx) * target % dx, dx))
-    try:
-        m0, modulus = crt_combine(congruences)
-    except ValueError as exc:
-        raise ValueError(f"inconsistent multiplier congruences: {exc}") from exc
-
-    m = m0 if m0 > 0 else modulus
-    for _ in range(64):
-        if math.gcd(m, q) == 1:
-            break
-        m += modulus
-    else:
-        raise ValueError("no multiplier coprime to q in the solution class")
-
-    # m*nn = (m mod lcm(dd))*nn (mod dd); see _postnikov_grid for the int64 bound
-    ok = m % math.lcm(*dens) * nn % dd * order == numerators * dd
-    if not ok.all():
-        raise ValueError(f"verification failed at x = {ok.argmin()} (implementation fault)")
-    return m
+        r = a // plan.cuts * plan.coefs % plan.moduli
+        m = r[:, plan.cols].astype(plan.idem.dtype, copy=False) @ plan.idem % plan.M
+        if (m[:, None] % plan.moduli != r).any():
+            raise ValueError("inconsistent multiplier congruences: inconsistent congruence system")
+        m = np.where(m, m, plan.M)
+        for _ in range(64):
+            g = np.gcd(m, q)
+            if g.max() == 1:
+                break
+            m[g != 1] += plan.M
+        else:
+            raise ValueError("no multiplier coprime to q in the solution class")
+        # m nn = (m mod lcm(dd)) nn (mod dd)
+        ok = (m % plan.lcm_dd).astype(nn.dtype, copy=False)[:, None] * nn % dd * plan.L == A * dd
+        if not ok.all():
+            raise ValueError(f"verification failed at x = {np.argwhere(~ok)[0, 1]} (implementation fault)")
+        out += m.tolist()
+    return out
 
 
 @dataclass(frozen=True)
@@ -340,9 +433,32 @@ _IWANIEC_GRID, _IWANIEC_BISECTIONS = 4096, 200  # linear scan steps, then bisect
 def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
     """Least log N in (0, log q) where the older bound drops to N/2.
 
-    Solved by a deterministic linear scan for the first sign change of
-    h(L) = a rho (1+log rho)^2 - xi0 L/(rho^2 log rho) + log 2, rho = log q / L,
-    followed by bisection; requires rho > 1 throughout, so L < log q.
+    The first sign change of h(L) = a rho (1+log rho)^2 - xi0 L/(rho^2 log rho)
+    + log 2, rho = log q / L, on the grid L_j = c j/4096, j = 1..4096,
+    c = (1 - 1e-9) log q (so rho > 1), then bisection; the result is bit
+    for bit that of the scalar scan of h over j = 1, 2, ... with up to 200
+    bisections.
+
+    The grid is one array pass, H_j, with the scalar h's operations in the
+    same order on the same doubles L_j and rho, except two: log rho is
+    ``np.log`` here and ``math.log`` there, and the squares are rounded
+    products here and libm ``pow`` there.  Each of these is within 1 ulp of
+    the exact value (numpy validates its float64 log to 1 ulp; glibc's log
+    and pow are within 1 ulp), so the logs differ by a relative 2^-51 at
+    most, as do the squares.  Carried through 1 + log rho (log rho > 0), the
+    squares, the products, the quotient and the two sums, each one rounding
+    (relative 2^-53), the scalar h_j and H_j differ by less than 2^-46 S,
+    S = |t1| + |t2| + log 2 with t1, t2 the two terms; underflow adds at
+    most 2^-1074 per operation, and with S < 2^1000 nothing overflows.  So
+    a point with H_j > 2^-30 S and S < 2^1000 has h_j > 0, with a factor
+    2^16 to spare; every other point (NaN among them) is a candidate, and
+    the scalar h decides the candidates in turn, so the first j with
+    h_j <= 0 is the scalar scan's, and with it the bracket (L_{j-1}, L_j)
+    or L_1.
+
+    Bisection keeps h(hi) <= 0 and not h(lo) <= 0, so once mid = (lo + hi)/2
+    rounds to lo or to hi, no further step changes lo or hi: stopping there
+    returns the hi of the 200 steps.
     """
     lq = math.log(as_modulus(q).q)
 
@@ -352,21 +468,26 @@ def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
         return a * rho * (1.0 + lr) ** 2 - xi0 * L / (rho**2 * lr) + math.log(2.0)
 
     hi_cap = lq * (1.0 - 1e-9)
-    prev = hi_cap * 1.0 / _IWANIEC_GRID
-    if h(prev) <= 0.0:
-        return prev
-    found = None
-    for j in range(2, _IWANIEC_GRID + 1):
-        cur = hi_cap * j / _IWANIEC_GRID
+    grid = hi_cap * np.arange(1, _IWANIEC_GRID + 1) / _IWANIEC_GRID
+    with np.errstate(all="ignore"):  # the scalar h meets what fails here
+        rho = lq / grid
+        lr = np.log(rho)
+        t1, t2 = a * rho * (1.0 + lr) ** 2, xi0 * grid / (rho**2 * lr)
+        scale = np.abs(t1) + np.abs(t2) + math.log(2.0)
+        positive = (t1 - t2 + math.log(2.0) > 2.0**-30 * scale) & (scale < 2.0**1000)
+    for j in np.flatnonzero(~positive).tolist():
+        cur = float(grid[j])
         if h(cur) <= 0.0:
-            found = (prev, cur)
             break
-        prev = cur
-    if found is None:
+    else:
         raise ValueError("bound never nontrivial on (0, log q)")
-    lo, hi = found
+    if j == 0:
+        return cur
+    lo, hi = float(grid[j - 1]), cur
     for _ in range(_IWANIEC_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if h(mid) <= 0.0:
             hi = mid
         else:

@@ -279,6 +279,41 @@ def test_decompose_holds_one_block_of_memory():
     assert peak < 6 << 20, peak
 
 
+def test_decompose_with_a_twist_holds_one_block_of_memory():
+    """S is summed before V's readers hold their two periodic extensions, and
+    each block of V is freed before the next is read: 6.0 MiB before both."""
+    chi = enumerate_characters(27, primitive_only=True)[0]
+    G = RealPolynomial.make([0, Fraction(1, 7)])
+    decompose(chi, 0, 1000, G, 2)
+    tracemalloc.start()
+    decompose(chi, 0, 3 * 10**5, G, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 5 << 20, peak
+
+
+def test_aperiodic_exact_windows_take_no_merge(monkeypatch):
+    """A window of no whole period is one np.unique over its numerators,
+    distinct and ascending already, so _exact_sum merges nothing; a window
+    of whole periods still merges its block histograms."""
+    from corechar import expsums
+
+    merges = []
+    merge = expsums._merge
+    monkeypatch.setattr(expsums, "_merge", lambda *args: merges.append(1) or merge(*args))
+    chi = enumerate_characters(729, primitive_only=True)[3]
+    G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 1001)])  # period 729 * 1001
+    for N in (1, 5000, 2 * _BLOCK + 3):
+        res = twisted_sum(chi, 10**6, N, G)
+        assert res.mode == "exact" and merges == []
+        assert (np.diff(res.exact_angle_terms.numerators) > 0).all()
+    char_sum(chi, 5, 700)
+    assert merges == []
+    twisted_sum(chi, 10**6, 6000, RealPolynomial.make([0, Fraction(1, 7)]))  # period 5103
+    char_sum(chi, 6, 2 * 729 + 1)  # two periods and a unit
+    assert merges == [1, 1]
+
+
 def test_twisted_sum_float_mode_above_exact_switch():
     chi = enumerate_characters(27, primitive_only=True)[2]
     G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 11)])

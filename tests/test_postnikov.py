@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from corechar import postnikov
-from corechar.arith import FactoredModulus, valuation
-from corechar.characters import enumerate_characters, principal_character
+from corechar.arith import DLOG_TABLE_CAP, FactoredModulus, as_modulus, crt_combine, valuation
+from corechar.characters import character_rows, characters_of_rows, enumerate_characters, principal_character
 from corechar.postnikov import (
     bound_parameters,
     fd_coefficients,
@@ -21,6 +21,7 @@ from corechar.postnikov import (
     minimal_postnikov_degree,
     nontriviality_threshold_iwaniec,
     nontriviality_threshold_main,
+    postnikov_multipliers,
     shifted_poly,
 )
 
@@ -155,6 +156,112 @@ def test_find_postnikov_m_int64_and_object_grids():
         assert math.gcd(m, q) == 1
 
 
+def _one_character_search(chi, d):
+    """The multiplier search one character at a time: its numerators over
+    chi.order, one Python congruence per distinct dd, ``crt_combine``, steps
+    to gcd(m, q) = 1 and the check at every x."""
+    q, mod = chi.q, chi.modulus
+    step = mod.tau * mod.core
+    nn, dd, first = postnikov._postnikov_grid(q, d)
+    order = chi.order
+    xs = np.arange(q // step, dtype=np.int64)
+    numerators = chi.angle_numerators(1 + step * xs).astype(nn.dtype, copy=False)
+    congruences = [(0, postnikov._divisibility_modulus(q, d))]
+    dens = dd[first].tolist()
+    for nx, dx, ax in zip(nn[first].tolist(), dens, numerators[first].tolist()):
+        target, rem = divmod(ax * dx, order)
+        assert rem == 0
+        congruences.append((pow(nx, -1, dx) * target % dx, dx))
+    m0, modulus = crt_combine(congruences)
+    m = m0 if m0 > 0 else modulus
+    while math.gcd(m, q) != 1:
+        m += modulus
+    assert (m % math.lcm(*dens) * nn % dd * order == numerators * dd).all()
+    return m
+
+
+@pytest.mark.parametrize("q", [9, 16, 25, 27, 64, 72, 81, 243, 729, 1296, 2592, 3**9])
+def test_batch_matches_the_one_character_search(q, monkeypatch):
+    """postnikov_multipliers equals the per-character search row by row, in
+    enumerate_characters order; at 3^9 (the object grid) on 40 seeded rows
+    in three blocks, and elsewhere on every primitive row, also with blocks
+    of 7 rows so that block edges fall inside the batch."""
+    d = minimal_postnikov_degree(q)
+    E, _, primitive = character_rows(q)
+    rows = E[primitive]
+    if q == 3**9:
+        assert postnikov._postnikov_grid(q, d)[0].dtype == object
+        rows = rows[sorted(random.Random(q).sample(range(len(rows)), 40))]
+        assert postnikov._SEARCH_BLOCK // (q // 3) == 19
+    want = [_one_character_search(chi, d) for chi in characters_of_rows(q, rows)]
+    got = postnikov_multipliers(q, d, rows)
+    assert got == want
+    if q != 3**9:
+        assert postnikov_multipliers(q, d) == want
+        assert [find_postnikov_m(chi, d) for chi in enumerate_characters(q, primitive_only=True)] == want
+        monkeypatch.setattr(postnikov, "_SEARCH_BLOCK", 7 * (q // (as_modulus(q).tau * as_modulus(q).core)))
+        assert postnikov_multipliers(q, d) == want
+
+
+def test_batch_of_no_primitive_character_is_empty():
+    assert postnikov_multipliers(2, 1) == [] == postnikov_multipliers(6, 2)
+    with pytest.raises(ValueError, match="not primitive"):
+        postnikov_multipliers(9, 4, character_rows(9)[0][:2])
+    with pytest.raises(ValueError, match="d >= 4"):
+        postnikov_multipliers(9, 3)
+
+
+def _non_representative_x(q, d):
+    """An x that is no distinct dd's first, with dd a power of 3, so that a
+    wrong phase there changes m*nn mod dd for every m coprime to 3."""
+    nn, dd, first = postnikov._postnikov_grid(q, d)
+    return next(x for x in range(len(dd))
+                if x not in set(first.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
+
+
+def test_batch_verifies_every_block(monkeypatch):
+    """A wrong phase in the middle block of three, at an x that pins no
+    congruence, fails the batch's check at that x; so does a wrong nn."""
+    q = 243
+    d = minimal_postnikov_degree(q)
+    x = _non_representative_x(q, d)
+    monkeypatch.setattr(postnikov, "_SEARCH_BLOCK", 40 * (q // 3))  # 108 rows: blocks of 40, 40, 28
+    calls = []
+    numerator_rows = postnikov._numerator_rows
+
+    def corrupt_middle_block(*args):
+        A = numerator_rows(*args)
+        calls.append(len(A))
+        if len(calls) == 2:
+            A[17, x] = (A[17, x] + 1) % args[2]
+        return A
+    monkeypatch.setattr(postnikov, "_numerator_rows", corrupt_middle_block)
+    with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
+        postnikov_multipliers(q, d)
+    assert calls == [40, 40]
+
+    monkeypatch.setattr(postnikov, "_numerator_rows", numerator_rows)
+    nn, dd, first = postnikov._postnikov_grid(q, d)
+    bad = nn.copy()
+    bad[x] = (nn[x] + 1) % dd[x]
+    monkeypatch.setattr(postnikov, "_postnikov_grid", lambda q, d: (bad, dd, first))
+    with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
+        postnikov_multipliers(q, d)
+
+
+def test_find_postnikov_m_above_the_dlog_table_cap():
+    """q = 2053^2 has a prime power above the dlog table cap: the numerators
+    come from discrete_log per point, and the identity holds at every x."""
+    q = 2053**2
+    mod = FactoredModulus.from_int(q)
+    chi = characters_of_rows(q, np.array([[2053 * 7 + 1]]))[0]
+    assert chi.is_primitive and q > DLOG_TABLE_CAP
+    d = minimal_postnikov_degree(q)
+    m = find_postnikov_m(chi, d)
+    for x in range(0, q // mod.core, 97):
+        assert chi.evaluate(1 + mod.core * x).fraction == (m * fd_eval(d, mod.core * x) / q) % 1
+
+
 def test_shifted_poly_envelope():
     q = 3**8
     chi = enumerate_characters(q, primitive_only=True)[0]
@@ -277,3 +384,84 @@ def test_threshold_shapes():
     assert main_bound_log(3**100, int(n_at * 1.001), xi0) <= math.log(int(n_at * 1.001) / 2)
     iw_100 = nontriviality_threshold_iwaniec(3**100, a, xi0)
     assert main_100 < iw_100
+
+
+def _scalar_threshold(q, a, xi0):
+    """The Iwaniec threshold as a scalar scan of every grid point in turn and
+    200 bisections."""
+    lq = math.log(as_modulus(q).q)
+
+    def h(L):
+        rho = lq / L
+        lr = math.log(rho)
+        return a * rho * (1.0 + lr) ** 2 - xi0 * L / (rho**2 * lr) + math.log(2.0)
+
+    hi_cap = lq * (1.0 - 1e-9)
+    prev = hi_cap * 1.0 / 4096
+    if h(prev) <= 0.0:
+        return prev
+    for j in range(2, 4097):
+        cur = hi_cap * j / 4096
+        if h(cur) <= 0.0:
+            break
+        prev = cur
+    else:
+        raise ValueError("bound never nontrivial on (0, log q)")
+    lo, hi = prev, cur
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _threshold_or_error(f, q, a, xi0):
+    try:
+        return f(q, a, xi0).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_iwaniec_threshold_is_the_scalar_scan():
+    """The array scan returns the scalar scan's bits, or its error, on 330
+    seeded (q, a, xi0) and on the bound-compare defaults; among them are
+    returns at the first grid point and bounds that are never nontrivial."""
+    rng = random.Random(1974)
+    cases = [(3**g, 1.0, xi0) for g in (100, 300, 1000) for xi0 in (1e-4, 0.05)]
+    for i in range(330):
+        q = rng.choice([2, 3, 5, 6, 7, 10, 12, 30]) ** rng.randrange(1, 400)
+        a = (rng.uniform(0.05, 3.0), 0.0, -rng.uniform(0.0, 2.0), 10 ** rng.uniform(-8, 3))[i % 4]
+        xi0 = 10 ** rng.uniform(-6, 3) * (-1 if i % 7 == 0 else 1)
+        cases.append((q, a, xi0))
+    outcomes = []
+    for q, a, xi0 in cases:
+        want = _threshold_or_error(_scalar_threshold, q, a, xi0)
+        assert _threshold_or_error(nontriviality_threshold_iwaniec, q, a, xi0) == want, (q, a, xi0)
+        first = (math.log(q) * (1.0 - 1e-9) / 4096).hex()
+        outcomes.append("first" if want == first else "never" if "never" in want else "bracket")
+    assert {kind: outcomes.count(kind) >= 20 for kind in ("first", "never", "bracket")} == \
+        {"first": True, "never": True, "bracket": True}
+
+
+@pytest.mark.parametrize("nudge", [1e-13, -1e-13])
+def test_iwaniec_threshold_sends_near_zero_points_to_the_scalar_h(nudge, monkeypatch):
+    """xi0 set so that h is within 1e-13 of 0 at grid point 1500, below 0
+    (nudge > 0: the crossing is there) or above (nudge < 0: it is at 1501).
+    An np.log off by a relative 2^-36, far beyond numpy's 1 ulp, moves the
+    array value there above 0, yet inside the margin, so the scalar h still
+    decides the point and the result is the scalar scan's."""
+    q, a, j = 3**100, 1.0, 1500
+    lq = math.log(q)
+    L = lq * (1.0 - 1e-9) * j / 4096
+    rho = lq / L
+    lr = math.log(rho)
+    xi0 = (a * rho * (1.0 + lr) ** 2 + math.log(2.0)) * rho**2 * lr / L * (1.0 + nudge)
+    want = _scalar_threshold(q, a, xi0)
+    assert (lq * (1.0 - 1e-9) * (j - 1) / 4096 < want <= L) == (nudge > 0)
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda x: log(x) * (1.0 + 2.0**-36))
+    t1, t2 = a * rho * (1.0 + np.log(rho)) ** 2, xi0 * L / (rho**2 * np.log(rho))
+    assert 0.0 < t1 - t2 + math.log(2.0) < 2.0**-30 * (t1 + t2 + math.log(2.0))
+    assert nontriviality_threshold_iwaniec(q, a, xi0) == want
