@@ -388,11 +388,19 @@ def bound_parameters(q, N: int, *, epsilon: Fraction = Fraction(1, 200),
     )
 
 
+def _log_modulus(q) -> float:
+    """math.log q for an int q >= 1 or a FactoredModulus, without factoring q."""
+    n = int(q)
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    return math.log(n)
+
+
 def _rho(q, N) -> float:
-    mod = as_modulus(q)
-    if mod.q < 2 or N < 2:
+    lq = _log_modulus(q)
+    if int(q) < 2 or N < 2:
         raise ValueError("need q >= 2 and N >= 2")
-    return math.log(mod.q) / math.log(N)
+    return lq / math.log(N)
 
 
 def main_bound_log(q, N: int, xi0: float) -> float:
@@ -423,7 +431,7 @@ def nontriviality_threshold_main(q, xi0: float) -> float:
 
     Closed form: the savings requirement xi0 * (log N)^3 / (log q)^2 = log 2.
     """
-    lq = math.log(as_modulus(q).q)
+    lq = _log_modulus(q)
     return (math.log(2.0) * lq * lq / xi0) ** (1.0 / 3.0)
 
 
@@ -460,7 +468,7 @@ def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
     rounds to lo or to hi, no further step changes lo or hi: stopping there
     returns the hi of the 200 steps.
     """
-    lq = math.log(as_modulus(q).q)
+    lq = _log_modulus(q)
 
     def h(L: float) -> float:
         rho = lq / L

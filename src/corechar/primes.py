@@ -8,11 +8,24 @@ multiplicity level, independent of floating-point summation order.
 One counting function serves every path.  It sieves only the terms
 n = a + q·k of one progression in the window (lo, hi], in segments of 2^20
 terms, and at odd q only the odd ones, with the base primes up to sqrt(hi)
-that come from the same sieve applied to [2, sqrt(hi)] with q = 1, so a
-class's window costs O(h/q + sqrt(x)).  The higher powers p^j (j >= 2) are made as arrays over
-the base primes.  A class's multiplicities stay two int64 arrays, ascending
-primes and their counts, and ``PsiCounts`` reads them as a p -> count
-mapping.
+read from the prime table, so a class's window costs O(h/q + sqrt(x)).
+The higher powers p^j (j >= 2) are made as arrays over the base primes.
+A class's multiplicities stay two int64 arrays, ascending primes and their
+counts, and ``PsiCounts`` reads them as a p -> count mapping.
+
+The prime table.  One process-wide, read-only table holds the primes up to
+a limit and their math.log values.  A call for primes up to n past the
+limit grows it to the least power of two >= n, at most ``_TABLE_CAP`` =
+2^22: the same sieve applied to the new range alone, its base primes read
+from the table, and math.log taken of the new primes only.  At the cap it
+holds 295,947 primes, 4.5 MiB with their logs; growing it from empty takes
+about 18 ms to 2^20 and 63 ms to the cap (2-vCPU shared host, one run of
+each, best of 5), and then ``_primes_to(n)`` is a slice for n <= 2^22, so
+every window with hi <= 2^44 gets its base primes without sieving.  Every
+class of a window [0, hi] with hi <= 2^22 is read from the table, logs
+included; other windows sieve their primes and take their logs.  Its
+entries are primes <= 2^22 in int64 and their logs as doubles; both arrays,
+and every slice of them, are read-only.
 
 int64 exactness.  The sieve takes hi < 2^62 and raises beyond; a class
 whose modulus exceeds hi is first restated under the modulus hi + 1, so
@@ -26,8 +39,8 @@ below 2^63.  Every base prime p is at most sqrt(hi) < 2^31.  Then:
   for a term n <= hi, so p·m <= hi + sqrt(hi); the first multiple of p in
   the class, p·(m + d) with 0 <= d < q, is formed only once
   d <= (hi - p·m) // p, so it is <= hi;
-- a·p^-1 mod q is reduced from Python ints, one ``pow`` per distinct
-  p mod q, and is below q;
+- a·p^-1 mod q comes from products of two residues below q, so below
+  q^2 < 2^62 while q < 2^31, and from Python ints past that (``_over``);
 - an ``np.repeat`` array holds o - s·i, where the step s < 2^31 and i counts
   fewer than ``_REPEAT_CHUNK`` · ``_FEW`` = 2^16 strikes.
 """
@@ -56,7 +69,8 @@ __all__ = [
 _SEGMENT = 1 << 20  # terms of the progression per segment
 _FEW = 16  # a base prime with fewer strikes per segment strikes through np.repeat
 _REPEAT_CHUNK = 1 << 12  # primes per np.repeat index array
-_LOG_CHUNK = 1 << 16  # primes per math.log chunk of _psi_values
+_LOG_CHUNK = 1 << 16  # primes per math.log chunk
+_TABLE_CAP = 1 << 22  # the prime table's largest limit
 _CLASSES_CAP = 1 << 22  # most classes mod q in one psi_by_class result
 
 
@@ -70,6 +84,35 @@ def von_mangoldt(n: int) -> float:
     if len(facs) != 1:
         return 0.0
     return math.log(facs[0][0])
+
+
+def _over(p: np.ndarray, q: int, a: int) -> np.ndarray:
+    """a·p^-1 mod q for units p mod q, by one inverse of their product.
+
+    Montgomery's batch inversion as a product tree: each level multiplies
+    neighbours mod q, one ``pow`` inverts the root, scaled by a, and each
+    level down gives a child its parent's value times its sibling's product.
+    A node's value is a·(product of its leaves)^-1, so a leaf's is a·p^-1.
+    Every factor is below q, so every product below q^2, which int64 holds
+    while q < 2^31; from 2^31 on the tree is built of Python ints.
+    """
+    x = p % q
+    if q >= 1 << 31:
+        x = x.astype(object)
+    tree = []
+    while len(x) > 1:
+        if len(x) % 2:
+            x = np.append(x, np.ones(1, dtype=x.dtype))
+        tree.append(x)
+        x = x[0::2] * x[1::2] % q
+    y = np.full(1, a * pow(int(x[0]), -1, q) % q, dtype=x.dtype)
+    for x in reversed(tree):
+        y = y[:len(x) // 2]
+        z = np.empty_like(x)
+        z[0::2] = y * x[1::2] % q
+        z[1::2] = y * x[0::2] % q
+        y = z
+    return y[:len(p)].astype(np.int64)
 
 
 def _first_strikes(p: np.ndarray, k: int, hi: int, q: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,10 +130,7 @@ def _first_strikes(p: np.ndarray, k: int, hi: int, q: int, a: int) -> tuple[np.n
     whole = p[g % p == 0]
     whole_first = np.maximum(k, -(-(whole * whole - a) // q))
     p = p[q % p != 0]
-    m0 = np.zeros_like(p)
-    if a:  # else a·p^-1 = 0
-        res, which = np.unique(p % q, return_inverse=True)
-        m0 = np.array([a * pow(r, -1, q) % q for r in res.tolist()], dtype=np.int64)[which]
+    m0 = _over(p, q, a) if a and p.size else np.zeros_like(p)  # a·p^-1 = 0 at a = 0
     m = np.maximum(p, -(-n // p))  # p·m is the least multiple of p >= max(p^2, n)
     pm = p * m
     d = (m0 - m) % q
@@ -162,19 +202,52 @@ def _primes_in(lo: int, hi: int, base: np.ndarray, q: int = 1, a: int = 0) -> np
     return np.concatenate([two, *_sieve(lo, hi, base, q, a)])
 
 
+# The prime table: (limit, the primes up to limit, their math.log), both
+# arrays read-only.  One tuple, replaced whole when the table grows.
+_table = (1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+
+def _prime_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes up to n <= ``_TABLE_CAP`` and their logs, as read-only
+    views of the process-wide table.  A table short of n first grows to the
+    least power of two >= n: the sieve of the new range alone, with its
+    base primes read from the table, and the logs of the new primes."""
+    global _table
+    limit, primes, logs = _table
+    if n > limit:
+        grown = 1 << (n - 1).bit_length()
+        base = _primes_to(math.isqrt(grown))  # may grow the table itself
+        limit, primes, logs = _table
+        more = _primes_in(limit, grown, base)
+        new_logs = np.empty(len(more), dtype=np.float64)
+        for i in range(0, len(more), _LOG_CHUNK):
+            chunk = more[i:i + _LOG_CHUNK]
+            new_logs[i:i + len(chunk)] = np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk))
+        primes, logs = np.concatenate([primes, more]), np.concatenate([logs, new_logs])
+        primes.flags.writeable = logs.flags.writeable = False
+        _table = (grown, primes, logs)
+    k = int(np.searchsorted(primes, n, side="right"))
+    return primes[:k], logs[:k]
+
+
 def _primes_to(n: int) -> np.ndarray:
-    """Every prime up to n: the same sieve, applied recursively to [2, n]."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    return _primes_in(0, n, _primes_to(math.isqrt(n)))
+    """Every prime up to n: a slice of the table up to its cap, and past it
+    the same sieve applied to (cap, n]."""
+    if n <= _TABLE_CAP:
+        return _prime_table(n)[0]
+    return np.concatenate([_prime_table(_TABLE_CAP)[0],
+                           _primes_in(_TABLE_CAP, n, _primes_to(math.isqrt(n)))])
 
 
-def _class_counts(lo: int, hi: int, q: int,
-                  a: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(residues, primes, counts) of the prime powers in (lo, hi]: one entry
-    per prime p and class c mod q that holds a power p^j of the window, with
-    the number of those powers.  The entries are int64 arrays sorted by class,
-    then by prime.  Only the class of a is sieved and kept when a is given.
+def _class_counts(lo: int, hi: int, q: int, a: Optional[int] = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(residues, primes, counts, logs) of the prime powers in (lo, hi]: one
+    entry per prime p and class c mod q that holds a power p^j of the window,
+    with the number of those powers.  The entries are int64 arrays sorted by
+    class, then by prime.  Only the class of a is sieved and kept when a is
+    given.  Every class of a window [0, hi] within the table's cap is read
+    from the table, and then logs holds each entry's math.log(p); else it is
+    None.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -187,11 +260,15 @@ def _class_counts(lo: int, hi: int, q: int,
             # the class meets [0, hi] in a alone, if at all, and so does the
             # class of a mod hi + 1, which int64 holds
             if a > hi:
-                return (np.empty(0, dtype=np.int64),) * 3
+                return (np.empty(0, dtype=np.int64),) * 3 + (None,)
             q = max(hi, 0) + 1
     root = math.isqrt(max(hi, 0))
     base = _primes_to(root)
-    primes = _primes_in(lo, hi, base, *(() if a is None else (q, a)))
+    logs = None
+    if lo == 0 and hi <= _TABLE_CAP and (a is None or q == 1):
+        primes, logs = _prime_table(hi)
+    else:
+        primes = _primes_in(lo, hi, base, *(() if a is None else (q, a)))
     split = int(np.searchsorted(primes, root, side="right"))
     # The low entries: the primes of the window up to sqrt(hi), then every
     # higher power pw = p^j of the window, whose base p is a base prime.
@@ -218,12 +295,17 @@ def _class_counts(lo: int, hi: int, q: int,
     residues = np.concatenate([low_r, high_p % q])
     primes = np.concatenate([low_p, high_p])
     counts = np.concatenate([low_c, np.ones(len(high_p), dtype=np.int64)])
+    if logs is not None:
+        # the low primes are base primes, the table's first entries
+        logs = np.concatenate([logs[np.searchsorted(base, low_p)], logs[split:]])
     if a is None:
         # residues < q in the narrowest unsigned dtype: numpy's stable sort is
         # a radix sort on 8- and 16-bit keys
         order = np.argsort(residues.astype(np.min_scalar_type(q - 1)), kind="stable")
         residues, primes, counts = residues[order], primes[order], counts[order]
-    return residues, primes, counts
+        if logs is not None:
+            logs = logs[order]
+    return residues, primes, counts, logs
 
 
 class PsiCounts(Mapping):
@@ -289,7 +371,7 @@ class PsiValue:
 
 
 def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
-                with_counts: bool) -> list[PsiValue]:
+                with_counts: bool, logs: Optional[np.ndarray] = None) -> list[PsiValue]:
     """One PsiValue per slice bounds[i]:bounds[i + 1] of the arrays.
 
     The value is the sum of the float terms t = count * math.log(p), rounded
@@ -304,15 +386,17 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
     and the scaling by 2^-53 that follows is exact.
 
     math.log, not np.log: the two differ in the last bit at 44 primes below
-    10^7.  The logs are taken ``_LOG_CHUNK`` primes at a time, so no Python
-    list spans a whole class.
+    10^7.  ``logs``, when given, holds math.log(p) for every entry, as the
+    prime table does; else the logs are taken ``_LOG_CHUNK`` primes at a
+    time, so no Python list spans a whole class.
     """
     cuts = np.asarray(bounds)
     sums = np.zeros(len(bounds) - 1, dtype=object)
     for lo in range(bounds[0], bounds[-1], _LOG_CHUNK):
         hi = min(lo + _LOG_CHUNK, bounds[-1])
-        logs = np.fromiter(map(math.log, primes[lo:hi].tolist()), np.float64, hi - lo)
-        m = np.ldexp(counts[lo:hi] * logs, 53).astype(np.int64)
+        lg = logs[lo:hi] if logs is not None else \
+            np.fromiter(map(math.log, primes[lo:hi].tolist()), np.float64, hi - lo)
+        m = np.ldexp(counts[lo:hi] * lg, 53).astype(np.int64)
         at = np.clip(cuts, lo, hi) - lo
         for shift, half in ((32, m >> 32), (0, m & 0xFFFFFFFF)):
             run = np.concatenate([[0], np.cumsum(half)])
@@ -325,8 +409,8 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
 def _psi_window(lo: float, hi: float, q: int, a: int,
                 with_counts: bool = False) -> PsiValue:
     """Sum of Lambda(n) over lo < n <= hi with n = a (mod q)."""
-    _, primes, counts = _class_counts(math.floor(lo), math.floor(hi), q, a)
-    return _psi_values(primes, counts, [0, len(primes)], with_counts)[0]
+    _, primes, counts, logs = _class_counts(math.floor(lo), math.floor(hi), q, a)
+    return _psi_values(primes, counts, [0, len(primes)], with_counts, logs)[0]
 
 
 def psi_progression(x: float, q: int, a: int, with_counts: bool = False) -> PsiValue:
@@ -352,9 +436,9 @@ def psi_by_class(x: float, q: int, with_counts: bool = False) -> dict[int, PsiVa
     """
     if q > _CLASSES_CAP:
         raise ValueError(f"q = {q} exceeds the cap of 2^22 classes in one psi_by_class result")
-    residues, primes, counts = _class_counts(0, math.floor(x), q)
+    residues, primes, counts, logs = _class_counts(0, math.floor(x), q)
     bounds = np.searchsorted(residues, np.arange(q + 1)).tolist()
-    return dict(enumerate(_psi_values(primes, counts, bounds, with_counts)))
+    return dict(enumerate(_psi_values(primes, counts, bounds, with_counts, logs)))
 
 
 @dataclass(frozen=True)

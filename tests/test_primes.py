@@ -1,5 +1,6 @@
 """Von Mangoldt, psi over progressions, and the short-interval comparison."""
 
+import functools
 import math
 import pickle
 import random
@@ -8,9 +9,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from corechar import primes
 from corechar.primes import (
     _LOG_CHUNK,
+    _TABLE_CAP,
     PsiCounts,
+    _over,
+    _prime_table,
+    _primes_to,
     _psi_values,
     _psi_window,
     psi,
@@ -301,8 +307,9 @@ def _iroot(n: int, j: int) -> int:
 
 def _miller_rabin_counts(lo: int, hi: int, q: int, a: int) -> dict[int, int]:
     """Prime-power multiplicities of (lo, hi] in the class of a mod q, by
-    testing every n of the window and every j-th root (j >= 2) in range."""
-    counts = Counter(n for n in range(lo + 1, hi + 1) if n % q == a % q and _is_prime(n))
+    testing every n of the window in the class and every j-th root (j >= 2)
+    in range."""
+    counts = Counter(n for n in range(lo + 1 + (a - lo - 1) % q, hi + 1, q) if _is_prime(n))
     for j in range(2, hi.bit_length() + 1):
         for p in range(_iroot(lo, j) + 1, _iroot(hi, j) + 1):
             if pow(p, j, q) == a % q and _is_prime(p):
@@ -323,6 +330,30 @@ def test_window_at_1e12_matches_miller_rabin(x, q, a):
     assert got.counts == expected
     assert got.value == _fsum_counts(expected)
     assert short_interval_check(q, a, x, h).delta_psi == got.value
+
+
+def test_short_class_far_out_matches_miller_rabin():
+    """Ten terms of a class mod q ~ sqrt(hi) / 10: nearly every base prime
+    up to the span has its own residue mod q."""
+    for lo, hi, q, a in [(10**14, 10**14 + 10**7, 10**6 + 3, 1),
+                         (10**14, 10**14 + 10**7, 999983, 5),
+                         (10**14, 10**14 + 2 * 10**7, 2 * 10**6, 3)]:
+        expected = _miller_rabin_counts(lo, hi, q, a)
+        got = _psi_window(lo, hi, q, a, with_counts=True)
+        assert got.counts == expected, (lo, hi, q, a)
+        assert got.value == _fsum_counts(expected)
+
+
+@pytest.mark.parametrize("q", [2, 3, 2 * 3**4 * 2**5, 2 * (10**6 + 3), 2**31 - 2, 2**31, 2**40 + 30, 2**62 + 2])
+def test_batch_inverse_matches_pow(q):
+    """a·p^-1 mod q for units p, on both sides of the int64 bound q < 2^31,
+    at tree sizes odd and even."""
+    rng = random.Random(q)
+    units = [p for p in _primes_to(10**5).tolist() if q % p]
+    for size in (1, 2, 3, 1000, 1001):
+        p = np.array(rng.sample(units, size), dtype=np.int64)
+        a = rng.randrange(1, q)
+        assert _over(p, q, a).tolist() == [a * pow(r, -1, q) % q for r in p.tolist()]
 
 
 def test_sieve_refuses_past_int64_proof():
@@ -360,3 +391,114 @@ def test_psi_counts_mapping_view():
     merged.update(counts)
     merged.update(counts)
     assert merged == {p: 2 * c for p, c in as_dict.items()}
+
+
+# The prime table.  Edges: around growth steps of a table grown from empty,
+# and around its cap.
+_EDGES = [2**10 - 1, 2**10, 2**10 + 1, 2**16 - 1, 2**16, 2**16 + 1,
+          _TABLE_CAP - 1, _TABLE_CAP, _TABLE_CAP + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_primes(x: int) -> np.ndarray:
+    """Every prime up to x, from a plain numpy sieve of [0, x]."""
+    is_prime = np.ones(x + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(x) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_classes(x: int, q: int) -> dict[int, tuple[dict[int, int], float]]:
+    """{a: (counts, value)} for every class a mod q: the prime-power
+    multiplicities p -> count up to x, from the plain sieve, and their fsum."""
+    primes_ = _plain_primes(max(x, 1))
+    bases, powers = [primes_], [primes_]
+    p = primes_[primes_ <= math.isqrt(x)]
+    pw = p * p
+    while p.size:
+        bases.append(p)
+        powers.append(pw)
+        more = pw <= x // p
+        p, pw = p[more], pw[more] * p[more]
+    key = np.concatenate(powers) % q * (x + 1) + np.concatenate(bases)
+    key, count = np.unique(key, return_counts=True)
+    cls, base = np.divmod(key, x + 1)
+    cuts = np.searchsorted(cls, np.arange(q + 1)).tolist()
+    out = {}
+    for a in range(q):
+        counts = dict(zip(base[cuts[a]:cuts[a + 1]].tolist(), count[cuts[a]:cuts[a + 1]].tolist()))
+        out[a] = (counts, _fsum_counts(counts))
+    return out
+
+
+def test_plain_classes_reference():
+    """The reference partition merges into the full sieve's prime powers."""
+    x = 10**4
+    assert _plain_classes(x, 1)[0][0] == _sieved_counts(0, x, 1, 0)
+    for q, a in [(12, 5), (72, 0), (2**10, 2**9)]:
+        assert _plain_classes(x, q)[a][0] == _sieved_counts(0, x, q, a)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_primes_to_matches_a_numpy_sieve(cold_prime_table, descending):
+    """The table's primes, grown small to large or at once to the largest,
+    and past the cap the sieve of (cap, n] behind them."""
+    ns = [0, 1, 2, 3, 4, 5, *_EDGES, 2**23 + 9]
+    everything = _plain_primes(max(ns))
+    for n in sorted(ns, reverse=descending):
+        got = _primes_to(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, everything[everything <= n]), n
+        got, logs = _prime_table(min(n, _TABLE_CAP))
+        assert [math.log(p) for p in got.tolist()] == logs.tolist()
+    assert primes._table[0] == _TABLE_CAP
+
+
+def test_prime_table_is_read_only(cold_prime_table):
+    """Every slice handed out is a read-only view, and growing the table
+    leaves the views handed out before unchanged."""
+    base = _primes_to(1000)
+    table_primes, table_logs = _prime_table(5000)
+    before = base.copy()
+    _primes_to(10**5)
+    _, grown_primes, grown_logs = primes._table
+    for arr in (base, table_primes, table_logs, grown_primes, grown_logs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert np.array_equal(base, before)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_table_path_equals_a_plain_sieve(cold_prime_table, descending):
+    """psi, psi_progression, psi_by_class and short_interval_check read the
+    table bit for bit as a plain sieve reads its primes: around growth steps
+    and the cap, with the table grown small to large or at once."""
+    for x in sorted(_EDGES, reverse=descending):
+        counts, value = _plain_classes(x, 1)[0]
+        full = psi(x, with_counts=True)
+        assert full.counts == counts and full.value.hex() == value.hex(), x
+        assert psi_progression(x, 1, 0, with_counts=True) == full
+        by_class = psi_by_class(x, 72, with_counts=True)
+        for a, (counts, value) in _plain_classes(x, 72).items():
+            assert by_class[a].counts == counts and by_class[a].value.hex() == value.hex(), (x, a)
+        # a single class sieves its own progression
+        assert psi_progression(x, 72, 5, with_counts=True) == by_class[5]
+        # a short window whose base primes come from the table
+        rep = short_interval_check(27, 1, x, 1000)
+        assert rep.delta_psi.hex() == _fsum_counts(_sieved_counts(x, x + 1000, 27, 1)).hex(), x
+    assert primes._table[0] == _TABLE_CAP
+
+
+@pytest.mark.parametrize("x", [10**5, _TABLE_CAP, _TABLE_CAP + 1])
+def test_partitions_at_edge_moduli(cold_prime_table, x):
+    """Partitions from the table (x <= cap) and from the sieve (past it) at
+    q = 1, 2^gamma and 2^a 3^b, against the plain sieve's classes."""
+    for q in (1, 2, 4, 2**10, 72, 1296):
+        by_class = psi_by_class(x, q, with_counts=True)
+        assert list(by_class) == list(range(q))
+        for a, (counts, value) in _plain_classes(x, q).items():
+            assert by_class[a].counts == counts and by_class[a].value.hex() == value.hex(), (x, q, a)
