@@ -16,6 +16,7 @@ from corechar.postnikov import (
     fd_eval,
     find_postnikov_m,
     iwaniec_bound,
+    iwaniec_bound_log,
     main_bound,
     main_bound_log,
     minimal_postnikov_degree,
@@ -384,6 +385,32 @@ def test_threshold_shapes():
     assert main_bound_log(3**100, int(n_at * 1.001), xi0) <= math.log(int(n_at * 1.001) / 2)
     iw_100 = nontriviality_threshold_iwaniec(3**100, a, xi0)
     assert main_100 < iw_100
+
+
+def test_thresholds_read_log_q_without_factoring():
+    """The thresholds and bounds read log q alone: a FactoredModulus gives
+    the int's bits, a q with a large prime factor takes no trial division,
+    q < 1 is refused as a modulus and q = 1 has no rho."""
+    xi0, a = 0.05, 1.0
+    for q in (3**100, 2**5 * 3**40):
+        mod = FactoredModulus.from_int(q)
+        assert nontriviality_threshold_main(mod, xi0) == nontriviality_threshold_main(q, xi0)
+        assert nontriviality_threshold_iwaniec(mod, a, xi0) == nontriviality_threshold_iwaniec(q, a, xi0)
+        assert main_bound_log(mod, 3**20, xi0) == main_bound_log(q, 3**20, xi0)
+        assert iwaniec_bound_log(mod, 3**20, a, xi0) == iwaniec_bound_log(q, 3**20, a, xi0)
+    q, lq = 10**300 + 7, math.log(10**300 + 7)
+    assert nontriviality_threshold_main(q, xi0) == (math.log(2.0) * lq * lq / xi0) ** (1.0 / 3.0)
+    assert 0 < nontriviality_threshold_iwaniec(q, a, xi0) < lq
+    for bad in (0, -3):
+        for f in (lambda q: nontriviality_threshold_main(q, xi0),
+                  lambda q: nontriviality_threshold_iwaniec(q, a, xi0),
+                  lambda q: main_bound_log(q, 10, xi0)):
+            with pytest.raises(ValueError, match="modulus must be >= 1"):
+                f(bad)
+    with pytest.raises(ValueError, match="need q >= 2"):
+        main_bound_log(1, 10, xi0)
+    with pytest.raises(ValueError, match="need q >= 2"):
+        iwaniec_bound_log(1, 10, a, xi0)
 
 
 def _scalar_threshold(q, a, xi0):
