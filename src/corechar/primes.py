@@ -202,6 +202,16 @@ def _primes_in(lo: int, hi: int, base: np.ndarray, q: int = 1, a: int = 0) -> np
     return np.concatenate([two, *_sieve(lo, hi, base, q, a)])
 
 
+def _math_logs(p: np.ndarray) -> np.ndarray:
+    """math.log of each entry, taken ``_LOG_CHUNK`` at a time, so no Python
+    list holds more."""
+    logs = np.empty(len(p), dtype=np.float64)
+    for i in range(0, len(p), _LOG_CHUNK):
+        chunk = p[i:i + _LOG_CHUNK]
+        logs[i:i + len(chunk)] = np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk))
+    return logs
+
+
 # The prime table: (limit, the primes up to limit, their math.log), both
 # arrays read-only.  One tuple, replaced whole when the table grows.
 _table = (1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
@@ -219,11 +229,7 @@ def _prime_table(n: int) -> tuple[np.ndarray, np.ndarray]:
         base = _primes_to(math.isqrt(grown))  # may grow the table itself
         limit, primes, logs = _table
         more = _primes_in(limit, grown, base)
-        new_logs = np.empty(len(more), dtype=np.float64)
-        for i in range(0, len(more), _LOG_CHUNK):
-            chunk = more[i:i + _LOG_CHUNK]
-            new_logs[i:i + len(chunk)] = np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk))
-        primes, logs = np.concatenate([primes, more]), np.concatenate([logs, new_logs])
+        primes, logs = np.concatenate([primes, more]), np.concatenate([logs, _math_logs(more)])
         primes.flags.writeable = logs.flags.writeable = False
         _table = (grown, primes, logs)
     k = int(np.searchsorted(primes, n, side="right"))
@@ -394,8 +400,7 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
     sums = np.zeros(len(bounds) - 1, dtype=object)
     for lo in range(bounds[0], bounds[-1], _LOG_CHUNK):
         hi = min(lo + _LOG_CHUNK, bounds[-1])
-        lg = logs[lo:hi] if logs is not None else \
-            np.fromiter(map(math.log, primes[lo:hi].tolist()), np.float64, hi - lo)
+        lg = logs[lo:hi] if logs is not None else _math_logs(primes[lo:hi])
         m = np.ldexp(counts[lo:hi] * lg, 53).astype(np.int64)
         at = np.clip(cuts, lo, hi) - lo
         for shift, half in ((32, m >> 32), (0, m & 0xFFFFFFFF)):
