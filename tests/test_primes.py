@@ -1,6 +1,5 @@
 """Von Mangoldt, psi over progressions, and the short-interval comparison."""
 
-import functools
 import math
 import pickle
 import random
@@ -156,15 +155,20 @@ def test_short_interval_rejects_nonpositive_or_nan_b_and_eps(kwargs):
         short_interval_check(27, 1, 1000, 100, **kwargs)
 
 
+def _plain_primes(x: int) -> np.ndarray:
+    """Every prime up to x, from a plain numpy sieve of [0, x]."""
+    is_prime = np.ones(x + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(x) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime)
+
+
 def _sieved_counts(lo: int, hi: int, q: int, a: int) -> dict[int, int]:
     """Reference: a plain numpy sieve of all of [0, hi], keeping the prime
     powers n > lo with n = a (mod q)."""
-    is_prime = np.ones(hi + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(hi) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-    primes = np.flatnonzero(is_prime)
+    primes = _plain_primes(hi)
     counts = Counter(primes[(primes > lo) & (primes % q == a % q)].tolist())
     for p in primes[primes <= math.isqrt(hi)].tolist():
         n = p * p
@@ -399,22 +403,10 @@ _EDGES = [2**10 - 1, 2**10, 2**10 + 1, 2**16 - 1, 2**16, 2**16 + 1,
           _TABLE_CAP - 1, _TABLE_CAP, _TABLE_CAP + 1]
 
 
-@functools.lru_cache(maxsize=None)
-def _plain_primes(x: int) -> np.ndarray:
-    """Every prime up to x, from a plain numpy sieve of [0, x]."""
-    is_prime = np.ones(x + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(x) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-    return np.flatnonzero(is_prime)
-
-
-@functools.lru_cache(maxsize=None)
 def _plain_classes(x: int, q: int) -> dict[int, tuple[dict[int, int], float]]:
     """{a: (counts, value)} for every class a mod q: the prime-power
     multiplicities p -> count up to x, from the plain sieve, and their fsum."""
-    primes_ = _plain_primes(max(x, 1))
+    primes_ = _plain_primes(x)
     bases, powers = [primes_], [primes_]
     p = primes_[primes_ <= math.isqrt(x)]
     pw = p * p
