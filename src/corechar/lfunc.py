@@ -31,9 +31,12 @@ rotation per run of equal t, the points being in (t, sigma) order; it sums
 the powers of a few runs with equal sigmas before it forms the next ones.
 The grid's 9 sigmas share each of its t values, and the contour's left side
 runs through the right side's t nodes, reversed, so both vertical sides
-share every rotation.  A point takes the fewest direct terms, at least 16,
-for which the standard Euler-Maclaurin remainder bound is 2^-64 (``_n_terms``
-derives it).
+share every rotation.  A point takes the fewest direct terms N for which
+the standard Euler-Maclaurin remainder bound after twenty Bernoulli
+corrections is 2^-64 (``_n_terms`` derives it; 7 to 10 at the scans'
+points).  The boundary term comes from the top power (a+N)^{-s}, through
+expm1 only near s = 1, and the Bernoulli tail is (a+N)^{-s} times one
+(points x 20) @ (20 x residues) product of factors scaled by powers of N.
 """
 
 from __future__ import annotations
@@ -67,23 +70,31 @@ __all__ = [
     "vartheta_shape",
 ]
 
-# B_2 .. B_24 as exact rationals; twelve correction terms.
+# B_2 .. B_40 as exact rationals; twenty correction terms.
 _BERNOULLI = [
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
     Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+    Fraction(-236364091, 2730), Fraction(8553103, 6), Fraction(-23749461029, 870),
+    Fraction(8615841276005, 14322), Fraction(-7709321041217, 510),
+    Fraction(2577687858367, 6), Fraction(-26315271553053477373, 1919190),
+    Fraction(2929993913841559, 6), Fraction(-261082718496449122051, 13530),
 ]
-_EM_ORDER = 12
-_TWO_J = np.arange(2, 2 * _EM_ORDER + 1, 2)
-# B_{2j}/(2j)! for j = 1.._EM_ORDER
-_EM_COEFFS = np.array([float(b) for b in _BERNOULLI]) / np.cumprod((_TWO_J - 1.0) * _TWO_J)
-# log of 2 zeta(25)/(2 pi)^25 (bounds |B~_25(x)|/25!) over 2^-64 (see _n_terms)
-_LOG_EM_REMAINDER = math.log(2.0 * 1.0000000298035035 / (2.0 * math.pi) ** 25) + 64 * math.log(2.0)
-_N_FLOOR = 16  # least direct terms; enough for every point with sigma > 0 and |s| <= 11.5
-# (point, unit residue) pairs per _l_sums block: the kernel's Bernoulli stack of
-# 1 + _EM_ORDER complex terms per pair is then 1.7 MiB; one point's unit residues
-# x direct terms may not pass _HURWITZ_CAP (256 MiB of complex powers)
+_EM_ORDER = 20
+# B_{2j}/(2j)! for j = 1.._EM_ORDER, each rounded once
+_EM_COEFFS = np.array([float(b / math.factorial(2 * j)) for j, b in enumerate(_BERNOULLI, 1)])
+_RISING = np.arange(2 * _EM_ORDER - 1.0)              # s + i for (s)_{2j-1}, i < 2 _EM_ORDER - 1
+_ONE_MINUS_TWO_J = -np.arange(1.0, 2 * _EM_ORDER, 2)  # 1 - 2j for j = 1.._EM_ORDER
+# log of 2 zeta(41)/(2 pi)^41 (bounds |B~_41(x)|/41!) over 2^-64 (see _n_terms);
+# zeta(41) is 1 + 2^-41 to a double
+_LOG_EM_REMAINDER = math.log(2.0 * (1.0 + 2.0 ** -41) / (2.0 * math.pi) ** 41) + 64 * math.log(2.0)
+# largest |s| / N: each factor |s+i|/N of the tail's scaled (s)_{2j-1} N^{1-2j}
+# is then at most 2^24 + 38, so a product of 39 of them stays below 2^940
+_S_PER_N = 1 << 24
+# (point, unit residue) pairs per _l_sums block: the direct sums, top powers,
+# boundary and tail are each one complex per pair, 128 KiB at a block; one
+# point's unit residues x direct terms may not pass _HURWITZ_CAP (256 MiB of
+# complex powers)
 _BLOCK_ENTRIES = 1 << 13
 # powers (a+k)^{-s} the kernel forms at once (512 KiB of complex); runs of equal t
 # with equal sigmas share them, as each run costs about ten numpy calls
@@ -102,20 +113,22 @@ def _g_ratio(w: np.ndarray) -> np.ndarray:
 
 def _n_terms(s, residues: int = 1):
     """Direct terms N before the Euler-Maclaurin tail, for each point of s (a
-    complex number or array): the least N >= ``_N_FLOOR`` with
+    complex number or array): the least N >= 1 with
 
-        2 zeta(25)/(2 pi)^25 |(s)_25| N^{-sigma-24}/(sigma+24) <= 2^-64.
+        2 zeta(41)/(2 pi)^41 |(s)_41| N^{-sigma-40}/(sigma+40) <= 2^-64,
 
-    With N direct terms and the m = ``_EM_ORDER`` = 12 Bernoulli corrections
-    of ``_hurwitz_core``, the remainder of Euler-Maclaurin summation is
+    and N >= |s|/``_S_PER_N``, which binds only far right (sigma above
+    about 3 10^7) and keeps the tail's scaled factors finite.  With N direct terms
+    and the m = ``_EM_ORDER`` = 20 Bernoulli corrections of
+    ``_hurwitz_core``, the remainder of Euler-Maclaurin summation is
 
-        R = -(s)_25/25! int_0^inf B~_25(x) (a+N+x)^{-s-25} dx,
+        R = -(s)_41/41! int_0^inf B~_41(x) (a+N+x)^{-s-41} dx,
 
-    with (s)_25 = s(s+1)...(s+24) and B~_25 the periodic Bernoulli function.
+    with (s)_41 = s(s+1)...(s+40) and B~_41 the periodic Bernoulli function.
     Its Fourier series B~_n(x) = -n! sum_{k != 0} e(kx)/(2 pi i k)^n gives
-    |B~_25(x)|/25! <= 2 zeta(25)/(2 pi)^25, and for sigma > -24 the integral
-    of |(a+N+x)^{-s-25}| is (a+N)^{-sigma-24}/(sigma+24), at most
-    N^{-sigma-24}/(sigma+24) since a + N >= N.  So |R| is at most the left
+    |B~_41(x)|/41! <= 2 zeta(41)/(2 pi)^41, and for sigma > -40 the integral
+    of |(a+N+x)^{-s-41}| is (a+N)^{-sigma-40}/(sigma+40), at most
+    N^{-sigma-40}/(sigma+40) since a + N >= N.  So |R| is at most the left
     side above.  ValueError when a point, taken at ``residues`` values of a,
     needs more than ``_HURWITZ_CAP`` residues x direct terms (or no N
     meets the bound), before anything that size is allocated."""
@@ -123,11 +136,43 @@ def _n_terms(s, residues: int = 1):
     ex = s.real + 2 * _EM_ORDER
     with np.errstate(all="ignore"):
         log_poch = np.log(np.abs(s[..., None] + np.arange(2 * _EM_ORDER + 1))).sum(axis=-1)
-        n = np.maximum(_N_FLOOR, np.ceil(np.exp((_LOG_EM_REMAINDER + log_poch - np.log(ex)) / ex)))
+        n = np.ceil(np.exp((_LOG_EM_REMAINDER + log_poch - np.log(ex)) / ex))
+        n = np.maximum(np.maximum(n, 1.0), np.ceil(np.abs(s) / _S_PER_N))
     if not residues * n.max(initial=0) <= _HURWITZ_CAP:   # NaN fails
         raise ValueError(f"|s| = {np.max(np.abs(s)):.6g} needs more than {_HURWITZ_CAP} "
                          "Hurwitz terms per point")
     return n.astype(np.int64)
+
+
+def _boundary(s: np.ndarray, a: np.ndarray, n0: int, top_ms: np.ndarray) -> np.ndarray:
+    """((a+N)^{1-s} - 1)/(s-1), the boundary term (a+N)^{1-s}/(s-1) less the
+    pole, for points s of shape (m, 1), N = n0 and top_ms = (a+N)^{-s}.
+
+    With w = (1-s) log(a+N) it is (a+N) (a+N)^{-s} - 1 over s - 1 wherever
+    |w| >= 1, and -log(a+N) expm1(w)/w below, where the difference would lose
+    up to eps/|w| to cancellation (so right through s = 1).  Only points with
+    |1-s| log N < 1 can have such a w, as a + N > N."""
+    top = a + n0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (top * top_ms - 1.0) * (1.0 / (s - 1.0))
+    near = [i for i, z in enumerate(s[:, 0].tolist()) if abs(1.0 - z) * math.log(n0) < 1.0]
+    if near:
+        ltop = np.log(top)
+        w = (1.0 - s[near]) * ltop
+        out[near] = np.where(np.abs(w) < 1.0, -ltop * _g_ratio(w), out[near])
+    return out
+
+
+def _tail(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
+    """The Bernoulli corrections over (a+N)^{-s}: sum_j B_{2j}/(2j)! (s)_{2j-1}
+    (a+N)^{1-2j} for points s of shape (m, 1), as one (points x m) @ (m x
+    residues) product of (s)_{2j-1} N^{1-2j} (a running product over
+    (s+i)/N) and (1 + a/N)^{1-2j}, so that no factor overflows where
+    ``_n_terms`` admits s.  Each point's row is its own real (residues x m)
+    @ (m x 2) product, which keeps it independent of the other points."""
+    poch = np.cumprod((s + _RISING) / n0, axis=1)[:, ::2] * _EM_COEFFS
+    shrink = np.exp(np.multiply.outer(np.log1p(a / n0), _ONE_MINUS_TWO_J))
+    return (shrink @ poch.view(np.float64).reshape(len(s), _EM_ORDER, 2)).view(np.complex128)[..., 0]
 
 
 def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
@@ -142,7 +187,9 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
     distinct sigma among the points and the rotation once per run of equal
     t, which is once per distinct t for points sorted by t.  Consecutive runs
     with equal sigmas go together, up to ``_CHUNK_POWERS`` powers or one run,
-    into one reused buffer, and are summed before the next are formed.
+    into one reused buffer, and are summed before the next are formed.  The
+    boundary term comes from the top power (``_boundary``), and the Bernoulli
+    tail is (a+N)^{-s} times a (points x m) @ (m x residues) product.
     """
     sigma, t = s.real.tolist(), s.imag.tolist()
     sigmas = sorted(set(sigma))
@@ -160,7 +207,6 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
             chunks.append([lo, hi, hi - lo])
     s = s[:, None]                                    # (m, 1)
     logs = np.log(a[:, None] + np.arange(n0 + 1.0))   # (len(a), n0 + 1); last column log(a + N)
-    ltop = logs[:, n0]
     mags = np.exp(-np.array(sigmas)[:, None, None] * logs)   # (a+k)^{-sigma}
     buf = np.empty(max(hi - lo for lo, hi, _ in chunks) * width, dtype=np.complex128)
     vals, top_ms = np.empty((2, len(t), len(a)), dtype=np.complex128)
@@ -173,27 +219,13 @@ def _hurwitz_core(s: np.ndarray, a: np.ndarray, n0: int) -> np.ndarray:
         np.multiply(np.sin(theta), run_mags, out=pows.imag)
         np.add.reduce(pows[..., :n0], axis=-1, out=vals[lo:hi].reshape(runs, k, len(a)))
         top_ms[lo:hi] = pows[..., n0].reshape(hi - lo, len(a))   # (a+N)^{-s}
-
-    # boundary minus pole: (a+N)^{1-s}/(s-1) - 1/(s-1) = -ltop * g((1-s) ltop)
-    vals = vals - ltop * _g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
-
-    # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (a+N)^{-s-2j+1}, added in order of j
-    # by one reduction over stack[:, 0] = the sum so far and stack[:, j] = term j;
-    # (a+N)^{-s-2j+1} = (a+N)^{-s} (a+N)^{1-2j}, and (s)_{2j-1} is a running product
-    # over s+i.
-    poch = np.cumprod(s + np.arange(2 * _EM_ORDER - 1), axis=1)[:, ::2]   # (m, _EM_ORDER)
-    stack = np.empty((len(t), 1 + _EM_ORDER, len(a)), dtype=np.complex128)
-    stack[:, 0] = vals
-    terms = stack[:, 1:]
-    np.multiply(top_ms[:, None], np.exp((1 - _TWO_J)[:, None] * ltop), out=terms)
-    np.multiply((_EM_COEFFS * poch)[:, :, None], terms, out=terms)
-    return np.add.reduce(stack, axis=1)
+    return vals + _boundary(s, a, n0, top_ms) + (0.5 + _tail(s, a, n0)) * top_ms
 
 
 def hurwitz_zeta(s: complex, a) -> complex:
     """zeta(s, a) = sum_{k>=0} (a+k)^{-s} for Re s > 0, a in (0, 1].
 
-    Euler-Maclaurin with twelve Bernoulli corrections after the direct
+    Euler-Maclaurin with twenty Bernoulli corrections after the direct
     terms that bound the remainder by 2^-64 (``_n_terms``); errors at s = 1
     (the pole).
     """

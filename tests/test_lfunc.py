@@ -1,6 +1,8 @@
 """L-function evaluation, zero scanning, and the bound-shape evaluators."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,9 +199,8 @@ def test_chi_rows_read_chi_at_one_to_q(q):
 
 
 def test_batched_l_sums_match_single_points():
-    """A batch of points gives each point's values alone, bit for bit, both
-    while the points need no more direct terms than the floor of 16 (every
-    point with |s| <= 11.5 and sigma > 0) and past it, where each point keeps
+    """A batch of points gives each point's values alone, bit for bit, on
+    contours whose points take different numbers of direct terms, each point
     its own n0 from the remainder bound.  The grid scan reports the
     point and character of a per-point loop that reads every character at the
     upper half (t >= 0) of the t grid only, where each mirror pair
@@ -238,6 +239,7 @@ def test_batched_l_sums_match_single_points():
 def _complex_exp_kernel(s, a, n0):
     """Reference Hurwitz kernel: every power (a+k)^{-s} and (a+N)^{-s-2j+1} as
     its own complex exp, the Bernoulli terms added one j at a time."""
+    two_j = 2 * np.arange(1, lfunc._EM_ORDER + 1)
     s = s[:, None]
     logs = np.log(a[:, None] + np.arange(n0, dtype=np.float64))
     vals = np.exp(-s[:, :, None] * logs).sum(axis=2)
@@ -245,7 +247,7 @@ def _complex_exp_kernel(s, a, n0):
     top_ms = np.exp(-s * ltop)
     vals = vals - ltop * lfunc._g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
     poch = np.cumprod(s + np.arange(2 * lfunc._EM_ORDER - 1), axis=1)[:, ::2]
-    powterm = np.exp((-s - lfunc._TWO_J + 1)[:, :, None] * ltop)
+    powterm = np.exp((-s - two_j + 1)[:, :, None] * ltop)
     terms = (lfunc._EM_COEFFS * poch)[:, :, None] * powterm
     for j in range(lfunc._EM_ORDER):
         vals = vals + terms[:, j]
@@ -263,15 +265,15 @@ def _assert_close(new, ref, rel, where):
 def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
     """The kernel that takes magnitudes per sigma and rotations per t agrees
     with one complex exp per power to 1e-13: on the contour and the full grid
-    at q = 27, 81 and 243, and at single points up to |s| = 50 (past the
-    reach of the n0 floor, |s| = 11.5), and in hurwitz_zeta."""
+    at q = 27, 81 and 243, and at single points up to |s| = 50 (whose n0
+    reach more than twice the contour's), and in hurwitz_zeta."""
     rng = np.random.default_rng(15)
     singles = (rng.uniform(0.5, 2.0, 40) + 1j * rng.uniform(-50.0, 50.0, 40)).tolist()
     singles += [complex(0.6, 0.0), complex(1.0, 13.0), complex(0.9, 14.0), complex(2.0, 50.0)]
-    assert max(lfunc._n_terms(s) for s in singles) > lfunc._N_FLOOR
     sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
     grid = (sigmas[:, None] + 1j * np.linspace(-10.0, 10.0, lfunc._GRID_TS)).ravel()
     contour = lfunc._contour(0.9, 10.0, 0.25)
+    assert max(lfunc._n_terms(singles)) > 2 * max(lfunc._n_terms(contour))
     for q in (27, 81, 243):
         X, _ = lfunc._chi_rows(as_modulus(q))
         batches = [("contour", contour), ("grid", grid)]
@@ -293,7 +295,8 @@ def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
 def _stacked_kernel(s, a, n0):
     """Reference Hurwitz kernel with ``_hurwitz_core``'s arithmetic in one
     (points, residues, n0 + 1) array of powers: each run's rotation copied
-    along the run, the magnitudes gathered per point."""
+    along the run, the magnitudes gathered per point; the boundary and the
+    Bernoulli tail from the top powers as the kernel takes them."""
     sigma, t = s.real.tolist(), s.imag.tolist()
     sigmas = sorted(set(sigma))
     rank = {v: i for i, v in enumerate(sigmas)}
@@ -301,7 +304,6 @@ def _stacked_kernel(s, a, n0):
     runs = [i for i in range(1, len(t)) if t[i] != t[i - 1]]
     s = s[:, None]
     logs = np.log(a[:, None] + np.arange(n0 + 1.0))
-    ltop = logs[:, n0]
     pows = np.empty((len(t), len(a), n0 + 1), dtype=np.complex128)
     for lo, hi in zip([0, *runs], [*runs, len(t)]):
         rot = pows[lo]
@@ -313,20 +315,14 @@ def _stacked_kernel(s, a, n0):
         np.multiply(part, mag, out=part)
     top_ms = pows[:, :, n0].copy()
     vals = pows[:, :, :n0].sum(axis=2)
-    vals = vals - ltop * lfunc._g_ratio((1.0 - s) * ltop) + 0.5 * top_ms
-    poch = np.cumprod(s + np.arange(2 * lfunc._EM_ORDER - 1), axis=1)[:, ::2]
-    powterm = top_ms[:, None] * np.exp((1 - lfunc._TWO_J)[:, None] * ltop)
-    stack = np.empty((len(poch), 1 + lfunc._EM_ORDER, len(a)), dtype=np.complex128)
-    stack[:, 0] = vals
-    np.multiply((lfunc._EM_COEFFS * poch)[:, :, None], powterm, out=stack[:, 1:])
-    return np.add.reduce(stack, axis=1)
+    return vals + lfunc._boundary(s, a, n0, top_ms) + (0.5 + lfunc._tail(s, a, n0)) * top_ms
 
 
 def test_run_kernel_matches_stacked_kernel(monkeypatch):
     """The kernel that forms and sums its powers a few runs of equal t at a
     time gives the stacked kernel's values bit for bit at equal n0: through
     ``_l_sums`` on the contour, the grid and single points at q = 27, 81, 243
-    and 72, and directly at n0 = 16, 32 and 48 on points in (t, sigma)
+    and 72, and directly at n0 = 1, 7, 16 and 48 on points in (t, sigma)
     order, among them runs whose sigmas change from run to run."""
     rng = np.random.default_rng(21)
     singles = (rng.uniform(0.5, 2.0, 12) + 1j * rng.uniform(-50.0, 50.0, 12)).tolist()
@@ -348,32 +344,33 @@ def test_run_kernel_matches_stacked_kernel(monkeypatch):
     # runs of two points whose sigmas change from run to run
     pairs = np.sort([rng.choice([0.5, 0.7, 0.9, 1.0, 1.3], 2, replace=False) for _ in range(30)])
     mixed = (pairs + 1j * np.sort(rng.uniform(0.0, 20.0, 30))[:, None]).ravel()
-    for n0 in (16, 32, 48):
+    for n0 in (1, 7, 16, 48):
         for batch in (pts, mixed):
             new = lfunc._hurwitz_core(batch, a, n0)
             assert np.array_equal(new, _stacked_kernel(batch, a, n0)), n0
 
 
 def _remainder_bound(s, n):
-    """2 zeta(25)/(2 pi)^25 |(s)_25| n^{-sigma-24}/(sigma+24): the bound on the
-    Euler-Maclaurin remainder after n direct terms and 12 corrections."""
-    zeta25 = math.fsum(k ** -25.0 for k in range(1, 100))
-    poch = math.prod(abs(s + i) for i in range(25))
-    return 2 * zeta25 / (2 * math.pi) ** 25 * poch * n ** (-s.real - 24) / (s.real + 24)
+    """2 zeta(41)/(2 pi)^41 |(s)_41| n^{-sigma-40}/(sigma+40): the bound on the
+    Euler-Maclaurin remainder after n direct terms and 20 corrections."""
+    zeta41 = math.fsum(k ** -41.0 for k in range(1, 100))
+    poch = math.prod(abs(s + i) for i in range(41))
+    return 2 * zeta41 / (2 * math.pi) ** 41 * poch * n ** (-s.real - 40) / (s.real + 40)
 
 
 def test_n_terms_is_least_n_meeting_the_remainder_bound():
-    """Each point's n0 is the least N >= 16 whose remainder bound is at most
-    2^-64, for seeded |s| <= 50 and sigma in [0.5, 2], alone or in an array."""
+    """Each point's n0 is the least N >= 1 whose remainder bound is at most
+    2^-64, for seeded |s| <= 50 and sigma in [0.5, 2], alone or in an array,
+    and for the scans' points near the real axis, which take 7 to 10."""
     rng = np.random.default_rng(14)
     pts = rng.uniform(0.5, 2.0, 200) + 1j * rng.uniform(-50.0, 50.0, 200)
-    pts = pts[np.abs(pts) <= 50.0]
+    pts = np.concatenate((pts[np.abs(pts) <= 50.0], lfunc._contour(0.85, 10.0, 0.25)))
     n0 = lfunc._n_terms(pts)
-    assert np.max(n0) > 2 * lfunc._N_FLOOR and np.min(n0) == lfunc._N_FLOOR
+    assert np.min(n0) == 7 and np.max(n0) > 20
     for s, n in zip(pts.tolist(), n0.tolist()):
         assert n == lfunc._n_terms(s)
         assert _remainder_bound(s, n) <= 2.0 ** -64, (s, n)
-        assert n == lfunc._N_FLOOR or _remainder_bound(s, n - 1) > 2.0 ** -64, (s, n)
+        assert n == 1 or _remainder_bound(s, n - 1) > 2.0 ** -64, (s, n)
 
 
 def test_kernel_at_its_n0_matches_four_times_n0():
@@ -415,6 +412,86 @@ def test_g_ratio_matches_taylor_sum():
     err = np.abs(lfunc._g_ratio(ws) - ref) / np.abs(ref)
     assert np.max(err) <= 1e-15, ws[np.argmax(err)]
     assert lfunc._g_ratio(np.zeros(3, dtype=np.complex128)).tolist() == [1, 1, 1]
+
+
+def test_bernoulli_literals_match_the_recurrence():
+    """B_2 .. B_40 in the kernel are the Bernoulli numbers of the recurrence
+    sum_{k <= n} C(n+1, k) B_k = 0, computed here over Fractions, and each
+    coefficient is B_{2j}/(2j)! rounded once."""
+    b = [Fraction(1)]
+    for n in range(1, 2 * lfunc._EM_ORDER + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    assert lfunc._EM_ORDER == 20
+    assert lfunc._BERNOULLI == b[2::2]
+    assert lfunc._EM_COEFFS.tolist() == [float(b[2 * j] / math.factorial(2 * j))
+                                         for j in range(1, lfunc._EM_ORDER + 1)]
+
+
+def test_boundary_matches_taylor_sum():
+    """((a+N)^{1-s} - 1)/(s-1) within 1e-15 of -log(a+N) expm1(w)/w by the
+    Taylor sum, w = (1-s) log(a+N): at points whose |w| straddles 1 (the
+    switch from the top power to expm1) in eight directions, and at
+    s = 1 + it for t from 1e-3 down to 1e-9."""
+    a = np.array([1 / 243, 0.3, 1.0])
+    ltop = np.log(a + 8)
+    pts = [1 - r * complex(math.cos(ang), math.sin(ang)) / ltop[1]
+           for r in np.linspace(0.8, 1.25, 10) for ang in np.arange(8) * math.pi / 4 + 0.3]
+    pts += [complex(1.0, t) for t in np.logspace(-3, -9, 13)] + [1.0]
+    s = np.array(pts)[:, None]
+    got = lfunc._boundary(s, a, 8, np.exp(-s * ltop))
+    for i, sv in enumerate(pts):
+        for j in range(len(a)):
+            ref = -ltop[j] * _taylor_g((1 - sv) * ltop[j])
+            assert abs(got[i, j] - ref) <= 1e-15 * abs(ref), (sv, a[j])
+
+
+STIELTJES = (0.5772156649015329, -0.07281584548367672, -0.009690363192872318,
+             0.002053834420303346, 0.002325370065467300)
+
+
+def test_principal_l_near_the_pole():
+    """At s = 1 + it, t from 1e-3 down to 1e-9, principal L mod 9 is
+    zeta(s) (1 - 3^{-s}), zeta from its Laurent series in the Stieltjes
+    constants; the kernel's regular part (L less 6 * 9^{-s}/(s-1)) agrees
+    within 4e-15 with that difference taken in closed form, where an
+    unguarded (a+N)^{1-s} - 1 would lose eps/|s-1|."""
+    chi0 = principal_character(9)
+    X = _chi_values(chi0, np.arange(1, 10))[None]
+    l3 = math.log(3.0)
+    for t in np.concatenate((np.logspace(-3, -9, 13), [-1e-9])).tolist():
+        r = complex(0.0, t)
+        gam = sum((-1) ** n * g * r ** n / math.factorial(n) for n, g in enumerate(STIELTJES))
+        expected = (1 / r + gam) * (1 - 3 ** -(1 + r))
+        assert abs(l_value(chi0, 1 + r) - expected) <= 1e-14 * abs(expected), t
+        # (1 - 3^{-s} - 6 * 9^{-s})/(s-1) through expm1(w)/w, plus (1 - 3^{-s}) gam
+        x = r * l3
+        reg = l3 / 3 * _taylor_g(-x) + 4 * l3 / 3 * _taylor_g(-2 * x) + (1 - cmath.exp(-x) / 3) * gam
+        assert abs(complex(lfunc._l_sums(X, [1 + r])[0, 0]) - reg) <= 4e-15, t
+
+
+def test_tail_stays_finite_far_out():
+    """Far right, where |s| reaches _S_PER_N times N (N = 4 at 2^26, 2^16 at
+    2^40, where the bound alone asks for 2), the tail's scaled factors stay
+    finite: zeta(s, a) at one residue is a^{-s} (every further power
+    underflows), also 1000 off the axis.  At
+    t = 10^5 (33,808 direct terms) zeta(2 + it, 0.3) agrees with a
+    two-million-term direct sum within 1e-8, and at q = 243 L near the
+    sigma = 130 refusal and at |s| = 50 agrees with the series path."""
+    for s in (2.0 ** 26, complex(2.0 ** 26, 1000.0), 2.0 ** 40, complex(2.0 ** 40, 1000.0)):
+        assert abs(s) / int(lfunc._n_terms(s)) >= lfunc._S_PER_N / 2
+        for a in (1.0, 1.0 - 2.0 ** -45):
+            expected = cmath.exp(-s * math.log(a))
+            assert abs(hurwitz_zeta(s, a) - expected) <= 1e-15 * abs(expected), (s, a)
+    s, a = complex(2.0, 1e5), 0.3
+    ks = a + np.arange(2 * 10 ** 6, dtype=np.float64)
+    direct = np.exp(-s * np.log(ks)).sum()
+    top = a + 2 * 10 ** 6
+    direct += top ** (1 - s) / (s - 1) + 0.5 * top ** -s
+    assert abs(hurwitz_zeta(s, a) - direct) <= 1e-8
+    chi = enumerate_characters(243, primitive_only=True)[7]
+    for s in (complex(128.0, 0.0), complex(128.0, 50.0), complex(0.6, 50.0), complex(2.0, -48.0)):
+        val = l_value(chi, s)
+        assert cmath.isfinite(val) and abs(val - l_value_series(chi, s)) <= 1e-8, s
 
 
 @pytest.mark.parametrize("alpha,T,max_panel", [(0.9, 10.0, 0.25), (0.5, 3.7, 0.0625),
