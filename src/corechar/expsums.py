@@ -554,6 +554,48 @@ def _shift_weights(P: int, M: int, N: int):
     return read
 
 
+def _v_terms(chi: DirichletCharacter, G: RealPolynomial, M: int, N: int, P: int, coprime: int):
+    """(read, M', N') such that ``_window_sum(read, M', N')`` is ``decompose``'s
+    V, over the shorter of two equal sums.
+
+    The walk: K(x) chi(x) e(G(x)) over the N + P^3 - P integers x of
+    (M + P, M + N + P^3] (``_shift_weights``).  The runs: K(x) > 0 only on
+    the runs (M + P m, M + P m + N] over the distinct products m = yz, so V
+    is also the sum of c(m) chi(x) e(G(x)), x = n + P m, over the pairs of
+    a unit n of (M, M+N] (x is a unit exactly when n is) and a distinct m,
+    c(m) the number of pairs (y, z) with yz = m, read at flat pair indices;
+    x is int64 below 2^63 and a Python int beyond.  As m runs over 1..P at
+    least, the runs are worth listing only when coprime P < the walk."""
+    walk = N + P**3 - P
+    if coprime * P < walk:
+        ys = np.arange(1, P + 1, dtype=np.int64)
+        c = np.bincount(np.outer(ys, ys).ravel())
+        m = np.flatnonzero(c)
+        if coprime * len(m) < walk:
+            ns = M + 1 + np.arange(N, dtype=np.int64 if M + N + P * int(m[-1]) < 1 << 63 else object)
+            ns, step, c = ns[np.gcd(_residues(ns, chi.q), chi.q) == 1], P * m, c[m]
+            table = None if G.is_zero else _residue_table(G, coprime * len(m))
+            if table is not None:   # e(G(x)) read from its residue mod den
+                table = np.exp(2j * np.pi * (table.astype(np.float64) / len(table)))
+
+            def runs(n0, size):
+                i, j = np.divmod(np.arange(n0 - 1, n0 - 1 + size), len(m))
+                xs = ns[i] + step[j]
+                t = _chi_values(chi, xs)
+                if table is not None:
+                    t = np.multiply(t, table[_residues(xs, len(table))])
+                elif not G.is_zero:
+                    t = np.multiply(t, np.exp(2j * np.pi * G.phases(xs)))
+                return np.multiply(t, c[j])
+            return runs, 0, coprime * len(m)
+    weights, terms = _shift_weights(P, M, N), _twisted_terms(chi, G, walk)
+
+    def weighted(n0, size):
+        w = weights(n0, size)  # first, so that its search arrays are gone before the terms exist
+        return np.multiply(terms(n0, size), w)
+    return weighted, M + P, walk
+
+
 @dataclass(frozen=True)
 class DecomposeResult:
     """Outcome of the shift decomposition S = core^{-2s} V + O(core^{3s})."""
@@ -599,12 +641,7 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     if walk > work_budget:
         raise ValueError(f"window ({M + P}, {M + N + P**3}] of {walk} terms exceeds budget {work_budget}")
     s_val = twisted_sum(chi, M, N, G).value  # before V's readers hold their extensions
-    weights, terms = _shift_weights(P, M, N), _twisted_terms(chi, G, walk)
-
-    def weighted(n0, size):
-        w = weights(n0, size)  # first, so that its search arrays are gone before the terms exist
-        return np.multiply(terms(n0, size), w)
-    v_total = _window_sum(weighted, M + P, walk).value
+    v_total = _window_sum(*_v_terms(chi, G, M, N, P, coprime)).value
     recon = v_total / (P * P)
     residual = abs(s_val - recon)
     allowance = residual_constant * float(coreq) ** (3 * s)

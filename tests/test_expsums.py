@@ -634,6 +634,41 @@ def _decompose_v_term_by_term(chi, M, N, G, s):
     return complex(math.fsum(re), math.fsum(im))
 
 
+@pytest.mark.parametrize("q,M,N,s,coeffs,runs", [
+    (72, 0, 1, 2, [0, Fraction(1, 7)], True),
+    (72, 10**6 + 3, 10, 3, [0, Fraction(1, 7)], True),
+    (12, 2**63 - 5, 4, 2, [Fraction(1, 3), Fraction(1, 7), Fraction(2, 11)], True),
+    (81, 10**19, 12, 2, [0, Fraction(1, 10**9 + 7)], True),
+    (36, 500, 7, 2, [0, 0.3183098861837907], True),
+    (216, 0, 3, 2, [0], True),
+    (81, 0, 162, 2, [0, Fraction(1, 5)], False),
+    (27, 100, 200, 2, [0, Fraction(1, 7)], False),
+])
+def test_decompose_walks_the_runs_when_shorter(monkeypatch, q, M, N, s, coeffs, runs):
+    """When the pairs of a unit n of the window and a distinct product yz
+    are fewer than the walk's N + P^3 - P terms, V sums them, each weighted
+    by its number of pairs (y, z), and no K(x) is read; otherwise V walks.
+    Either way V agrees within 1e-13 relative with the grid: chi(x) e(G(x))
+    at x = n + P yz over every unit n and every pair (y, z)."""
+    import corechar.expsums as expsums
+    calls = []
+    monkeypatch.setattr(expsums, "_shift_weights", lambda *a: calls.append(a) or _shift_weights(*a))
+    chi = enumerate_characters(q)[-1]
+    G = RealPolynomial.make(coeffs)
+    res = decompose(chi, M, N, G, s)
+    assert (calls == []) == runs
+    P = chi.modulus.core**s
+    ns = [n for n in range(M + 1, M + N + 1) if math.gcd(n, q) == 1]
+    yz = (P * np.outer(np.arange(1, P + 1), np.arange(1, P + 1))).ravel()
+    grid = []
+    for n in ns:
+        xs = n + yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)
+        t = _chi_values(chi, xs) * np.exp(2j * np.pi * G.phases(xs))
+        grid += [math.fsum(t.real) + 1j * math.fsum(t.imag)]
+    expected = complex(math.fsum(z.real for z in grid), math.fsum(z.imag for z in grid))
+    assert abs(res.v_value - expected) <= 1e-13 * abs(expected), (res.v_value, expected)
+
+
 @pytest.mark.parametrize("q,M,N,coeffs", [
     (27, 100, 200, [0, Fraction(1, 7)]),
     (81, 10**6, 1300, [Fraction(1, 3), Fraction(1, 7), Fraction(2, 11)]),
