@@ -94,9 +94,18 @@ def _over(p: np.ndarray, q: int, a: int) -> np.ndarray:
     level down gives a child its parent's value times its sibling's product.
     A node's value is a·(product of its leaves)^-1, so a leaf's is a·p^-1.
     Every factor is below q, so every product below q^2, which int64 holds
-    while q < 2^31; from 2^31 on the tree is built of Python ints.
+    while q < 2^31; from 2^31 on the tree is built of Python ints.  When
+    there are more p than residues mod q, the tree takes each residue that
+    occurs once, and every p reads its residue's value from a table of q.
     """
     x = p % q
+    if len(x) > q:
+        seen = np.zeros(q, dtype=bool)
+        seen[x] = True
+        residues = np.flatnonzero(seen)
+        table = np.zeros(q, dtype=np.int64)
+        table[residues] = _over(residues, q, a)
+        return table[x]
     if q >= 1 << 31:
         x = x.astype(object)
     tree = []

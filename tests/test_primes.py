@@ -360,6 +360,26 @@ def test_batch_inverse_matches_pow(q):
         assert _over(p, q, a).tolist() == [a * pow(r, -1, q) % q for r in p.tolist()]
 
 
+@pytest.mark.parametrize("q", [14, 19, 20, 200])
+def test_batch_inverse_takes_each_residue_once(monkeypatch, q):
+    """With more base primes than residues mod q, the tree inverts each
+    residue that occurs once, and every prime reads its value back: the
+    same a·p^-1 mod q as pow, from one tree over the distinct residues."""
+    from corechar import primes
+    sizes = []
+
+    def counted(p, q, a):
+        sizes.append(len(p))
+        return _over(p, q, a)
+    monkeypatch.setattr(primes, "_over", counted)
+    p = np.array([r for r in _primes_to(20000).tolist() if q % r], dtype=np.int64)
+    for a in (1, q - 1):
+        sizes.clear()
+        got = primes._over(p, q, a)
+        assert got.tolist() == [a * pow(r, -1, q) % q for r in p.tolist()]
+        assert sizes == [len(p), len(set((p % q).tolist()))]
+
+
 def test_sieve_refuses_past_int64_proof():
     with pytest.raises(ValueError, match="2\\^62"):
         psi(2**62)
