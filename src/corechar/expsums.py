@@ -574,19 +574,15 @@ def _v_terms(chi: DirichletCharacter, G: RealPolynomial, M: int, N: int, P: int,
         if coprime * len(m) < walk:
             ns = M + 1 + np.arange(N, dtype=np.int64 if M + N + P * int(m[-1]) < 1 << 63 else object)
             ns, step, c = ns[np.gcd(_residues(ns, chi.q), chi.q) == 1], P * m, c[m]
-            table = None if G.is_zero else _residue_table(G, coprime * len(m))
+            table = _residue_table(G, coprime * len(m))
             if table is not None:   # e(G(x)) read from its residue mod den
                 table = np.exp(2j * np.pi * (table.astype(np.float64) / len(table)))
 
             def runs(n0, size):
                 i, j = np.divmod(np.arange(n0 - 1, n0 - 1 + size), len(m))
                 xs = ns[i] + step[j]
-                t = _chi_values(chi, xs)
-                if table is not None:
-                    t = np.multiply(t, table[_residues(xs, len(table))])
-                elif not G.is_zero:
-                    t = np.multiply(t, np.exp(2j * np.pi * G.phases(xs)))
-                return np.multiply(t, c[j])
+                twist = np.exp(2j * np.pi * G.phases(xs)) if table is None else table[_residues(xs, len(table))]
+                return np.multiply(np.multiply(_chi_values(chi, xs), twist), c[j])
             return runs, 0, coprime * len(m)
     weights, terms = _shift_weights(P, M, N), _twisted_terms(chi, G, walk)
 
@@ -623,7 +619,7 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     is (P has every prime of q), so grouped by x in (M + P, M + N + P^3]
     V = sum_x K(x) chi(x) e(G(x)), K(x) = #{(y, z) : M < x - P yz <= M + N}:
     N + P^3 - P terms, which the budget bounds as it does the grid's
-    ``term_count``, coprime_count P^2.  |S - core^{-2s} V| is checked against
+    ``term_count``, coprime_count P^2 (``_v_terms`` sums fewer when it can).  |S - core^{-2s} V| is checked against
     residual_constant * core^{3s}, a stand-in for an unspecified constant.
     """
     if s < 2:

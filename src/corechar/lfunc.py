@@ -118,8 +118,8 @@ def _n_terms(s, residues: int = 1):
         2 zeta(41)/(2 pi)^41 |(s)_41| N^{-sigma-40}/(sigma+40) <= 2^-64,
 
     and N >= |s|/``_S_PER_N``, which binds only far right (sigma above
-    about 3 10^7) and keeps the tail's scaled factors finite.  With N direct terms
-    and the m = ``_EM_ORDER`` = 20 Bernoulli corrections of
+    about 3 10^7) and keeps the tail's scaled factors finite.  With N
+    direct terms and the m = ``_EM_ORDER`` = 20 Bernoulli corrections of
     ``_hurwitz_core``, the remainder of Euler-Maclaurin summation is
 
         R = -(s)_41/41! int_0^inf B~_41(x) (a+N+x)^{-s-41} dx,
