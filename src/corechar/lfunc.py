@@ -155,7 +155,8 @@ def _boundary(s: np.ndarray, a: np.ndarray, n0: int, top_ms: np.ndarray) -> np.n
     top = a + n0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (top * top_ms - 1.0) * (1.0 / (s - 1.0))
-    near = [i for i, z in enumerate(s[:, 0].tolist()) if abs(1.0 - z) * math.log(n0) < 1.0]
+    log_n = math.log(n0)
+    near = [i for i, z in enumerate(s[:, 0].tolist()) if abs(1.0 - z) * log_n < 1.0]
     if near:
         ltop = np.log(top)
         w = (1.0 - s[near]) * ltop
