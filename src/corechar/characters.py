@@ -22,7 +22,11 @@ one small cache keyed by the character: equal characters share a table,
 and a list of characters pins none.  ``root_values`` turns integer angles
 into complex values, each exactly as ``RationalAngle.to_complex`` does, in
 lowest terms, so any common multiple L gives the same bits; that
-conversion happens only at summation boundaries.
+conversion happens only at summation boundaries.  ``_root_values`` takes
+numerators already reduced mod the denominator, writes into the caller's
+arrays when given them (the sum layer's workspace), and finds each angle's
+gcd with the denominator from cached tables of its small prime powers
+(``_gcd_plan``).
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ __all__ = [
 
 # Value tables are built for moduli up to this size.
 VALUE_TABLE_CAP = 1 << 20
-# Numerators from which root_values builds gcd(a, den) prime by prime: below this
-# one np.gcd costs less than the passes' numpy calls (break-even 2-4k numerators)
-_PRIME_PASSES_FROM = 1 << 12
+# Numerators from which _den_gcd reads den's prime-power tables: below this one
+# np.gcd costs less than building a plan, so a Gauss sum mod p < 4096 takes it
+_GCD_TABLES_FROM = 1 << 12
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -106,27 +110,65 @@ def root_values(numerators, den: int) -> np.ndarray:
     ``RationalAngle.of(a, den).to_complex()``: cos and sin of (2 pi a)/d on
     the reduced angle a/d, with e(0) and e(1/2) exact.  int64 while
     den < 2^62, Python ints beyond."""
-    a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
-    g = _den_gcd(a, den)
-    a, d = a // g, den // g
-    theta = 2 * math.pi * a.astype(np.float64) / d.astype(np.float64)
-    zero, half = a == 0, 2 * a == d
-    out = np.empty(len(a), dtype=np.complex128)
-    out.real = np.where(zero, 1.0, np.where(half, -1.0, np.cos(theta)))
-    out.imag = np.where(zero | half, 0.0, np.sin(theta))
+    return _root_values(np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den, den)
+
+
+def _root_values(a: np.ndarray, den: int, out: Optional[np.ndarray] = None,
+                 work: Optional[np.ndarray] = None) -> np.ndarray:
+    """``root_values`` of numerators a already in [0, den), written into out
+    (complex128, len(a)) when it is given; work, an int64 array of 2 len(a)
+    entries, then holds ``_den_gcd``'s temporaries.
+
+    a/g and d = den/g go into out.real and out.imag, then theta into
+    out.real and cos and sin in place.  Below 2^53 every a, g and den is an
+    exact double and so is each exact quotient, so a float division gives
+    the integer quotient's double; beyond, the integers are divided."""
+    out = np.empty(len(a), dtype=np.complex128) if out is None else out
+    g = _den_gcd(a, den, work)
+    re, im = out.real, out.imag
+    if den < 1 << 53:
+        np.divide(a, g, out=re)
+        np.divide(den, g, out=im)
+    else:
+        re[...] = a // g
+        im[...] = den // g
+    special = np.flatnonzero(im <= 2)  # d = 1 at a = 0, d = 2 at a = den/2
+    exact = np.where(im[special] == 1, 1.0, -1.0)
+    np.multiply(re, 2 * math.pi, out=re)
+    np.divide(re, im, out=re)
+    np.sin(re, out=im)
+    np.cos(re, out=re)
+    out[special] = exact
     return out
 
 
-def _den_gcd(a: np.ndarray, den: int) -> np.ndarray:
-    """gcd(a, den) for every a of the array a: one np.gcd for fewer than
-    ``_PRIME_PASSES_FROM`` numerators, else built one prime p^e of den below
-    2^16 at a time, each pass over the numerators that p^(k-1) divides, and
-    a gcd with the part of den those primes leave."""
-    if len(a) < _PRIME_PASSES_FROM:
+# gcd(a, den) reads tables of at most this many residues (512 KiB of int64)
+_GCD_TABLE_CAP = 1 << 16
+
+
+def _den_gcd(a: np.ndarray, den: int, work: Optional[np.ndarray] = None) -> np.ndarray:
+    """gcd(a, den) for every a of the array a, in [0, den): one np.gcd for
+    fewer than ``_GCD_TABLES_FROM`` numerators or past int64, else from
+    ``_gcd_plan(den)``: a gcd with the part of den that trial division
+    leaves, one gather per table of den's small prime powers, and a pass
+    per power of each prime whose power exceeds a table, over the numerators
+    that p^(k-1) divides.  With work (int64, 2 len(a) entries) the result is
+    its first half."""
+    n = len(a)
+    if n < _GCD_TABLES_FROM or a.dtype == object:
         return np.gcd(a, den)
-    primes, rest = trial_division(den, 1 << 16)
-    g = np.gcd(a, rest) if rest > 1 else np.ones_like(a)
-    for p, e in primes:
+    tables, passes, rest = _gcd_plan(den)
+    work = np.empty(2 * n, dtype=np.int64) if work is None else work
+    g, r = work[:n], work[n:2 * n]
+    if rest > 1:
+        np.gcd(a, rest, out=g)
+    else:
+        g.fill(1)
+    for m, table in tables:
+        np.remainder(a, m, out=r)
+        np.take(table, r, out=r, mode="wrap")  # in place: each index is read before its slot is written
+        g *= r
+    for p, e in passes:
         at = np.flatnonzero(a % p == 0)
         for _ in range(e - 1):
             g[at] *= p
@@ -135,10 +177,38 @@ def _den_gcd(a: np.ndarray, den: int) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=16)
+def _gcd_plan(den: int) -> tuple[tuple[tuple[int, np.ndarray], ...], tuple[tuple[int, int], ...], int]:
+    """(tables, passes, rest) for ``_den_gcd``: den's prime powers p^e with
+    p < 2^16, ascending, packed into products m <= ``_GCD_TABLE_CAP``, each
+    with its read-only table gcd(r, m) at r = 0..m-1; the (p, e) whose p^e
+    exceeds the cap; and the part of den trial division leaves."""
+    primes, rest = trial_division(den, 1 << 16)
+    groups: list[list[tuple[int, int]]] = [[]]
+    passes = []
+    for p, e in sorted(primes, key=lambda pe: pe[0] ** pe[1]):
+        if p**e > _GCD_TABLE_CAP:
+            passes.append((p, e))
+        else:
+            if math.prod(q**f for q, f in groups[-1]) * p**e > _GCD_TABLE_CAP:
+                groups.append([])
+            groups[-1].append((p, e))
+    tables = []
+    for group in filter(None, groups):
+        m = math.prod(p**e for p, e in group)
+        table = np.ones(m, dtype=np.int64)
+        for p, e in group:
+            for k in range(1, e + 1):
+                table[::p**k] *= p
+        table.flags.writeable = False
+        tables.append((m, table))
+    return tuple(tables), tuple(passes), rest
+
+
 @lru_cache(maxsize=64)
 def _roots_of_unity(L: int) -> np.ndarray:
     """e(j/L) for j = 0..L-1."""
-    roots = root_values(np.arange(L), L)
+    roots = _root_values(np.arange(L), L)
     roots.flags.writeable = False
     return roots
 

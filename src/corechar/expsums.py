@@ -8,27 +8,48 @@ order L lifted to lcm(L, den) to add a twist's numerators over den.
 
 Every window (M, M+N] is walked in the blocks of ``_spans``, and a reader
 (n0, size) -> array gives a block's numerators or terms.  chi and a rational
-twist e(G(n)) depend on n only mod q and mod den, so a value-table
-character and a tabled twist are read as slices of their tables
-(``_periodic``): one periodic extension per call where a table is shorter
-than a block, and no n mod m or gather per block.  Only the readers that
-need n itself take an array of the block's integers (``_arange``): chi above
-the value-table cap, Horner's rule for a large den, and n^{it}.
+twist e(G(n)) depend on n only mod q and mod den, so neither takes an n mod
+m or a gather per block: a value-table character is tiled from its table
+into the block (``_tile``), and a tabled twist is read as slices of one
+periodic extension per call where its table is shorter than a block
+(``_periodic``).  Only the readers that need n itself take an array of the
+block's integers (``_arange``): chi above the value-table cap, Horner's rule
+for a large den, and n^{it}.
 
 ``_window_histogram`` counts an exact window block by block, and whole
 periods (q, or lcm(q, den) under a twist) once.  ``_exact_sum`` keeps that
 histogram (numpy arrays), reads it as ``exact_angle_terms``, and takes its
-value from ``root_values`` rounded once, by ``_fsum``: math.fsum's bits from
-integer bins.  Float mode has one reducer, ``_window_sum``: block sums
-combined left to right, so a result depends only on the window and the
-summand; a sum that is not finite raises.  ``decompose``'s V sums float
-``twisted_sum``'s terms weighted by ``_shift_weights``, and the head of
-``lfunc.l_value_series`` is one over the blocks' integers (``_blocked_sum``).
+value from ``root_values`` chunk by chunk, rounded once by ``_fsum``'s
+integer bins: math.fsum's bits (``_root_sum``).  Float mode has one reducer,
+``_window_sum``: block sums combined left to right, so a result depends only
+on the window and the summand; a sum that is not finite raises.
+``decompose``'s V sums float ``twisted_sum``'s terms weighted by
+``_shift_weights``, and the head of ``lfunc.l_value_series`` is one over the
+blocks' integers (``_blocked_sum``).
 
 A rational twist has a table when den <= min(N, _BLOCK), N the number of
 terms twisted: G's numerators at the den residues (``_residue_table``), and
 in float mode e(G(r)) at them, bit for bit the per-term values.  A larger
 den runs Horner's rule term by term.
+
+The workspace.  Each thread holds one ``_Workspace``, made once: two regions
+of doubles, 2 MiB and 1 MiB (``_REGIONS``).  The first holds a window's
+twist extension (up to 2 _BLOCK complex entries); the second a block's
+terms: chi tiled from its table, its product with the twist, or an exact
+block's t and t - D.  Once a window is counted, the same pages hold one
+chunk of ``_FSUM_CHUNK`` angles of ``_exact_sum`` (roots, weights, products,
+``_den_gcd``'s two arrays) and ``_bin``'s three arrays; ``_TWIST`` and the
+names after it give each place.  Each region stays below numpy's 4 MiB
+huge-page threshold, so only the pages a call touches become resident.  It
+exists because fresh block-sized arrays cost page faults: each oracle or
+caller that frees large arrays lets glibc return their pages, and every
+window faulted its extensions and products in again, at about 1.94 us per
+4 KiB page (a cold 1 MiB allocate-and-fill 550 us, a warm fill 54 us, on a
+2-vCPU VM), a third of a float window's time.  No view of it escapes a
+call: readers hand their views only to the reducers here, every
+``SumResult`` value is a Python complex, and every ``AngleCounts`` array is
+a fresh array of the caller's own.  Within a thread one window at a time
+uses it, so a reader is spent before the next window starts.
 """
 
 from __future__ import annotations
@@ -36,6 +57,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle, root_values
+from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle, _root_values, root_values
 
 __all__ = [
     "RealPolynomial",
@@ -62,8 +84,42 @@ _EXACT_CAP = 10**7  # most terms of an exact char_sum above the value table cap
 _TWISTED_EXACT_CAP = 2 * 10**5  # most terms of an exact twisted_sum (rational G)
 _BLOCK = 1 << 16
 _FSUM_FROM = 1024  # shortest array that _fsum bins: math.fsum is faster below
-_FSUM_CHUNK = 1 << 16
+_FSUM_CHUNK = _BLOCK // 4
 _UNIQUE_CAP = 1 << 20  # most terms of an aperiodic exact window sorted at once (8 MiB int64)
+_FLOAT_EXACT = 1 << 53  # largest |x| that a float G evaluates at x itself
+
+# Workspace places, (region, offset in doubles).  A window's twist
+# extension (up to 2 _BLOCK complex entries) and a block's terms (_BLOCK
+# complex entries, or _BLOCK int64 t and as many t - D) ...
+_TWIST, _TERMS, _LESS = (0, 0), (1, 0), (1, _BLOCK)
+# ... and, once the window is counted, one chunk of _FSUM_CHUNK angles of
+# _exact_sum (the roots, the weights, the real and imaginary products and
+# _den_gcd's two arrays) and of _bin, all on pages a float window touches.
+_C = _FSUM_CHUNK
+_ROOTS, _WEIGHTS, _RE, _IM, _GCD = (0, 0), (0, 2 * _C), (0, 3 * _C), (0, 4 * _C), (0, 5 * _C)
+_FRAC, _HIGH, _EXP = (1, 0), (1, _C), (1, 2 * _C)
+# doubles per region: each stays below numpy's 4 MiB huge-page threshold, so
+# only the pages a call touches become resident
+_REGIONS = (4 * _BLOCK, 2 * _BLOCK)
+
+
+class _Workspace(threading.local):
+    """One thread's workspace: the ``_REGIONS``, 3 MiB, made once; pages
+    are touched only as they are used."""
+
+    def __init__(self):
+        self.regions = tuple(np.empty(n, dtype=np.float64) for n in _REGIONS)
+
+    def take(self, place: tuple[int, int], n: int, dtype) -> np.ndarray:
+        """n entries of dtype at ``place``, (region, offset in doubles)."""
+        region, offset = place
+        view = self.regions[region][offset:].view(dtype)[:n]
+        if len(view) < n:
+            raise ValueError(f"{n} entries of {np.dtype(dtype)} overrun workspace region {region}")
+        return view
+
+
+_WS = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -110,7 +166,10 @@ class RealPolynomial:
     def phases(self, xs) -> np.ndarray:
         """frac(G(x)) as float64 for every x of the integer array xs, from
         exact residues over the common denominator for rational G; G(x) in
-        double precision otherwise (e(G(x)) is the same)."""
+        double precision otherwise (e(G(x)) is the same).  A float G's phase
+        carries an absolute error of about |G(x)|·2^-53, and past |x| = 2^53
+        x itself rounds, so ``twisted_sum`` and ``decompose`` refuse such
+        windows (``_check_float_window``)."""
         if self.is_rational:
             nums, den = self.angle_data()
             return _phase_numerators(nums, den, xs).astype(np.float64) / den
@@ -223,15 +282,16 @@ def _fsum(x: np.ndarray) -> float:
     has fewer bits, so its m is an integer too).  m splits into the integers
     h = floor(f·2^27), |h| <= 2^27, and l = (f·2^27 - h)·2^26 in [0, 2^26),
     m = h·2^26 + l; each step is exact in float64.  Per chunk of
-    ``_FSUM_CHUNK`` = 2^16 doubles, binned by e, np.bincount sums the h and
-    the l of each bin in float64.  Every partial sum is an integer below
-    2^16·2^27 = 2^43 < 2^53, so every addition is exact.  The bins add as
-    Python ints into S with sum(x) = S·2^k exactly, k = (least e) - 53, and
-    S·2^k is rounded once to the nearest double, ties to even: by int to
-    float for k >= 0, and by Python's correctly rounded int true division
-    S / 2^-k for k < 0, subnormal results included.  math.fsum also returns
-    the exact sum rounded to nearest, ties to even, and an exact zero as
-    +0.0, as S = 0 gives, so the two agree bit for bit.
+    ``_FSUM_CHUNK`` = 2^14 doubles (``_bin``), binned by e, np.bincount sums
+    the h and the l of each bin in float64.  Every partial sum is an integer
+    below 2^14·2^27 = 2^41 < 2^53, so every addition is exact.  The bins add
+    as Python ints into S with sum(x) = S·2^k exactly, k = (least e) - 53,
+    and S·2^k is rounded once to the nearest double, ties to even
+    (``_rounded``): by int to float for k >= 0, and by Python's correctly
+    rounded int true division S / 2^-k for k < 0, subnormal results
+    included.  math.fsum also returns the exact sum rounded to nearest, ties
+    to even, and an exact zero as +0.0, as S = 0 gives, so the two agree bit
+    for bit, however the terms are split into chunks.
 
     math.fsum itself takes arrays shorter than ``_FSUM_FROM``, where it is
     faster, arrays with a term that is not finite, and arrays whose sum of
@@ -241,19 +301,34 @@ def _fsum(x: np.ndarray) -> float:
     if n < _FSUM_FROM:
         return math.fsum(x)
     bins: dict[int, int] = {}
-    for i in range(0, n, _FSUM_CHUNK):
-        f, e = np.frexp(x[i:i + _FSUM_CHUNK])
-        if not np.isfinite(f).all() or int(e.max()) + n.bit_length() > 1021:
-            return math.fsum(x)
-        e0 = int(e.min())
-        e -= e0
-        f = np.ldexp(f, 27, out=f)
-        h = np.floor(f)
-        f -= h
-        for shift, half in ((26, h), (0, np.ldexp(f, 26, out=f))):
-            sums = np.bincount(e, weights=half)
-            for j in np.flatnonzero(sums).tolist():
-                bins[e0 + j] = bins.get(e0 + j, 0) + (int(sums[j]) << shift)
+    if all(_bin(x[i:i + _FSUM_CHUNK], n, bins) for i in range(0, n, _FSUM_CHUNK)):
+        return _rounded(bins)
+    return math.fsum(x)
+
+
+def _bin(x: np.ndarray, n: int, bins: dict[int, int]) -> bool:
+    """Add the chunk x (at most ``_FSUM_CHUNK`` doubles) of an n-term sum to
+    bins, exponent -> integer sum, as ``_fsum`` describes, in the
+    workspace; False, adding nothing, where a term is not finite or the sum of
+    n terms as large as x's could reach 2^1021."""
+    m = len(x)
+    f, e = np.frexp(x, out=(_WS.take(_FRAC, m, np.float64), _WS.take(_EXP, m, np.int64)))
+    if not np.isfinite(f).all() or int(e.max()) + n.bit_length() > 1021:
+        return False
+    e0 = int(e.min())
+    e -= e0
+    f = np.ldexp(f, 27, out=f)
+    h = np.floor(f, out=_WS.take(_HIGH, m, np.float64))
+    f -= h
+    for shift, half in ((26, h), (0, np.ldexp(f, 26, out=f))):
+        sums = np.bincount(e, weights=half)
+        for j in np.flatnonzero(sums).tolist():
+            bins[e0 + j] = bins.get(e0 + j, 0) + (int(sums[j]) << shift)
+    return True
+
+
+def _rounded(bins: dict[int, int]) -> float:
+    """The sum of ``_bin``'s bins rounded once to the nearest double."""
     if not bins:
         return 0.0
     low = min(bins)
@@ -261,21 +336,53 @@ def _fsum(x: np.ndarray) -> float:
     return float(S << k) if k >= 0 else S / (1 << -k)
 
 
+def _root_sum(a: np.ndarray, counts: np.ndarray, den: int) -> complex:
+    """sum_i counts[i] e(a[i]/den) over distinct a in [0, den), each part the
+    ``_fsum`` of counts times the roots' part.
+
+    From ``_FSUM_FROM`` terms on the roots, weights and products are taken
+    chunk by chunk of ``_FSUM_CHUNK`` in the workspace and binned as they
+    come, so no window-length complex array exists; the sum is exact, so
+    the chunks change no bit.  Shorter sums, and a chunk ``_bin`` refuses
+    (counts near 2^1021 / n), take whole arrays through ``_fsum``."""
+    n = len(a)
+    if n >= _FSUM_FROM:
+        re: dict[int, int] = {}
+        im: dict[int, int] = {}
+        if all(_bin(x, n, re) and _bin(y, n, im) for x, y in _weighted_roots(a, counts, den)):
+            return complex(_rounded(re), _rounded(im))
+    roots, weights = _root_values(a, den), counts.astype(np.float64)
+    return complex(_fsum(weights * roots.real), _fsum(weights * roots.imag))
+
+
+def _weighted_roots(a: np.ndarray, counts: np.ndarray, den: int):
+    """(counts·cos, counts·sin) of the angles a/den, one chunk of
+    ``_FSUM_CHUNK`` at a time, in the workspace, which the next chunk
+    overwrites."""
+    for i in range(0, len(a), _FSUM_CHUNK):
+        m = min(_FSUM_CHUNK, len(a) - i)
+        roots = _root_values(a[i:i + m], den, _WS.take(_ROOTS, m, np.complex128),
+                             _WS.take(_GCD, 2 * m, np.int64))
+        weights = _WS.take(_WEIGHTS, m, np.float64)
+        weights[...] = counts[i:i + m]
+        yield (np.multiply(weights, roots.real, out=_WS.take(_RE, m, np.float64)),
+               np.multiply(weights, roots.imag, out=_WS.take(_IM, m, np.float64)))
+
+
 def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
-    """Exact-mode result for the terms e(numerators[i]/den), counts[i] of each.
+    """Exact-mode result for the terms e(numerators[i]/den), counts[i] of
+    each, every numerator in [0, den).
 
     Numerators equal mod den merge before the value is taken, unless they
     are distinct and ascending already.  They are int64 while den < 2^62 and
     Python ints beyond; counts keep their dtype."""
-    a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object) % den
+    a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object)
     keep = counts != 0
-    a, merged = a[keep], counts[keep]
+    if not keep.all():
+        a, counts = a[keep], counts[keep]
     if (a[1:] <= a[:-1]).any():
-        a, merged = _merge(a, merged)
-    roots = root_values(a, den)
-    weights = merged.astype(np.float64)
-    value = complex(_fsum(weights * roots.real), _fsum(weights * roots.imag))
-    return SumResult(value, term_count, "exact", AngleCounts(a, merged, den))
+        a, counts = _merge(a, counts)
+    return SumResult(_root_sum(a, counts, den), term_count, "exact", AngleCounts(a, counts, den))
 
 
 def _residues(ns: np.ndarray, m: int) -> np.ndarray:
@@ -340,43 +447,71 @@ def _arange(n0: int, size: int) -> np.ndarray:
     return n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
 
-def _periodic(table: np.ndarray, N: int):
+def _periodic(table: np.ndarray, N: int, at: tuple[int, int]):
     """(n0, size) -> table[(n0 + i) mod m], i < size, m = len(table), for the
     blocks of a window of N terms, read as a slice and never by a gather.
 
     With b = min(N, _BLOCK) the longest block: when m < b a block may wrap m
     more than once, and every block is a slice of one periodic extension of
-    b + m - 1 entries (start n0 mod m <= m - 1, end below m - 1 + b).
-    Otherwise a block wraps m at most once: a slice of table, or its two
-    ends joined."""
+    b + m - 1 entries (start n0 mod m <= m - 1, end below m - 1 + b), made
+    in the workspace from ``at`` on (``_extend``).  Otherwise a block wraps
+    m at most once: a slice of table, or its two ends joined there."""
     m, b = len(table), min(N, _BLOCK)
     if m < b:
-        ext = np.resize(table, b + m - 1)
+        ext = _extend(table, b + m - 1, at)
         return lambda n0, size: ext[n0 % m:n0 % m + size]
 
     def read(n0, size):
         r = n0 % m
-        return table[r:r + size] if r + size <= m else np.concatenate((table[r:], table[:r + size - m]))
+        if r + size <= m:
+            return table[r:r + size]
+        return np.concatenate((table[r:], table[:r + size - m]), out=_WS.take(at, size, table.dtype))
     return read
 
 
-def _chi_reader(chi: DirichletCharacter, N: int, values: bool = False):
+def _extend(table: np.ndarray, length: int, at: tuple[int, int]) -> np.ndarray:
+    """table repeated to ``length`` entries in the workspace from ``at``
+    on (``_tile``)."""
+    return _tile(table, 0, _WS.take(at, length, table.dtype))
+
+
+def _tile(table: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = table[(r + i) mod m], m = len(table), for every i: one period
+    from residue r, then copies of the filled prefix, each at most doubling
+    it and each starting at a multiple of m."""
+    m, size = len(table), len(out)
+    k = min(size, m - r)
+    out[:k] = table[r:r + k]
+    j = min(size - k, r)
+    out[k:k + j] = table[:j]
+    k += j
+    while k < size:
+        c = min(k, size - k)
+        out[k:k + c] = out[:c]
+        k += c
+    return out
+
+
+def _chi_reader(chi: DirichletCharacter, values: bool = False):
     """(n0, size) -> chi's numerators, or with ``values`` its values, at n0,
-    ..., n0 + size - 1 for the blocks of a window of N terms: periodic
-    slices of the value table when one exists, ``_chi_numerators`` or
-    ``_chi_values`` of the block's integers above the cap."""
+    ..., n0 + size - 1: the value table tiled into the workspace's block of
+    terms when one exists (a view that the next block overwrites),
+    ``_chi_numerators`` or ``_chi_values`` of the block's integers above the
+    cap."""
     if chi.q <= VALUE_TABLE_CAP:
-        return _periodic(chi.value_table[int(values)], N)
+        table = chi.value_table[int(values)]
+        return lambda n0, size: _tile(table, n0 % len(table), _WS.take(_TERMS, size, table.dtype))
     at = _chi_values if values else _chi_numerators
     return lambda n0, size: at(chi, _arange(n0, size))
 
 
 def _twisted_terms(chi: DirichletCharacter, G: RealPolynomial, N: int):
     """(n0, size) -> chi(n) e(G(n)) for the blocks of a window of N terms:
-    ``_chi_reader``'s values (alone when G = 0, maybe views of a table) times
-    e(G) at the residues of ``_residue_table`` read as periodic slices, or
-    else term by term, the same bits."""
-    values = _chi_reader(chi, N, values=True)
+    ``_chi_reader``'s values (alone when G = 0) times e(G) at the residues
+    of ``_residue_table`` read as periodic slices, or else term by term, the
+    same bits.  The terms are the workspace's block, which the next block
+    overwrites."""
+    values = _chi_reader(chi, values=True)
     if G.is_zero:
         return values
     table = _residue_table(G, N)
@@ -384,28 +519,49 @@ def _twisted_terms(chi: DirichletCharacter, G: RealPolynomial, N: int):
         def twist(n0, size):
             return np.exp(2j * np.pi * G.phases(_arange(n0, size)))
     else:
-        twist = _periodic(np.exp(2j * np.pi * (table.astype(np.float64) / len(table))), N)
-    # np.multiply, not *: numpy may reuse a temporary right operand for the
-    # product and swap the operands, and with FMA the imaginary part of a
-    # complex product depends on their order
-    return lambda n0, size: np.multiply(values(n0, size), twist(n0, size))
+        twist = _periodic(np.exp(2j * np.pi * (table.astype(np.float64) / len(table))), N, _TWIST)
+    # np.multiply(values, twist), in this order: with FMA the imaginary part
+    # of a complex product depends on the order of the operands
+    return lambda n0, size: np.multiply(values(n0, size), twist(n0, size),
+                                        out=_WS.take(_TERMS, size, np.complex128))
 
 
 def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: int):
-    """(n0, size) -> t(n) over the units n of the block, chi(n) e(G(n)) = e(t(n)/D).
+    """(n0, size) -> t(n) for the n of the block, chi(n) e(G(n)) = e(t(n)/D),
+    t negative where chi(n) = 0.
 
     t(n) = A(n) D/L + num(n) D/den mod D, L = chi.order, with both addends
-    below D: int64 while D < 2^62, Python ints beyond.  num(n) is read from
-    periodic slices of ``_residue_table`` when there is one, and by Horner's
-    rule on the units of the block otherwise."""
+    below D.  When chi's value table and ``_residue_table`` are no longer
+    than a block and D < 2^62, both addends come from D-scaled tables (-D
+    off the units): chi's tiled into the workspace's block, the twist's
+    added from periodic slices, and one conditional subtraction of D (an
+    unsigned minimum with t - D) reduces their sum.  Otherwise t is taken
+    over the units of each block as A D/L + num D/den, mod D: int64 while
+    D < 2^62, Python ints beyond, num read from periodic slices of the
+    residue table when there is one and by Horner's rule otherwise."""
     (nums, den), L = G.angle_data(), chi.order
+    table = _residue_table(G, N)
+    if table is not None and chi.q <= _BLOCK and D < 1 << 62:
+        A = chi.value_table[0]
+        chi_part = np.where(A >= 0, A * (D // L), -D)
+        twist_part = _periodic(table * (D // den), N, _TWIST)
+
+        def scaled(n0, size):
+            t = _tile(chi_part, n0 % len(chi_part), _WS.take(_TERMS, size, np.int64))
+            t += twist_part(n0, size)
+            # t - D as uint64 wraps above t where 0 <= t < D, so the unsigned
+            # minimum subtracts D exactly where t >= D; a negative t stays negative
+            less = np.subtract(t, D, out=_WS.take(_LESS, size, np.int64))
+            np.minimum(t.view(np.uint64), less.view(np.uint64), out=t.view(np.uint64))
+            return t
+        return scaled
     dtype = np.int64 if D < 1 << 62 else object
-    chi_numerators, table = _chi_reader(chi, N), _residue_table(G, N)
+    chi_numerators = _chi_reader(chi)
     if table is None:
         def phase(n0, size, unit):
             return _phase_numerators(nums, den, _arange(n0, size)[unit])
     else:
-        read_table = _periodic(table, N)
+        read_table = _periodic(table, N, _TWIST)
 
         def phase(n0, size, unit):
             return read_table(n0, size)[unit]
@@ -421,24 +577,50 @@ def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: i
 def _window_histogram(read, M: int, N: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     """(numerators, counts) of the exact window of the terms e(t/den) over
     (M, M+N], t = read(n0, size) per block of ``_spans``, negative on a zero
-    term: each block's ``np.unique`` counts, concatenated and not merged.
+    term: each block's counts (``_runs``), concatenated and not merged.
 
     t depends on n only mod period, so N = k period + rem terms count the
     histogram of (M, M+period] k times and that of (M, M+rem] once.  A
-    window of no whole period and at most ``_UNIQUE_CAP`` terms is one
-    ``np.unique`` over all its numerators: the merged histogram.  The
-    caller hands the histogram to ``_exact_sum`` after this returns, so that
-    ``read``'s periodic extensions are freed before the value is taken."""
+    window of no whole period and at most ``_UNIQUE_CAP`` terms collects its
+    t in one buffer (``_collect``) and counts them at once: the merged
+    histogram.  The arrays returned are the caller's own."""
     k, rem = divmod(N, period)
     if not k and N <= _UNIQUE_CAP:
-        return np.unique(np.concatenate([t[t >= 0] for t in itertools.starmap(read, _spans(M, N))]),
-                         return_counts=True)
+        return _runs(_collect(read, M, N))
     dtype = np.int64 if N < 1 << 63 else object  # no count exceeds N
     hists = [(a, c.astype(dtype, copy=False) * times)
              for times, n in ((k, period), (1, rem)) if times
-             for a, c in (np.unique(t[t >= 0], return_counts=True)
-                          for t in itertools.starmap(read, _spans(M, n)))]
+             for a, c in (_runs(t[t >= 0]) for t in itertools.starmap(read, _spans(M, n)))]
     return tuple(map(np.concatenate, zip(*hists)))
+
+
+def _collect(read, M: int, N: int) -> np.ndarray:
+    """Every t of every block of (M, M+N], in one buffer of N entries, block
+    after block."""
+    buf, end = None, 0
+    for n0, size in _spans(M, N):
+        t = read(n0, size)
+        if buf is None:
+            buf = np.empty(N, dtype=t.dtype)
+        buf[end:end + len(t)] = t
+        end += len(t)
+    return buf[:end]
+
+
+def _runs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct t >= 0 ascending, the count of each), as
+    np.unique(t[t >= 0], return_counts=True) gives them, from t sorted in
+    place."""
+    t.sort()
+    t = t[np.searchsorted(t, 0):]
+    first = np.empty(len(t), dtype=np.bool_)
+    first[:1] = True
+    np.not_equal(t[1:], t[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    counts = np.empty(len(first), dtype=first.dtype)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = len(t) - first[-1:]
+    return t[first], counts
 
 
 def _parts(t: np.ndarray) -> tuple[float, float]:
@@ -476,8 +658,18 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     if N < 1:
         raise ValueError("N must be >= 1")
     if chi.q <= VALUE_TABLE_CAP or N <= _EXACT_CAP:
-        return _exact_sum(*_window_histogram(_chi_reader(chi, N), M, N, chi.q), chi.order, N)
-    return _window_sum(_chi_reader(chi, N, values=True), M, N)
+        return _exact_sum(*_window_histogram(_chi_reader(chi), M, N, chi.q), chi.order, N)
+    return _window_sum(_chi_reader(chi, values=True), M, N)
+
+
+def _check_float_window(G: RealPolynomial, lo: int, hi: int):
+    """ValueError when G has a float coefficient and some x of [lo, hi] lies
+    past 2^53 in size, where float64(x) is not x: G would be summed at the
+    wrong points."""
+    if not G.is_rational and max(abs(lo), abs(hi)) > _FLOAT_EXACT:
+        x = hi if abs(hi) >= abs(lo) else lo
+        raise ValueError(f"G has float coefficients and the window reaches x = {x}, past 2^53, "
+                         "where float64 rounds x; give G rational coefficients")
 
 
 def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> SumResult:
@@ -485,9 +677,11 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
 
     With rational G and at most ``_TWISTED_EXACT_CAP`` terms the result is an
     exact angle multiset, for any modulus; otherwise it is taken in float mode.
+    A G with float coefficients takes windows within |x| <= 2^53 only.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_float_window(G, M + 1, M + N)
     if G.is_zero:
         return char_sum(chi, M, N)
     if G.is_rational and N <= _TWISTED_EXACT_CAP:
@@ -508,9 +702,12 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
         raise ValueError("t must be finite")
     if t == 0:
         return char_sum(chi, M, N)
-    values = _chi_reader(chi, N, values=True)
-    return _window_sum(lambda n0, size: np.multiply(  # the operand order of chi * e(...), see _twisted_terms
-        values(n0, size), np.exp(1j * t * np.log(_arange(n0, size).astype(np.float64)))), M, N)
+    values = _chi_reader(chi, values=True)
+
+    def terms(n0, size):
+        v = values(n0, size)  # the operand order of chi * e(...), see _twisted_terms
+        return np.multiply(v, np.exp(1j * t * np.log(_arange(n0, size).astype(np.float64))), out=v)
+    return _window_sum(terms, M, N)
 
 
 def taylor_approx_poly(nu: int) -> RealPolynomial:
@@ -588,7 +785,8 @@ def _v_terms(chi: DirichletCharacter, G: RealPolynomial, M: int, N: int, P: int,
 
     def weighted(n0, size):
         w = weights(n0, size)  # first, so that its search arrays are gone before the terms exist
-        return np.multiply(terms(n0, size), w)
+        t = terms(n0, size)
+        return np.multiply(t, w, out=t)
     return weighted, M + P, walk
 
 
@@ -621,6 +819,7 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     N + P^3 - P terms, which the budget bounds as it does the grid's
     ``term_count``, coprime_count P^2 (``_v_terms`` sums fewer when it can).  |S - core^{-2s} V| is checked against
     residual_constant * core^{3s}, a stand-in for an unspecified constant.
+    A G with float coefficients takes x within |x| <= 2^53 only.
     """
     if s < 2:
         raise ValueError("shift exponent s must be >= 2")
@@ -636,7 +835,8 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     walk = N + P**3 - P
     if walk > work_budget:
         raise ValueError(f"window ({M + P}, {M + N + P**3}] of {walk} terms exceeds budget {work_budget}")
-    s_val = twisted_sum(chi, M, N, G).value  # before V's readers hold their extensions
+    _check_float_window(G, M + 1, M + N + P**3)
+    s_val = twisted_sum(chi, M, N, G).value  # done before V's readers fill the workspace they share
     v_total = _window_sum(*_v_terms(chi, G, M, N, P, coprime)).value
     recon = v_total / (P * P)
     residual = abs(s_val - recon)

@@ -228,7 +228,8 @@ def hurwitz_zeta(s: complex, a) -> complex:
 
     Euler-Maclaurin with twenty Bernoulli corrections after the direct
     terms that bound the remainder by 2^-64 (``_n_terms``); errors at s = 1
-    (the pole).
+    (the pole), and far right, where a power a^{-sigma} overflows a double
+    and zeta(s, a) is not finite, as ``l_value`` does.
     """
     s, a = complex(s), float(a)
     if not cmath.isfinite(s):
@@ -237,8 +238,11 @@ def hurwitz_zeta(s: complex, a) -> complex:
         raise ValueError("a must lie in (0, 1]")
     if s == 1.0:
         raise ValueError("zeta(s, a) has a pole at s = 1")
-    core = _hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(s)))
-    return complex(core[0, 0]) + 1.0 / (s - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = complex(_hurwitz_core(np.array([s]), np.array([a]), int(_n_terms(s)))[0, 0]) + 1.0 / (s - 1.0)
+    if not cmath.isfinite(val):
+        raise ValueError("zeta(s, a) is not finite: a power (a+k)^{-s} overflows a double")
+    return val
 
 
 def _chi_rows(mod: FactoredModulus) -> tuple[np.ndarray, np.ndarray]:

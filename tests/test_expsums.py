@@ -684,3 +684,23 @@ def test_decompose_v_bits_match_term_by_term(q, M, N, coeffs):
     G = RealPolynomial.make(coeffs)
     res = decompose(chi, M, N, G, 2)
     assert res.v_value == _decompose_v_term_by_term(chi, M, N, G, 2)
+
+
+def test_float_twist_refused_where_x_rounds():
+    """Past 2^53 float64(x) is not x, so a G with float coefficients would be
+    summed at the wrong points: at x = 2^62 + 1..40, G = x/2 summed 30.1+26.3i
+    where the true sum is 0.  twisted_sum and decompose refuse it; a window
+    ending at 2^53 still runs, and a rational G runs anywhere."""
+    chi = principal_character(1)
+    G = RealPolynomial.make([0, 0.5])
+    with pytest.raises(ValueError, match=r"past 2\^53"):
+        twisted_sum(chi, 2**62, 40, G)
+    with pytest.raises(ValueError, match=r"past 2\^53"):
+        twisted_sum(chi, -2**62, 40, G)
+    assert twisted_sum(chi, 2**62, 40, RealPolynomial.make([0, Fraction(1, 2)])).value == 0j
+    res = twisted_sum(chi, 2**53 - 40, 40, G)  # its phases err by about |G(x)| 2^-53, half a turn here
+    assert res.mode == "float" and res.term_count == 40 and cmath.isfinite(res.value)
+    chi27 = enumerate_characters(27, primitive_only=True)[0]
+    with pytest.raises(ValueError, match=r"past 2\^53"):
+        decompose(chi27, 2**53 - 200, 100, G, 2)  # V's walk reaches x = 2^53 - 100 + 729
+    decompose(chi27, 2**53 - 900, 100, G, 2)

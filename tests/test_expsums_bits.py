@@ -1,7 +1,10 @@
-"""Bits of the sum layer: ``_fsum`` against math.fsum, and the periodic
-window readers against the per-block gathers they replaced."""
+"""Bits of the sum layer: ``_fsum`` against math.fsum, the periodic
+window readers against the per-block gathers they replaced, and the
+workspace they share."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -28,10 +31,13 @@ from corechar.expsums import (
     _phase_numerators,
     _residue_table,
     _residues,
+    _shift_weights,
     _spans,
+    _window_sum,
     char_sum,
     decompose,
     dirichlet_poly,
+    double_sum,
     twisted_sum,
 )
 
@@ -257,7 +263,11 @@ def test_readers_give_the_gathers_bits(q, comps, M, N, coeffs):
     _assert_same_bits(char_sum(chi, M, N), _gather_char_sum(chi, M, N))
     if N <= 1.5 * _BLOCK:
         Gf = RealPolynomial.make([0, 0.1234567, 1 / 3])
-        _assert_same_bits(twisted_sum(chi, M, N, Gf), _gather_twisted_sum(chi, M, N, Gf))
+        if M + N <= 2**53:
+            _assert_same_bits(twisted_sum(chi, M, N, Gf), _gather_twisted_sum(chi, M, N, Gf))
+        else:  # float64 rounds x past 2^53, so a float G is refused there
+            with pytest.raises(ValueError, match=r"past 2\^53"):
+                twisted_sum(chi, M, N, Gf)
         _assert_same_bits(dirichlet_poly(chi, M, N, 3.7), _gather_dirichlet_poly(chi, M, N, 3.7))
 
 
@@ -298,17 +308,19 @@ def test_decompose_takes_no_residues_per_block(monkeypatch):
 
 
 def test_periodic_extensions_stay_short(monkeypatch):
-    """An extension is made only for a period shorter than a block, and is
-    shorter than a block plus that period: a 10-term window at q = 2^20
-    extends only its 7-residue twist, to 10 + 7 - 1 entries, and copies no
-    character table."""
+    """An extension is made in the workspace only for a period shorter than
+    a block, and is shorter than a block plus that period: a 10-term window
+    at q = 2^20 extends only its 7-residue twist, to 10 + 7 - 1 entries,
+    and copies no character table."""
     made = []
-    resize = np.resize
+    extend = expsums._extend
 
-    def recorded(a, new_shape):
-        made.append((len(a), new_shape))
-        return resize(a, new_shape)
-    monkeypatch.setattr(np, "resize", recorded)
+    def recorded(table, length, at):
+        made.append((len(table), length))
+        ext = extend(table, length, at)
+        assert any(np.shares_memory(ext, r) for r in expsums._WS.regions)
+        return ext
+    monkeypatch.setattr(expsums, "_extend", recorded)
     chi = _chi(2**20, ((1, 3),))
     chi.value_table
     G = RealPolynomial.make([0, Fraction(1, 7)])
@@ -324,3 +336,125 @@ def test_periodic_extensions_stay_short(monkeypatch):
     twisted_sum(chi, 123456, 10**5, G)
     twisted_sum(_chi(729, _Q729), 123456, 10**5, G)
     assert made and all(m < _BLOCK and length < _BLOCK + m for m, length in made)
+
+
+# ---------------------------------------------------------------------------
+# The workspace: every window reuses it, and no caller sees it
+# ---------------------------------------------------------------------------
+
+
+def _in_workspace(a) -> bool:
+    return any(np.shares_memory(a, region) for region in expsums._WS.regions)
+
+
+def _kept(res):
+    """A result's value and, in exact mode, copies of its histogram."""
+    terms = res.exact_angle_terms
+    if terms is None:
+        return res.value, None
+    return res.value, (terms.numerators.copy(), terms.counts.copy(), terms.den)
+
+
+def _same_kept(a, b) -> bool:
+    if a[0].real.hex() != b[0].real.hex() or a[0].imag.hex() != b[0].imag.hex():
+        return False
+    if a[1] is None or b[1] is None:
+        return a[1] is b[1]
+    return (np.array_equal(a[1][0], b[1][0]) and np.array_equal(a[1][1], b[1][1])
+            and a[1][0].dtype == b[1][0].dtype and a[1][1].dtype == b[1][1].dtype and a[1][2] == b[1][2])
+
+
+def test_results_never_alias_the_workspace():
+    """A float window, an exact window and a character sum keep their value,
+    numerators and counts while windows on another character run through
+    the same workspace afterwards, and no array they return shares memory
+    with it."""
+    chi, other = _chi(729, _Q729), _chi(3**7, ((5,),))
+    G = RealPolynomial.make([0, Fraction(2, 7), Fraction(1, 77)])
+    results = [twisted_sum(chi, 10**6 + 3, _TWISTED_EXACT_CAP + 1, G),
+               twisted_sum(chi, 10**6 + 3, _TWISTED_EXACT_CAP, G),
+               char_sum(chi, 5, 5000),
+               double_sum(RealPolynomial.make([0, Fraction(1, 9973)]), 60)]
+    assert [r.mode for r in results] == ["float", "exact", "exact", "exact"]
+    kept = [_kept(r) for r in results]
+    H = RealPolynomial.make([0, Fraction(3, 9973), Fraction(5, 9973)])
+    for M in (0, 12345):
+        twisted_sum(other, M, _TWISTED_EXACT_CAP + 1, H)
+        twisted_sum(other, M, _TWISTED_EXACT_CAP, H)
+        char_sum(other, M, 3 * _BLOCK)
+        dirichlet_poly(other, M, 2 * _BLOCK, 2.5)
+    assert all(_same_kept(k, _kept(r)) for k, r in zip(kept, results))
+    for r in results:
+        if r.exact_angle_terms is not None:
+            assert not _in_workspace(r.exact_angle_terms.numerators)
+            assert not _in_workspace(r.exact_angle_terms.counts)
+
+
+def test_decompose_keeps_its_bits_through_the_workspace():
+    """decompose's S is twisted_sum's value and its V the walk summed from
+    per-block gathers, bit for bit, and both stay so when other windows run
+    between two calls."""
+    chi = _chi(729, _Q729)
+    G = RealPolynomial.make([0, Fraction(1, 7)])
+    M, N, P = 10**6 + 3, 3000, 9
+    first = decompose(chi, M, N, G, 2)
+    assert first.s_value == twisted_sum(chi, M, N, G).value
+    walk = N + P**3 - P
+    table = _residue_table(G, walk)
+    E = np.exp(2j * np.pi * (table.astype(np.float64) / len(table)))
+    weights = _shift_weights(P, M, N)
+
+    def terms(n0, size):
+        ns = _arange(n0, size)
+        return np.multiply(np.multiply(_chi_values(chi, ns), E[_residues(ns, len(E))]), weights(n0, size))
+    want = _window_sum(terms, M + P, walk).value
+    assert (first.v_value.real.hex(), first.v_value.imag.hex()) == (want.real.hex(), want.imag.hex())
+    twisted_sum(_chi(243, ((4,),)), 0, _TWISTED_EXACT_CAP + 1, G)
+    twisted_sum(_chi(3**7, ((5,),)), 0, _TWISTED_EXACT_CAP, G)
+    again = decompose(chi, M, N, G, 2)
+    assert (again.s_value, again.v_value) == (first.s_value, first.v_value)
+
+
+def test_windows_reuse_the_workspace():
+    """After one warm call a float window of 2*10^5 + 1 terms at q = 243
+    allocates no block-sized array: its twist extension and its products
+    are the workspace's (tracemalloc peak 4 KiB; 3.0 MiB when every window
+    made its own).  An exact window at N = 2*10^5 holds its t in one buffer
+    and takes its roots chunk by chunk there: 4.6 MiB, 12.7 MiB before."""
+    for q, comps, N, coeffs, bound in [
+            (243, ((4,),), _TWISTED_EXACT_CAP + 1, [0, Fraction(1, 7), Fraction(2, 11)], 256 << 10),
+            (3**7, ((5,),), _TWISTED_EXACT_CAP, [0, Fraction(3, 9973), Fraction(5, 9973)], 6 << 20)]:
+        chi, G = _chi(q, comps), RealPolynomial.make(coeffs)
+        twisted_sum(chi, 10**6 - 7, N, G)
+        tracemalloc.start()
+        res = twisted_sum(chi, 10**6, N, G)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert res.mode == ("float" if N > _TWISTED_EXACT_CAP else "exact")
+        assert peak < bound, (q, peak)
+
+
+def test_each_thread_has_its_own_workspace():
+    """Four threads summing float and exact windows at once, switching often,
+    get the serial results: numpy releases the GIL inside its loops, so a
+    shared workspace would mix their blocks."""
+    G = RealPolynomial.make([0, Fraction(3, 9973), Fraction(5, 9973)])
+    cases = [(_chi(243, ((4,),)), _TWISTED_EXACT_CAP + 1), (_chi(3**7, ((5,),)), _TWISTED_EXACT_CAP)] * 2
+    want = [_kept(twisted_sum(chi, 10**6, N, G)) for chi, N in cases]
+    got = [[] for _ in cases]
+
+    def run(i):
+        chi, N = cases[i]
+        got[i] = [_kept(twisted_sum(chi, 10**6, N, G)) for _ in range(3)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(kept) == 3 and all(_same_kept(w, k) for k in kept) for w, kept in zip(want, got))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_hurwitz_pole_and_domain():
     for t in (1e12, 1e300):  # refused before its direct terms are allocated
         with pytest.raises(ValueError, match="Hurwitz terms"):
             hurwitz_zeta(complex(1.0, t), 0.5)
+
+
+def test_hurwitz_refuses_an_overflowing_power():
+    """zeta(10^13, 1/2) is about 2^(10^13), past a double: ValueError, as
+    l_value gives, and no numpy warning on the way; a power that fits still
+    returns its value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e13, 2000.0, complex(1e6, 3.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                hurwitz_zeta(s, 0.5)
+        assert abs(hurwitz_zeta(1000.0, 0.5) / 2.0**1000 - 1) < 1e-12  # the k = 0 term, 2^1000
 
 
 def test_hurwitz_large_imaginary():
