@@ -152,6 +152,16 @@ def parse_polynomial(spec: Optional[str]) -> RealPolynomial:
     return RealPolynomial.make(coeffs)
 
 
+def parse_number(text: str):
+    """An integer literal as the exact int it names, anything else as a
+    float: 10**17 + 1 stays itself, where float("100000000000000001")
+    rounds to 10^17."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else DEFAULT_CONFIG
     overrides = {name: getattr(args, dest, None) for name, dest in _CONFIG_DESTS.items()}
@@ -462,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("psi-progression", cmd_psi_progression)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--x", type=parse_number, required=True)
+    p.add_argument("--h", type=parse_number, required=True)
     p.add_argument("--eps", type=float, default=0.05)
 
     add("report-all", cmd_report_all)

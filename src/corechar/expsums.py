@@ -98,6 +98,10 @@ _TWIST, _TERMS, _LESS = (0, 0), (1, 0), (1, _BLOCK)
 _C = _FSUM_CHUNK
 _ROOTS, _WEIGHTS, _RE, _IM, _GCD = (0, 0), (0, 2 * _C), (0, 3 * _C), (0, 4 * _C), (0, 5 * _C)
 _FRAC, _HIGH, _EXP = (1, 0), (1, _C), (1, 2 * _C)
+# dirichlet_poly's chunks of _FSUM_CHUNK terms: log n, and the integers n
+# and then the exponent t log n as a complex, on the pages _exact_sum's
+# chunks touch
+_LOG_NS, _PHASES = (0, 0), (0, _C)
 # doubles per region: each stays below numpy's 4 MiB huge-page threshold, so
 # only the pages a call touches become resident
 _REGIONS = (4 * _BLOCK, 2 * _BLOCK)
@@ -447,6 +451,19 @@ def _arange(n0: int, size: int) -> np.ndarray:
     return n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
 
 
+def _count_up(n0: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = n0 + i for every i, n0 + len(out) <= 2^63, in place: n0,
+    then copies of the filled prefix plus its length, each at most doubling
+    it, as ``_tile`` fills."""
+    out[:1] = n0
+    k = 1
+    while k < len(out):
+        c = min(k, len(out) - k)
+        np.add(out[:c], k, out=out[k:k + c])
+        k += c
+    return out
+
+
 def _periodic(table: np.ndarray, N: int, at: tuple[int, int]):
     """(n0, size) -> table[(n0 + i) mod m], i < size, m = len(table), for the
     blocks of a window of N terms, read as a slice and never by a gather.
@@ -702,12 +719,27 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
         raise ValueError("t must be finite")
     if t == 0:
         return char_sum(chi, M, N)
+    return _window_sum(_dirichlet_terms(chi, t), M, N)
+
+
+def _dirichlet_terms(chi: DirichletCharacter, t: float):
+    """(n0, size) -> chi(n) n^{it} for n = n0, ..., n0 + size - 1: the bits
+    of chi(n) * np.exp(1j * t * np.log(n)), each step written in place in
+    the workspace, ``_FSUM_CHUNK`` terms at a time, into the block of
+    ``_chi_reader``'s values, which the next block overwrites."""
     values = _chi_reader(chi, values=True)
 
     def terms(n0, size):
-        v = values(n0, size)  # the operand order of chi * e(...), see _twisted_terms
-        return np.multiply(v, np.exp(1j * t * np.log(_arange(n0, size).astype(np.float64))), out=v)
-    return _window_sum(terms, M, N)
+        v = values(n0, size)
+        for i in range(0, size, _C):
+            m, n = min(_C, size - i), n0 + i
+            x = _WS.take(_LOG_NS, m, np.float64)
+            x[...] = _arange(n, m) if n + m > 1 << 63 else _count_up(n, _WS.take(_PHASES, m, np.int64))
+            z = np.multiply(1j * t, np.log(x, out=x), out=_WS.take(_PHASES, m, np.complex128))
+            # the operand order of chi * e(...), see _twisted_terms
+            np.multiply(v[i:i + m], np.exp(z, out=z), out=v[i:i + m])
+        return v
+    return terms
 
 
 def taylor_approx_poly(nu: int) -> RealPolynomial:

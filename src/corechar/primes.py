@@ -9,9 +9,11 @@ One counting function serves every path.  It sieves only the terms
 n = a + q·k of one progression in the window (lo, hi], in segments of 2^20
 terms, and at odd q only the odd ones, with the base primes up to sqrt(hi)
 read from the prime table, so a class's window costs O(h/q + sqrt(x)).
-The higher powers p^j (j >= 2) are made as arrays over the base primes.
-A class's multiplicities stay two int64 arrays, ascending primes and their
-counts, and ``PsiCounts`` reads them as a p -> count mapping.
+The higher powers p^j (j >= 2) are made in one pass over the base primes
+(``_prime_powers``).  A class's multiplicities stay two int64 arrays,
+ascending primes and their counts, and ``PsiCounts`` reads them as a
+p -> count mapping.  All classes of a window are grouped by one sort of
+packed (residue, position) keys.
 
 The prime table.  One process-wide, read-only table holds the primes up to
 a limit and their math.log values.  A call for primes up to n past the
@@ -34,7 +36,16 @@ below 2^63.  Every base prime p is at most sqrt(hi) < 2^31.  Then:
 
 - a term a + q·k is formed only for k up to (hi - a) // q, so it is <= hi,
   and so is every k and every offset between two k;
-- a power p^j is formed only while p^(j-1) <= hi // p, so it is <= hi;
+- a power p^j is formed only while it stays <= hi: a prime's largest
+  exponent e is first estimated from below, and ``np.power`` makes p^e by
+  squaring only while bits of e remain, so from powers p^i with i <= e;
+  p^(e + 1) is formed only where p^e <= hi // p, and the powers p^2, ...,
+  p^e of the window only up to the corrected e;
+- the key r·(sqrt(hi) + 1) + p that merges the low entries of all classes
+  is below 2^53: r < q <= 2^22 on every all-class caller and p < 2^31;
+- a packed class key holds a residue below q and a position below
+  sqrt(hi) + (hi - lo), and all classes are refused before anything is
+  allocated unless their bits add up to at most 64;
 - a multiple p·m of a base prime is formed with m <= max(p, ceil(n / p))
   for a term n <= hi, so p·m <= hi + sqrt(hi); the first multiple of p in
   the class, p·(m + d) with 0 <= d < q, is formed only once
@@ -50,6 +61,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
@@ -254,22 +266,58 @@ def _primes_to(n: int) -> np.ndarray:
                            _primes_in(_TABLE_CAP, n, _primes_to(math.isqrt(n)))])
 
 
+def _prime_powers(base: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p^j) for every base prime p and j >= 2 with lo < p^j <= hi,
+    ascending by p, then by j; every p^2 <= hi.
+
+    One pass: each prime's largest exponent e, with p^e <= hi < p^(e + 1),
+    then its powers p^2, ..., p^e expanded by ``np.repeat``.  e is read from
+    the logs less a relative margin of 2^-40, which the logs' few-ulp error
+    cannot cross, so the estimate is e or e - 1 (the quotient is at most 62)
+    and its power is <= hi; one comparison p^e <= hi // p corrects it exactly.
+    A prime whose largest power is <= lo has none in the window and is
+    dropped before the expansion."""
+    e = np.floor(math.log(hi) / np.log(base) * (1 - 2.0**-40)).astype(np.int64)
+    top = base ** e
+    short = top <= hi // base
+    e += short
+    top[short] *= base[short]
+    keep = top > lo
+    p, e = base[keep], e[keep] - 1  # e - 1 powers p^2, ..., p^e each
+    p = np.repeat(p, e)
+    j = np.arange(2, len(p) + 2) - np.repeat(np.cumsum(e) - e, e)
+    powers = p ** j
+    inside = powers > lo
+    return p[inside], powers[inside]
+
+
 def _class_counts(lo: int, hi: int, q: int, a: Optional[int] = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(residues, primes, counts, logs) of the prime powers in (lo, hi]: one
     entry per prime p and class c mod q that holds a power p^j of the window,
-    with the number of those powers.  The entries are int64 arrays sorted by
-    class, then by prime.  Only the class of a is sieved and kept when a is
-    given.  Every class of a window [0, hi] within the table's cap is read
-    from the table, and then logs holds each entry's math.log(p); else it is
-    None.
+    with the number of those powers, sorted by class, then by prime.  The
+    entries are int64 arrays, but for all classes the residues come in the
+    unsigned dtype of the packed class keys.  Only the class of a is sieved
+    and kept when a is given.  Every class of a window [0, hi] within the
+    table's cap is read from the table, and then logs holds each entry's
+    math.log(p); else it is None.  ValueError, before anything is
+    allocated, for all classes of q above ``_CLASSES_CAP`` = 2^22 or of a
+    window whose packed class keys would need more than 64 bits.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if hi >= 1 << 62:
         raise ValueError(f"window end {hi} >= 2^62: the sieve's int64 arithmetic "
                          "is proved exact only below 2^62")
-    if a is not None:
+    if a is None:
+        if q > _CLASSES_CAP:
+            raise ValueError(f"q = {q} exceeds the cap of 2^22 classes in one psi_by_class result")
+        # an entry's position is below sqrt(hi) + (hi - lo), the base primes
+        # and the window's others
+        if (q - 1).bit_length() + (math.isqrt(max(hi, 0)) + max(hi - lo, 0)).bit_length() > 64:
+            raise ValueError(f"the classes mod {q} of a window of {hi - lo} integers "
+                             "need class keys of more than 64 bits")
+    else:
         a %= q
         if q > hi:
             # the class meets [0, hi] in a alone, if at all, and so does the
@@ -286,41 +334,48 @@ def _class_counts(lo: int, hi: int, q: int, a: Optional[int] = None
         primes = _primes_in(lo, hi, base, *(() if a is None else (q, a)))
     split = int(np.searchsorted(primes, root, side="right"))
     # The low entries: the primes of the window up to sqrt(hi), then every
-    # higher power pw = p^j of the window, whose base p is a base prime.
-    # pw <= hi // p keeps every product pw * p <= hi.
-    bases, powers = [primes[:split]], [primes[:split]]
-    p, pw = base, base * base
-    while p.size:
-        inside = pw > lo
-        bases.append(p[inside])
-        powers.append(pw[inside])
-        more = pw <= hi // p
-        p = p[more]
-        pw = pw[more] * p
-    low_p, low_r = np.concatenate(bases), np.concatenate(powers) % q
-    if a is not None:
-        keep = low_r == a
-        low_p, low_r = low_p[keep], low_r[keep]
-    # one count per (prime, class) of the low entries, ascending by prime
-    (low_p, low_r), low_c = np.unique(np.stack([low_p, low_r]), axis=1, return_counts=True)
-    # Every low prime is <= sqrt(hi) < every other prime of the window, so
-    # low entries put ahead of the others keep each class ascending under a
-    # stable sort.
+    # higher power p^j of the window, whose base p is a base prime, merged
+    # to one count per (prime, class).
+    p, powers = _prime_powers(base, lo, hi) if base.size else (base, base)
     high_p = primes[split:]
-    residues = np.concatenate([low_r, high_p % q])
-    primes = np.concatenate([low_p, high_p])
-    counts = np.concatenate([low_c, np.ones(len(high_p), dtype=np.int64)])
-    if logs is not None:
-        # the low primes are base primes, the table's first entries
-        logs = np.concatenate([logs[np.searchsorted(base, low_p)], logs[split:]])
-    if a is None:
-        # residues < q in the narrowest unsigned dtype: numpy's stable sort is
-        # a radix sort on 8- and 16-bit keys
-        order = np.argsort(residues.astype(np.min_scalar_type(q - 1)), kind="stable")
-        residues, primes, counts = residues[order], primes[order], counts[order]
+    if a is not None:
+        # one class: merged on the key p alone, ascending
+        in_class = powers % q == a
+        low_p, low_c = np.unique(np.concatenate([primes[:split], p[in_class]]), return_counts=True)
+        primes = np.concatenate([low_p, high_p])
+        counts = np.concatenate([low_c, np.ones(len(high_p), dtype=np.int64)])
         if logs is not None:
-            logs = logs[order]
-    return residues, primes, counts, logs
+            # the low primes are base primes, the table's first entries
+            logs = np.concatenate([logs[np.searchsorted(base, low_p)], logs[split:]])
+        return np.full(len(primes), a, dtype=np.int64), primes, counts, logs
+    # All classes: the low entries merge on the key r·(root + 1) + p, so
+    # they come by class, then by prime.  Every entry is then named by its
+    # prime's position in src, the base primes followed by the window's
+    # other primes (the window's primes themselves when it holds every base
+    # prime, as the table's logs are), and one sort of the packed keys
+    # (residue << bits | position), in uint32 when they fit, groups the
+    # classes with each one's primes ascending, the low ones first.
+    width = root + 1
+    key = np.concatenate([primes[:split], powers]) % q
+    key *= width
+    key += np.concatenate([primes[:split], p])
+    key, low_c = np.unique(key, return_counts=True)
+    low_r, low_p = np.divmod(key, width)
+    src = primes if split == len(base) else np.concatenate([base, high_p])
+    n, nl, bits = len(low_p) + len(high_p), len(low_p), max(len(src) - 1, 0).bit_length()
+    keys = np.empty(n, dtype=np.uint32 if (q - 1).bit_length() + bits <= 32 else np.uint64)
+    keys[:nl] = low_r
+    np.remainder(high_p, q, out=keys[nl:], casting="unsafe")
+    keys <<= bits
+    keys[:nl] |= np.searchsorted(base, low_p).astype(keys.dtype)
+    keys[nl:] |= np.arange(len(base), len(src), dtype=keys.dtype)
+    keys.sort()
+    order = np.bitwise_and(keys, (1 << bits) - 1, out=np.empty(n, dtype=np.intp))
+    keys >>= bits
+    # the low entries keep their merged order, by class, then by prime
+    counts = np.ones(n, dtype=np.int64)
+    counts[order < len(base)] = low_c
+    return keys, src[order], counts, None if logs is None else logs[order]
 
 
 class PsiCounts(Mapping):
@@ -394,9 +449,10 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
     every t is at least log 2 > 1/2 (count >= 1, p >= 2) and below 64
     (count * log p <= log hi < 43, since the count powers of p are distinct
     and at most hi < 2^62).  A double in [1/2, 64) is a multiple of 2^-53, so
-    t = m·2^-53 with an integer m < 2^59.  The m of one ``_LOG_CHUNK`` = 2^16
-    terms are summed as int64 high and low 32-bit halves, below 2^16·2^27 and
-    2^16·2^32, and the chunks' sums are added as Python ints.  Python rounds
+    t = m·2^-53 with an integer m < 2^59.  The m of one slice within one
+    ``_LOG_CHUNK`` = 2^16 terms are summed (``np.add.reduceat``) as int64
+    high and low 32-bit halves, below 2^16·2^27 and 2^16·2^32, and the
+    halves and the chunks' sums are added as Python ints.  Python rounds
     an int to the nearest double, ties to even, as fsum rounds its exact sum,
     and the scaling by 2^-53 that follows is exact.
 
@@ -411,10 +467,14 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
         hi = min(lo + _LOG_CHUNK, bounds[-1])
         lg = logs[lo:hi] if logs is not None else _math_logs(primes[lo:hi])
         m = np.ldexp(counts[lo:hi] * lg, 53).astype(np.int64)
+        # the slices that meet the chunk tile it: each one's sum runs from
+        # its first entry in the chunk to the next one's
         at = np.clip(cuts, lo, hi) - lo
-        for shift, half in ((32, m >> 32), (0, m & 0xFFFFFFFF)):
-            run = np.concatenate([[0], np.cumsum(half)])
-            sums += np.diff(run[at]).astype(object) << shift
+        meet = np.flatnonzero(at[:-1] < at[1:])
+        starts = at[meet]
+        high = np.add.reduceat(m >> 32, starts)
+        m &= 0xFFFFFFFF
+        sums[meet] += (high.astype(object) << 32) + np.add.reduceat(m, starts).astype(object)
     return [PsiValue(math.ldexp(float(total), -53),
                      PsiCounts(primes[i:j], counts[i:j]) if with_counts else None)
             for total, i, j in zip(sums.tolist(), bounds, bounds[1:])]
@@ -445,13 +505,11 @@ def psi_by_class(x: float, q: int, with_counts: bool = False) -> dict[int, PsiVa
 
     The classes partition the prime powers, so the returned values merge
     exactly (multiplicity by multiplicity) into psi(x).  ValueError for q
-    above ``_CLASSES_CAP`` = 2^22, before anything is allocated: the result
-    holds one entry per class.
+    above ``_CLASSES_CAP`` = 2^22 (``_class_counts``), before anything is
+    allocated: the result holds one entry per class.
     """
-    if q > _CLASSES_CAP:
-        raise ValueError(f"q = {q} exceeds the cap of 2^22 classes in one psi_by_class result")
     residues, primes, counts, logs = _class_counts(0, math.floor(x), q)
-    bounds = np.searchsorted(residues, np.arange(q + 1)).tolist()
+    bounds = np.searchsorted(residues, np.arange(q + 1, dtype=residues.dtype)).tolist()
     return dict(enumerate(_psi_values(primes, counts, bounds, with_counts, logs)))
 
 
@@ -484,12 +542,16 @@ def short_interval_check(q: int, a: int, x: float, h: float, b: float = 2.4,
     outside it.  A power that overflows a double reads as inf.  Errors unless
     b > 0 and eps > 0 (NaN fails both), and when gcd(a, q) > 1 (the class
     carries at most one prime power).
+
+    The window's end is floor(x + h) of the exact values, an int as itself
+    and a float as the rational it is, so that x + h rounded to a double
+    (past 2^53) cannot move it.
     """
     if q < 1 or x < 0 or h <= 0 or not b > 0 or not eps > 0:  # NaN fails > 0
         raise ValueError("need q >= 1, x >= 0, h > 0, b > 0, eps > 0")
     if q > 1 and math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) > 1: class is essentially prime-free")
-    window = _psi_window(x, x + h, q, a)
+    window = _psi_window(x, math.floor(Fraction(x) + Fraction(h)), q, a)
     main = h / as_modulus(q).phi
     rel = abs(window.value - main) / main if main > 0 else math.inf
     lx = math.log(x) if x > 1 else 0.0

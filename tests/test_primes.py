@@ -1,5 +1,6 @@
 """Von Mangoldt, psi over progressions, and the short-interval comparison."""
 
+import json
 import math
 import pickle
 import random
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from corechar import primes
+from corechar.cli import main
 from corechar.primes import (
     _LOG_CHUNK,
     _TABLE_CAP,
     PsiCounts,
     _over,
+    _prime_powers,
     _prime_table,
     _primes_to,
     _psi_values,
@@ -423,9 +426,10 @@ _EDGES = [2**10 - 1, 2**10, 2**10 + 1, 2**16 - 1, 2**16, 2**16 + 1,
           _TABLE_CAP - 1, _TABLE_CAP, _TABLE_CAP + 1]
 
 
-def _plain_classes(x: int, q: int) -> dict[int, tuple[dict[int, int], float]]:
+def _plain_classes(x: int, q: int, lo: int = 0) -> dict[int, tuple[dict[int, int], float]]:
     """{a: (counts, value)} for every class a mod q: the prime-power
-    multiplicities p -> count up to x, from the plain sieve, and their fsum."""
+    multiplicities p -> count of (lo, x], from the plain sieve of [0, x],
+    and their fsum."""
     primes_ = _plain_primes(x)
     bases, powers = [primes_], [primes_]
     p = primes_[primes_ <= math.isqrt(x)]
@@ -435,7 +439,9 @@ def _plain_classes(x: int, q: int) -> dict[int, tuple[dict[int, int], float]]:
         powers.append(pw)
         more = pw <= x // p
         p, pw = p[more], pw[more] * p[more]
-    key = np.concatenate(powers) % q * (x + 1) + np.concatenate(bases)
+    power, base = np.concatenate(powers), np.concatenate(bases)
+    inside = power > lo
+    key = power[inside] % q * (x + 1) + base[inside]
     key, count = np.unique(key, return_counts=True)
     cls, base = np.divmod(key, x + 1)
     cuts = np.searchsorted(cls, np.arange(q + 1)).tolist()
@@ -514,3 +520,134 @@ def test_partitions_at_edge_moduli(cold_prime_table, x):
         assert list(by_class) == list(range(q))
         for a, (counts, value) in _plain_classes(x, q).items():
             assert by_class[a].counts == counts and by_class[a].value.hex() == value.hex(), (x, q, a)
+
+
+def _window_classes(lo: int, hi: int, q: int) -> tuple[dict[int, tuple[PsiCounts, float]], np.dtype]:
+    """{a: (counts, value)} for every class a mod q of the window (lo, hi]
+    from one all-class ``_class_counts`` read by ``_psi_values``, and the
+    dtype of its class keys."""
+    residues, primes_, counts, logs = primes._class_counts(lo, hi, q)
+    bounds = np.searchsorted(residues, np.arange(q + 1, dtype=residues.dtype)).tolist()
+    values = _psi_values(primes_, counts, bounds, True, logs)
+    return {a: (v.counts, v.value) for a, v in enumerate(values)}, residues.dtype
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (10**5, 2 * 10**5),
+    (1000, 9 * 10**4),                         # base primes inside the window
+    (3, 2**17 + 5),
+    (2**16, 2**16 + 3**9),                     # squares and cubes of base primes only
+    (10**6 - 10, 10**6 + 10),
+])
+@pytest.mark.parametrize("q", [1, 2, 4, 2**10, 72, 1296])
+def test_all_classes_of_a_short_window(lo, hi, q):
+    """Every class of a window (lo, hi] with lo > 0, grouped by one sort of
+    packed keys: the plain sieve's classes, and each class's own one-class
+    window, bit for bit."""
+    got, dtype = _window_classes(lo, hi, q)
+    assert dtype == np.uint32
+    for a, (counts, value) in _plain_classes(hi, q, lo).items():
+        assert got[a][0] == counts and got[a][1].hex() == value.hex(), (lo, hi, q, a)
+        one = _psi_window(lo, hi, q, a, with_counts=True)
+        assert one.counts == got[a][0] and one.value.hex() == got[a][1].hex(), (lo, hi, q, a)
+
+
+def test_class_keys_on_both_sides_of_uint32():
+    """The packed keys are uint32 while the residue's bits and the
+    position's add up to 32, uint64 past it, and the classes are the plain
+    sieve's either way.  The window (10^5, 3·10^5] numbers its base primes
+    and its other primes in 15 bits, so 2^17 classes fit 32 bits and
+    2^17 + 1 do not."""
+    lo, hi = 10**5, 3 * 10**5
+    plain = _plain_primes(hi)
+    root = math.isqrt(hi)
+    positions = int(np.count_nonzero(plain <= root) + np.count_nonzero(plain > max(lo, root)))
+    assert (positions - 1).bit_length() == 15
+    for q, dtype in ((2**17, np.uint32), (2**17 + 1, np.uint64)):
+        got, key_dtype = _window_classes(lo, hi, q)
+        assert key_dtype == dtype
+        for a, (counts, value) in _plain_classes(hi, q, lo).items():
+            assert got[a][0] == counts and got[a][1].hex() == value.hex(), (q, a)
+
+
+def _top_primes(n: int, k: int) -> list[int]:
+    """The k largest primes <= n, or every one if fewer."""
+    out = []
+    while len(out) < k and n >= 2:
+        if _is_prime(n):
+            out.append(n)
+        n -= 1
+    return out
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0, 2**62 - 1),
+    (2**62 - 2**33, 2**62 - 1),                # holds (2^31 - 1)^2 = 2^62 - 2^32 + 1
+    (0, (2**31 - 1)**2),
+    (0, (2**31 - 1)**2 - 1),
+    (0, 3**39), (0, 3**39 - 1), (3**39 - 1, 3**39),
+    (0, 2**61), (0, 2**61 - 1), (2**61 - 1, 2**62 - 1),
+    (0, 7**22), (7**22, 2**62 - 1),
+    (10**12, 10**12 + 10**4), (0, 4), (3, 4), (4, 8),
+])
+def test_prime_powers_stay_exact_below_2_62(lo, hi):
+    """Each prime's largest exponent, read from the logs and corrected in
+    int64, and the powers p^j (j >= 2) in (lo, hi], against Python ints:
+    at windows ending just below 2^62, where the sieve's base primes (up to
+    2^31) are too many to hold, and at exact prime powers and one below."""
+    root = math.isqrt(hi)
+    base = sorted({p for p in (2, 3, 5, 7, 11, 13, 1000003, 2**31 - 1) if p <= root}
+                  | set(_top_primes(root, 3)))
+    want = [(p, p**j) for p in base for j in range(2, hi.bit_length() + 1) if lo < p**j <= hi]
+    p, powers = _prime_powers(np.array(base, dtype=np.int64), lo, hi)
+    assert p.dtype == powers.dtype == np.int64
+    assert list(zip(p.tolist(), powers.tolist())) == want
+
+
+def test_all_classes_refuse_wide_keys_before_allocating(monkeypatch):
+    """All classes of q past 2^22, or of a window whose class keys need more
+    than 64 bits (the residue's and a position's below sqrt(hi) + (hi - lo)),
+    are refused before the base primes are read; 64 bits pass."""
+    def no_sieve(n):
+        raise AssertionError("reached the sieve")
+    monkeypatch.setattr(primes, "_primes_to", no_sieve)
+    with pytest.raises(ValueError, match=r"cap of 2\^22 classes"):
+        primes._class_counts(0, 1000, 2**22 + 1)
+    with pytest.raises(ValueError, match="more than 64 bits"):
+        primes._class_counts(0, 2**61, 2**22)
+    with pytest.raises(ValueError, match="more than 64 bits"):
+        primes._class_counts(2**61 - 2**44, 2**61, 2**20)    # 20 + 45 bits
+    with pytest.raises(AssertionError, match="reached the sieve"):
+        primes._class_counts(2**61 - 2**43, 2**61, 2**20)    # 20 + 44 bits
+
+
+# 2^53 + 5 is prime; the float sum 2^53 + 4 + 1.0 rounds to 2^53 + 4.
+_PAST_2_53 = 2**53 + 4
+
+
+def test_window_end_is_exact_past_2_53():
+    """floor(x + h) from the exact values: the float x and h of a window
+    past 2^53 give the int window's value, where x + h rounded to a double
+    made the window empty."""
+    assert _is_prime(_PAST_2_53 + 1) and float(_PAST_2_53) + 1.0 == float(_PAST_2_53)
+    want = math.log(_PAST_2_53 + 1)
+    exact = short_interval_check(1, 0, _PAST_2_53, 1)
+    assert exact.delta_psi == want and not exact.empty_interval
+    assert short_interval_check(1, 0, float(_PAST_2_53), 1.0).delta_psi == want
+    assert short_interval_check(1, 0, float(_PAST_2_53), 1.5).delta_psi == want
+    # below 2^53 the float end is exact anyway
+    assert short_interval_check(27, 1, 1000.5, 108.75).delta_psi == \
+        _fsum_counts(_sieved_counts(1000, 1109, 27, 1))
+
+
+def test_cli_keeps_integer_windows_exact(capsys):
+    """psi-progression reads integer --x and --h as ints: past 2^53 the
+    window (x, x + h] is the one asked for, and x prints as given."""
+    argv = ["psi-progression", "--q", "1", "--a", "0", "--x", str(_PAST_2_53), "--h", "1"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["x"] == _PAST_2_53 and data["h"] == 1
+    assert data["delta_psi"] == float(f"{math.log(_PAST_2_53 + 1):.15g}") and not data["empty_interval"]
+    assert main(["psi-progression", "--q", "27", "--a", "1", "--x", "1000.5", "--h", "1e2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["x"] == 1000.5 and data["h"] == 100.0
