@@ -7,7 +7,6 @@ from .arith import (
     core,
     discrete_log,
     factor,
-    satisfies_core_condition,
     unit_group_basis,
     valuation,
 )
@@ -34,24 +33,18 @@ from .lfunc import (
     hurwitz_zeta,
     l_value,
     l_value_series,
-    lemma8_check,
     theorem3_bound,
     vartheta_shape,
-    zero_count_rectangle,
     zero_free_params,
 )
 from .postnikov import (
-    BoundParameters,
     TruncatedLogPolynomial,
-    bound_parameters,
     fd_coefficients,
     find_postnikov_m,
-    iwaniec_bound,
-    main_bound,
     minimal_postnikov_degree,
     shifted_poly,
 )
-from .primes import psi, psi_progression, short_interval_check, von_mangoldt
+from .primes import psi, psi_progression, short_interval_check
 from .vinogradov import (
     count_vinogradov,
     count_vinogradov_naive,

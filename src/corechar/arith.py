@@ -2,10 +2,9 @@
 
 Everything in here is exact: moduli are arbitrary-precision integers,
 group-theoretic data (generators, orders, discrete logarithms) is computed
-over the actual unit groups, and the 0.7-threshold core condition is tested
-in rational arithmetic.  Only the bulk discrete-log tables are numpy arrays.
-``exp_or_inf`` is the one overflow-safe exp, for bounds kept in log space,
-and ``pow_or_inf`` the one overflow-safe power.
+over the actual unit groups.  Only the bulk discrete-log tables are numpy
+arrays.  ``exp_or_inf`` is the one overflow-safe exp, for bounds kept in
+log space, and ``pow_or_inf`` the one overflow-safe power.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "factor",
     "core",
     "valuation",
-    "satisfies_core_condition",
     "unit_group_basis",
     "discrete_log",
     "crt_combine",
@@ -160,17 +158,6 @@ def as_modulus(q) -> FactoredModulus:
 def core(q) -> int:
     """The core (kernel) of q: the product of its distinct prime divisors."""
     return as_modulus(q).core
-
-
-def satisfies_core_condition(q, gamma0: int) -> bool:
-    """Check min_p v_p(q) >= 0.7*gamma and gamma >= gamma0.
-
-    The 0.7 threshold is tested as the exact rational 7/10; no floats.
-    """
-    m = as_modulus(q)
-    if not m.factors:
-        return False
-    return 10 * m.gamma_min >= 7 * m.gamma_max and m.gamma_max >= gamma0
 
 
 # ---------------------------------------------------------------------------

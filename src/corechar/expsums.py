@@ -87,6 +87,7 @@ _FSUM_FROM = 1024  # shortest array that _fsum bins: math.fsum is faster below
 _FSUM_CHUNK = _BLOCK // 4
 _UNIQUE_CAP = 1 << 20  # most terms of an aperiodic exact window sorted at once (8 MiB int64)
 _FLOAT_EXACT = 1 << 53  # largest |x| that a float G evaluates at x itself
+_GRID_CAP = 1 << 26  # most pairs (y, z) of a P x P grid that double_sum or decompose builds
 
 # Workspace places, (region, offset in doubles).  A window's twist
 # extension (up to 2 _BLOCK complex entries) and a block's terms (_BLOCK
@@ -446,9 +447,9 @@ def _spans(M: int, N: int):
 
 
 def _arange(n0: int, size: int) -> np.ndarray:
-    """n0, ..., n0 + size - 1, int64 below 2^63 and Python ints beyond
-    (np.arange would round through floats)."""
-    return n0 + np.arange(size, dtype=np.int64 if n0 + size <= 1 << 63 else object)
+    """n0, ..., n0 + size - 1, int64 within [-2^63, 2^63) and Python ints
+    beyond (np.arange would round through floats)."""
+    return n0 + np.arange(size, dtype=np.int64 if -(1 << 63) <= n0 and n0 + size <= 1 << 63 else object)
 
 
 def _count_up(n0: int, out: np.ndarray) -> np.ndarray:
@@ -755,9 +756,11 @@ def taylor_approx_poly(nu: int) -> RealPolynomial:
 
 
 def double_sum(g: RealPolynomial, P: int) -> SumResult:
-    """S = sum_{y,z=1}^{P} e(g(y z))."""
+    """S = sum_{y,z=1}^{P} e(g(y z)); P^2 is at most ``_GRID_CAP``."""
     if P < 1:
         raise ValueError("P must be >= 1")
+    if P * P > _GRID_CAP:
+        raise ValueError(f"grid {P}x{P} exceeds {_GRID_CAP} pairs")
     ys = np.arange(1, P + 1, dtype=np.int64)
     prods, counts = np.unique(np.outer(ys, ys), return_counts=True)
     if g.is_rational:
@@ -770,7 +773,7 @@ def double_sum(g: RealPolynomial, P: int) -> SumResult:
 def _shift_weights(P: int, M: int, N: int):
     """(n0, size) -> ``decompose``'s K(x) at x = n0, ..., n0 + size - 1: the
     sorted shifts P yz below k = x - M less those below k - N (k int64 at any
-    M), as int32: K <= P^2 <= 2^26 under ``decompose``'s grid cap."""
+    M), as int32: K <= P^2 <= ``_GRID_CAP`` = 2^26."""
     ys = np.arange(1, P + 1, dtype=np.int64)
     shifts = np.sort(P * np.outer(ys, ys).ravel())
 
@@ -793,15 +796,16 @@ def _v_terms(chi: DirichletCharacter, G: RealPolynomial, M: int, N: int, P: int,
     is also the sum of c(m) chi(x) e(G(x)), x = n + P m, over the pairs of
     a unit n of (M, M+N] (x is a unit exactly when n is) and a distinct m,
     c(m) the number of pairs (y, z) with yz = m, read at flat pair indices;
-    x is int64 below 2^63 and a Python int beyond.  As m runs over 1..P at
-    least, the runs are worth listing only when coprime P < the walk."""
+    x is int64 within [-2^63, 2^63) and a Python int beyond.  As m runs over
+    1..P at least, the runs are worth listing only when coprime P < the walk."""
     walk = N + P**3 - P
     if coprime * P < walk:
         ys = np.arange(1, P + 1, dtype=np.int64)
         c = np.bincount(np.outer(ys, ys).ravel())
         m = np.flatnonzero(c)
         if coprime * len(m) < walk:
-            ns = M + 1 + np.arange(N, dtype=np.int64 if M + N + P * int(m[-1]) < 1 << 63 else object)
+            fits = -(1 << 63) <= M + 1 and M + N + P * int(m[-1]) < 1 << 63
+            ns = M + 1 + np.arange(N, dtype=np.int64 if fits else object)
             ns, step, c = ns[np.gcd(_residues(ns, chi.q), chi.q) == 1], P * m, c[m]
             table = _residue_table(G, coprime * len(m))
             if table is not None:   # e(G(x)) read from its residue mod den
@@ -862,7 +866,7 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
         signed_divisors += [(d * p, -mu) for d, mu in signed_divisors]
     coprime = sum(mu * ((M + N) // d - M // d) for d, mu in signed_divisors)
     work = coprime * P * P
-    if work > work_budget or P * P > (1 << 26):
+    if work > work_budget or P * P > _GRID_CAP:
         raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
     walk = N + P**3 - P
     if walk > work_budget:

@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import FactoredModulus, as_modulus, exp_or_inf
+from .arith import FactoredModulus, as_modulus
 from .characters import (DirichletCharacter, _columns, _numerator_rows, _roots_of_unity, character_rows,
                          characters_of_rows, enumerate_characters)
 from .expsums import _blocked_sum, _chi_values
@@ -58,13 +58,10 @@ __all__ = [
     "hurwitz_zeta",
     "l_value",
     "l_value_series",
-    "zero_count_rectangle",
     "zero_scan_report",
     "l_grid_min",
     "theorem3_bound",
     "Theorem3Bound",
-    "lemma8_check",
-    "Lemma8Report",
     "zero_free_params",
     "ZeroFreeRegionParams",
     "vartheta_shape",
@@ -417,20 +414,6 @@ def _stable_windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float)
     return results, min_abs
 
 
-def zero_count_rectangle(q, alpha: float, T: float) -> int:
-    """Total zeros of all nonprincipal L mod q in alpha < sigma < 1, |t| <= T.
-
-    Each character's count is the turn of arg L around the rectangle over
-    2 pi, summed over the steps between contour nodes; panels are refined
-    until two levels in a row, each with every step below pi/2, give the
-    same counts.  A contour passing through (or too near) a zero is retried
-    with alpha perturbed by 1e-6, as reported by ``zero_scan_report``; when
-    that fails too (a zero on the contour at alpha = 1/2 stays within 1e-6
-    of it) ArithmeticError is raised.
-    """
-    return zero_scan_report(q, alpha, T)["total_zeros"]
-
-
 def _check_rectangle(alpha: float, T: float) -> None:
     """The scans' rectangle: 1/2 <= alpha < 1, in Re s > 0, and 1 <= T < inf; NaN fails."""
     if not (0.5 <= alpha < 1.0 and 1.0 <= T < math.inf):
@@ -440,7 +423,16 @@ def _check_rectangle(alpha: float, T: float) -> None:
 def zero_scan_report(q, alpha: float, T: float) -> dict:
     """Zero counts of every nonprincipal L mod q in alpha < sigma < 1, |t| <= T,
     their total, the least |L| on the final contour (``contour_min_abs_l``, inf
-    without nonprincipal characters) and whether alpha was perturbed by 1e-6."""
+    without nonprincipal characters) and whether alpha was perturbed by 1e-6.
+
+    Each character's count is the turn of arg L around the rectangle over
+    2 pi, summed over the steps between contour nodes; panels are refined
+    until two levels in a row, each with every step below pi/2, give the
+    same counts.  A contour passing through (or too near) a zero is retried
+    once with alpha perturbed by 1e-6 (``perturbed``); when that fails too (a
+    zero on the contour at alpha = 1/2 stays within 1e-6 of it)
+    ArithmeticError is raised.
+    """
     _check_rectangle(alpha, T)
     mod = as_modulus(q)
     X, conj = _chi_rows(mod)
@@ -496,11 +488,6 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _ell(q: int, t: float) -> float:
-    """The recurring log scale ell = log(q (|t|+3))."""
-    return math.log(q) + math.log(abs(t) + 3.0)
-
-
 @dataclass(frozen=True)
 class Theorem3Bound:
     """eta^{-1} exp(c * max{eta log core, eta^{3/2} ell, eta ell^{2/3} (log ell)^{1/3}})."""
@@ -526,7 +513,7 @@ def theorem3_bound(q, eta: float, t: float, c_impl: float = 1.0) -> Theorem3Boun
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
     mod = as_modulus(q)
-    ell = _ell(mod.q, t)
+    ell = math.log(mod.q) + math.log(abs(t) + 3.0)  # log(q (|t| + 3))
     t1 = eta * math.log(mod.core)
     t2 = eta**1.5 * ell
     t3 = eta * ell ** (2.0 / 3.0) * math.log(ell) ** (1.0 / 3.0)
@@ -535,53 +522,6 @@ def theorem3_bound(q, eta: float, t: float, c_impl: float = 1.0) -> Theorem3Boun
     return Theorem3Bound(q=mod.q, eta=eta, t=t, ell=ell, c_impl=c_impl,
                          term_core=t1, term_eta32=t2, term_ell23=t3,
                          dominant=dominant, bound=bound)
-
-
-@dataclass(frozen=True)
-class Lemma8Report:
-    """Validity of the (Y, eta) window and the resulting bound eta^{-1} Y^eta."""
-
-    q: int
-    log_y: float
-    eta: float
-    t: float
-    ell: float
-    gamma0: int
-    xi0: float
-    c0: float
-    y_large_enough: bool
-    eta_ceiling: float
-    eta_below_ceiling: bool
-    valid: bool
-    bound: float
-
-
-def lemma8_check(q, Y: Optional[float] = None, eta: float = 0.1, t: float = 0.0,
-                 *, gamma0: int = 2, xi0: float = 1e-4, c0: float = 1.0,
-                 log_y: Optional[float] = None) -> Lemma8Report:
-    """Check Y >= core^gamma0 and eta <= xi0 (log Y)^2/ell^2 - c0 log(ell)/log Y.
-
-    When both hold the lemma's conclusion bounds |L| by eta^{-1} Y^eta in
-    sigma > 1 - eta.  Y may be given directly or as log_y (the useful Y
-    routinely overflows a double).  The bound is uniform over primitive
-    characters mod q.
-    """
-    mod = as_modulus(q)
-    if (Y is None) == (log_y is None):
-        raise ValueError("give exactly one of Y and log_y")
-    ly = math.log(Y) if log_y is None else float(log_y)
-    if ly <= 0.0 or eta <= 0.0:
-        raise ValueError("need Y > 1 and eta > 0")
-    ell = _ell(mod.q, t)
-    y_ok = ly >= gamma0 * math.log(mod.core)
-    ceiling = xi0 * ly * ly / (ell * ell) - c0 * math.log(ell) / ly
-    eta_ok = eta <= ceiling
-    bound = exp_or_inf(eta * ly) / eta
-    return Lemma8Report(q=mod.q, log_y=ly, eta=eta, t=t, ell=ell,
-                        gamma0=gamma0, xi0=xi0, c0=c0,
-                        y_large_enough=y_ok, eta_ceiling=ceiling,
-                        eta_below_ceiling=eta_ok, valid=y_ok and eta_ok,
-                        bound=bound)
 
 
 @dataclass(frozen=True)

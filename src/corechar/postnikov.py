@@ -1,4 +1,4 @@
-"""Truncated-logarithm representation of characters and the bound ledger.
+"""Truncated-logarithm representation of characters and the bound shapes.
 
 The central identity here represents a primitive character on the
 principal congruence subgroup: chi(1 + tau*core*x) = e(f(x)) with
@@ -14,21 +14,20 @@ representatives before returning, all as array passes over blocks of rows.
 The module also evaluates the two competing character-sum bound shapes
 (the rho^{-2}-savings bound and the older rho^{-2}/log-rho one) and their
 nontriviality thresholds, the older one's by one array scan of its grid
-that returns the scalar scan's bits, plus the parameter ledger (rho, mu,
-s, d, L) that drives the double-sum machinery.
+that returns the scalar scan's bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import as_modulus, exp_or_inf
+from .arith import as_modulus
 from .characters import DirichletCharacter, _columns, _numerator_rows, _primitive_rows, character_rows
 from .expsums import RealPolynomial, _phase_numerators
 
@@ -40,10 +39,6 @@ __all__ = [
     "postnikov_multipliers",
     "shifted_poly",
     "TruncatedLogPolynomial",
-    "BoundParameters",
-    "bound_parameters",
-    "main_bound",
-    "iwaniec_bound",
     "main_bound_log",
     "iwaniec_bound_log",
     "nontriviality_threshold_main",
@@ -306,86 +301,8 @@ def shifted_poly(chi: DirichletCharacter, n: int, s: int, d: int) -> TruncatedLo
 
 
 # ---------------------------------------------------------------------------
-# The parameter ledger and bound evaluators
+# Bound evaluators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundParameters:
-    """The working constants behind the double-sum bound for a given (q, N).
-
-    rho solves N^rho = q, mu solves q = core^(mu*gamma), s is the shift
-    exponent floor(eps*gamma/rho), d0 = 2*gamma is the representation
-    degree, script_l = floor(1.5*log(2*gamma)) the valuation slack, and
-    d = floor((gamma + script_l)/s) the effective Weyl degree (0 when the
-    desk-scale inputs drive s to 0).  ``diagnostics`` lists every
-    asymptotic precondition the inputs violate; formulas are still
-    evaluated exactly as written.
-    """
-
-    q: int
-    n_length: int
-    epsilon: Fraction
-    gamma0: int
-    xi0: float
-    rho: float
-    mu: float
-    s: int
-    d0: int
-    d: int
-    script_l: int
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
-
-
-def bound_parameters(q, N: int, *, epsilon: Fraction = Fraction(1, 200),
-                     gamma0: int = 2, xi0: float = 1e-4) -> BoundParameters:
-    """Assemble the parameter ledger, reporting violated preconditions."""
-    mod = as_modulus(q)
-    if mod.q <= 1 or N <= 1:
-        raise ValueError("need q >= 2 and N >= 2")
-    gamma = mod.gamma_max
-    epsilon = Fraction(epsilon)
-    log_q = math.log(mod.q)
-    log_n = math.log(N)
-    rho = log_q / log_n
-    mu = log_q / (gamma * math.log(mod.core))
-    # floor with a tiny snap: eps*gamma/rho is often exactly integral for
-    # power-of-a-common-base inputs, where float noise must not drop s by 1
-    shift_target = float(epsilon) * gamma / rho
-    if abs(shift_target - round(shift_target)) < 1e-9:
-        shift_target = float(round(shift_target))
-    s = math.floor(shift_target)
-    d0 = 2 * gamma
-    script_l = math.floor(1.5 * math.log(d0))
-    d = (gamma + script_l) // s if s >= 1 else 0
-
-    diags: list[str] = []
-    if 10 * mod.gamma_min < 7 * gamma:
-        diags.append("core condition violated: min valuation < 0.7 * gamma")
-    if gamma < gamma0:
-        diags.append(f"gamma = {gamma} < gamma0 = {gamma0}")
-    if gamma0 < math.e**200:
-        diags.append("gamma0 below the asymptotic regime e^200 (desk scale)")
-    if epsilon > Fraction(1, 200):
-        diags.append("epsilon > 1/200")
-    if float(epsilon) * gamma0 < 2:
-        diags.append("epsilon * gamma0 < 2")
-    if float(epsilon) * gamma / rho < 2:
-        diags.append("epsilon * gamma / rho < 2: the shift bracket fails")
-    if s == 0:
-        diags.append("s = 0: ledger degenerate at this scale")
-    if d < 200:
-        diags.append(f"d = {d} < 200: Weyl degree below the Ford regime")
-    if not 0.7 <= mu <= 1.0 + 1e-12:
-        diags.append(f"mu = {mu:.6f} outside [0.7, 1]")
-    if log_n < gamma0 * math.log(mod.core):
-        diags.append("N < core^gamma0")
-
-    return BoundParameters(
-        q=mod.q, n_length=N, epsilon=epsilon, gamma0=gamma0, xi0=xi0,
-        rho=rho, mu=mu, s=s, d0=d0, d=d, script_l=script_l,
-        diagnostics=tuple(diags),
-    )
 
 
 def _log_modulus(q) -> float:
@@ -409,10 +326,6 @@ def main_bound_log(q, N: int, xi0: float) -> float:
     return (1.0 - xi0 / rho**2) * math.log(N)
 
 
-def main_bound(q, N: int, xi0: float) -> float:
-    return exp_or_inf(main_bound_log(q, N, xi0))
-
-
 def iwaniec_bound_log(q, N: int, a: float, xi0: float) -> float:
     """log of exp(a rho (1+log rho)^2) * N^(1 - xi0/(rho^2 log rho)); rho > 1."""
     rho = _rho(q, N)
@@ -420,10 +333,6 @@ def iwaniec_bound_log(q, N: int, a: float, xi0: float) -> float:
         raise ValueError(f"rho = {rho} <= 1: log rho <= 0")
     lr = math.log(rho)
     return a * rho * (1.0 + lr) ** 2 + (1.0 - xi0 / (rho**2 * lr)) * math.log(N)
-
-
-def iwaniec_bound(q, N: int, a: float, xi0: float) -> float:
-    return exp_or_inf(iwaniec_bound_log(q, N, a, xi0))
 
 
 def nontriviality_threshold_main(q, xi0: float) -> float:

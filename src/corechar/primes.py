@@ -66,10 +66,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import as_modulus, factor, pow_or_inf
+from .arith import as_modulus, pow_or_inf
 
 __all__ = [
-    "von_mangoldt",
     "psi_progression",
     "psi",
     "PsiCounts",
@@ -84,18 +83,6 @@ _REPEAT_CHUNK = 1 << 12  # primes per np.repeat index array
 _LOG_CHUNK = 1 << 16  # primes per math.log chunk
 _TABLE_CAP = 1 << 22  # the prime table's largest limit
 _CLASSES_CAP = 1 << 22  # most classes mod q in one psi_by_class result
-
-
-def von_mangoldt(n: int) -> float:
-    """log r when n is a power of the prime r, else 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0.0
-    facs = factor(n)
-    if len(facs) != 1:
-        return 0.0
-    return math.log(facs[0][0])
 
 
 def _over(p: np.ndarray, q: int, a: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from corechar.arith import (
     discrete_log,
     dlog_table,
     factor,
-    satisfies_core_condition,
     unit_group_basis,
     valuation,
 )
@@ -54,15 +53,6 @@ def test_factored_modulus_fields():
     m = FactoredModulus.from_int(2187)
     assert m.core == 3 and m.tau == 1 and m.gamma_max == 7
     assert FactoredModulus.from_int(1).core == 1
-
-
-def test_core_condition_exact_rational():
-    assert satisfies_core_condition(FactoredModulus.from_int(3**10), 5)
-    assert not satisfies_core_condition(FactoredModulus.from_int(2**10 * 3**2), 5)
-    assert not satisfies_core_condition(FactoredModulus.from_int(3**10), 11)
-    # the 7/10 threshold is exact: 7/10 of gamma=10 is 7, so min valuation 7 passes
-    assert satisfies_core_condition(FactoredModulus.from_int(2**7 * 3**10), 5)
-    assert not satisfies_core_condition(FactoredModulus.from_int(2**6 * 3**10), 5)
 
 
 def test_unit_group_basis_examples():

@@ -124,6 +124,8 @@ def test_non_finite_number_is_an_error(argv, capsys):
     # L points whose Hurwitz block would not fit in memory
     (["lfunc-eval", "--q", "3", "--chi", "quadratic", "--sigma", "1", "--t", "1e12"], None),
     (["lfunc-eval", "--q", "3", "--chi", "quadratic", "--sigma", "1", "--t", "1e300"], None),
+    # a double sum of P^2 = 10^10 pairs, refused before it is built
+    (None, {"coefficients": ["1/3", "1/5"], "k": 1, "P": 100000}),
 ])
 def test_malformed_input_is_an_error(arg, spec, tmp_path, capsys):
     """arg is a character object for char-sum, a whole argv, or None for a

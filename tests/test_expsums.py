@@ -173,6 +173,12 @@ def test_double_sum_examples():
     for P in (1, 3, 7):
         res = double_sum(RealPolynomial.make([0, Fraction(1, 3), Fraction(2, 7)]), P)
         assert res.abs <= P * P + 1e-12
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="exceeds"):  # P^2 = 2^26 + 2^14 + 1 pairs
+        double_sum(RealPolynomial.make([0, Fraction(1, 3)]), 2**13 + 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the grid is built
 
 
 def test_double_sum_float_coefficients():
@@ -622,9 +628,10 @@ def _decompose_v_term_by_term(chi, M, N, G, s):
     q, P = chi.q, chi.modulus.core**s
     Pyz = np.array([P * y * z for y in range(1, P + 1) for z in range(1, P + 1)])
     lo, hi = M + P, M + N + P**3
+    dtype = np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object
     re, im = [], []
     for x0 in range(lo + 1, hi + 1, _BLOCK):
-        xs = np.array(range(x0, min(x0 + _BLOCK, hi + 1)), dtype=np.int64 if hi < 1 << 63 else object)
+        xs = np.array(range(x0, min(x0 + _BLOCK, hi + 1)), dtype=dtype)
         k = (xs - M).astype(np.int64)[:, None]
         K = ((k - N <= Pyz) & (Pyz < k)).sum(axis=1)
         t = np.multiply(chi.value_table[1][(xs % q).astype(np.int64)], np.exp(2j * np.pi * G.phases(xs)))
@@ -662,7 +669,7 @@ def test_decompose_walks_the_runs_when_shorter(monkeypatch, q, M, N, s, coeffs, 
     yz = (P * np.outer(np.arange(1, P + 1), np.arange(1, P + 1))).ravel()
     grid = []
     for n in ns:
-        xs = n + yz.astype(np.int64 if M + N + P**3 < 1 << 63 else object)
+        xs = n + yz.astype(np.int64 if -(1 << 63) <= M and M + N + P**3 < 1 << 63 else object)
         t = _chi_values(chi, xs) * np.exp(2j * np.pi * G.phases(xs))
         grid += [math.fsum(t.real) + 1j * math.fsum(t.imag)]
     expected = complex(math.fsum(z.real for z in grid), math.fsum(z.imag for z in grid))
@@ -704,3 +711,19 @@ def test_float_twist_refused_where_x_rounds():
     with pytest.raises(ValueError, match=r"past 2\^53"):
         decompose(chi27, 2**53 - 200, 100, G, 2)  # V's walk reaches x = 2^53 - 100 + 729
     decompose(chi27, 2**53 - 900, 100, G, 2)
+
+
+def test_windows_below_minus_2_63_run_on_python_ints(monkeypatch):
+    """A window starting below -2^63 sums as the same window moved up by
+    whole periods into M >= 0: twisted_sum's exact histogram over the period
+    lcm(27, 10^9 + 7), and the V of decompose's runs over lcm(30, 7) = 210,
+    bit for bit."""
+    import corechar.expsums as expsums
+    M = -2**70
+    chi = enumerate_characters(27, primitive_only=True)[0]
+    G = RealPolynomial.make([0, Fraction(1, 10**9 + 7)])
+    low, high = twisted_sum(chi, M, 10, G), twisted_sum(chi, M % (27 * (10**9 + 7)), 10, G)
+    assert low.mode == high.mode == "exact" and low.exact_angle_terms == high.exact_angle_terms
+    monkeypatch.setattr(expsums, "_shift_weights", None)  # the runs, not the walk
+    chi, G = enumerate_characters(30)[-1], RealPolynomial.make([0, Fraction(1, 7)])
+    assert decompose(chi, M, 40, G, 2).v_value == decompose(chi, M % 210, 40, G, 2).v_value

@@ -18,10 +18,8 @@ from corechar.lfunc import (
     l_grid_min,
     l_value,
     l_value_series,
-    lemma8_check,
     theorem3_bound,
     vartheta_shape,
-    zero_count_rectangle,
     zero_free_params,
     zero_scan_report,
 )
@@ -133,7 +131,7 @@ def test_l_principal_pole_handling():
 
 
 def test_zero_scan_q3():
-    assert zero_count_rectangle(3, 0.9, 5.0) == 0
+    assert zero_scan_report(3, 0.9, 5.0)["total_zeros"] == 0
     grid = l_grid_min(3, 0.9, 5.0)
     assert grid["min_abs"] > 0.0
 
@@ -147,7 +145,7 @@ def test_zero_scan_q27_with_grid_confirmation():
 
 
 def test_zero_scan_thin_rectangle():
-    assert zero_count_rectangle(9, 0.995, 1.0) == 0
+    assert zero_scan_report(9, 0.995, 1.0)["total_zeros"] == 0
 
 
 def test_zero_scan_raises_on_zeros_on_the_contour():
@@ -192,9 +190,9 @@ def test_scans_build_no_value_table():
 
 def test_zero_scan_validates_input():
     with pytest.raises(ValueError):
-        zero_count_rectangle(27, 0.3, 5.0)
+        zero_scan_report(27, 0.3, 5.0)
     with pytest.raises(ValueError):
-        zero_count_rectangle(27, 0.9, 0.5)
+        zero_scan_report(27, 0.9, 0.5)
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 2**7, 3**5, 27, 45, 72, 864, 2592])
@@ -594,11 +592,10 @@ def test_principal_l_drops_non_units(q):
 
 
 def test_ell_context():
-    """theorem3_bound and lemma8_check report ell = log(q (|t| + 3))."""
+    """theorem3_bound reports ell = log(q (|t| + 3))."""
     for t in (2.0, -2.0):
         ell = math.log(27 * 5.0)
         assert abs(theorem3_bound(27, 0.1, t).ell - ell) < 1e-12
-        assert abs(lemma8_check(27, Y=10.0, eta=0.1, t=t).ell - ell) < 1e-12
 
 
 def test_theorem3_bound_shapes():
@@ -613,27 +610,6 @@ def test_theorem3_bound_shapes():
     assert rep2.term_ell23 >= rep2.term_eta32
     with pytest.raises(ValueError):
         theorem3_bound(q, 0.7, 0.0)
-
-
-def test_lemma8_check():
-    q = 3**30
-    # eta above the ceiling: invalid
-    rep = lemma8_check(q, Y=float(3**40), eta=0.4, t=0.0, gamma0=2, xi0=1e-4, c0=1.0)
-    assert not rep.valid and not rep.eta_below_ceiling
-    # Y = core^gamma0 exactly and eta tiny: bound close to 1/eta
-    rep = lemma8_check(q, Y=9.0, eta=1e-9, t=0.0, gamma0=2, xi0=1e-4, c0=1.0)
-    assert rep.y_large_enough
-    assert rep.bound == pytest.approx(1e9, rel=1e-6)
-    # the three-way Y recipe satisfies the window for a large constant
-    for eta in (1e-3, 1e-2):
-        ell = lfunc._ell(q, 0.0)
-        log_y = 400.0 * max(math.log(3), math.sqrt(eta) * ell,
-                            ell ** (2 / 3) * math.log(ell) ** (1 / 3))
-        rep = lemma8_check(q, eta=eta, t=0.0, log_y=log_y,
-                           gamma0=2, xi0=1e-2, c0=1.0)
-        assert rep.valid, (eta, rep.eta_ceiling)
-    with pytest.raises(ValueError):
-        lemma8_check(q, Y=None, eta=0.1, t=0.0)
 
 
 def test_zero_free_params():

@@ -1,4 +1,4 @@
-"""The representation identity, its multiplier, and the bound ledger."""
+"""The representation identity, its multiplier, and the bound shapes."""
 
 import math
 import random
@@ -11,13 +11,10 @@ from corechar import postnikov
 from corechar.arith import DLOG_TABLE_CAP, FactoredModulus, as_modulus, crt_combine, valuation
 from corechar.characters import character_rows, characters_of_rows, enumerate_characters, principal_character
 from corechar.postnikov import (
-    bound_parameters,
     fd_coefficients,
     fd_eval,
     find_postnikov_m,
-    iwaniec_bound,
     iwaniec_bound_log,
-    main_bound,
     main_bound_log,
     minimal_postnikov_degree,
     nontriviality_threshold_iwaniec,
@@ -322,47 +319,17 @@ def test_shifted_poly_errors():
         shifted_poly(chi, 2, 1, 6)  # s < 2
 
 
-def test_bound_parameters_examples():
-    params = bound_parameters(3**100, 3**20, epsilon=Fraction(1, 2))
-    assert abs(params.rho - 5.0) < 1e-12
-    assert abs(params.mu - 1.0) < 1e-12
-    assert params.s == math.floor(0.5 * 20)
-    assert params.script_l == 7  # floor(1.5 log 200)
-    assert params.d0 == 200
-
-    # rho = 1 when N = q
-    params = bound_parameters(3**50, 3**50, epsilon=Fraction(1, 200))
-    assert abs(params.rho - 1.0) < 1e-12
-
-    # default epsilon drives s to 0 here and the ledger reports it
-    params = bound_parameters(3**100, 3**20)
-    assert params.s == 0 and params.d == 0
-    assert any("s = 0" in msg for msg in params.diagnostics)
-
-
-def test_bound_parameter_invariants_when_in_regime():
-    eps = Fraction(1, 10)
-    params = bound_parameters(3**200, 3**43, epsilon=eps, gamma0=20)
-    target = 20 * 43 / 200  # eps * gamma / rho = 4.3, away from the floor boundary
-    # the floor bracket (1/2) eps gamma / rho <= s <= eps gamma / rho
-    assert target / 2 <= params.s <= target
-    assert params.s == 4
-    assert params.d == (200 + params.script_l) // params.s
-    assert 0.7 <= params.mu <= 1.0
-
-
 def test_main_and_iwaniec_bounds():
     q, n = 3**50, 3**50
-    assert abs(main_bound(q, n, 1e-4) - n ** (1 - 1e-4)) < 1e-6 * n ** (1 - 1e-4)
+    assert abs(main_bound_log(q, n, 1e-4) - (1 - 1e-4) * math.log(n)) < 1e-6
     # main bound is nontrivial (< N) for any xi0 > 0
-    assert main_bound(q, n, 1e-4) < n
+    assert main_bound_log(q, n, 1e-4) < math.log(n)
     with pytest.raises(ValueError):
-        iwaniec_bound(3**10, 3**10, 1.0, 1e-4)  # rho = 1
-    val = iwaniec_bound(3**40, 3**10, 1.0, 1e-2)
+        iwaniec_bound_log(3**10, 3**10, 1.0, 1e-4)  # rho = 1
     rho = 4.0
     expected_log = 1.0 * rho * (1 + math.log(rho)) ** 2 \
         + (1 - 1e-2 / (rho**2 * math.log(rho))) * 10 * math.log(3)
-    assert abs(math.log(val) - expected_log) < 1e-9
+    assert abs(iwaniec_bound_log(3**40, 3**10, 1.0, 1e-2) - expected_log) < 1e-9
 
 
 def test_savings_exponent_monotone_in_n():

@@ -1,4 +1,4 @@
-"""Von Mangoldt, psi over progressions, and the short-interval comparison."""
+"""Psi over progressions and the short-interval comparison."""
 
 import json
 import math
@@ -25,16 +25,7 @@ from corechar.primes import (
     psi_by_class,
     psi_progression,
     short_interval_check,
-    von_mangoldt,
 )
-
-
-def test_von_mangoldt_examples():
-    assert von_mangoldt(8) == math.log(2)
-    assert von_mangoldt(6) == 0.0
-    assert von_mangoldt(7) == math.log(7)
-    assert von_mangoldt(1) == 0.0
-    assert von_mangoldt(2187) == math.log(3)
 
 
 def test_psi_10():
