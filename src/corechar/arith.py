@@ -101,15 +101,14 @@ class FactoredModulus:
     """A modulus together with its factorization and core data.
 
     ``core`` is the product of the distinct primes dividing q,
-    ``gamma_max``/``gamma_min`` the extreme prime valuations, and
-    ``tau`` is 2 when 4 | q and 1 otherwise.
+    ``gamma_max`` the largest prime valuation, and ``tau`` is 2 when
+    4 | q and 1 otherwise.
     """
 
     q: int
     factors: tuple[tuple[int, int], ...]
     core: int
     gamma_max: int
-    gamma_min: int
     tau: int
 
     @classmethod
@@ -120,13 +119,11 @@ class FactoredModulus:
         cr = 1
         for p, _ in facs:
             cr *= p
-        exps = [e for _, e in facs]
         return cls(
             q=q,
             factors=facs,
             core=cr,
-            gamma_max=max(exps, default=0),
-            gamma_min=min(exps, default=0),
+            gamma_max=max((e for _, e in facs), default=0),
             tau=2 if q % 4 == 0 else 1,
         )
 

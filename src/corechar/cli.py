@@ -233,6 +233,10 @@ def cmd_postnikov_verify(args, cfg: RunConfig) -> dict:
 def cmd_bound_compare(args, cfg: RunConfig):
     gammas = [int(g) for g in args.gammas.split(",")]
     base = args.base
+    if base < 2:
+        raise ValueError(f"--base must be >= 2, got {base}")
+    if min(gammas) < 1:
+        raise ValueError(f"--gammas must each be >= 1, got {min(gammas)}")
     rows = []
     for gamma in gammas:
         q = base**gamma

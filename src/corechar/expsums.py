@@ -10,52 +10,49 @@ Every window (M, M+N] is walked in the blocks of ``_spans``, and a reader
 (n0, size) -> array gives a block's numerators or terms.  chi and a rational
 twist e(G(n)) depend on n only mod q and mod den, so neither takes an n mod
 m or a gather per block: a value-table character is tiled from its table
-into the block (``_tile``), and a tabled twist is read as slices of one
-periodic extension per call where its table is shorter than a block
-(``_periodic``).  Only the readers that need n itself take an array of the
-block's integers (``_arange``): chi above the value-table cap, Horner's rule
-for a large den, and n^{it}.
+into the block (``_tile``), and a twist with den <= min(N, _BLOCK), N
+the number of terms twisted, is read as slices of one periodic extension
+per call (``_periodic``) of its ``_residue_table``: G's numerators at the
+den residues, and in float mode e(G(r)) at them, bit for bit the per-term
+values.  Only the readers that need n itself take an array of the block's
+integers (``_arange``): chi above the value-table cap, Horner's rule for a
+larger den, and n^{it}.  An exact twisted window has one reader,
+``_twisted_numerators``: a chi part plus a twist part, reduced once.
 
-``_window_histogram`` counts an exact window block by block, and whole
-periods (q, or lcm(q, den) under a twist) once.  ``_exact_sum`` keeps that
-histogram (numpy arrays), reads it as ``exact_angle_terms``, and takes its
-value from ``root_values`` chunk by chunk, rounded once by ``_fsum``'s
-integer bins: math.fsum's bits (``_root_sum``).  Float mode has one reducer,
-``_window_sum``: block sums combined left to right, so a result depends only
-on the window and the summand; a sum that is not finite raises.
-``decompose``'s V sums float ``twisted_sum``'s terms weighted by
-``_shift_weights``, and the head of ``lfunc.l_value_series`` is one over the
-blocks' integers (``_blocked_sum``).
-
-A rational twist has a table when den <= min(N, _BLOCK), N the number of
-terms twisted: G's numerators at the den residues (``_residue_table``), and
-in float mode e(G(r)) at them, bit for bit the per-term values.  A larger
-den runs Horner's rule term by term.
+``_window_histogram`` counts an exact window in collections of at most
+``_UNIQUE_CAP`` terms, one sort each, and whole periods (q, or lcm(q, den)
+under a twist) once.  ``_exact_sum`` keeps that histogram (numpy arrays),
+reads it as ``exact_angle_terms``, and takes its value from ``root_values``
+chunk by chunk: counts times roots, their sum rounded once by ``_fsum``'s
+integer bins (``_root_sum``), within the bound that ``_exact_sum`` derives.
+Float mode has one reducer, ``_window_sum``: block sums combined left to
+right, so a result depends only on the window and the summand; a sum that
+is not finite raises.  ``decompose``'s V sums float ``twisted_sum``'s terms
+weighted by ``_shift_weights``, and the head of ``lfunc.l_value_series`` is
+one over the blocks' integers (``_blocked_sum``).
 
 The workspace.  Each thread holds one ``_Workspace``, made once: two regions
 of doubles, 2 MiB and 1 MiB (``_REGIONS``).  The first holds a window's
 twist extension (up to 2 _BLOCK complex entries); the second a block's
 terms: chi tiled from its table, its product with the twist, or an exact
-block's t and t - D.  Once a window is counted, the same pages hold one
-chunk of ``_FSUM_CHUNK`` angles of ``_exact_sum`` (roots, weights, products,
-``_den_gcd``'s two arrays) and ``_bin``'s three arrays; ``_TWIST`` and the
-names after it give each place.  Each region stays below numpy's 4 MiB
-huge-page threshold, so only the pages a call touches become resident.  It
-exists because fresh block-sized arrays cost page faults: each oracle or
-caller that frees large arrays lets glibc return their pages, and every
-window faulted its extensions and products in again, at about 1.94 us per
-4 KiB page (a cold 1 MiB allocate-and-fill 550 us, a warm fill 54 us, on a
-2-vCPU VM), a third of a float window's time.  No view of it escapes a
-call: readers hand their views only to the reducers here, every
-``SumResult`` value is a Python complex, and every ``AngleCounts`` array is
-a fresh array of the caller's own.  Within a thread one window at a time
-uses it, so a reader is spent before the next window starts.
+block's t and t - D.  Once a window is counted, the same pages hold the
+value's chunks (``_TWIST`` and the names after it give each place).  Each
+region stays below numpy's 4 MiB huge-page threshold, so only the pages a
+call touches become resident.  It exists because fresh block-sized arrays
+cost page faults: each oracle or caller that frees large arrays lets glibc
+return their pages, and every window faulted its extensions and products in
+again, at about 1.94 us per 4 KiB page (a cold 1 MiB allocate-and-fill
+550 us, a warm fill 54 us, on a 2-vCPU VM), a third of a float window's time.
+No view of it escapes a call: readers hand their views only to the reducers
+here, every ``SumResult`` value is a Python complex, and every
+``AngleCounts`` array is a fresh array of the caller's own.  Within a thread
+one window at a time uses it, so a reader is spent before the next window
+starts.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import threading
 from collections.abc import Mapping
@@ -272,7 +269,7 @@ def _merge(numerators: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
 
     A function of its own so that its temporaries are freed before
     ``_exact_sum`` takes ``root_values``."""
-    # numpy's stable sort (timsort) merges sorted runs: cheap on a window's block histograms
+    # numpy's stable sort (timsort) merges sorted runs: cheap on a window's histograms
     order = np.argsort(numerators, kind="stable")
     a, counts = numerators[order], counts[order]
     first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))[:len(a)]
@@ -375,16 +372,22 @@ def _weighted_roots(a: np.ndarray, counts: np.ndarray, den: int):
 
 
 def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
-    """Exact-mode result for the terms e(numerators[i]/den), counts[i] of
-    each, every numerator in [0, den).
+    """Exact-mode result for the terms e(numerators[i]/den), counts[i] >= 1
+    of each, every numerator in [0, den).
 
     Numerators equal mod den merge before the value is taken, unless they
     are distinct and ascending already.  They are int64 while den < 2^62 and
-    Python ints beyond; counts keep their dtype."""
+    Python ints beyond; counts keep their dtype.
+
+    The histogram is exact; the value is not the exact sum rounded once.
+    ``_root_sum`` rounds each count (exact below 2^53), each part r of a
+    root to r' with |r' - r| <= E u, u = 2^-53, and each product; only the
+    products' sum is exact, rounded once.  E = 6 pi + 2 while den < 2^53
+    (three roundings of theta = 2 pi a/d < 2 pi; np.sin and np.cos within
+    2 ulp) and 10 pi + 2 beyond, where a/g and d round too.  So each part
+    of the value is within (E + 2) n u + |part| u of the true part, n =
+    sum(counts) <= term_count: 23 n u below den = 2^53, 36 n u beyond."""
     a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object)
-    keep = counts != 0
-    if not keep.all():
-        a, counts = a[keep], counts[keep]
     if (a[1:] <= a[:-1]).any():
         a, counts = _merge(a, counts)
     return SumResult(_root_sum(a, counts, den), term_count, "exact", AngleCounts(a, counts, den))
@@ -469,22 +472,13 @@ def _periodic(table: np.ndarray, N: int, at: tuple[int, int]):
     """(n0, size) -> table[(n0 + i) mod m], i < size, m = len(table), for the
     blocks of a window of N terms, read as a slice and never by a gather.
 
-    With b = min(N, _BLOCK) the longest block: when m < b a block may wrap m
-    more than once, and every block is a slice of one periodic extension of
-    b + m - 1 entries (start n0 mod m <= m - 1, end below m - 1 + b), made
-    in the workspace from ``at`` on (``_extend``).  Otherwise a block wraps
-    m at most once: a slice of table, or its two ends joined there."""
-    m, b = len(table), min(N, _BLOCK)
-    if m < b:
-        ext = _extend(table, b + m - 1, at)
-        return lambda n0, size: ext[n0 % m:n0 % m + size]
-
-    def read(n0, size):
-        r = n0 % m
-        if r + size <= m:
-            return table[r:r + size]
-        return np.concatenate((table[r:], table[:r + size - m]), out=_WS.take(at, size, table.dtype))
-    return read
+    With b = min(N, _BLOCK) the longest block, each block is a slice of one
+    periodic extension of b + m - 1 entries (start n0 mod m <= m - 1, end
+    below m - 1 + b), made in the workspace from ``at`` on (``_extend``):
+    at most 2 _BLOCK - 1 entries, as a residue table has m <= b."""
+    m = len(table)
+    ext = _extend(table, min(N, _BLOCK) + m - 1, at)
+    return lambda n0, size: ext[n0 % m:n0 % m + size]
 
 
 def _extend(table: np.ndarray, length: int, at: tuple[int, int]) -> np.ndarray:
@@ -548,81 +542,85 @@ def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: i
     """(n0, size) -> t(n) for the n of the block, chi(n) e(G(n)) = e(t(n)/D),
     t negative where chi(n) = 0.
 
-    t(n) = A(n) D/L + num(n) D/den mod D, L = chi.order, with both addends
-    below D.  When chi's value table and ``_residue_table`` are no longer
-    than a block and D < 2^62, both addends come from D-scaled tables (-D
-    off the units): chi's tiled into the workspace's block, the twist's
-    added from periodic slices, and one conditional subtraction of D (an
-    unsigned minimum with t - D) reduces their sum.  Otherwise t is taken
-    over the units of each block as A D/L + num D/den, mod D: int64 while
-    D < 2^62, Python ints beyond, num read from periodic slices of the
-    residue table when there is one and by Horner's rule otherwise."""
+    t(n) = A(n) D/L + num(n) D/den mod D, L = chi.order: a chi part and a
+    twist part, each below D, added and reduced by one conditional
+    subtraction of D.  The chi part (-D off the units) is chi's D-scaled
+    value table tiled into the block when q <= _BLOCK and D < 2^62, else
+    ``_chi_reader``'s numerators times D/L.  The twist part is periodic
+    slices of ``_residue_table`` (scaled by D/den beforehand while
+    D < 2^62), else Horner's rule.  t is int64 while D < 2^62 and Python
+    ints beyond."""
     (nums, den), L = G.angle_data(), chi.order
     table = _residue_table(G, N)
-    if table is not None and chi.q <= _BLOCK and D < 1 << 62:
+    wide = D >= 1 << 62
+    dtype = object if wide else np.int64
+    if chi.q <= _BLOCK and not wide:
         A = chi.value_table[0]
-        chi_part = np.where(A >= 0, A * (D // L), -D)
+        scaled = np.where(A >= 0, A * (D // L), -D)
+
+        def chi_part(n0, size):
+            return _tile(scaled, n0 % len(scaled), _WS.take(_TERMS, size, np.int64))
+    else:
+        chi_numerators = _chi_reader(chi)
+
+        def chi_part(n0, size):
+            A = chi_numerators(n0, size)
+            return np.where(A >= 0, A.astype(dtype, copy=False) * (D // L), -D)
+    if table is None:
+        def twist_part(n0, size):
+            return _phase_numerators(nums, den, _arange(n0, size)).astype(dtype, copy=False) * (D // den)
+    elif wide:
+        slices = _periodic(table, N, _TWIST)
+
+        def twist_part(n0, size):
+            return slices(n0, size).astype(object) * (D // den)
+    else:
         twist_part = _periodic(table * (D // den), N, _TWIST)
 
-        def scaled(n0, size):
-            t = _tile(chi_part, n0 % len(chi_part), _WS.take(_TERMS, size, np.int64))
-            t += twist_part(n0, size)
-            # t - D as uint64 wraps above t where 0 <= t < D, so the unsigned
-            # minimum subtracts D exactly where t >= D; a negative t stays negative
-            less = np.subtract(t, D, out=_WS.take(_LESS, size, np.int64))
-            np.minimum(t.view(np.uint64), less.view(np.uint64), out=t.view(np.uint64))
-            return t
-        return scaled
-    dtype = np.int64 if D < 1 << 62 else object
-    chi_numerators = _chi_reader(chi)
-    if table is None:
-        def phase(n0, size, unit):
-            return _phase_numerators(nums, den, _arange(n0, size)[unit])
-    else:
-        read_table = _periodic(table, N, _TWIST)
-
-        def phase(n0, size, unit):
-            return read_table(n0, size)[unit]
-
     def read(n0, size):
-        A = chi_numerators(n0, size)
-        unit = A >= 0
-        return (A[unit].astype(dtype, copy=False) * (D // L)
-                + phase(n0, size, unit).astype(dtype, copy=False) * (D // den)) % D
+        t = chi_part(n0, size)
+        t += twist_part(n0, size)
+        if wide:
+            return np.where(t >= D, t - D, t)
+        # t - D as uint64 wraps above t where 0 <= t < D, so the unsigned
+        # minimum subtracts D exactly where t >= D; a negative t stays negative
+        less = np.subtract(t, D, out=_WS.take(_LESS, size, np.int64))
+        np.minimum(t.view(np.uint64), less.view(np.uint64), out=t.view(np.uint64))
+        return t
     return read
 
 
 def _window_histogram(read, M: int, N: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     """(numerators, counts) of the exact window of the terms e(t/den) over
     (M, M+N], t = read(n0, size) per block of ``_spans``, negative on a zero
-    term: each block's counts (``_runs``), concatenated and not merged.
+    term: the counts (``_runs``) of each collection of at most
+    ``_UNIQUE_CAP`` terms (``_collect``), concatenated and not merged.
 
     t depends on n only mod period, so N = k period + rem terms count the
-    histogram of (M, M+period] k times and that of (M, M+rem] once.  A
-    window of no whole period and at most ``_UNIQUE_CAP`` terms collects its
-    t in one buffer (``_collect``) and counts them at once: the merged
-    histogram.  The arrays returned are the caller's own."""
+    histogram of (M, M+period] k times and that of (M, M+rem] once.
+    ``_UNIQUE_CAP`` is a multiple of ``_BLOCK``, so the blocks are those of
+    ``_spans``, and a window of no whole period and at most ``_UNIQUE_CAP``
+    terms is one collection: distinct and ascending.  The arrays returned
+    are the caller's own."""
     k, rem = divmod(N, period)
-    if not k and N <= _UNIQUE_CAP:
-        return _runs(_collect(read, M, N))
     dtype = np.int64 if N < 1 << 63 else object  # no count exceeds N
     hists = [(a, c.astype(dtype, copy=False) * times)
              for times, n in ((k, period), (1, rem)) if times
-             for a, c in (_runs(t[t >= 0]) for t in itertools.starmap(read, _spans(M, n)))]
+             for i in range(0, n, _UNIQUE_CAP)
+             for a, c in [_runs(_collect(read, M + i, min(_UNIQUE_CAP, n - i)))]]
     return tuple(map(np.concatenate, zip(*hists)))
 
 
 def _collect(read, M: int, N: int) -> np.ndarray:
     """Every t of every block of (M, M+N], in one buffer of N entries, block
     after block."""
-    buf, end = None, 0
+    buf = None
     for n0, size in _spans(M, N):
         t = read(n0, size)
         if buf is None:
             buf = np.empty(N, dtype=t.dtype)
-        buf[end:end + len(t)] = t
-        end += len(t)
-    return buf[:end]
+        buf[n0 - M - 1:n0 - M - 1 + size] = t
+    return buf
 
 
 def _runs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -635,10 +633,7 @@ def _runs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first[:1] = True
     np.not_equal(t[1:], t[:-1], out=first[1:])
     first = np.flatnonzero(first)
-    counts = np.empty(len(first), dtype=first.dtype)
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = len(t) - first[-1:]
-    return t[first], counts
+    return t[first], np.diff(first, append=len(t))
 
 
 def _parts(t: np.ndarray) -> tuple[float, float]:
@@ -669,9 +664,12 @@ def _blocked_sum(block_terms, M: int, N: int) -> SumResult:
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
     """sum_{n=M+1}^{M+N} chi(n).
 
-    Exact whenever a value table fits or N <= ``_EXACT_CAP``: the block
-    histograms of one period q, counted once per whole period, and of the
-    remainder merge into one result.  Beyond that, float block sums.
+    Exact whenever a value table fits or N <= ``_EXACT_CAP``: the histograms
+    of one period q, counted once per whole period, and of the remainder
+    merge into one result.  Beyond that, float block sums.  The histogram is
+    exact; each part of the value is within 23 n 2^-53 of the true one (36
+    n 2^-53 from order 2^53 on), n the units counted, plus the last
+    rounding (``_exact_sum``).
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -49,7 +49,7 @@ def test_valuation_additive(m, n, p):
 
 def test_factored_modulus_fields():
     m = FactoredModulus.from_int(12)
-    assert m.core == 6 and m.tau == 2 and m.gamma_max == 2 and m.gamma_min == 1
+    assert m.core == 6 and m.tau == 2 and m.gamma_max == 2
     m = FactoredModulus.from_int(2187)
     assert m.core == 3 and m.tau == 1 and m.gamma_max == 7
     assert FactoredModulus.from_int(1).core == 1

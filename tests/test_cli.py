@@ -143,6 +143,27 @@ def test_malformed_input_is_an_error(arg, spec, tmp_path, capsys):
     assert out.out == "" and out.err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--base", "0"], "--base must be >= 2"),
+    (["--base", "-3"], "--base must be >= 2"),
+    (["--base", "1"], "--base must be >= 2"),
+    (["--gammas", "0"], "--gammas must each be >= 1"),
+    (["--gammas", "-1"], "--gammas must each be >= 1"),
+    (["--gammas", "100,0"], "--gammas must each be >= 1"),
+])
+def test_bound_compare_refuses_bad_base_or_gamma(flags, named, monkeypatch, capsys):
+    """A base below 2 or a gamma below 1 is refused by name before any row
+    is computed."""
+    from corechar import cli
+
+    rows = []
+    monkeypatch.setattr(cli, "nontriviality_threshold_main", lambda *a: rows.append(a))
+    assert main(["bound-compare", *flags]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {named}")
+    assert rows == []
+
+
 def test_determinism_repeated_runs():
     cmds = [
         ["vmvt-count", "3", "3", "5"],

@@ -31,6 +31,7 @@ from corechar.expsums import (
     _chi_values,
     _exact_sum,
     _phase_numerators,
+    _residue_table,
     _shift_weights,
     _spans,
     char_sum,
@@ -301,7 +302,8 @@ def test_decompose_with_a_twist_holds_one_block_of_memory():
 def test_aperiodic_exact_windows_take_no_merge(monkeypatch):
     """A window of no whole period is one np.unique over its numerators,
     distinct and ascending already, so _exact_sum merges nothing; a window
-    of whole periods still merges its block histograms."""
+    of whole periods still merges the histograms of the period and of the
+    remainder."""
     from corechar import expsums
 
     merges = []
@@ -407,6 +409,8 @@ def _second_primitive_character(q):
     (243, 10**6, 1000, [0, Fraction(1, 8), Fraction(3, 125)]),
     (729, 2**63 - 150, 300, [0, Fraction(1, 4), Fraction(2, 75)]),
     (729, 10**20, 300, [0, Fraction(1, 7), Fraction(2, 11)]),
+    # D = lcm(order, 35) >= 2^62 with den <= N: Python ints and a residue table
+    (3**40, 10**6, 70, [0, Fraction(1, 5), Fraction(2, 7)]),
 ])
 def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
     chi = _second_primitive_character(q)
@@ -421,6 +425,8 @@ def test_twisted_sum_exact_angles_term_by_term(q, M, N, coeffs):
     assert res.exact_angle_terms == expected
     if q == 81:
         assert math.lcm(chi.order, G.angle_data()[1]) >= 1 << 62
+    if q == 3**40:
+        assert math.lcm(chi.order, G.angle_data()[1]) >= 1 << 62 and _residue_table(G, N) is not None
 
 
 def test_exact_angle_terms_reads_as_counter():
@@ -555,6 +561,23 @@ def test_char_sum_whole_periods_at_ten_to_the_twenty():
                           np.concatenate((period.counts.astype(object) * k, tail.counts)),
                           chi.order, N)
     _assert_same_exact_result(char_sum(chi, M, N), expected)
+
+
+@pytest.mark.parametrize("q,N", [(9, 10**23), (27, 10**17), (27, 10**20)])
+def test_exact_char_sum_value_within_its_error_bound(q, N):
+    """An exact char_sum's histogram is exact, and each part of its value
+    lies within 23 n 2^-53 of the true part, n the units counted, plus the
+    last rounding (``_exact_sum``).  Whole periods of a nonprincipal
+    character sum to 0, so the reference is the sum over the remainder
+    alone, within the same bound over its own units."""
+    chi = enumerate_characters(q, primitive_only=True)[1]
+    k, rem = divmod(N, q)
+    res, ref = char_sum(chi, 0, N), char_sum(chi, k * q, rem)
+    n, n_ref = (sum(r.exact_angle_terms.values()) for r in (res, ref))
+    assert res.mode == ref.mode == "exact" and n == k * chi.modulus.phi + n_ref
+    u = 2.0**-53
+    for got, want in ((res.value.real, ref.value.real), (res.value.imag, ref.value.imag)):
+        assert abs(got - want) <= 23 * (n + n_ref) * u + (abs(got) + abs(want)) * u, (got, want)
 
 
 @pytest.mark.parametrize("q,M,coeffs,k", [

@@ -228,7 +228,7 @@ READER_CASES = (
     # block starts next to every wrap: q and den below a block (extensions) ...
     + [(729, _Q729, M, 2 * _BLOCK + 3, [0, Fraction(2, 7), Fraction(1, 77)])
        for M in _edge_starts(729, _BLOCK)]
-    # ... and q, den = _BLOCK at least a block (slices, or two ends joined)
+    # ... and q, den = _BLOCK at least a block (den = _BLOCK: the longest extension)
     + [(2**17, _Q2_17, M, 2 * _BLOCK + 5, [0, Fraction(1, 3), Fraction(5, _BLOCK)])
        for M in _edge_starts(2**17, _BLOCK)]
     + [(2**17, _Q2_17, M, _TWISTED_EXACT_CAP + 9, [0, Fraction(1, 3), Fraction(5, _BLOCK)])
@@ -309,10 +309,10 @@ def test_decompose_takes_no_residues_per_block(monkeypatch):
 
 
 def test_periodic_extensions_stay_short(monkeypatch):
-    """An extension is made in the workspace only for a period shorter than
-    a block, and is shorter than a block plus that period: a 10-term window
-    at q = 2^20 extends only its 7-residue twist, to 10 + 7 - 1 entries,
-    and copies no character table."""
+    """An extension is made in the workspace for a tabled twist, whose
+    period is at most a block, and is shorter than a block plus that
+    period: a 10-term window at q = 2^20 extends only its 7-residue twist,
+    to 10 + 7 - 1 entries, and copies no character table."""
     made = []
     extend = expsums._extend
 
