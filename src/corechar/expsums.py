@@ -549,7 +549,7 @@ def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: i
     ``_chi_reader``'s numerators times D/L.  The twist part is periodic
     slices of ``_residue_table`` (scaled by D/den beforehand while
     D < 2^62), else Horner's rule.  t is int64 while D < 2^62 and Python
-    ints beyond."""
+    ints beyond, where the twist part is taken at the units alone."""
     (nums, den), L = G.angle_data(), chi.order
     table = _residue_table(G, N)
     wide = D >= 1 << 62
@@ -567,21 +567,25 @@ def _twisted_numerators(chi: DirichletCharacter, G: RealPolynomial, N: int, D: i
             A = chi_numerators(n0, size)
             return np.where(A >= 0, A.astype(dtype, copy=False) * (D // L), -D)
     if table is None:
-        def twist_part(n0, size):
-            return _phase_numerators(nums, den, _arange(n0, size)).astype(dtype, copy=False) * (D // den)
+        def twist_part(n0, size, at=slice(None)):
+            return _phase_numerators(nums, den, _arange(n0, size)[at]).astype(dtype, copy=False) * (D // den)
     elif wide:
         slices = _periodic(table, N, _TWIST)
 
-        def twist_part(n0, size):
-            return slices(n0, size).astype(object) * (D // den)
+        def twist_part(n0, size, at):
+            return slices(n0, size)[at].astype(object) * (D // den)
     else:
         twist_part = _periodic(table * (D // den), N, _TWIST)
 
     def read(n0, size):
         t = chi_part(n0, size)
-        t += twist_part(n0, size)
         if wide:
+            # on Python ints the twist is taken at the units alone, where
+            # t >= 0: a non-unit's t stays -D
+            units = t >= 0
+            t[units] += twist_part(n0, size, units)
             return np.where(t >= D, t - D, t)
+        t += twist_part(n0, size)
         # t - D as uint64 wraps above t where 0 <= t < D, so the unsigned
         # minimum subtracts D exactly where t >= D; a negative t stays negative
         less = np.subtract(t, D, out=_WS.take(_LESS, size, np.int64))

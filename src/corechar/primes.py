@@ -16,18 +16,19 @@ p -> count mapping.  All classes of a window are grouped by one sort of
 packed (residue, position) keys.
 
 The prime table.  One process-wide, read-only table holds the primes up to
-a limit and their math.log values.  A call for primes up to n past the
-limit grows it to the least power of two >= n, at most ``_TABLE_CAP`` =
-2^22: the same sieve applied to the new range alone, its base primes read
-from the table, and math.log taken of the new primes only.  At the cap it
-holds 295,947 primes, 4.5 MiB with their logs; growing it from empty takes
-about 18 ms to 2^20 and 63 ms to the cap (2-vCPU shared host, one run of
-each, best of 5), and then ``_primes_to(n)`` is a slice for n <= 2^22, so
-every window with hi <= 2^44 gets its base primes without sieving.  Every
-class of a window [0, hi] with hi <= 2^22 is read from the table, logs
-included; other windows sieve their primes and take their logs.  Its
-entries are primes <= 2^22 in int64 and their logs as doubles; both arrays,
-and every slice of them, are read-only.
+a limit and their math.log values, taken bit for bit as one numpy call per
+2^16 primes (``_math_logs``).  A call for primes up to n past the limit
+grows it to the least power of two >= n, at most ``_TABLE_CAP`` = 2^22: the
+same sieve applied to the new range alone, its base primes read from the
+table, and the logs taken of the new primes only.  At the cap it holds
+295,947 primes, 4.5 MiB with their logs; growing it from empty takes about
+6 ms to 2^20 and 23 ms to the cap, 15-19 ms of them from 2^20 on (2-vCPU
+shared host, two runs of each, best of 5), and then ``_primes_to(n)`` is a
+slice for n <= 2^22, so every window with hi <= 2^44 gets its base primes
+without sieving.  Every class of a window [0, hi] with hi <= 2^22 is read
+from the table, logs included; other windows sieve their primes and take
+their logs.  Its entries are primes <= 2^22 in int64 and their logs as
+doubles; both arrays, and every slice of them, are read-only.
 
 int64 exactness.  The sieve takes hi < 2^62 and raises beyond; a class
 whose modulus exceeds hi is first restated under the modulus hi + 1, so
@@ -58,6 +59,7 @@ below 2^63.  Every base prime p is at most sqrt(hi) < 2^31.  Then:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -80,9 +82,23 @@ __all__ = [
 _SEGMENT = 1 << 20  # terms of the progression per segment
 _FEW = 16  # a base prime with fewer strikes per segment strikes through np.repeat
 _REPEAT_CHUNK = 1 << 12  # primes per np.repeat index array
-_LOG_CHUNK = 1 << 16  # primes per math.log chunk
+_LOG_CHUNK = 1 << 16  # primes per log chunk
+_INVERSES_CAP = 1 << 12  # the largest q whose unit inverses are cached
 _TABLE_CAP = 1 << 22  # the prime table's largest limit
 _CLASSES_CAP = 1 << 22  # most classes mod q in one psi_by_class result
+
+
+@functools.lru_cache(maxsize=128)
+def _unit_inverses(q: int) -> np.ndarray:
+    """r^-1 mod q at every unit r mod q and 0 elsewhere, int32 and read-only,
+    for 2 <= q <= ``_INVERSES_CAP`` = 2^12: built once per q by ``_over``'s
+    tree over the units.  An entry holds at most 2^12 int32, 16 KiB, so
+    the 128 that the cache keeps hold at most 2 MiB."""
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    table = np.zeros(q, dtype=np.int32)
+    table[units] = _over(units, q, 1)
+    table.flags.writeable = False
+    return table
 
 
 def _over(p: np.ndarray, q: int, a: int) -> np.ndarray:
@@ -93,18 +109,17 @@ def _over(p: np.ndarray, q: int, a: int) -> np.ndarray:
     level down gives a child its parent's value times its sibling's product.
     A node's value is a·(product of its leaves)^-1, so a leaf's is a·p^-1.
     Every factor is below q, so every product below q^2, which int64 holds
-    while q < 2^31; from 2^31 on the tree is built of Python ints.  When
-    there are more p than residues mod q, the tree takes each residue that
-    occurs once, and every p reads its residue's value from a table of q.
+    while q < 2^31; from 2^31 on the tree is built of Python ints.
+
+    When there are more p than residues mod q and q <= ``_INVERSES_CAP`` =
+    2^12, every p reads p^-1 from the table of unit inverses mod q instead,
+    and a·p^-1 is a product below 2^24.  The tables (``_unit_inverses``)
+    are cached, 128 moduli and at most 2 MiB, so a window's sieve builds
+    none of its own; a larger q runs the tree on p.
     """
     x = p % q
-    if len(x) > q:
-        seen = np.zeros(q, dtype=bool)
-        seen[x] = True
-        residues = np.flatnonzero(seen)
-        table = np.zeros(q, dtype=np.int64)
-        table[residues] = _over(residues, q, a)
-        return table[x]
+    if len(x) > q and q <= _INVERSES_CAP:
+        return _unit_inverses(q)[x].astype(np.int64) * (a % q) % q
     if q >= 1 << 31:
         x = x.astype(object)
     tree = []
@@ -211,12 +226,22 @@ def _primes_in(lo: int, hi: int, base: np.ndarray, q: int = 1, a: int = 0) -> np
 
 
 def _math_logs(p: np.ndarray) -> np.ndarray:
-    """math.log of each entry, taken ``_LOG_CHUNK`` at a time, so no Python
-    list holds more."""
+    """math.log of each entry, bit for bit, as the real part of numpy's
+    complex log, ``_LOG_CHUNK`` entries at a time, so no complex temporary
+    exceeds 1 MiB.
+
+    numpy's complex log has no SIMD loop: it calls the C library's clog,
+    and glibc's clog of a real x >= 2 (imaginary part 0) is log(hypot(x, 0))
+    = log(x), the libm log that math.log calls.  int64 to float64 rounds to
+    nearest, as math.log(int) does through PyLong_AsDouble.  Measured on
+    x86-64: no difference from math.log at the 295,947 primes below 2^22
+    and at 2·10^5 seeded integers in [2^22, 2^62), with numpy's AVX512
+    dispatch on and off.  Real np.log is not math.log: its SIMD loops
+    differ from libm in the last bit, at 19 of those primes under AVX512."""
     logs = np.empty(len(p), dtype=np.float64)
     for i in range(0, len(p), _LOG_CHUNK):
-        chunk = p[i:i + _LOG_CHUNK]
-        logs[i:i + len(chunk)] = np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk))
+        z = p[i:i + _LOG_CHUNK].astype(np.complex128)
+        logs[i:i + len(z)] = np.log(z, out=z).real
     return logs
 
 
@@ -443,10 +468,10 @@ def _psi_values(primes: np.ndarray, counts: np.ndarray, bounds: list[int],
     an int to the nearest double, ties to even, as fsum rounds its exact sum,
     and the scaling by 2^-53 that follows is exact.
 
-    math.log, not np.log: the two differ in the last bit at 44 primes below
-    10^7.  ``logs``, when given, holds math.log(p) for every entry, as the
-    prime table does; else the logs are taken ``_LOG_CHUNK`` primes at a
-    time, so no Python list spans a whole class.
+    Each log is math.log(p), bit for bit: ``logs``, when given, holds it
+    for every entry, as the prime table does; else ``_math_logs`` takes it
+    ``_LOG_CHUNK`` primes at a time, as the real part of numpy's complex
+    log, which is the C library's log (real np.log is not).
     """
     cuts = np.asarray(bounds)
     sums = np.zeros(len(bounds) - 1, dtype=object)

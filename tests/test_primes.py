@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -342,13 +345,15 @@ def test_short_class_far_out_matches_miller_rabin():
         assert got.value == _fsum_counts(expected)
 
 
-@pytest.mark.parametrize("q", [2, 3, 2 * 3**4 * 2**5, 2 * (10**6 + 3), 2**31 - 2, 2**31, 2**40 + 30, 2**62 + 2])
+@pytest.mark.parametrize("q", [2, 3, 2 * 3**4 * 2**5, 2 * (10**6 + 3), 2**31 - 2, 2**31, 2**40 + 30, 2**62 + 2,
+                               primes._INVERSES_CAP + 2])
 def test_batch_inverse_matches_pow(q):
     """a·p^-1 mod q for units p, on both sides of the int64 bound q < 2^31,
-    at tree sizes odd and even."""
+    at tree sizes odd and even, and with more p than residues: from the
+    cached unit inverses at q = 2 and 3, by the tree on p above their cap."""
     rng = random.Random(q)
     units = [p for p in _primes_to(10**5).tolist() if q % p]
-    for size in (1, 2, 3, 1000, 1001):
+    for size in (1, 2, 3, 1000, 1001, 5000):
         p = np.array(rng.sample(units, size), dtype=np.int64)
         a = rng.randrange(1, q)
         assert _over(p, q, a).tolist() == [a * pow(r, -1, q) % q for r in p.tolist()]
@@ -356,22 +361,74 @@ def test_batch_inverse_matches_pow(q):
 
 @pytest.mark.parametrize("q", [14, 19, 20, 200])
 def test_batch_inverse_takes_each_residue_once(monkeypatch, q):
-    """With more base primes than residues mod q, the tree inverts each
-    residue that occurs once, and every prime reads its value back: the
-    same a·p^-1 mod q as pow, from one tree over the distinct residues."""
-    from corechar import primes
+    """With more base primes than residues mod q, every prime reads p^-1
+    from the cached table of unit inverses mod q, which one tree over the
+    units builds: the same a·p^-1 mod q as pow, and a second call at the
+    same q builds no tree."""
     sizes = []
 
     def counted(p, q, a):
         sizes.append(len(p))
         return _over(p, q, a)
     monkeypatch.setattr(primes, "_over", counted)
+    primes._unit_inverses.cache_clear()
     p = np.array([r for r in _primes_to(20000).tolist() if q % r], dtype=np.int64)
-    for a in (1, q - 1):
+    units = sum(math.gcd(r, q) == 1 for r in range(q))
+    for a, built in ((1, [units]), (q - 1, [])):
         sizes.clear()
         got = primes._over(p, q, a)
+        assert got.dtype == np.int64
         assert got.tolist() == [a * pow(r, -1, q) % q for r in p.tolist()]
-        assert sizes == [len(p), len(set((p % q).tolist()))]
+        assert sizes == [len(p)] + built
+    assert not primes._unit_inverses(q).flags.writeable
+
+
+@pytest.mark.parametrize("q, a", [(360, 6), (360, 0), (5184, 12), (5184, 0)])
+def test_first_strikes_match_pow(q, a):
+    """(first, step) of every base prime at an even q with gcd(a, q) > 1
+    and at a = 0, through the cached inverses (q = 360) and past them: the
+    least k' >= k with p | a + q·k' and a + q·k' >= p^2, from
+    k' = -a·q^-1 mod p by pow, every p-th term; step 1 for a prime that
+    divides a and q; none for one that divides q alone; none past hi for
+    the others."""
+    base = _primes_to(10**4)
+    k = 10**6
+    hi = a + q * (k + 10**6)
+    expected = []
+    for p in base.tolist():
+        least = max(k, -(-(p * p - a) // q))
+        if q % p == 0:
+            if a % p == 0:
+                expected.append((least, 1))
+            continue
+        first = least + (-a * pow(q, -1, p) - least) % p
+        if a + q * first <= hi:
+            expected.append((first, p))
+    first, step = primes._first_strikes(base, k, hi, q, a)
+    assert sorted(zip(first.tolist(), step.tolist())) == sorted(expected)
+
+
+_LOGS_ARE_MATH_LOG = """
+import math, random
+import numpy as np
+from corechar.primes import _TABLE_CAP, _math_logs, _prime_table
+rng = random.Random(2022)
+n = np.concatenate([_prime_table(_TABLE_CAP)[0],
+                    np.array([rng.randrange(1 << 22, 1 << 62) for _ in range(10**5)], dtype=np.int64)])
+bad = [v for v, got in zip(n.tolist(), _math_logs(n).tolist()) if got != math.log(v)]
+assert not bad, f"{len(bad)} logs differ from math.log, the first {bad[:5]}"
+"""
+
+
+def test_math_logs_are_math_log_bit_for_bit():
+    """``_math_logs`` is math.log, bit for bit, at every prime of the table
+    at its cap and at 10^5 seeded integers in [2^22, 2^62): in this process,
+    and in a child with numpy's AVX512 dispatch switched off, in that
+    child's environment only."""
+    exec(_LOGS_ARE_MATH_LOG, {})
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    res = subprocess.run([sys.executable, "-c", _LOGS_ARE_MATH_LOG], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_sieve_refuses_past_int64_proof():
