@@ -38,7 +38,6 @@ from .lfunc import (
     zero_free_params,
 )
 from .postnikov import (
-    TruncatedLogPolynomial,
     fd_coefficients,
     find_postnikov_m,
     minimal_postnikov_degree,

@@ -854,8 +854,9 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     n + P yz, as n (1 + P nbar yz) = x mod q, and x is a unit exactly when n
     is (P has every prime of q), so grouped by x in (M + P, M + N + P^3]
     V = sum_x K(x) chi(x) e(G(x)), K(x) = #{(y, z) : M < x - P yz <= M + N}:
-    N + P^3 - P terms, which the budget bounds as it does the grid's
-    ``term_count``, coprime_count P^2 (``_v_terms`` sums fewer when it can).  |S - core^{-2s} V| is checked against
+    N + P^3 - P terms, which the budget bounds (``_v_terms`` sums fewer when
+    it can), and P^2 shifts, which ``_GRID_CAP`` bounds; ``term_count`` is
+    the grid's coprime_count P^2.  |S - core^{-2s} V| is checked against
     residual_constant * core^{3s}, a stand-in for an unspecified constant.
     A G with float coefficients takes x within |x| <= 2^53 only.
     """
@@ -867,9 +868,8 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     for p, _ in chi.modulus.factors:
         signed_divisors += [(d * p, -mu) for d, mu in signed_divisors]
     coprime = sum(mu * ((M + N) // d - M // d) for d, mu in signed_divisors)
-    work = coprime * P * P
-    if work > work_budget or P * P > _GRID_CAP:
-        raise ValueError(f"work {work} (grid {P}x{P}) exceeds budget {work_budget}")
+    if P * P > _GRID_CAP:
+        raise ValueError(f"grid {P}x{P} exceeds {_GRID_CAP} pairs")
     walk = N + P**3 - P
     if walk > work_budget:
         raise ValueError(f"window ({M + P}, {M + N + P**3}] of {walk} terms exceeds budget {work_budget}")
@@ -882,6 +882,6 @@ def decompose(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial, s: int
     return DecomposeResult(
         v_value=v_total, reconstruction=recon, s_value=s_val,
         residual=residual, allowance=allowance, holds=residual <= allowance,
-        shift_exponent=s, coprime_count=coprime, term_count=work,
+        shift_exponent=s, coprime_count=coprime, term_count=coprime * P * P,
         residual_constant=residual_constant,
     )

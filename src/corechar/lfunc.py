@@ -15,15 +15,15 @@ trusted when every step is below pi/2, and the count is taken once two
 trusted levels in a row agree; a contour running through zeros (as the side
 sigma = 1/2 can) never passes the step guard, and the scan raises.  An |L|
 lower-bound grid scan serves as the independent confirmation.  Both read
-every nonprincipal character's chi(1..q) from the characters' exponent rows
+every nonprincipal character's chi at the units a of 1..q (only they reach
+the Hurwitz sum, as chi(a) = 0 off them) from the characters' exponent rows
 through the one numerator kernel, with no character object and no value
 table (objects are built for the labels only); ``l_value`` reads its one
-character through ``expsums._chi_values``, and refuses a point where L is
-not finite.  Both scans pass all their points to the blocked Hurwitz kernel
-at once, and each evaluates one member of every mirror pair (sigma + it on
-chi, sigma - it on conj chi), the one with t >= 0, and only the unit
-residues a of the Hurwitz sum; the grid reports the first least value in
-(sigma, t, character) order.
+character at the units through ``expsums._chi_values``, and refuses a point
+where L is not finite.  Both scans pass all their points to the blocked
+Hurwitz kernel at once, and each evaluates one member of every mirror pair
+(sigma + it on chi, sigma - it on conj chi), the one with t >= 0; the grid
+reports the first least value in (sigma, t, character) order.
 
 The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
 a real magnitude per distinct sigma among the points of a block and a
@@ -242,43 +242,47 @@ def hurwitz_zeta(s: complex, a) -> complex:
     return val
 
 
+def _units(q: int) -> np.ndarray:
+    """The units a of 1..q, ascending."""
+    a = np.arange(1, q + 1)
+    return a[np.gcd(a, q) == 1]
+
+
 def _chi_rows(mod: FactoredModulus) -> tuple[np.ndarray, np.ndarray]:
-    """(X, conj): chi(a) in column a-1 for a = 1..q, one row per nonprincipal
-    character mod q in ``enumerate_characters`` order, and the row of each
-    row's conjugate.  Read from ``character_rows`` at once over L = lcm of the
-    generator orders; ``root_values`` reduces every angle, so each row is its
-    character's value table bit for bit."""
+    """(X, conj): chi(a) in column i for the i-th unit a of ``_units(q)``, one
+    row per nonprincipal character mod q in ``enumerate_characters`` order,
+    and the row of each row's conjugate.  Read from ``character_rows`` at
+    once over L = lcm of the generator orders; ``root_values`` reduces every
+    angle, so each row is its character's value table at the units, bit for
+    bit.  X is in Fortran order: the bits of ``_l_sums``' products X @ z
+    depend on it."""
     E, conj, _ = character_rows(mod)
     L = math.lcm(*_columns(mod)[0].tolist())
-    A = _numerator_rows(mod, E[1:], L, np.arange(1, mod.q + 1))
-    # row 0 is the principal character; A = -1 off the units reads the appended 0
-    return np.append(_roots_of_unity(L), 0j)[A], conj[1:] - 1
+    A = _numerator_rows(mod, E[1:], L, _units(mod.q))  # row 0 is the principal character
+    return np.take(_roots_of_unity(L), A.T).T, conj[1:] - 1  # take gives C order, so X.T is F
 
 
-def _l_sums(X: np.ndarray, s) -> np.ndarray:
-    """q^{-s} sum_a X[:, a-1] zeta_reg(s, a/q) for the rows of X (chi(a) at
-    a = 1..q, as ``_chi_rows`` gives them) at every point of the vector s: an
-    array of shape (len(X), len(s)).
+def _l_sums(X: np.ndarray, q: int, s) -> np.ndarray:
+    """q^{-s} sum_a X[:, i] zeta_reg(s, a/q), a the i-th unit of ``_units(q)``,
+    for the rows of X (chi at the units, as ``_chi_rows`` gives them) at
+    every point of the vector s: an array of shape (len(X), len(s)).
 
     zeta_reg drops the pole term 1/(s-1) of every Hurwitz zeta, so a row
-    of a nonprincipal character gives L(s, chi) exactly.  Only the columns
-    nonzero in some row (the units a, for character rows) reach the kernel.
-    Points are grouped by their own ``_n_terms`` and go in blocks of at most
-    ``_BLOCK_ENTRIES`` (point, unit residue) pairs within a group, in
+    of a nonprincipal character gives L(s, chi) exactly (chi(a) = 0 off the
+    units).  Points are grouped by their own ``_n_terms`` and go in blocks of
+    at most ``_BLOCK_ENTRIES`` (point, unit residue) pairs within a group, in
     (t, sigma) order, so that the points of a block share their t and sigma
     values and the kernel takes one rotation per run of equal t; each point
     takes its own matrix-vector product, so its values do not depend on the
     other points.
     """
     s = np.asarray(s, dtype=np.complex128)
-    q = X.shape[1]
-    units = np.flatnonzero(X.any(axis=0))   # chi(a) = 0 off the units
-    X, a_over_q = X[:, units], (units + 1) / q
+    a_over_q = _units(q) / q
     qf = math.log(q)
     out = np.empty((len(X), len(s)), dtype=np.complex128)
     order = np.lexsort((s.real, s.imag))
-    n0 = _n_terms(s, len(units))[order]
-    step = max(1, _BLOCK_ENTRIES // len(units))
+    n0 = _n_terms(s, len(a_over_q))[order]
+    step = max(1, _BLOCK_ENTRIES // len(a_over_q))
     for n in sorted(set(n0.tolist())):
         group = order[n0 == n]
         for lo in range(0, len(group), step):
@@ -310,7 +314,7 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
     if chi.is_principal and s == 1.0:
         raise ValueError("L(s, principal) has a pole at s = 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        val = complex(_l_sums(_chi_values(chi, np.arange(1, chi.q + 1))[None], [s])[0, 0])
+        val = complex(_l_sums(_chi_values(chi, _units(chi.q))[None], chi.q, [s])[0, 0])
     if chi.is_principal:
         val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
     if not cmath.isfinite(val):
@@ -367,7 +371,7 @@ def _contour(alpha: float, T: float, max_panel: float) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_panel: float):
+def _windings(X: np.ndarray, q: int, conj: Sequence[int], alpha: float, T: float, max_panel: float):
     """The turn of arg L around the contour over 2 pi for every row of
     ``_chi_rows``' X, whose row conj[c] is the conjugate of row c: the sum of
     the steps arg(L(z_{i+1}) / L(z_i)) between consecutive nodes.  Also the
@@ -380,7 +384,7 @@ def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_pa
     at each vertical side, from conj L(z, conj chi) to L(z, chi) at the first
     upper node and back at the last."""
     pts = _contour(alpha, T, max_panel)
-    lmat = _l_sums(X, pts[pts.imag > 0])
+    lmat = _l_sums(X, q, pts[pts.imag > 0])
     steps = np.angle(lmat[:, 1:] / lmat[:, :-1])
     first, last = lmat[:, 0], lmat[:, -1]
     crossings = np.angle(np.stack((first / first[conj].conj(), last[conj].conj() / last)))
@@ -390,13 +394,13 @@ def _windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float, max_pa
     return turn / (2.0 * math.pi), float(max_step), float(np.min(np.abs(lmat)))
 
 
-def _stable_windings(X: np.ndarray, conj: Sequence[int], alpha: float, T: float):
+def _stable_windings(X: np.ndarray, q: int, conj: Sequence[int], alpha: float, T: float):
     """Refine panels until two trusted levels in a row give the same integer
     windings; a level is trusted when no step of arg L reaches ``_MAX_STEP``."""
     results = None
     prev = None
     for panel in (0.5, 0.25, 0.125, 0.0625):
-        cur, max_step, min_abs = _windings(X, conj, alpha, T, panel)
+        cur, max_step, min_abs = _windings(X, q, conj, alpha, T, panel)
         if min_abs < 1e-10:
             raise ArithmeticError("contour passes through a zero")
         if max_step >= _MAX_STEP:
@@ -441,11 +445,11 @@ def zero_scan_report(q, alpha: float, T: float) -> dict:
     windings, min_abs = [], math.inf
     if len(X):
         try:
-            windings, min_abs = _stable_windings(X, conj, alpha, T)
+            windings, min_abs = _stable_windings(X, mod.q, conj, alpha, T)
         except ArithmeticError:
             used_alpha = alpha - 1e-6
             perturbed = True
-            windings, min_abs = _stable_windings(X, conj, used_alpha, T)
+            windings, min_abs = _stable_windings(X, mod.q, conj, used_alpha, T)
     per_char = [
         {"character": chi.label(), "zeros": int(w)}
         for chi, w in zip(enumerate_characters(mod)[1:], windings)
@@ -475,7 +479,7 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
     ts = np.linspace(-T, T, _GRID_TS)[_GRID_TS // 2:]
-    absl = np.abs(_l_sums(X, (sigmas[:, None] + 1j * ts).ravel()))
+    absl = np.abs(_l_sums(X, mod.q, (sigmas[:, None] + 1j * ts).ravel()))
     absl = absl.reshape(len(X), _GRID_SIGMAS, len(ts)).transpose(1, 2, 0)
     i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
     label = characters_of_rows(mod, character_rows(mod)[0][1 + c:2 + c])[0].label()

@@ -10,20 +10,21 @@ primitive characters, given as exponent rows (``postnikov_multipliers``;
 congruences of every row at once, through a CRT whose moduli all rows
 share, and verifies every row exhaustively over a full set of subgroup
 representatives before returning, all as array passes over blocks of rows.
+``shifted_poly`` gives the identity on a shifted progression as a
+``RealPolynomial`` f_n with exact coefficients.
 
 The module also evaluates the two competing character-sum bound shapes
 (the rho^{-2}-savings bound and the older rho^{-2}/log-rho one) and their
-nontriviality thresholds, the older one's by one array scan of its grid
-that returns the scalar scan's bits.
+nontriviality thresholds, the older one's by bisection over its grid, as
+the older bound's h falls in log N: bit for bit the scalar scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "find_postnikov_m",
     "postnikov_multipliers",
     "shifted_poly",
-    "TruncatedLogPolynomial",
     "main_bound_log",
     "iwaniec_bound_log",
     "nontriviality_threshold_main",
@@ -257,28 +257,10 @@ def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedLogPolynomial:
-    """A scaled truncation of log(1+x) with exact reduced coefficients.
-
-    coefficients[r-1] is the coefficient of x^r.  When built by
-    ``shifted_poly`` the metadata (m, s, nbar) records the construction
-    f_n(x) = m/q * F_d(core^s * nbar * x).
-    """
-
-    degree: int
-    coefficients: tuple[Fraction, ...]
-    q: Optional[int] = None
-    m: Optional[int] = None
-    s: Optional[int] = None
-    nbar: Optional[int] = None
-
-    def coefficient(self, r: int) -> Fraction:
-        return self.coefficients[r - 1]
-
-
-def shifted_poly(chi: DirichletCharacter, n: int, s: int, d: int) -> TruncatedLogPolynomial:
-    """The polynomial f_n with coefficients (-1)^(r-1) m core^{rs} nbar^r / (q r).
+def shifted_poly(chi: DirichletCharacter, n: int, s: int, d: int) -> RealPolynomial:
+    """The polynomial f_n(x) = sum_{r=1}^{d} (-1)^(r-1) m core^{rs} nbar^r x^r / (q r),
+    m = ``find_postnikov_m(chi, minimal_postnikov_degree(q))`` and nbar the
+    inverse of n mod q: exact coefficients, constant term 0.
 
     These are the exact coefficients through which chi acts on the shifted
     progression 1 + core^s * nbar * x; their denominators carry only primes
@@ -291,13 +273,9 @@ def shifted_poly(chi: DirichletCharacter, n: int, s: int, d: int) -> TruncatedLo
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd({n}, {q}) != 1")
     m = find_postnikov_m(chi, minimal_postnikov_degree(q))
-    nbar = pow(n, -1, q)
-    corepow = chi.modulus.core**s
-    coeffs = tuple(
-        Fraction((-1) ** (r - 1) * m * corepow**r * nbar**r, q * r)
-        for r in range(1, d + 1)
-    )
-    return TruncatedLogPolynomial(degree=d, coefficients=coeffs, q=q, m=m, s=s, nbar=nbar)
+    step = chi.modulus.core**s * pow(n, -1, q)
+    coefficients = [Fraction((-1) ** (r - 1) * m * step**r, q * r) for r in range(1, d + 1)]
+    return RealPolynomial.make([0, *coefficients])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +322,7 @@ def nontriviality_threshold_main(q, xi0: float) -> float:
     return (math.log(2.0) * lq * lq / xi0) ** (1.0 / 3.0)
 
 
-_IWANIEC_GRID, _IWANIEC_BISECTIONS = 4096, 200  # linear scan steps, then bisections
+_IWANIEC_GRID, _IWANIEC_BISECTIONS = 4096, 200  # grid steps, then bisections
 
 
 def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
@@ -352,32 +330,27 @@ def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
 
     The first sign change of h(L) = a rho (1+log rho)^2 - xi0 L/(rho^2 log rho)
     + log 2, rho = log q / L, on the grid L_j = c j/4096, j = 1..4096,
-    c = (1 - 1e-9) log q (so rho > 1), then bisection; the result is bit
-    for bit that of the scalar scan of h over j = 1, 2, ... with up to 200
-    bisections.
+    c = (1 - 1e-9) log q (so rho > 1), then up to 200 bisections; the result
+    is bit for bit that of the scalar scan of h over j = 1, 2, ...
 
-    The grid is one array pass, H_j, with the scalar h's operations in the
-    same order on the same doubles L_j and rho, except two: log rho is
-    ``np.log`` here and ``math.log`` there, and the squares are rounded
-    products here and libm ``pow`` there.  Each of these is within 1 ulp of
-    the exact value (numpy validates its float64 log to 1 ulp; glibc's log
-    and pow are within 1 ulp), so the logs differ by a relative 2^-51 at
-    most, as do the squares.  Carried through 1 + log rho (log rho > 0), the
-    squares, the products, the quotient and the two sums, each one rounding
-    (relative 2^-53), the scalar h_j and H_j differ by less than 2^-46 S,
-    S = |t1| + |t2| + log 2 with t1, t2 the two terms; underflow adds at
-    most 2^-1074 per operation, and with S < 2^1000 nothing overflows.  So
-    a point with H_j > 2^-30 S and S < 2^1000 has h_j > 0, with a factor
-    2^16 to spare; every other point (NaN among them) is a candidate, and
-    the scalar h decides the candidates in turn, so the first j with
-    h_j <= 0 is the scalar scan's, and with it the bracket (L_{j-1}, L_j)
-    or L_1.
+    For a >= 0 and xi0 > 0, h falls strictly in L: t1 = a rho (1+log rho)^2
+    cannot rise as L grows and t2 = xi0 L^3/((log q)^2 log rho) rises
+    strictly.  Rounding cannot reorder the signs on the grid: a float h <= 0
+    needs t2 >= t1 + log 2 less a few ulps of S = |t1| + |t2| + log 2, about
+    2 t2, while one grid step raises t2 by a factor of at least
+    (1 + 1/4096)^3, about 7e-4 t2.  So the signs run + ... + then - ... -
+    (a NaN counts as +, as in the scan), and bisecting the grid index finds
+    the scan's first j with h <= 0 in 13 evaluations.  xi0 <= 0 (or NaN)
+    leaves h > 0 (or NaN) everywhere: never nontrivial.  A negative or NaN a
+    is refused, as h need not fall there.
 
     Bisection keeps h(hi) <= 0 and not h(lo) <= 0, so once mid = (lo + hi)/2
     rounds to lo or to hi, no further step changes lo or hi: stopping there
     returns the hi of the 200 steps.
     """
     lq = _log_modulus(q)
+    if not a >= 0.0:
+        raise ValueError(f"need a >= 0, got a = {a}")
 
     def h(L: float) -> float:
         rho = lq / L
@@ -385,22 +358,22 @@ def nontriviality_threshold_iwaniec(q, a: float, xi0: float) -> float:
         return a * rho * (1.0 + lr) ** 2 - xi0 * L / (rho**2 * lr) + math.log(2.0)
 
     hi_cap = lq * (1.0 - 1e-9)
-    grid = hi_cap * np.arange(1, _IWANIEC_GRID + 1) / _IWANIEC_GRID
-    with np.errstate(all="ignore"):  # the scalar h meets what fails here
-        rho = lq / grid
-        lr = np.log(rho)
-        t1, t2 = a * rho * (1.0 + lr) ** 2, xi0 * grid / (rho**2 * lr)
-        scale = np.abs(t1) + np.abs(t2) + math.log(2.0)
-        positive = (t1 - t2 + math.log(2.0) > 2.0**-30 * scale) & (scale < 2.0**1000)
-    for j in np.flatnonzero(~positive).tolist():
-        cur = float(grid[j])
-        if h(cur) <= 0.0:
-            break
-    else:
+
+    def grid(j: int) -> float:
+        return hi_cap * j / _IWANIEC_GRID
+
+    if not h(grid(_IWANIEC_GRID)) <= 0.0:
         raise ValueError("bound never nontrivial on (0, log q)")
-    if j == 0:
-        return cur
-    lo, hi = float(grid[j - 1]), cur
+    lo, hi = 0, _IWANIEC_GRID  # not h(L_lo) <= 0 (L_0 = 0 is not evaluated), h(L_hi) <= 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if h(grid(mid)) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    if hi == 1:
+        return grid(1)
+    lo, hi = grid(hi - 1), grid(hi)
     for _ in range(_IWANIEC_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -34,6 +34,8 @@ from corechar.expsums import (
     _residue_table,
     _shift_weights,
     _spans,
+    _v_terms,
+    _window_sum,
     char_sum,
     decompose,
     dirichlet_poly,
@@ -230,11 +232,11 @@ def test_decompose_errors():
 
 
 def test_decompose_counts_coprime_n_before_the_budget():
-    """The budget check counts the coprime n by inclusion-exclusion over the
-    primes of q, and refuses a window before listing any of them."""
+    """decompose counts the coprime n by inclusion-exclusion over the primes
+    of q, and the budget refuses a walk before listing any of them."""
     chi = enumerate_characters(27, primitive_only=True)[0]
     tracemalloc.start()
-    with pytest.raises(ValueError, match="work 162000000 "):
+    with pytest.raises(ValueError, match=r"window \(1000009, 4000729\] of 3000720 terms exceeds budget 10"):
         decompose(chi, 10**6, 3 * 10**6, RealPolynomial.zero(), 2, work_budget=10)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -257,6 +259,17 @@ def test_decompose_refuses_a_long_walk_before_allocating():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_decompose_budget_bounds_the_walk_not_the_grid():
+    """At q = 81, s = 4 (P = 81) a window of 10^6 has a grid of 4.4 * 10^9
+    (n, y, z) terms, past the budget of 10^9, yet V walks 1,531,360 terms."""
+    chi = enumerate_characters(81, primitive_only=True)[0]
+    G = RealPolynomial.zero()
+    res = decompose(chi, 0, 10**6, G, 4)
+    assert res.term_count == 4374002187 > 1e9
+    assert res.v_value == _window_sum(*_v_terms(chi, G, 0, 10**6, 81, res.coprime_count)).value
+    assert res.holds, (res.residual, res.allowance)
 
 
 @pytest.mark.parametrize("N", [3, 4, 30, 100])

@@ -10,8 +10,8 @@ import pytest
 
 from corechar import lfunc
 from corechar.arith import as_modulus
-from corechar.characters import (_value_table, enumerate_characters, principal_character,
-                                  quadratic_character)
+from corechar.characters import (_columns, _numerator_rows, _roots_of_unity, _value_table, character_rows,
+                                  enumerate_characters, principal_character, quadratic_character)
 from corechar.expsums import _chi_values
 from corechar.lfunc import (
     hurwitz_zeta,
@@ -162,7 +162,8 @@ def test_windings_count_known_zeros(q, T, zeros):
     """Inside the critical strip the counter finds the zeros on the critical
     line: mod 3 at t = +-8.0397, +-11.2492 (+-15.7046 lies past T = 15), mod 4
     at t = +-6.0209, +-10.2437, +-12.9880."""
-    windings, _ = lfunc._stable_windings(*lfunc._chi_rows(as_modulus(q)), 0.3, T)
+    X, conj = lfunc._chi_rows(as_modulus(q))
+    windings, _ = lfunc._stable_windings(X, q, conj, 0.3, T)
     assert windings.tolist() == [zeros]
 
 
@@ -197,16 +198,33 @@ def test_zero_scan_validates_input():
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 2**7, 3**5, 27, 45, 72, 864, 2592])
 def test_chi_rows_read_chi_at_one_to_q(q):
-    """Row c holds chi_c(a) at a = 1..q for the nonprincipal characters in
-    enumeration order: the value table with its column 0 (a = q) moved to
-    the end, bit for bit, and conj[c] is the row of chi_c's conjugate."""
+    """Row c holds chi_c(a) at the units a of 1..q, ascending, for the
+    nonprincipal characters in enumeration order: the value table read at
+    the units, bit for bit, and conj[c] is the row of chi_c's conjugate.  X
+    is in Fortran order, as the per-point products' bits depend on it."""
     chis = enumerate_characters(q)[1:]
+    units = lfunc._units(q)
+    assert units.tolist() == [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
     X, conj = lfunc._chi_rows(as_modulus(q))
-    assert X.shape == (len(chis), q)
+    assert X.shape == (len(chis), len(units)) and X.flags.f_contiguous
     for row, chi in zip(X, chis):
-        values = chi.value_table[1]
-        assert np.array_equal(row, np.concatenate((values[1:], values[:1])))
+        assert np.array_equal(row, chi.value_table[1][units % q])
     assert [chis[c] for c in conj.tolist()] == [chi.conjugate() for chi in chis]
+
+
+@pytest.mark.parametrize("q", [8, 72, 243])
+def test_chi_rows_are_the_full_rows_at_the_units(q):
+    """X equals the rows of chi at every a = 1..q gathered at the unit
+    columns, and is F-contiguous as that gather leaves it: a C-ordered X
+    moves the last bits of L at q = 8."""
+    mod = as_modulus(q)
+    E = character_rows(mod)[0][1:]
+    L = math.lcm(*_columns(mod)[0].tolist())
+    A = _numerator_rows(mod, E, L, np.arange(1, q + 1))
+    full = np.append(_roots_of_unity(L), 0j)[A]
+    X, _ = lfunc._chi_rows(mod)
+    assert X.flags.f_contiguous
+    assert np.array_equal(X, full[:, lfunc._units(q) - 1])
 
 
 def test_batched_l_sums_match_single_points():
@@ -219,15 +237,15 @@ def test_batched_l_sums_match_single_points():
     for q in (27, 243):
         X, _ = lfunc._chi_rows(as_modulus(q))
         pts = lfunc._contour(0.9, 10.0, 0.25)
-        assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // np.count_nonzero(X.any(axis=0))
-        batch = lfunc._l_sums(X, pts)
+        assert len(pts) > 2 * lfunc._BLOCK_ENTRIES // X.shape[1]
+        batch = lfunc._l_sums(X, q, pts)
         for j, s in enumerate(pts):
-            assert np.array_equal(batch[:, j], lfunc._l_sums(X, [s])[:, 0]), (q, s)
+            assert np.array_equal(batch[:, j], lfunc._l_sums(X, q, [s])[:, 0]), (q, s)
 
     X, _ = lfunc._chi_rows(as_modulus(27))
     pts = lfunc._contour(0.9, 20.0, 0.25)
-    batch = lfunc._l_sums(X, pts)
-    single = np.stack([lfunc._l_sums(X, [s])[:, 0] for s in pts], axis=1)
+    batch = lfunc._l_sums(X, 27, pts)
+    single = np.stack([lfunc._l_sums(X, 27, [s])[:, 0] for s in pts], axis=1)
     assert np.array_equal(batch, single)
 
     for q in (27, 81):
@@ -237,7 +255,7 @@ def test_batched_l_sums_match_single_points():
         best, best_at = math.inf, None
         for sigma in np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS):
             for j in range(lfunc._GRID_TS // 2, lfunc._GRID_TS):
-                absl = np.abs(lfunc._l_sums(X, [complex(sigma, ts[j])])[:, 0])
+                absl = np.abs(lfunc._l_sums(X, q, [complex(sigma, ts[j])])[:, 0])
                 idx = int(np.argmin(absl))
                 if absl[idx] < best:
                     best = float(absl[idx])
@@ -290,10 +308,10 @@ def test_factored_kernel_matches_complex_exp_kernel(monkeypatch):
         batches = [("contour", contour), ("grid", grid)]
         batches += [(s, [s]) for s in singles[:: 1 if q == 27 else 4]]
         for where, pts in batches:
-            new = lfunc._l_sums(X, pts)
+            new = lfunc._l_sums(X, q, pts)
             with monkeypatch.context() as m:
                 m.setattr(lfunc, "_hurwitz_core", _complex_exp_kernel)
-                ref = lfunc._l_sums(X, pts)
+                ref = lfunc._l_sums(X, q, pts)
             _assert_close(new, ref, 1e-13, (q, where, "L"))
     for s in singles:
         for a in (0.3, 1.0):
@@ -344,10 +362,10 @@ def test_run_kernel_matches_stacked_kernel(monkeypatch):
     for q in (27, 81, 243, 72):
         X, _ = lfunc._chi_rows(as_modulus(q))
         for where, pts in batches:
-            new = lfunc._l_sums(X, pts)
+            new = lfunc._l_sums(X, q, pts)
             with monkeypatch.context() as m:
                 m.setattr(lfunc, "_hurwitz_core", _stacked_kernel)
-                ref = lfunc._l_sums(X, pts)
+                ref = lfunc._l_sums(X, q, pts)
             assert np.array_equal(new, ref), (q, where)
     a = np.arange(1, 82)[np.arange(1, 82) % 3 != 0] / 81
     pts = lfunc._contour(0.6, 7.0, 0.5)
@@ -487,7 +505,7 @@ def test_principal_l_near_the_pole():
     within 4e-15 with that difference taken in closed form, where an
     unguarded (a+N)^{1-s} - 1 would lose eps/|s-1|."""
     chi0 = principal_character(9)
-    X = _chi_values(chi0, np.arange(1, 10))[None]
+    X = _chi_values(chi0, lfunc._units(9))[None]
     l3 = math.log(3.0)
     for t in np.concatenate((np.logspace(-3, -9, 13), [-1e-9])).tolist():
         r = complex(0.0, t)
@@ -497,7 +515,7 @@ def test_principal_l_near_the_pole():
         # (1 - 3^{-s} - 6 * 9^{-s})/(s-1) through expm1(w)/w, plus (1 - 3^{-s}) gam
         x = r * l3
         reg = l3 / 3 * _taylor_g(-x) + 4 * l3 / 3 * _taylor_g(-2 * x) + (1 - cmath.exp(-x) / 3) * gam
-        assert abs(complex(lfunc._l_sums(X, [1 + r])[0, 0]) - reg) <= 4e-15, t
+        assert abs(complex(lfunc._l_sums(X, 9, [1 + r])[0, 0]) - reg) <= 4e-15, t
 
 
 def test_tail_stays_finite_far_out():
@@ -541,10 +559,10 @@ def test_contour_left_side_retraces_right_side(alpha, T, max_panel):
     assert np.all(pts[right].imag[1:] > pts[right].imag[:-1])
 
 
-def _full_contour_windings(X, alpha, T, max_panel):
+def _full_contour_windings(X, q, alpha, T, max_panel):
     """Oracle: L at every node of the contour, both halves, and the steps of
     arg L between consecutive nodes, the last node back to the first."""
-    lmat = lfunc._l_sums(X, lfunc._contour(alpha, T, max_panel))
+    lmat = lfunc._l_sums(X, q, lfunc._contour(alpha, T, max_panel))
     steps = np.angle(np.roll(lmat, -1, axis=1) / lmat)
     return (steps.sum(axis=1) / (2 * math.pi), float(np.max(np.abs(steps))),
             float(np.min(np.abs(lmat))))
@@ -555,11 +573,11 @@ def test_mirror_half_scans_match_full_scans():
     and the grid's upper-half minimum, agree with evaluating every point of
     the contour and of the full 9 x 201 grid."""
     cases = [(q, *lfunc._chi_rows(as_modulus(q))) for q in (27, 81)]
-    cases.append((27, _chi_values(quadratic_character(27), np.arange(1, 28))[None], [0]))
+    cases.append((27, _chi_values(quadratic_character(27), lfunc._units(27))[None], [0]))
     for q, X, conj in cases:
         for panel in (0.5, 0.25):
-            half, half_step, half_min = lfunc._windings(X, conj, 0.9, 10.0, panel)
-            full, full_step, full_min = _full_contour_windings(X, 0.9, 10.0, panel)
+            half, half_step, half_min = lfunc._windings(X, q, conj, 0.9, 10.0, panel)
+            full, full_step, full_min = _full_contour_windings(X, q, 0.9, 10.0, panel)
             assert np.max(np.abs(half - full)) < 1e-12, (q, panel)
             assert abs(half_step - full_step) < 1e-12, (q, panel)
             assert abs(half_min - full_min) <= 1e-12 * full_min, (q, panel)
@@ -567,7 +585,7 @@ def test_mirror_half_scans_match_full_scans():
         X, _ = lfunc._chi_rows(as_modulus(q))
         sigmas = np.linspace(0.9, 1.0, lfunc._GRID_SIGMAS)
         ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
-        full = np.min(np.abs(lfunc._l_sums(X, (sigmas[:, None] + 1j * ts).ravel())))
+        full = np.min(np.abs(lfunc._l_sums(X, q, (sigmas[:, None] + 1j * ts).ravel())))
         assert abs(l_grid_min(q, 0.9, 10.0)["min_abs"] - full) <= 1e-12 * full, q
 
 
