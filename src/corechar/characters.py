@@ -12,21 +12,25 @@ chi(n) = e(A(n)/L) for an integer numerator 0 <= A(n) < L
     A(n) = sum_j w_j * dlog_j(n mod p^gamma) mod L,  w_j = k_j * L / o_j,
 
 over the basis generators j of order o_j.  Two kernels compute A:
-``angle_numerator`` for one n, and ``_numerator_rows`` for an array of n
-and one row or all rows at once, one dlog table gather per prime power
-(``discrete_log`` per element above the dlog table cap);
-``angle_numerators`` is its one row over L = chi.order.  ``evaluate``
-reduces A(n) to a ``RationalAngle``; ``crt_restrict`` reads chi at one CRT
-lift.  ``value_table`` holds A and the complex values on all residues, in
-one small cache keyed by the character: equal characters share a table,
-and a list of characters pins none.  ``root_values`` turns integer angles
-into complex values, each exactly as ``RationalAngle.to_complex`` does, in
-lowest terms, so any common multiple L gives the same bits; that
-conversion happens only at summation boundaries.  ``_root_values`` takes
-numerators already reduced mod the denominator, writes into the caller's
-arrays when given them (the sum layer's workspace), and finds each angle's
-gcd with the denominator from cached tables of its small prime powers
-(``_gcd_plan``).
+``angle_numerator`` for one n over L = chi.order, and ``_numerator_rows``
+for an array of n and one row or all rows at once, over L = lambda(q), the
+lcm of the o_j, which is decided here alone (``_exponent``).  It takes one
+dlog table gather per prime power (``discrete_log`` per element above the
+cap), and as lambda is a multiple of every order no row needs a gcd: each
+term (dlog_j k_j mod o_j) lambda/o_j is below lambda, and dlog_j k_j <
+o_j^2 <= 2^44 under the cap, so it is int64 while lambda < 2^62.
+``angle_numerators`` divides its one row by lambda/order (int64 while the
+order is below 2^62).  ``evaluate`` reduces A(n) to a ``RationalAngle``;
+``crt_restrict`` reads chi at one CRT lift.  ``value_table`` holds A and
+the complex values on all residues, in one small cache keyed by the
+character: equal characters share a table, and a list of characters pins
+none.  ``root_values`` turns integer angles into complex values, each
+exactly as ``RationalAngle.to_complex`` does, in lowest terms, so any
+common multiple L gives the same bits; that conversion happens only at
+summation boundaries.  ``_root_values`` takes numerators already reduced
+mod the denominator, writes into the caller's arrays when given them (the
+sum layer's workspace), and finds each angle's gcd with the denominator
+from cached tables of its small prime powers (``_gcd_plan``).
 """
 
 from __future__ import annotations
@@ -282,8 +286,10 @@ class DirichletCharacter:
     def angle_numerators(self, ns) -> np.ndarray:
         """``angle_numerator`` of every n of the integer array ns (an object
         array past 2^63), -1 where gcd(n, q) > 1: the one row of
-        ``_numerator_rows`` over L = order."""
-        return _numerator_rows(self.modulus, self.row, self.order, np.asarray(ns))[0]
+        ``_numerator_rows`` divided by lambda/order (-1 stays -1)."""
+        A = _numerator_rows(self.modulus, self.row, np.asarray(ns))[0]
+        A //= _exponent(self.modulus) // self.order
+        return A.astype(np.int64 if self.order < 1 << 62 else object, copy=False)
 
     @property
     def row(self) -> np.ndarray:
@@ -373,28 +379,22 @@ def _dlogs(p: int, g: int, ns: np.ndarray) -> np.ndarray:
                     dtype=object).reshape(len(ns), len(basis.orders))
 
 
-def _numerator_rows(m: FactoredModulus, E: np.ndarray, L: int, ns) -> np.ndarray:
-    """A(n) over L, a common multiple of the rows' orders, for every row of the
-    exponent matrix E (see ``character_rows``) and every n of the integer
-    array ns, -1 where gcd(n, q) > 1: the discrete logs of ns once per prime
-    power of m (``_dlogs``)."""
-    # with h = gcd(k_j, o_j), k = k_j/h and oh = o_j/h: w_j*dlog_j = (k*dlog_j mod oh)
-    # * L/oh mod L, where k*dlog_j < o_j^2 <= 2^44 under the table cap (Python
-    # ints above it); every term and the running sum stay below L: int64 while
-    # L < 2^62, else ints
-    dtype = np.int64 if L < 1 << 62 else object
+def _numerator_rows(m: FactoredModulus, E: np.ndarray, ns) -> np.ndarray:
+    """A(n) over lambda = ``_exponent(m)`` for every row of the exponent matrix
+    E (see ``character_rows``) and every n of the integer array ns, -1 where
+    gcd(n, q) > 1: the discrete logs of ns once per prime power of m
+    (``_dlogs``)."""
     orders, spans = _columns(m)
-    h = np.gcd(E, orders)
-    k, oh = E // h, orders // h
-    w = L // oh.astype(dtype)
+    lam = _exponent(m)
+    dtype = np.int64 if lam < 1 << 62 else object
     acc = np.zeros((len(E), len(ns)), dtype=dtype)
     unit = np.ones(len(ns), dtype=bool)
     for p, g, lo, hi in spans:
         unit &= ns % p != 0
         logs = _dlogs(p, g, ns)
-        for j, ell in zip(range(lo, hi), logs.T):
-            term = (ell * k[:, j, None] % oh[:, j, None]).astype(dtype, copy=False)
-            acc = (acc + term * w[:, j, None]) % L
+        for j, ell, o in zip(range(lo, hi), logs.T, orders[lo:hi].tolist()):
+            term = (ell * E[:, j, None] % o).astype(dtype, copy=False)
+            acc = (acc + term * (lam // o)) % lam
     acc[:, ~unit] = -1
     return acc
 
@@ -460,6 +460,12 @@ def _columns(m: FactoredModulus) -> tuple[np.ndarray, tuple[tuple[int, int, int,
     orders.flags.writeable = False
     ends = np.cumsum([0] + [len(unit_group_basis(p, g).orders) for p, g in m.factors]).tolist()
     return orders, tuple((p, g, lo, hi) for (p, g), lo, hi in zip(m.factors, ends, ends[1:]))
+
+
+@lru_cache(maxsize=64)
+def _exponent(m: FactoredModulus) -> int:
+    """lambda(q), the lcm of the generator orders mod m: a multiple of every character's order."""
+    return math.lcm(*_columns(m)[0].tolist())
 
 
 def character_rows(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

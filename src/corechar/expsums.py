@@ -371,9 +371,10 @@ def _weighted_roots(a: np.ndarray, counts: np.ndarray, den: int):
                np.multiply(weights, roots.imag, out=_WS.take(_IM, m, np.float64)))
 
 
-def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> SumResult:
+def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int,
+               value: Optional[complex] = None) -> SumResult:
     """Exact-mode result for the terms e(numerators[i]/den), counts[i] >= 1
-    of each, every numerator in [0, den).
+    of each, every numerator in [0, den); its value is ``value`` when given.
 
     Numerators equal mod den merge before the value is taken, unless they
     are distinct and ascending already.  They are int64 while den < 2^62 and
@@ -386,11 +387,13 @@ def _exact_sum(numerators, counts: np.ndarray, den: int, term_count: int) -> Sum
     (three roundings of theta = 2 pi a/d < 2 pi; np.sin and np.cos within
     2 ulp) and 10 pi + 2 beyond, where a/g and d round too.  So each part
     of the value is within (E + 2) n u + |part| u of the true part, n =
-    sum(counts) <= term_count: 23 n u below den = 2^53, 36 n u beyond."""
+    sum(counts) <= term_count: 23 n u below den = 2^53, 36 n u beyond (a
+    nonprincipal ``char_sum`` passes its remainder's value and units)."""
     a = np.asarray(numerators, dtype=np.int64 if den < 1 << 62 else object)
     if (a[1:] <= a[:-1]).any():
         a, counts = _merge(a, counts)
-    return SumResult(_root_sum(a, counts, den), term_count, "exact", AngleCounts(a, counts, den))
+    value = _root_sum(a, counts, den) if value is None else value
+    return SumResult(value, term_count, "exact", AngleCounts(a, counts, den))
 
 
 def _residues(ns: np.ndarray, m: int) -> np.ndarray:
@@ -670,15 +673,19 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> SumResult:
 
     Exact whenever a value table fits or N <= ``_EXACT_CAP``: the histograms
     of one period q, counted once per whole period, and of the remainder
-    merge into one result.  Beyond that, float block sums.  The histogram is
-    exact; each part of the value is within 23 n 2^-53 of the true one (36
-    n 2^-53 from order 2^53 on), n the units counted, plus the last
-    rounding (``_exact_sum``).
+    merge into one result; whole periods of a nonprincipal character sum to
+    exactly 0, so its value is the remainder window's, bit for bit (0 when
+    q | N).  Beyond that, float block sums.  The histogram is exact; each
+    part of the value is within 23 n 2^-53 of the true one (36 n 2^-53 from
+    order 2^53 on), n the units of the summed window, plus the last rounding
+    (``_exact_sum``).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if chi.q <= VALUE_TABLE_CAP or N <= _EXACT_CAP:
-        return _exact_sum(*_window_histogram(_chi_reader(chi), M, N, chi.q), chi.order, N)
+        k, rem = divmod(N, chi.q)
+        value = None if chi.is_principal or not k else char_sum(chi, M, rem).value if rem else 0j
+        return _exact_sum(*_window_histogram(_chi_reader(chi), M, N, chi.q), chi.order, N, value)
     return _window_sum(_chi_reader(chi, values=True), M, N)
 
 

@@ -14,16 +14,19 @@ the argument principle counts the zeros inside.  A refinement level is
 trusted when every step is below pi/2, and the count is taken once two
 trusted levels in a row agree; a contour running through zeros (as the side
 sigma = 1/2 can) never passes the step guard, and the scan raises.  An |L|
-lower-bound grid scan serves as the independent confirmation.  Both read
-every nonprincipal character's chi at the units a of 1..q (only they reach
-the Hurwitz sum, as chi(a) = 0 off them) from the characters' exponent rows
-through the one numerator kernel, with no character object and no value
-table (objects are built for the labels only); ``l_value`` reads its one
-character at the units through ``expsums._chi_values``, and refuses a point
-where L is not finite.  Both scans pass all their points to the blocked
-Hurwitz kernel at once, and each evaluates one member of every mirror pair
-(sigma + it on chi, sigma - it on conj chi), the one with t >= 0; the grid
-reports the first least value in (sigma, t, character) order.
+lower-bound grid scan serves as the independent confirmation.  Every
+Hurwitz path reads chi at the units of 1..q (chi = 0 off them) through one
+reader, ``_unit_values``: exponent rows through the one numerator kernel,
+with no character object and no value table.  The scans read every
+nonprincipal row (objects are built for the labels only), ``l_value`` its
+character's row, and it refuses a point where L is not finite; the series
+oracle ``l_value_series`` alone reads ``expsums._chi_values``.  A value's
+bits depend on how many characters share its product X @ z: a scan's row
+and ``l_value`` can differ in their last bits.  Both scans pass all their
+points to the blocked Hurwitz kernel at once, and each evaluates one
+member of every mirror pair (sigma + it on chi, sigma - it on conj chi),
+the one with t >= 0; the grid reports the first least value in (sigma, t,
+character) order.
 
 The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
 a real magnitude per distinct sigma among the points of a block and a
@@ -50,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import FactoredModulus, as_modulus
-from .characters import (DirichletCharacter, _columns, _numerator_rows, _roots_of_unity, character_rows,
+from .characters import (DirichletCharacter, _exponent, _numerator_rows, _roots_of_unity, character_rows,
                          characters_of_rows, enumerate_characters)
 from .expsums import _blocked_sum, _chi_values
 
@@ -248,18 +251,20 @@ def _units(q: int) -> np.ndarray:
     return a[np.gcd(a, q) == 1]
 
 
+def _unit_values(mod: FactoredModulus, E: np.ndarray) -> np.ndarray:
+    """chi(a) in column i for the i-th unit a of ``_units(q)``, one row per
+    exponent row of E: numerators over lambda(q) index its roots, each in
+    lowest terms, so a row is its value table at the units, bit for bit.
+    Fortran order, as the bits of ``_l_sums``' products X @ z depend on it."""
+    A = _numerator_rows(mod, E, _units(mod.q))
+    return np.take(_roots_of_unity(_exponent(mod)), A.T).T  # take gives C order, so X.T is F
+
+
 def _chi_rows(mod: FactoredModulus) -> tuple[np.ndarray, np.ndarray]:
-    """(X, conj): chi(a) in column i for the i-th unit a of ``_units(q)``, one
-    row per nonprincipal character mod q in ``enumerate_characters`` order,
-    and the row of each row's conjugate.  Read from ``character_rows`` at
-    once over L = lcm of the generator orders; ``root_values`` reduces every
-    angle, so each row is its character's value table at the units, bit for
-    bit.  X is in Fortran order: the bits of ``_l_sums``' products X @ z
-    depend on it."""
+    """(X, conj): ``_unit_values`` of every nonprincipal character mod q,
+    in ``enumerate_characters`` order, and the row of each row's conjugate."""
     E, conj, _ = character_rows(mod)
-    L = math.lcm(*_columns(mod)[0].tolist())
-    A = _numerator_rows(mod, E[1:], L, _units(mod.q))  # row 0 is the principal character
-    return np.take(_roots_of_unity(L), A.T).T, conj[1:] - 1  # take gives C order, so X.T is F
+    return _unit_values(mod, E[1:]), conj[1:] - 1  # row 0 is the principal character
 
 
 def _l_sums(X: np.ndarray, q: int, s) -> np.ndarray:
@@ -314,7 +319,7 @@ def l_value(chi: DirichletCharacter, s: complex) -> complex:
     if chi.is_principal and s == 1.0:
         raise ValueError("L(s, principal) has a pole at s = 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        val = complex(_l_sums(_chi_values(chi, _units(chi.q))[None], chi.q, [s])[0, 0])
+        val = complex(_l_sums(_unit_values(chi.modulus, chi.row), chi.q, [s])[0, 0])
     if chi.is_principal:
         val += chi.modulus.phi * chi.q ** (-s) / (s - 1.0)
     if not cmath.isfinite(val):

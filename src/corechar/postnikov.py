@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import as_modulus
-from .characters import DirichletCharacter, _columns, _numerator_rows, _primitive_rows, character_rows
+from .characters import DirichletCharacter, _exponent, _numerator_rows, _primitive_rows, character_rows
 from .expsums import RealPolynomial, _phase_numerators
 
 __all__ = [
@@ -71,44 +71,13 @@ def minimal_postnikov_degree(q) -> int:
     return 2 * m.gamma_max
 
 
-@lru_cache(maxsize=32)
-def _postnikov_grid(q: int, d: int):
-    """Per-(q, d) phase data for the representation identity.
-
-    For x in [0, q/(tau*core)), u_x = F_d(tau*core*x)/q mod 1 has common
-    denominator den.  Returns read-only arrays (nn, dd) with u_x = nn[x]/dd[x]
-    in lowest terms (0/1 where u_x = 0, as at x = 0), and the index of the
-    first x of each distinct dd.
-    """
-    mod = as_modulus(q)
-    step = mod.tau * mod.core
-    nums, den = RealPolynomial.make(
-        [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
-    # the multiplier search checks (m mod lcm(dd))*nn mod dd * L == A*dd, where
-    # (m mod lcm(dd))*nn < den^2 and both sides are below dd*L < den*q
-    # (A < L < q): int64 is exact while den*max(den, q) < 2^63
-    dtype = np.int64 if den * max(den, q) < 1 << 63 else object
-    u = _phase_numerators(nums, den, np.arange(q // step)).astype(dtype)
-    g = np.gcd(u, den)
-    nn, dd = u // g, den // g
-    nn.flags.writeable = dd.flags.writeable = False
-    return nn, dd, np.unique(dd, return_index=True)[1]
-
-
-def _divisibility_modulus(q: int, d: int) -> int:
-    """lcm of the r in [1, d] coprime to q (the Lemma-1 divisibility on m)."""
-    out = 1
-    for r in range(2, d + 1):
-        if math.gcd(r, q) == 1:
-            out = math.lcm(out, r)
-    return out
-
-
 class _SearchPlan(NamedTuple):
-    """What the multiplier search reads per (q, d), besides the grid."""
+    """What the multiplier search reads per (q, d)."""
 
     ns: np.ndarray  # the points 1 + tau*core*x, below q
-    L: int  # lcm of the generator orders
+    nn: np.ndarray  # u_x = nn[x]/dd[x] in lowest terms, read-only
+    dd: np.ndarray
+    L: int  # lambda(q), the denominator of the numerators
     xs: np.ndarray  # per congruence: the x it is read at, L/g, (dd/g) nn^-1 mod dd and dd
     cuts: np.ndarray
     coefs: np.ndarray
@@ -121,26 +90,40 @@ class _SearchPlan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _search_plan(q: int, d: int) -> _SearchPlan:
-    """The congruences on the multiplier m that every character shares, per (q, d).
+    """The phase grid and the congruences on the multiplier m that every
+    character shares, per (q, d).
+
+    For x in [0, q/(tau*core)), u_x = F_d(tau*core*x)/q mod 1 = nn[x]/dd[x]
+    in lowest terms (0/1 where u_x = 0, as at x = 0), over a common
+    denominator den: int64, as is the congruence data, while den max(den,
+    q) < 2^63 (the bounds of ``_multipliers``), and Python ints beyond.
 
     At the first x of each distinct dd the identity reads m nn = A dd/L
     (mod dd).  With g = gcd(L, dd) it is solvable exactly when L/g divides
     A, and then m = (A g/L) (dd/g) nn^-1 = r (mod dd).  The last
-    congruence, m = 0 mod div (``_divisibility_modulus``), is read the same
-    way at x = 0, where A = 0, with L/g = 1.  Only the residues r differ
-    from character to character.  Let M be the lcm of the moduli and p^e
-    each prime power exactly dividing M.  A solution has m = r mod p^e for
-    a modulus that p^e divides, so the least one is sum_p r C_p mod M,
-    C_p = 1 mod p^e and 0 mod M/p^e (r C_p mod M depends on r mod p^e
-    only), which the caller checks against every congruence.  The primes of
-    M are those of q and those up to d, as dd divides q lcm(1..d).
+    congruence, m = 0 mod div, div the lcm of the r in [1, d] coprime to q
+    (the Lemma-1 divisibility on m), is read the same way at x = 0, where
+    A = 0, with L/g = 1.  Only the residues r differ from character to
+    character.  Let M be the lcm of the moduli and p^e each prime power
+    exactly dividing M.  A solution has m = r mod p^e for a modulus that p^e
+    divides, so the least one is sum_p r C_p mod M, C_p = 1 mod p^e and 0
+    mod M/p^e (r C_p mod M depends on r mod p^e only), which the caller
+    checks against every congruence.  The primes of M are those of q and
+    those up to d, as dd divides q lcm(1..d).
     """
     mod = as_modulus(q)
-    nn, dd, first = _postnikov_grid(q, d)
+    step = mod.tau * mod.core
+    nums, den = RealPolynomial.make(
+        [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
+    dtype = np.int64 if den * max(den, q) < 1 << 63 else object
+    u = _phase_numerators(nums, den, np.arange(q // step)).astype(dtype)
+    g = np.gcd(u, den)
+    nn, dd = u // g, den // g
+    first = np.unique(dd, return_index=True)[1]
     dens = dd[first].tolist()
-    moduli = dens + [_divisibility_modulus(q, d)]
+    moduli = dens + [math.lcm(*(r for r in range(2, d + 1) if math.gcd(r, q) == 1))]
     M = math.lcm(*moduli)
-    L = math.lcm(*_columns(mod)[0].tolist())
+    L = _exponent(mod)
     cols, idem, rest = [], [], M
     # ascending, so a composite finds its primes already divided out
     for p in sorted({p for p, _ in mod.factors}.union(range(2, d + 1))):
@@ -152,16 +135,15 @@ def _search_plan(q: int, d: int) -> _SearchPlan:
             idem.append(M // pe * pow(M // pe, -1, pe))
     # the terms r C_p < modulus M and, in the caller's gcd step, m < 65 M
     bound = M * (sum(moduli[c] for c in cols) + 65)
-    step = mod.tau * mod.core
     ns = 1 + step * np.arange(q // step, dtype=np.int64 if q < 1 << 63 else object)
-    ns.flags.writeable = False
+    nn.flags.writeable = dd.flags.writeable = ns.flags.writeable = False
     gs = [math.gcd(L, m) for m in dens]
     return _SearchPlan(
-        ns=ns, L=L, xs=np.append(first, 0), cuts=np.array([L // g for g in gs] + [1], dtype=nn.dtype),
+        ns=ns, nn=nn, dd=dd, L=L, xs=np.append(first, 0), cuts=np.array([L // g for g in gs] + [1], dtype=dtype),
         coefs=np.array([m // g * pow(n, -1, m) % m for m, g, n in zip(dens, gs, nn[first].tolist())] + [0],
-                       dtype=nn.dtype),
-        moduli=np.array(moduli, dtype=nn.dtype), cols=cols,
-        idem=np.array(idem, dtype=nn.dtype if bound < 1 << 63 else object), M=M,
+                       dtype=dtype),
+        moduli=np.array(moduli, dtype=dtype), cols=cols,
+        idem=np.array(idem, dtype=dtype if bound < 1 << 63 else object), M=M,
         lcm_dd=math.lcm(*dens))
 
 
@@ -199,7 +181,7 @@ def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
     primitive when ``primitive`` holds (else ValueError).
 
     Block by block of rows, ``_numerator_rows`` gives chi(1 + tau*core*x) =
-    e(A/L) over L = lcm of the generator orders at every x.  The residues of
+    e(A/L) over L = lambda(q) at every x.  The residues of
     ``_search_plan`` at the first x of each distinct dd (every x with that
     dd pins the same residue when m exists), its CRT, the steps of M up to
     gcd(m, q) = 1, and the exact check of the identity at every (row, x)
@@ -208,8 +190,7 @@ def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
     Bounds: with den the common denominator of u_x, A < L < q, dd | den,
     div | den (the coprime parts of F_d's 1/r) and m mod lcm(dd) < den, so
     A dd, (m mod lcm(dd)) nn and the residues times their coefficients stay
-    below den max(den, q): int64 on the grid's int64 (see
-    ``_postnikov_grid``).  M passes 2^63 at large gamma: the CRT's terms
+    below den max(den, q): int64 on the grid's int64.  M passes 2^63 at large gamma: the CRT's terms
     r C_p stay below modulus times M and the steps of M below 65 M, so the
     CRT is int64 where ``_search_plan`` finds their sum below 2^63, and
     Python ints otherwise.
@@ -229,11 +210,11 @@ def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
     if count > (1 << 22):
         raise ValueError(
             f"exhaustive verification over {count} points exceeds the work cap")
-    nn, dd, _ = _postnikov_grid(q, d)
     plan = _search_plan(q, d)
+    nn, dd = plan.nn, plan.dd
     block, out = max(1, _SEARCH_BLOCK // count), []
     for lo in range(0, len(rows), block):
-        A = _numerator_rows(mod, rows[lo:lo + block], plan.L, plan.ns).astype(nn.dtype, copy=False)
+        A = _numerator_rows(mod, rows[lo:lo + block], plan.ns).astype(nn.dtype, copy=False)
         a = A[:, plan.xs]
         if (a % plan.cuts).any():
             raise ValueError("angle congruence unsolvable; character not primitive?")

@@ -2,6 +2,7 @@
 and the shift decomposition."""
 
 import cmath
+import dataclasses
 import math
 import subprocess
 import sys
@@ -554,25 +555,34 @@ def _around_whole_periods(period, k):
     (3**13, 10**6 + 5, 1),
 ])
 def test_char_sum_whole_periods_match_period_free_counter(q, M, k):
+    """The histogram of whole periods counted once equals the period-free
+    count; the value is the period-free value of the remainder window, at
+    (M + N - N mod q, M + N], as whole periods of a nonprincipal character
+    sum to exactly 0 (0j when q | N)."""
     chi = _second_primitive_character(q)
     numerators = lambda ns: _chi_numerators(chi, ns)  # noqa: E731
     for N in _around_whole_periods(q, k):
         expected = _period_free_window(numerators, M, N, chi.order)
+        if N >= q:
+            rem = N % q
+            tail = _period_free_window(numerators, M + N - rem, rem, chi.order).value if rem else 0j
+            expected = dataclasses.replace(expected, value=tail)
         _assert_same_exact_result(char_sum(chi, M, N), expected)
 
 
 def test_char_sum_whole_periods_at_ten_to_the_twenty():
     """N = 10^20 terms: k whole periods counted at (M, M+q], and the rem
-    terms counted where they lie, at (M + k q, M + N]."""
+    terms counted where they lie, at (M + k q, M + N]; the value is the
+    rem terms' alone, as the whole periods sum to exactly 0."""
     chi = _second_primitive_character(27)
     numerators = lambda ns: _chi_numerators(chi, ns)  # noqa: E731
     M, N = 10**6 + 5, 10**20
     k, rem = divmod(N, chi.q)
     period = _period_free_window(numerators, M, chi.q, chi.order).exact_angle_terms
-    tail = _period_free_window(numerators, M + k * chi.q, rem, chi.order).exact_angle_terms
-    expected = _exact_sum(np.concatenate((period.numerators, tail.numerators)),
-                          np.concatenate((period.counts.astype(object) * k, tail.counts)),
-                          chi.order, N)
+    tail = _period_free_window(numerators, M + k * chi.q, rem, chi.order)
+    expected = _exact_sum(np.concatenate((period.numerators, tail.exact_angle_terms.numerators)),
+                          np.concatenate((period.counts.astype(object) * k, tail.exact_angle_terms.counts)),
+                          chi.order, N, tail.value)
     _assert_same_exact_result(char_sum(chi, M, N), expected)
 
 
@@ -582,12 +592,15 @@ def test_exact_char_sum_value_within_its_error_bound(q, N):
     lies within 23 n 2^-53 of the true part, n the units counted, plus the
     last rounding (``_exact_sum``).  Whole periods of a nonprincipal
     character sum to 0, so the reference is the sum over the remainder
-    alone, within the same bound over its own units."""
+    alone, within the same bound over its own units; and char_sum takes
+    its value from the remainder alone, so the two are equal bit for bit."""
     chi = enumerate_characters(q, primitive_only=True)[1]
     k, rem = divmod(N, q)
     res, ref = char_sum(chi, 0, N), char_sum(chi, k * q, rem)
     n, n_ref = (sum(r.exact_angle_terms.values()) for r in (res, ref))
     assert res.mode == ref.mode == "exact" and n == k * chi.modulus.phi + n_ref
+    # the value is the remainder's, bit for bit
+    assert (res.value.real.hex(), res.value.imag.hex()) == (ref.value.real.hex(), ref.value.imag.hex())
     u = 2.0**-53
     for got, want in ((res.value.real, ref.value.real), (res.value.imag, ref.value.imag)):
         assert abs(got - want) <= 23 * (n + n_ref) * u + (abs(got) + abs(want)) * u, (got, want)

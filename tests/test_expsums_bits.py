@@ -2,6 +2,7 @@
 window readers against the per-block gathers they replaced, and the
 workspace they share."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -21,6 +22,7 @@ from corechar.expsums import (
     _BLOCK,
     _EXACT_CAP,
     _TWISTED_EXACT_CAP,
+    AngleCounts,
     RealPolynomial,
     _arange,
     _blocked_sum,
@@ -148,16 +150,27 @@ def _gather_exact_window(block_numerators, M, N, den, period):
 
 
 def _gather_char_sum(chi, M, N):
+    """``char_sum`` by gathers, and the histogram whose fsum is its value:
+    the window's, or, where whole periods of a nonprincipal character (which
+    sum to exactly 0) are counted, the remainder window's (empty when q | N)."""
     if chi.q <= VALUE_TABLE_CAP or N <= _EXACT_CAP:
-        return _gather_exact_window(lambda ns: _chi_numerators(chi, ns), M, N, chi.order, chi.q)
-    return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N)
+        numerators = lambda ns: _chi_numerators(chi, ns)  # noqa: E731
+        res = _gather_exact_window(numerators, M, N, chi.order, chi.q)
+        rem = N % chi.q
+        if chi.is_principal or N < chi.q:
+            return res, res.exact_angle_terms
+        if not rem:
+            return dataclasses.replace(res, value=0j), AngleCounts(np.zeros(0, np.int64), np.zeros(0), chi.order)
+        tail = _gather_exact_window(numerators, M, rem, chi.order, chi.q)
+        return dataclasses.replace(res, value=tail.value), tail.exact_angle_terms
+    return _blocked_sum(lambda ns: _chi_values(chi, ns), M, N), None
 
 
 def _gather_twisted_sum(chi, M, N, G):
     """``twisted_sum`` with chi gathered at ns % q and a rational twist at
     ns % den from its residue table, for every block's integers ns."""
     if G.is_zero:
-        return _gather_char_sum(chi, M, N)
+        return _gather_char_sum(chi, M, N)[0]
     table = _residue_table(G, N)
     if G.is_rational and N <= _TWISTED_EXACT_CAP:
         (nums, den), L = G.angle_data(), chi.order
@@ -191,7 +204,9 @@ def _gather_dirichlet_poly(chi, M, N, t):
         lambda ns: _chi_values(chi, ns) * np.exp(1j * t * np.log(ns.astype(np.float64))), M, N)
 
 
-def _assert_same_bits(res, want):
+def _assert_same_bits(res, want, value_terms=None):
+    """res has want's value bits, mode, term count and exact histogram, and
+    its value is the fsum of value_terms (by default that histogram)."""
     assert (res.value.real.hex(), res.value.imag.hex(), res.mode, res.term_count) == \
         (want.value.real.hex(), want.value.imag.hex(), want.mode, want.term_count)
     got, exp = res.exact_angle_terms, want.exact_angle_terms
@@ -201,8 +216,9 @@ def _assert_same_bits(res, want):
     assert got.den == exp.den
     assert np.array_equal(got.numerators, exp.numerators)
     assert got.counts.dtype == exp.counts.dtype and np.array_equal(got.counts, exp.counts)
-    # the value is the fsum of the histogram, as before the binned sum
-    roots, w = root_values(exp.numerators, exp.den), exp.counts.astype(np.float64)
+    # the value is the fsum of its histogram, as before the binned sum
+    hist = exp if value_terms is None else value_terms
+    roots, w = root_values(hist.numerators, hist.den), hist.counts.astype(np.float64)
     assert res.value == complex(math.fsum(w * roots.real), math.fsum(w * roots.imag))
 
 
@@ -261,7 +277,7 @@ def test_readers_give_the_gathers_bits(q, comps, M, N, coeffs):
     chi = _chi(q, comps)
     G = RealPolynomial.make(coeffs)
     _assert_same_bits(twisted_sum(chi, M, N, G), _gather_twisted_sum(chi, M, N, G))
-    _assert_same_bits(char_sum(chi, M, N), _gather_char_sum(chi, M, N))
+    _assert_same_bits(char_sum(chi, M, N), *_gather_char_sum(chi, M, N))
     if N <= 1.5 * _BLOCK:
         Gf = RealPolynomial.make([0, 0.1234567, 1 / 3])
         if M + N <= 2**53:

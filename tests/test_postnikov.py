@@ -120,16 +120,17 @@ def test_find_postnikov_m_verifies_every_point(monkeypatch):
     phase at any other x must still fail the exhaustive verification."""
     q = 243
     d = minimal_postnikov_degree(q)
-    nn, dd, first = postnikov._postnikov_grid(q, d)
+    plan = postnikov._search_plan(q, d)
+    nn, dd = plan.nn, plan.dd
     # a non-representative x whose denominator is a power of 3, coprime to m,
     # so that nn + 1 changes m*nn mod dd
     x = next(x for x in range(len(dd))
-             if x not in set(first.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
+             if x not in set(plan.xs.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
     bad = nn.copy()
     bad[x] = (nn[x] + 1) % dd[x]
     chi = enumerate_characters(q, primitive_only=True)[0]
     find_postnikov_m(chi, d)
-    monkeypatch.setattr(postnikov, "_postnikov_grid", lambda q, d: (bad, dd, first))
+    monkeypatch.setattr(postnikov, "_search_plan", lambda q, d: plan._replace(nn=bad))
     with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
         find_postnikov_m(chi, d)
 
@@ -138,7 +139,7 @@ def test_find_postnikov_m_int64_and_object_grids():
     """int64 while den*max(den, q) < 2^63, Python ints beyond; the search on
     the object grid satisfies the identity at every x (as criterion 1 checks)."""
     for q, dtype in ((3**8, np.int64), (3**9, object), (1024, object)):
-        assert postnikov._postnikov_grid(q, minimal_postnikov_degree(q))[0].dtype == dtype
+        assert postnikov._search_plan(q, minimal_postnikov_degree(q)).nn.dtype == dtype
     q = 3**9
     mod = FactoredModulus.from_int(q)
     d = minimal_postnikov_degree(mod)
@@ -156,15 +157,18 @@ def test_find_postnikov_m_int64_and_object_grids():
 
 def _one_character_search(chi, d):
     """The multiplier search one character at a time: its numerators over
-    chi.order, one Python congruence per distinct dd, ``crt_combine``, steps
-    to gcd(m, q) = 1 and the check at every x."""
+    chi.order, one Python congruence per distinct dd, the divisibility of m
+    by every r <= d coprime to q, ``crt_combine``, steps to gcd(m, q) = 1
+    and the check at every x."""
     q, mod = chi.q, chi.modulus
     step = mod.tau * mod.core
-    nn, dd, first = postnikov._postnikov_grid(q, d)
+    plan = postnikov._search_plan(q, d)
+    nn, dd = plan.nn, plan.dd
+    first = np.unique(dd, return_index=True)[1]
     order = chi.order
     xs = np.arange(q // step, dtype=np.int64)
     numerators = chi.angle_numerators(1 + step * xs).astype(nn.dtype, copy=False)
-    congruences = [(0, postnikov._divisibility_modulus(q, d))]
+    congruences = [(0, math.lcm(*(r for r in range(1, d + 1) if math.gcd(r, q) == 1)))]
     dens = dd[first].tolist()
     for nx, dx, ax in zip(nn[first].tolist(), dens, numerators[first].tolist()):
         target, rem = divmod(ax * dx, order)
@@ -188,7 +192,7 @@ def test_batch_matches_the_one_character_search(q, monkeypatch):
     E, _, primitive = character_rows(q)
     rows = E[primitive]
     if q == 3**9:
-        assert postnikov._postnikov_grid(q, d)[0].dtype == object
+        assert postnikov._search_plan(q, d).nn.dtype == object
         rows = rows[sorted(random.Random(q).sample(range(len(rows)), 40))]
         assert postnikov._SEARCH_BLOCK // (q // 3) == 19
     want = [_one_character_search(chi, d) for chi in characters_of_rows(q, rows)]
@@ -212,9 +216,10 @@ def test_batch_of_no_primitive_character_is_empty():
 def _non_representative_x(q, d):
     """An x that is no distinct dd's first, with dd a power of 3, so that a
     wrong phase there changes m*nn mod dd for every m coprime to 3."""
-    nn, dd, first = postnikov._postnikov_grid(q, d)
+    plan = postnikov._search_plan(q, d)
+    dd = plan.dd
     return next(x for x in range(len(dd))
-                if x not in set(first.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
+                if x not in set(plan.xs.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
 
 
 def test_batch_verifies_every_block(monkeypatch):
@@ -231,7 +236,7 @@ def test_batch_verifies_every_block(monkeypatch):
         A = numerator_rows(*args)
         calls.append(len(A))
         if len(calls) == 2:
-            A[17, x] = (A[17, x] + 1) % args[2]
+            A[17, x] = (A[17, x] + 1) % postnikov._search_plan(q, d).L
         return A
     monkeypatch.setattr(postnikov, "_numerator_rows", corrupt_middle_block)
     with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
@@ -239,10 +244,10 @@ def test_batch_verifies_every_block(monkeypatch):
     assert calls == [40, 40]
 
     monkeypatch.setattr(postnikov, "_numerator_rows", numerator_rows)
-    nn, dd, first = postnikov._postnikov_grid(q, d)
-    bad = nn.copy()
-    bad[x] = (nn[x] + 1) % dd[x]
-    monkeypatch.setattr(postnikov, "_postnikov_grid", lambda q, d: (bad, dd, first))
+    plan = postnikov._search_plan(q, d)
+    bad = plan.nn.copy()
+    bad[x] = (bad[x] + 1) % plan.dd[x]
+    monkeypatch.setattr(postnikov, "_search_plan", lambda q, d: plan._replace(nn=bad))
     with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
         postnikov_multipliers(q, d)
 
