@@ -32,6 +32,7 @@ from .lfunc import (
     zero_scan_report,
 )
 from .postnikov import (
+    _check_multipliers,
     main_bound_log,
     minimal_postnikov_degree,
     nontriviality_threshold_iwaniec,
@@ -222,6 +223,7 @@ def cmd_postnikov_verify(args, cfg: RunConfig) -> dict:
     E, _, primitive = character_rows(mod)
     E = E[primitive]
     ms = postnikov_multipliers(mod, d, E)
+    _check_multipliers(mod, d, E, ms)
     rows = [{"index": idx, "character": chi.label(), "m": str(m)}
             for idx, (chi, m) in enumerate(zip(characters_of_rows(mod, E), ms))]
     return _report("postnikov-verify", cfg, {

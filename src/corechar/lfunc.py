@@ -48,6 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -359,19 +360,27 @@ def l_value_series(chi: DirichletCharacter, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _gl_nodes() -> np.ndarray:
+    """The Gauss-Legendre nodes, read-only, made on first use: at import,
+    ``leggauss`` would start LAPACK in processes that never scan."""
+    nodes = np.polynomial.legendre.leggauss(_GL_ORDER)[0]
+    nodes.flags.writeable = False
+    return nodes
+
+
 def _contour(alpha: float, T: float, max_panel: float) -> np.ndarray:
     """Gauss-Legendre nodes around the rectangle [alpha, 1] x [-T, T], in
     counterclockwise order.  The left side is the right side run backwards:
     the same t nodes, reversed, so the two vertical sides share every t."""
     corners = [complex(alpha, -T), complex(1.0, -T), complex(1.0, T), complex(alpha, T)]
-    nodes = np.polynomial.legendre.leggauss(_GL_ORDER)[0]
     pts = []
     for z0, z1 in zip(corners[:-1], corners[1:]):
         panels = max(1, math.ceil(abs(z1 - z0) / max_panel))
         i = np.arange(panels)[:, None]
         u0, u1 = i / panels, (i + 1) / panels
         half = (u1 - u0) / 2.0
-        pts.append((z0 + ((u0 + u1) / 2.0 + half * nodes) * (z1 - z0)).ravel())
+        pts.append((z0 + ((u0 + u1) / 2.0 + half * _gl_nodes()) * (z1 - z0)).ravel())
     pts.append(alpha + 1j * pts[1].imag[::-1])
     return np.concatenate(pts)
 

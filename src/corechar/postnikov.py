@@ -4,14 +4,13 @@ The central identity here represents a primitive character on the
 principal congruence subgroup: chi(1 + tau*core*x) = e(f(x)) with
 f(x) = m/q * F_d(tau*core*x), where F_d is the degree-d truncation of
 log(1+x) and m is an integer unit mod q that is divisible by every
-r in [1, d] coprime to q.  One multiplier search serves any set of
-primitive characters, given as exponent rows (``postnikov_multipliers``;
-``find_postnikov_m`` is its one-row call): it solves the exact angle
-congruences of every row at once, through a CRT whose moduli all rows
-share, and verifies every row exhaustively over a full set of subgroup
-representatives before returning, all as array passes over blocks of rows.
-``shifted_poly`` gives the identity on a shifted progression as a
-``RealPolynomial`` f_n with exact coefficients.
+r in [1, d] coprime to q.  The multiplier of any set of primitive
+characters, given as exponent rows (``postnikov_multipliers``;
+``find_postnikov_m`` is its one-row call), comes from one congruence at
+x = 1 per row, which proves the identity at every x; ``_check_multipliers``
+checks it at every x, as array passes over blocks of rows, for
+``postnikov-verify`` and the tests.  ``shifted_poly`` gives the identity on
+a shifted progression as a ``RealPolynomial`` f_n with exact coefficients.
 
 The module also evaluates the two competing character-sum bound shapes
 (the rho^{-2}-savings bound and the older rho^{-2}/log-rho one) and their
@@ -24,11 +23,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .arith import as_modulus
+from .arith import as_modulus, crt_combine
 from .characters import DirichletCharacter, _exponent, _numerator_rows, _primitive_rows, character_rows
 from .expsums import RealPolynomial, _phase_numerators
 
@@ -71,91 +69,26 @@ def minimal_postnikov_degree(q) -> int:
     return 2 * m.gamma_max
 
 
-class _SearchPlan(NamedTuple):
-    """What the multiplier search reads per (q, d)."""
-
-    ns: np.ndarray  # the points 1 + tau*core*x, below q
-    nn: np.ndarray  # u_x = nn[x]/dd[x] in lowest terms, read-only
-    dd: np.ndarray
-    L: int  # lambda(q), the denominator of the numerators
-    xs: np.ndarray  # per congruence: the x it is read at, L/g, (dd/g) nn^-1 mod dd and dd
-    cuts: np.ndarray
-    coefs: np.ndarray
-    moduli: np.ndarray
-    cols: list  # per prime power of M: the congruence whose modulus it divides, and C_p
-    idem: np.ndarray
-    M: int
-    lcm_dd: int
-
-
 @lru_cache(maxsize=32)
-def _search_plan(q: int, d: int) -> _SearchPlan:
-    """The phase grid and the congruences on the multiplier m that every
-    character shares, per (q, d).
-
-    For x in [0, q/(tau*core)), u_x = F_d(tau*core*x)/q mod 1 = nn[x]/dd[x]
-    in lowest terms (0/1 where u_x = 0, as at x = 0), over a common
-    denominator den: int64, as is the congruence data, while den max(den,
-    q) < 2^63 (the bounds of ``_multipliers``), and Python ints beyond.
-
-    At the first x of each distinct dd the identity reads m nn = A dd/L
-    (mod dd).  With g = gcd(L, dd) it is solvable exactly when L/g divides
-    A, and then m = (A g/L) (dd/g) nn^-1 = r (mod dd).  The last
-    congruence, m = 0 mod div, div the lcm of the r in [1, d] coprime to q
-    (the Lemma-1 divisibility on m), is read the same way at x = 0, where
-    A = 0, with L/g = 1.  Only the residues r differ from character to
-    character.  Let M be the lcm of the moduli and p^e each prime power
-    exactly dividing M.  A solution has m = r mod p^e for a modulus that p^e
-    divides, so the least one is sum_p r C_p mod M, C_p = 1 mod p^e and 0
-    mod M/p^e (r C_p mod M depends on r mod p^e only), which the caller
-    checks against every congruence.  The primes of M are those of q and
-    those up to d, as dd divides q lcm(1..d).
-    """
+def _congruence(q: int, d: int) -> tuple[int, int, int, int, int]:
+    """(L, dd_1, h, K, M) per (q, d): L = lambda(q); u_1 = F_d(tau*core)/q mod
+    1 = nn_1/dd_1 in lowest terms; h = gcd(dd_1, div), div the lcm of the r
+    in [1, d] coprime to q; K = h nn_1^-1 (mod dd_1) and K = 0 (mod div), M
+    = lcm(dd_1, div).  For t = 0 (mod h), m = (t/h) K solves m = t nn_1^-1
+    (mod dd_1) and m = 0 (mod div), and h | t is needed for a solution."""
     mod = as_modulus(q)
-    step = mod.tau * mod.core
-    nums, den = RealPolynomial.make(
-        [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
-    dtype = np.int64 if den * max(den, q) < 1 << 63 else object
-    u = _phase_numerators(nums, den, np.arange(q // step)).astype(dtype)
-    g = np.gcd(u, den)
-    nn, dd = u // g, den // g
-    first = np.unique(dd, return_index=True)[1]
-    dens = dd[first].tolist()
-    moduli = dens + [math.lcm(*(r for r in range(2, d + 1) if math.gcd(r, q) == 1))]
-    M = math.lcm(*moduli)
-    L = _exponent(mod)
-    cols, idem, rest = [], [], M
-    # ascending, so a composite finds its primes already divided out
-    for p in sorted({p for p, _ in mod.factors}.union(range(2, d + 1))):
-        pe = 1
-        while rest % p == 0:
-            rest, pe = rest // p, pe * p
-        if pe > 1:
-            cols.append(next(i for i, m in enumerate(moduli) if m % pe == 0))
-            idem.append(M // pe * pow(M // pe, -1, pe))
-    # the terms r C_p < modulus M and, in the caller's gcd step, m < 65 M
-    bound = M * (sum(moduli[c] for c in cols) + 65)
-    ns = 1 + step * np.arange(q // step, dtype=np.int64 if q < 1 << 63 else object)
-    nn.flags.writeable = dd.flags.writeable = ns.flags.writeable = False
-    gs = [math.gcd(L, m) for m in dens]
-    return _SearchPlan(
-        ns=ns, nn=nn, dd=dd, L=L, xs=np.append(first, 0), cuts=np.array([L // g for g in gs] + [1], dtype=dtype),
-        coefs=np.array([m // g * pow(n, -1, m) % m for m, g, n in zip(dens, gs, nn[first].tolist())] + [0],
-                       dtype=dtype),
-        moduli=np.array(moduli, dtype=dtype), cols=cols,
-        idem=np.array(idem, dtype=dtype if bound < 1 << 63 else object), M=M,
-        lcm_dd=math.lcm(*dens))
-
-
-# Entries (rows x points) of one block of the multiplier search: 1 MiB an int64 array
-_SEARCH_BLOCK = 1 << 17
+    u = fd_eval(d, mod.tau * mod.core) / q % 1
+    div = math.lcm(*(r for r in range(2, d + 1) if math.gcd(r, q) == 1))
+    h = math.gcd(u.denominator, div)
+    K, M = crt_combine([(h * pow(u.numerator, -1, u.denominator), u.denominator), (0, div)])
+    return _exponent(mod), u.denominator, h, K, M
 
 
 def postnikov_multipliers(q, d: int, rows=None) -> list[int]:
     """``find_postnikov_m`` of every primitive character mod q, in
     ``enumerate_characters(q, primitive_only=True)`` order, or of the
     character of every row of ``rows``, exponent rows mod q as
-    ``character_rows`` gives them: one search for all of them."""
+    ``character_rows`` gives them."""
     mod = as_modulus(q)
     if rows is None:
         E, _, primitive = character_rows(mod)
@@ -167,37 +100,48 @@ def postnikov_multipliers(q, d: int, rows=None) -> list[int]:
 
 def find_postnikov_m(chi: DirichletCharacter, d: int) -> int:
     """Least positive m with chi(1+tau*core*x) = e(m*F_d(tau*core*x)/q) for all x:
-    the one-row call of the search of ``postnikov_multipliers``.
+    the one-row call of ``postnikov_multipliers``.
 
-    m is an integer unit mod q divisible by every r in [1, d] coprime to q,
-    verified exhaustively at every x.  Raises ValueError when no multiplier
-    exists, which signals a non-primitive input (or an implementation fault).
+    m is an integer unit mod q divisible by every r in [1, d] coprime to q.
+    It is proved from the identity at x = 1 alone (see ``_multipliers``),
+    at any q; ``postnikov-verify`` and the tests check it exhaustively at
+    every x.  Raises ValueError when no multiplier exists, which signals a
+    non-primitive input (or an implementation fault).
     """
     return _multipliers(chi.modulus, d, chi.row, chi.is_primitive)[0]
 
 
 def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
     """The least multiplier of the character of every row of ``rows``, all
-    primitive when ``primitive`` holds (else ValueError).
+    primitive when ``primitive`` holds (else ValueError), from one
+    ``_numerator_rows`` call at the single point 1 + step, step = tau*core.
 
-    Block by block of rows, ``_numerator_rows`` gives chi(1 + tau*core*x) =
-    e(A/L) over L = lambda(q) at every x.  The residues of
-    ``_search_plan`` at the first x of each distinct dd (every x with that
-    dd pins the same residue when m exists), its CRT, the steps of M up to
-    gcd(m, q) = 1, and the exact check of the identity at every (row, x)
-    are array passes.
+    Proof that the congruence at x = 1 fixes m.  Let U1 = 1 + step*Z mod q,
+    and take p^e exactly dividing q and k = v_p(step) <= e.  U1's p-part
+    1 + p^k Z mod p^e is trivial when k = e.  Else k >= 2 if p = 2 (tau = 2
+    when 4 | q), so the p-adic log maps 1 + p^k Z_p onto p^k Z_p, a group
+    isomorphism, and sends 1 + step to step plus terms step^r/r of valuation
+    r k - v_p(r) > k: 1 + step generates the p-part, cyclic of order
+    p^(e-k).  These orders are coprime, so U1 is cyclic and generated by
+    1 + step.  For y in step*Z, F_d(y) differs
+    from log(1 + y) by terms y^r/r, r > d >= 2 gamma_max, of valuation at
+    least r - log_p r >= e, so F_d is exact mod q there; and once div | m,
+    m F_d(y)/q mod 1 has only the primes of q in its denominator.  So
+    y -> e(m F_d(y)/q) is a character of U1, and it equals chi on U1 as soon
+    as the two agree at the generator: chi(1 + step) = e(A/L), A from
+    ``_numerator_rows`` over L = lambda(q), against e(m nn_1/dd_1).  That
+    reads m nn_1 = A dd_1/L (mod dd_1), solvable exactly when L | A dd_1,
+    and then m = r = (A dd_1/L) nn_1^-1 (mod dd_1).  With m = 0 (mod div),
+    the CRT of ``_congruence`` gives m mod M, and the steps of M up to
+    gcd(m, q) = 1 the least unit.  Every valid m solves both congruences,
+    so that one is least.  dd_1 has the largest p-part, p | q, of the
+    denominator of u_x at any x, as v_p((step x)^r/r) > v_p(step) for
+    r >= 2, and the other primes of any such denominator divide div: M is
+    the lcm of every congruence the identity imposes.
 
-    Bounds: with den the common denominator of u_x, A < L < q, dd | den,
-    div | den (the coprime parts of F_d's 1/r) and m mod lcm(dd) < den, so
-    A dd, (m mod lcm(dd)) nn and the residues times their coefficients stay
-    below den max(den, q): int64 on the grid's int64.  M passes 2^63 at large gamma: the CRT's terms
-    r C_p stay below modulus times M and the steps of M below 65 M, so the
-    CRT is int64 where ``_search_plan`` finds their sum below 2^63, and
-    Python ints otherwise.
-
-    The identity pins m only modulo the lcm of the angle denominators, and
-    that generally exceeds q, so the least valid m can too (already for
-    q = 25 some primitive characters force m = 36).
+    The identity pins m only modulo M, which generally exceeds q, so the
+    least valid m can too (already for q = 25 some primitive characters
+    force m = 36).
     """
     q = mod.q
     if q < 2:
@@ -206,36 +150,76 @@ def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
         raise ValueError(f"need q^2 | core^d, i.e. d >= {2 * mod.gamma_max}")
     if not primitive:
         raise ValueError("character is not primitive; no coprime multiplier exists")
-    count = q // (mod.tau * mod.core)
+    L, dd, h, K, M = _congruence(q, d)
+    A = _numerator_rows(mod, rows, np.array([1 + mod.tau * mod.core], dtype=object))
+    out = []
+    for a in A[:, 0].tolist():
+        t, rem = divmod(a * dd, L)
+        if rem or t % h:
+            raise ValueError("angle congruence unsolvable; character not primitive?")
+        m = t // h * K % M or M
+        for _ in range(64):
+            if math.gcd(m, q) == 1:
+                break
+            m += M
+        else:
+            raise ValueError("no multiplier coprime to q in the solution class")
+        out.append(m)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _check_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ns, nn, dd), read-only, per (q, d): for x in [0, q/(tau*core)), the
+    point ns[x] = 1 + tau*core*x and u_x = F_d(tau*core*x)/q mod 1 =
+    nn[x]/dd[x] in lowest terms (0/1 where u_x = 0, as at x = 0), over a
+    common denominator den: int64 while den max(den, q) < 2^63 (the bounds
+    of ``_check_multipliers``), and Python ints beyond."""
+    mod = as_modulus(q)
+    step = mod.tau * mod.core
+    nums, den = RealPolynomial.make(
+        [0] + [c * step**r / q for r, c in enumerate(fd_coefficients(d), start=1)]).angle_data()
+    dtype = np.int64 if den * max(den, q) < 1 << 63 else object
+    u = _phase_numerators(nums, den, np.arange(q // step)).astype(dtype)
+    g = np.gcd(u, den)
+    nn, dd = u // g, den // g
+    ns = 1 + step * np.arange(q // step, dtype=np.int64 if q < 1 << 63 else object)
+    nn.flags.writeable = dd.flags.writeable = ns.flags.writeable = False
+    return ns, nn, dd
+
+
+# Entries (rows x points) of one block of the identity check: 1 MiB an int64 array
+_CHECK_BLOCK = 1 << 17
+
+
+def _check_multipliers(mod, d: int, rows: np.ndarray, ms) -> None:
+    """Postnikov's identity at every x in [0, q/(tau*core)) for the character
+    of every row of ``rows`` and its multiplier in ``ms``: ValueError at the
+    first x where it fails, and past 2^22 points.
+
+    Block by block of rows, ``_numerator_rows`` gives chi(1 + tau*core*x) =
+    e(A/L) over L = lambda(q) at every x, and the identity reads
+    ((m mod lcm(dd)) nn mod dd) L = A dd, in one array pass.  Bounds: with
+    den the common denominator of ``_check_grid``, A < L < q and dd | den,
+    so m mod lcm(dd) < den and every product stays below den max(den, q):
+    int64 on the grid's int64.
+    """
+    if not len(rows):
+        return
+    count = mod.q // (mod.tau * mod.core)
     if count > (1 << 22):
         raise ValueError(
             f"exhaustive verification over {count} points exceeds the work cap")
-    plan = _search_plan(q, d)
-    nn, dd = plan.nn, plan.dd
-    block, out = max(1, _SEARCH_BLOCK // count), []
+    ns, nn, dd = _check_grid(mod.q, d)
+    L = _exponent(mod)
+    lcm_dd = math.lcm(*np.unique(dd).tolist())
+    block = max(1, _CHECK_BLOCK // count)
     for lo in range(0, len(rows), block):
-        A = _numerator_rows(mod, rows[lo:lo + block], plan.ns).astype(nn.dtype, copy=False)
-        a = A[:, plan.xs]
-        if (a % plan.cuts).any():
-            raise ValueError("angle congruence unsolvable; character not primitive?")
-        r = a // plan.cuts * plan.coefs % plan.moduli
-        m = r[:, plan.cols].astype(plan.idem.dtype, copy=False) @ plan.idem % plan.M
-        if (m[:, None] % plan.moduli != r).any():
-            raise ValueError("inconsistent multiplier congruences: inconsistent congruence system")
-        m = np.where(m, m, plan.M)
-        for _ in range(64):
-            g = np.gcd(m, q)
-            if g.max() == 1:
-                break
-            m[g != 1] += plan.M
-        else:
-            raise ValueError("no multiplier coprime to q in the solution class")
-        # m nn = (m mod lcm(dd)) nn (mod dd)
-        ok = (m % plan.lcm_dd).astype(nn.dtype, copy=False)[:, None] * nn % dd * plan.L == A * dd
+        A = _numerator_rows(mod, rows[lo:lo + block], ns).astype(nn.dtype, copy=False)
+        m = np.array([x % lcm_dd for x in ms[lo:lo + block]], dtype=nn.dtype)
+        ok = m[:, None] * nn % dd * L == A * dd
         if not ok.all():
             raise ValueError(f"verification failed at x = {np.argwhere(~ok)[0, 1]} (implementation fault)")
-        out += m.tolist()
-    return out
 
 
 def shifted_poly(chi: DirichletCharacter, n: int, s: int, d: int) -> RealPolynomial:

@@ -1,5 +1,6 @@
 """CLI dispatch: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -294,3 +295,15 @@ def test_sum_commands_golden_stdout(record, tmp_path, capsys):
         argv = [str(spec) if a == "{spec}" else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == record["stdout"]
+
+
+@pytest.mark.parametrize("q,digest", [
+    (2592, "fe2105d86084ffeee69196f65ff4b644480f70cd311c623dad2f0ceb8351fd06"),
+    (6561, "2f77428bcc8cdede0403a601f62a61119b0ac058caa3b99014ad70f829f64610"),
+], ids=["2592", "6561"])
+def test_postnikov_verify_stdout_digest(q, digest, capsys):
+    """``postnikov-verify`` stdout byte for byte, pinned by its SHA-256: 288
+    rows (18,477 bytes) at 2592 and 2,916 rows (183,172 bytes) at 6561, too
+    large for tests/golden."""
+    assert main(["postnikov-verify", "--q", str(q)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

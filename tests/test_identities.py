@@ -39,14 +39,17 @@ def test_induced_characters_share_their_l_values(g):
 
 @pytest.mark.parametrize("q,pairs", [(27, 112), (81, 112), (243, 112), (125, 112)])
 def test_postnikov_multipliers_add(q, pairs):
-    """Guards the multiplier search (``postnikov._multipliers``).  e(m F/q)
-    is multiplicative in m, so the least multipliers of chi1, chi2 and
-    chi1 chi2 satisfy m1 + m2 = m12 mod lcm(dd), on seeded pairs whose
-    product is primitive; and each is least in its class mod M: m - M is
-    not a valid multiplier."""
+    """Guards the multiplier (``postnikov._multipliers``).  e(m F/q) is
+    multiplicative in m, so the least multipliers of chi1, chi2 and chi1 chi2
+    satisfy m1 + m2 = m12 mod lcm(dd), dd the denominators of F_d(step x)/q
+    mod 1 over every x, on seeded pairs whose product is primitive; and each
+    is least in its class mod M = lcm(lcm(dd), the r <= d coprime to q):
+    m - M is not a valid multiplier."""
     mod = as_modulus(q)
     d = postnikov.minimal_postnikov_degree(q)
-    plan = postnikov._search_plan(q, d)
+    step = mod.tau * mod.core
+    lcm_dd = math.lcm(*((postnikov.fd_eval(d, step * x) / q % 1).denominator for x in range(q // step)))
+    M = math.lcm(lcm_dd, *(r for r in range(1, d + 1) if math.gcd(r, q) == 1))
     E, _, primitive = character_rows(mod)
     orders = _columns(mod)[0]
     rows = np.flatnonzero(primitive).tolist()
@@ -59,8 +62,8 @@ def test_postnikov_multipliers_add(q, pairs):
             triples.append((i, j, k))
     m = postnikov.postnikov_multipliers(q, d, E[np.array(triples).ravel()])
     for m1, m2, m12 in zip(m[0::3], m[1::3], m[2::3]):
-        assert (m1 + m2 - m12) % plan.lcm_dd == 0, (q, m1, m2, m12)
-    assert all(x <= plan.M or math.gcd(x - plan.M, q) > 1 for x in m)
+        assert (m1 + m2 - m12) % lcm_dd == 0, (q, m1, m2, m12)
+    assert all(x <= M or math.gcd(x - M, q) > 1 for x in m)
 
 
 def _l1_closed_form(chi):

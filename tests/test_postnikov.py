@@ -9,7 +9,8 @@ import pytest
 
 from corechar import postnikov
 from corechar.arith import DLOG_TABLE_CAP, FactoredModulus, as_modulus, crt_combine, valuation
-from corechar.characters import character_rows, characters_of_rows, enumerate_characters, principal_character
+from corechar.characters import (_exponent, character_rows, characters_of_rows, enumerate_characters,
+                                 principal_character)
 from corechar.postnikov import (
     fd_coefficients,
     fd_eval,
@@ -115,31 +116,29 @@ def test_find_postnikov_m_even_modulus():
             assert lhs == rhs
 
 
-def test_find_postnikov_m_verifies_every_point(monkeypatch):
-    """The congruences come from one x per distinct denominator; a wrong
-    phase at any other x must still fail the exhaustive verification."""
+def test_check_verifies_every_point(monkeypatch):
+    """The multiplier comes from x = 1 alone; a wrong phase at an x that is
+    no distinct dd's first must still fail the exhaustive check."""
     q = 243
     d = minimal_postnikov_degree(q)
-    plan = postnikov._search_plan(q, d)
-    nn, dd = plan.nn, plan.dd
-    # a non-representative x whose denominator is a power of 3, coprime to m,
-    # so that nn + 1 changes m*nn mod dd
-    x = next(x for x in range(len(dd))
-             if x not in set(plan.xs.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
+    x = _non_representative_x(q, d)
+    ns, nn, dd = postnikov._check_grid(q, d)
     bad = nn.copy()
     bad[x] = (nn[x] + 1) % dd[x]
     chi = enumerate_characters(q, primitive_only=True)[0]
-    find_postnikov_m(chi, d)
-    monkeypatch.setattr(postnikov, "_search_plan", lambda q, d: plan._replace(nn=bad))
+    m = find_postnikov_m(chi, d)
+    postnikov._check_multipliers(chi.modulus, d, chi.row, [m])
+    monkeypatch.setattr(postnikov, "_check_grid", lambda q, d: (ns, bad, dd))
     with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
-        find_postnikov_m(chi, d)
+        postnikov._check_multipliers(chi.modulus, d, chi.row, [m])
 
 
 def test_find_postnikov_m_int64_and_object_grids():
-    """int64 while den*max(den, q) < 2^63, Python ints beyond; the search on
-    the object grid satisfies the identity at every x (as criterion 1 checks)."""
+    """The check's grid is int64 while den*max(den, q) < 2^63, Python ints
+    beyond; the multiplier at the object grid's sizes satisfies the identity
+    at every x (as criterion 1 checks)."""
     for q, dtype in ((3**8, np.int64), (3**9, object), (1024, object)):
-        assert postnikov._search_plan(q, minimal_postnikov_degree(q)).nn.dtype == dtype
+        assert postnikov._check_grid(q, minimal_postnikov_degree(q))[1].dtype == dtype
     q = 3**9
     mod = FactoredModulus.from_int(q)
     d = minimal_postnikov_degree(mod)
@@ -162,8 +161,7 @@ def _one_character_search(chi, d):
     and the check at every x."""
     q, mod = chi.q, chi.modulus
     step = mod.tau * mod.core
-    plan = postnikov._search_plan(q, d)
-    nn, dd = plan.nn, plan.dd
+    _, nn, dd = postnikov._check_grid(q, d)
     first = np.unique(dd, return_index=True)[1]
     order = chi.order
     xs = np.arange(q // step, dtype=np.int64)
@@ -185,24 +183,27 @@ def _one_character_search(chi, d):
 @pytest.mark.parametrize("q", [9, 16, 25, 27, 64, 72, 81, 243, 729, 1296, 2592, 3**9])
 def test_batch_matches_the_one_character_search(q, monkeypatch):
     """postnikov_multipliers equals the per-character search row by row, in
-    enumerate_characters order; at 3^9 (the object grid) on 40 seeded rows
-    in three blocks, and elsewhere on every primitive row, also with blocks
-    of 7 rows so that block edges fall inside the batch."""
+    enumerate_characters order, and passes the check; at 3^9 (the object
+    grid) on 40 seeded rows, checked in three blocks, and elsewhere on every
+    primitive row, also checked in blocks of 7 rows so that block edges fall
+    inside the batch."""
+    mod = as_modulus(q)
     d = minimal_postnikov_degree(q)
     E, _, primitive = character_rows(q)
     rows = E[primitive]
     if q == 3**9:
-        assert postnikov._search_plan(q, d).nn.dtype == object
+        assert postnikov._check_grid(q, d)[1].dtype == object
         rows = rows[sorted(random.Random(q).sample(range(len(rows)), 40))]
-        assert postnikov._SEARCH_BLOCK // (q // 3) == 19
+        assert postnikov._CHECK_BLOCK // (q // 3) == 19
     want = [_one_character_search(chi, d) for chi in characters_of_rows(q, rows)]
     got = postnikov_multipliers(q, d, rows)
     assert got == want
+    postnikov._check_multipliers(mod, d, rows, got)
     if q != 3**9:
         assert postnikov_multipliers(q, d) == want
         assert [find_postnikov_m(chi, d) for chi in enumerate_characters(q, primitive_only=True)] == want
-        monkeypatch.setattr(postnikov, "_SEARCH_BLOCK", 7 * (q // (as_modulus(q).tau * as_modulus(q).core)))
-        assert postnikov_multipliers(q, d) == want
+        monkeypatch.setattr(postnikov, "_CHECK_BLOCK", 7 * (q // (mod.tau * mod.core)))
+        postnikov._check_multipliers(mod, d, rows, want)
 
 
 def test_batch_of_no_primitive_character_is_empty():
@@ -216,19 +217,24 @@ def test_batch_of_no_primitive_character_is_empty():
 def _non_representative_x(q, d):
     """An x that is no distinct dd's first, with dd a power of 3, so that a
     wrong phase there changes m*nn mod dd for every m coprime to 3."""
-    plan = postnikov._search_plan(q, d)
-    dd = plan.dd
+    dd = postnikov._check_grid(q, d)[2]
+    firsts = set(np.unique(dd, return_index=True)[1].tolist())
     return next(x for x in range(len(dd))
-                if x not in set(plan.xs.tolist()) and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
+                if x not in firsts and dd[x] > 1 and 3 ** valuation(int(dd[x]), 3) == dd[x])
 
 
 def test_batch_verifies_every_block(monkeypatch):
     """A wrong phase in the middle block of three, at an x that pins no
-    congruence, fails the batch's check at that x; so does a wrong nn."""
+    congruence, fails the check at that x; so does a wrong nn."""
     q = 243
+    mod = as_modulus(q)
     d = minimal_postnikov_degree(q)
+    E, _, primitive = character_rows(mod)
+    rows = E[primitive]
+    ms = postnikov_multipliers(q, d)
     x = _non_representative_x(q, d)
-    monkeypatch.setattr(postnikov, "_SEARCH_BLOCK", 40 * (q // 3))  # 108 rows: blocks of 40, 40, 28
+    monkeypatch.setattr(postnikov, "_CHECK_BLOCK", 40 * (q // 3))  # 108 rows: blocks of 40, 40, 28
+    postnikov._check_multipliers(mod, d, rows, ms)
     calls = []
     numerator_rows = postnikov._numerator_rows
 
@@ -236,20 +242,62 @@ def test_batch_verifies_every_block(monkeypatch):
         A = numerator_rows(*args)
         calls.append(len(A))
         if len(calls) == 2:
-            A[17, x] = (A[17, x] + 1) % postnikov._search_plan(q, d).L
+            A[17, x] = (A[17, x] + 1) % _exponent(mod)
         return A
     monkeypatch.setattr(postnikov, "_numerator_rows", corrupt_middle_block)
     with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
-        postnikov_multipliers(q, d)
+        postnikov._check_multipliers(mod, d, rows, ms)
     assert calls == [40, 40]
 
     monkeypatch.setattr(postnikov, "_numerator_rows", numerator_rows)
-    plan = postnikov._search_plan(q, d)
-    bad = plan.nn.copy()
-    bad[x] = (bad[x] + 1) % plan.dd[x]
-    monkeypatch.setattr(postnikov, "_search_plan", lambda q, d: plan._replace(nn=bad))
+    ns, nn, dd = postnikov._check_grid(q, d)
+    bad = nn.copy()
+    bad[x] = (bad[x] + 1) % dd[x]
+    monkeypatch.setattr(postnikov, "_check_grid", lambda q, d: (ns, bad, dd))
     with pytest.raises(ValueError, match=f"verification failed at x = {x} "):
-        postnikov_multipliers(q, d)
+        postnikov._check_multipliers(mod, d, rows, ms)
+
+
+def test_multiplier_reads_one_point_and_runs_no_check(monkeypatch):
+    """The multiplier reads chi at the single point 1 + tau*core, in one
+    ``_numerator_rows`` call, and never runs the exhaustive check."""
+    q = 3**8
+    chi = enumerate_characters(q, primitive_only=True)[5]
+    d = minimal_postnikov_degree(q)
+    points = []
+    numerator_rows = postnikov._numerator_rows
+
+    def record(mod, E, ns):
+        points.append(list(ns))
+        return numerator_rows(mod, E, ns)
+
+    def refuse(*args):
+        raise AssertionError("the multiplier ran the exhaustive check")
+    monkeypatch.setattr(postnikov, "_numerator_rows", record)
+    monkeypatch.setattr(postnikov, "_check_multipliers", refuse)
+    m = find_postnikov_m(chi, d)
+    assert points == [[1 + 3]]
+    assert shifted_poly(chi, 2, 2, d).coefficients[1] == Fraction(m * 9 * pow(2, -1, q), q)
+
+
+@pytest.mark.parametrize("q,row", [(3**16, [1234567]), (3**20, [2 * 3**12 + 1]), (3**24, [10**11 + 1]),
+                                   (5**13, [123456789]), (2**30, [1, 987654321]), (4 * 3**16, [1, 7654321])],
+                         ids=["3^16", "3^20", "3^24", "5^13", "2^30", "4*3^16"])
+def test_find_postnikov_m_past_the_check_work_cap(q, row):
+    """Past 2^22 points, where no exhaustive check runs, the multiplier is a
+    unit, divisible by every r <= d coprime to q, and satisfies the identity
+    at 40 seeded x by the scalar ``evaluate`` and ``fd_eval``."""
+    mod = FactoredModulus.from_int(q)
+    chi = characters_of_rows(q, np.array([row]))[0]
+    step = mod.tau * mod.core
+    assert chi.is_primitive and q // step > 1 << 22
+    d = minimal_postnikov_degree(q)
+    m = find_postnikov_m(chi, d)
+    assert math.gcd(m, q) == 1
+    assert all(m % r == 0 for r in range(1, d + 1) if math.gcd(r, q) == 1)
+    rng = random.Random(q)
+    for x in [rng.randrange(q // step) for _ in range(40)]:
+        assert chi.evaluate(1 + step * x).fraction == (m * fd_eval(d, step * x) / q) % 1, x
 
 
 def test_find_postnikov_m_above_the_dlog_table_cap():
@@ -265,11 +313,13 @@ def test_find_postnikov_m_above_the_dlog_table_cap():
         assert chi.evaluate(1 + mod.core * x).fraction == (m * fd_eval(d, mod.core * x) / q) % 1
 
 
-def test_shifted_poly_envelope():
-    q = 3**8
-    chi = enumerate_characters(q, primitive_only=True)[0]
+@pytest.mark.parametrize("gamma", [8, 16])
+def test_shifted_poly_envelope(gamma):
+    """The first primitive character mod 3^gamma (exponent 1), at gamma = 16
+    past the exhaustive check's work cap."""
+    q = 3**gamma
+    chi = characters_of_rows(q, np.array([[1]]))[0]
     s = 2
-    gamma = 8
     d0 = 2 * gamma
     script_l = math.floor(1.5 * math.log(d0))
     poly = shifted_poly(chi, 2, s, d0)
