@@ -4,14 +4,24 @@ Everything in here is exact: moduli are arbitrary-precision integers,
 group-theoretic data (generators, orders, discrete logarithms) is computed
 over the actual unit groups.  Only the bulk discrete-log tables are numpy
 arrays.  ``exp_or_inf`` is the one overflow-safe exp, for bounds kept in
-log space, and ``pow_or_inf`` the one overflow-safe power.
+log space, ``pow_or_inf`` the one overflow-safe power, and ``_math_logs``
+math.log of an integer array, bit for bit at any SIMD level.
+
+The array caches of every module (``_cached``) share one byte budget,
+``_CACHE_BUDGET``: a miss evicts the least recently used entries of all of
+them until the new entry fits, and every cached array is read-only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +38,19 @@ __all__ = [
 
 # Discrete-log tables are built for prime powers up to this size.
 DLOG_TABLE_CAP = 1 << 22
+
+# Bytes that the array caches (``_cached``) keep, all together.  The size
+# caps bound the entries: the largest is postnikov's check grid at its work
+# cap of 2^22 points, 3 int64 arrays of 32 MiB, 96 MiB.  The largest dlog
+# table, dlog_table(2, 22), is 2^22 residues x 2 int64 columns, 64 MiB, and
+# a character mod 2^22 reads 16 MiB of roots of unity (lambda = 2^20) beside
+# it; a value table at VALUE_TABLE_CAP = 2^20 residues is 24 MiB.  So 96 MiB
+# keeps any one of them, and the largest table with what is read with it.
+# An entry past the budget (roots of unity for an L-function with lambda(q)
+# past 6·2^20, a check grid of Python ints) is returned and not kept.
+_CACHE_BUDGET = 96 << 20
+# Entries per chunk of ``_math_logs``: 1 MiB of complex128
+_LOG_CHUNK = 1 << 16
 
 # Trial divisors step 2 -> 3 -> 5 -> 7, then take the mod-30 wheel from 7 on,
 # which skips multiples of 2, 3 and 5 (entries 3..10, cycled).
@@ -82,6 +105,31 @@ def pow_or_inf(base: float, exponent: float) -> float:
         return base ** exponent
     except OverflowError:
         return math.inf
+
+
+def _math_logs(x: np.ndarray, out: Optional[np.ndarray] = None,
+               work: Optional[np.ndarray] = None) -> np.ndarray:
+    """math.log of each entry of x (integers, or integral doubles), bit for
+    bit, into out (float64, may be x itself) or a new array: the real part
+    of numpy's complex log, ``_LOG_CHUNK`` entries at a time, in work
+    (complex128, at least min(len(x), _LOG_CHUNK) entries) or in a complex
+    temporary of at most 1 MiB.
+
+    numpy's complex log has no SIMD loop: it calls the C library's clog,
+    and glibc's clog of a real x >= 1 (imaginary part 0) is log(hypot(x, 0))
+    = log(x), the libm log that math.log calls.  int64 to float64 rounds to
+    nearest, as math.log(int) does through PyLong_AsDouble.  Measured on
+    x86-64: no difference from math.log at the 295,947 primes below 2^22
+    and at 2·10^5 seeded integers in [2^22, 2^62), with numpy's AVX512
+    dispatch on and off.  Real np.log is not math.log: its SIMD loops
+    differ from libm in the last bit, at 19 of those primes under AVX512."""
+    logs = np.empty(len(x), dtype=np.float64) if out is None else out
+    for i in range(0, len(x), _LOG_CHUNK):
+        n = min(_LOG_CHUNK, len(x) - i)
+        z = np.empty(n, dtype=np.complex128) if work is None else work[:n]
+        z[...] = x[i:i + n]
+        logs[i:i + n] = np.log(z, out=z).real
+    return logs
 
 
 def valuation(n: int, p: int) -> int:
@@ -155,6 +203,107 @@ def as_modulus(q) -> FactoredModulus:
 def core(q) -> int:
     """The core (kernel) of q: the product of its distinct prime divisors."""
     return as_modulus(q).core
+
+
+# ---------------------------------------------------------------------------
+# Array caches under one byte budget
+# ---------------------------------------------------------------------------
+
+
+_CACHES: list["_Cache"] = []
+_CACHE_LOCK = threading.Lock()  # guards every cache's entries and counts
+_STAMPS = itertools.count()  # use stamps: the least recently used entry has the least
+
+
+def _seal(value) -> int:
+    """Make every array of a cache value read-only (one value is shared by
+    every caller) and return the bytes the value holds: each array's data,
+    with the ints of an object array, and each tuple and int around them."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value.nbytes + (sum(map(sys.getsizeof, value.flat)) if value.dtype == object else 0)
+    if isinstance(value, tuple):
+        return sys.getsizeof(value) + sum(map(_seal, value))
+    return sys.getsizeof(value)
+
+
+class _Cache:
+    """One function's entries and counts under ``_CACHE_BUDGET``; see ``_cached``."""
+
+    def __init__(self, name: str, maxsize: Optional[int]):
+        self.name, self.maxsize = name, maxsize
+        self.entries: OrderedDict = OrderedDict()  # args -> [value, bytes, stamp], least recent first
+        self.hits = self.misses = self.evictions = self.nbytes = 0
+
+    def keep(self, args, value):
+        """Seal value and keep it under the budget, unless another thread
+        kept one for args meanwhile: the value the caller returns."""
+        size = _seal(value)
+        with _CACHE_LOCK:
+            entry = self.entries.get(args)
+            if entry is not None:
+                entry[2] = next(_STAMPS)
+                self.entries.move_to_end(args)
+                return entry[0]
+            if size <= _CACHE_BUDGET:
+                if self.maxsize is not None and len(self.entries) >= self.maxsize:
+                    self.evict()
+                while sum(c.nbytes for c in _CACHES) + size > _CACHE_BUDGET:
+                    min((c for c in _CACHES if c.entries), key=_Cache.oldest_stamp).evict()
+                self.entries[args] = [value, size, next(_STAMPS)]
+                self.nbytes += size
+        return value
+
+    def oldest_stamp(self) -> int:
+        return next(iter(self.entries.values()))[2]
+
+    def evict(self) -> None:
+        self.nbytes -= self.entries.popitem(last=False)[1][1]
+        self.evictions += 1
+
+
+def _cached(maxsize: Optional[int] = None):
+    """Decorator: cache a function of hashable positional arguments whose
+    value is an array or a tuple of arrays, ints and such tuples.  Every
+    array of a value is made read-only.  All such caches share
+    ``_CACHE_BUDGET``: a hit refreshes its entry, and a miss builds its
+    value outside the lock and then evicts the least recently used entries,
+    of any cache, until the value fits; a value larger than the whole
+    budget is returned and not kept.  maxsize also bounds the entries of
+    this one cache."""
+    def wrap(fn):
+        cache = _Cache(f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}", maxsize)
+        entries = cache.entries
+        _CACHES.append(cache)
+
+        @wraps(fn)
+        def cached(*args):
+            with _CACHE_LOCK:
+                entry = entries.get(args)
+                if entry is not None:
+                    cache.hits += 1
+                    entry[2] = next(_STAMPS)
+                    entries.move_to_end(args)
+                    return entry[0]
+                cache.misses += 1
+            return cache.keep(args, fn(*args))
+        return cached
+    return wrap
+
+
+def _cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses, evictions and the bytes it holds, per cache ("module.name")."""
+    with _CACHE_LOCK:
+        return {c.name: {"hits": c.hits, "misses": c.misses, "evictions": c.evictions, "bytes": c.nbytes}
+                for c in _CACHES}
+
+
+def _cache_clear() -> None:
+    """Empty every cache and zero its counts."""
+    with _CACHE_LOCK:
+        for c in _CACHES:
+            c.entries.clear()
+            c.hits = c.misses = c.evictions = c.nbytes = 0
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +453,14 @@ def discrete_log(x: int, basis: UnitGroupBasis) -> list[int]:
     return [e]
 
 
-@lru_cache(maxsize=64)
+@_cached()
 def dlog_table(p: int, gamma: int) -> np.ndarray:
     """Exponent vectors of every residue mod p^gamma against its basis.
 
     Row n is discrete_log(n) for a unit n and all -1 for a non-unit; the
     trivial group (p^gamma = 2) gets one all-zero column so that its
     non-units are marked too.  Built by walking the group once; cached per
-    prime power.
+    prime power, read-only.
     """
     basis = unit_group_basis(p, gamma)
     modulus = basis.modulus
@@ -329,5 +478,4 @@ def dlog_table(p: int, gamma: int) -> np.ndarray:
         negatives = [modulus - e for e in powers]
         table[negatives, 0] = 1
         table[negatives, 1] = js
-    table.flags.writeable = False  # one cached array is shared by every caller
     return table

@@ -48,6 +48,7 @@ import numpy as np
 from .arith import (
     DLOG_TABLE_CAP,
     FactoredModulus,
+    _cached,
     as_modulus,
     crt_combine,
     discrete_log,
@@ -181,7 +182,7 @@ def _den_gcd(a: np.ndarray, den: int, work: Optional[np.ndarray] = None) -> np.n
     return g
 
 
-@lru_cache(maxsize=16)
+@_cached()
 def _gcd_plan(den: int) -> tuple[tuple[tuple[int, np.ndarray], ...], tuple[tuple[int, int], ...], int]:
     """(tables, passes, rest) for ``_den_gcd``: den's prime powers p^e with
     p < 2^16, ascending, packed into products m <= ``_GCD_TABLE_CAP``, each
@@ -204,17 +205,14 @@ def _gcd_plan(den: int) -> tuple[tuple[tuple[int, np.ndarray], ...], tuple[tuple
         for p, e in group:
             for k in range(1, e + 1):
                 table[::p**k] *= p
-        table.flags.writeable = False
         tables.append((m, table))
     return tuple(tables), tuple(passes), rest
 
 
-@lru_cache(maxsize=64)
+@_cached()
 def _roots_of_unity(L: int) -> np.ndarray:
-    """e(j/L) for j = 0..L-1."""
-    roots = _root_values(np.arange(L), L)
-    roots.flags.writeable = False
-    return roots
+    """e(j/L) for j = 0..L-1, read-only."""
+    return _root_values(np.arange(L), L)
 
 
 @dataclass(frozen=True)
@@ -399,17 +397,15 @@ def _numerator_rows(m: FactoredModulus, E: np.ndarray, ns) -> np.ndarray:
     return acc
 
 
-# At VALUE_TABLE_CAP = 2^20 residues one table holds 24 MiB (int64
-# numerators and complex128 values), so this cache holds at most 192 MiB.
-@lru_cache(maxsize=8)
+# Keyed by character, so a walk over many characters of one modulus would
+# fill the byte budget with tables used once: this cache also keeps at most 8.
+@_cached(maxsize=8)
 def _value_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     q = chi.q
     if q > VALUE_TABLE_CAP:
         raise ValueError(f"value table for q = {q} exceeds the size cap")
     numerators = chi.angle_numerators(np.arange(q))
-    values = np.where(numerators >= 0, _roots_of_unity(chi.order)[numerators], 0j)
-    numerators.flags.writeable = values.flags.writeable = False
-    return numerators, values
+    return numerators, np.where(numerators >= 0, _roots_of_unity(chi.order)[numerators], 0j)
 
 
 def _conductor_exponents(p: int, gamma: int, E) -> np.ndarray:

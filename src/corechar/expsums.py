@@ -63,6 +63,7 @@ from typing import Optional
 
 import numpy as np
 
+from .arith import _math_logs
 from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle, _root_values, root_values
 
 __all__ = [
@@ -96,9 +97,9 @@ _TWIST, _TERMS, _LESS = (0, 0), (1, 0), (1, _BLOCK)
 _C = _FSUM_CHUNK
 _ROOTS, _WEIGHTS, _RE, _IM, _GCD = (0, 0), (0, 2 * _C), (0, 3 * _C), (0, 4 * _C), (0, 5 * _C)
 _FRAC, _HIGH, _EXP = (1, 0), (1, _C), (1, 2 * _C)
-# dirichlet_poly's chunks of _FSUM_CHUNK terms: log n, and the integers n
-# and then the exponent t log n as a complex, on the pages _exact_sum's
-# chunks touch
+# dirichlet_poly's chunks of _FSUM_CHUNK terms: log n, and the integers n,
+# then their complex logs and then the exponent t log n, on the pages
+# _exact_sum's chunks touch
 _LOG_NS, _PHASES = (0, 0), (0, _C)
 # doubles per region: each stays below numpy's 4 MiB huge-page threshold, so
 # only the pages a call touches become resident
@@ -734,9 +735,11 @@ def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResu
 
 def _dirichlet_terms(chi: DirichletCharacter, t: float):
     """(n0, size) -> chi(n) n^{it} for n = n0, ..., n0 + size - 1: the bits
-    of chi(n) * np.exp(1j * t * np.log(n)), each step written in place in
+    of chi(n) * np.exp(1j * t * math.log(n)), each step written in place in
     the workspace, ``_FSUM_CHUNK`` terms at a time, into the block of
-    ``_chi_reader``'s values, which the next block overwrites."""
+    ``_chi_reader``'s values, which the next block overwrites.  log n is
+    libm's (``_math_logs``), whose bits do not depend on numpy's SIMD
+    level, as real np.log's do."""
     values = _chi_reader(chi, values=True)
 
     def terms(n0, size):
@@ -745,7 +748,8 @@ def _dirichlet_terms(chi: DirichletCharacter, t: float):
             m, n = min(_C, size - i), n0 + i
             x = _WS.take(_LOG_NS, m, np.float64)
             x[...] = _arange(n, m) if n + m > 1 << 63 else _count_up(n, _WS.take(_PHASES, m, np.int64))
-            z = np.multiply(1j * t, np.log(x, out=x), out=_WS.take(_PHASES, m, np.complex128))
+            z = _WS.take(_PHASES, m, np.complex128)
+            np.multiply(1j * t, _math_logs(x, out=x, work=z), out=z)
             # the operand order of chi * e(...), see _twisted_terms
             np.multiply(v[i:i + m], np.exp(z, out=z), out=v[i:i + m])
         return v

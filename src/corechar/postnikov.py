@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import as_modulus, crt_combine
+from .arith import _cached, as_modulus, crt_combine
 from .characters import DirichletCharacter, _exponent, _numerator_rows, _primitive_rows, character_rows
 from .expsums import RealPolynomial, _phase_numerators
 
@@ -168,7 +168,7 @@ def _multipliers(mod, d: int, rows: np.ndarray, primitive: bool) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=32)
+@_cached()
 def _check_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ns, nn, dd), read-only, per (q, d): for x in [0, q/(tau*core)), the
     point ns[x] = 1 + tau*core*x and u_x = F_d(tau*core*x)/q mod 1 =
@@ -184,7 +184,6 @@ def _check_grid(q: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g = np.gcd(u, den)
     nn, dd = u // g, den // g
     ns = 1 + step * np.arange(q // step, dtype=np.int64 if q < 1 << 63 else object)
-    nn.flags.writeable = dd.flags.writeable = ns.flags.writeable = False
     return ns, nn, dd
 
 

@@ -59,7 +59,6 @@ below 2^63.  Every base prime p is at most sqrt(hi) < 2^31.  Then:
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -68,7 +67,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import as_modulus, pow_or_inf
+from .arith import _LOG_CHUNK, _cached, _math_logs, as_modulus, pow_or_inf
 
 __all__ = [
     "psi_progression",
@@ -82,22 +81,19 @@ __all__ = [
 _SEGMENT = 1 << 20  # terms of the progression per segment
 _FEW = 16  # a base prime with fewer strikes per segment strikes through np.repeat
 _REPEAT_CHUNK = 1 << 12  # primes per np.repeat index array
-_LOG_CHUNK = 1 << 16  # primes per log chunk
 _INVERSES_CAP = 1 << 12  # the largest q whose unit inverses are cached
 _TABLE_CAP = 1 << 22  # the prime table's largest limit
 _CLASSES_CAP = 1 << 22  # most classes mod q in one psi_by_class result
 
 
-@functools.lru_cache(maxsize=128)
+@_cached()
 def _unit_inverses(q: int) -> np.ndarray:
     """r^-1 mod q at every unit r mod q and 0 elsewhere, int32 and read-only,
     for 2 <= q <= ``_INVERSES_CAP`` = 2^12: built once per q by ``_over``'s
-    tree over the units.  An entry holds at most 2^12 int32, 16 KiB, so
-    the 128 that the cache keeps hold at most 2 MiB."""
+    tree over the units, at most 16 KiB."""
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
     table = np.zeros(q, dtype=np.int32)
     table[units] = _over(units, q, 1)
-    table.flags.writeable = False
     return table
 
 
@@ -114,8 +110,8 @@ def _over(p: np.ndarray, q: int, a: int) -> np.ndarray:
     When there are more p than residues mod q and q <= ``_INVERSES_CAP`` =
     2^12, every p reads p^-1 from the table of unit inverses mod q instead,
     and a·p^-1 is a product below 2^24.  The tables (``_unit_inverses``)
-    are cached, 128 moduli and at most 2 MiB, so a window's sieve builds
-    none of its own; a larger q runs the tree on p.
+    are cached, so a window's sieve builds none of its own; a larger q runs
+    the tree on p.
     """
     x = p % q
     if len(x) > q and q <= _INVERSES_CAP:
@@ -223,26 +219,6 @@ def _primes_in(lo: int, hi: int, base: np.ndarray, q: int = 1, a: int = 0) -> np
             two = np.array([2], dtype=np.int64)
         q, a = 2 * q, a if a % 2 else a + q
     return np.concatenate([two, *_sieve(lo, hi, base, q, a)])
-
-
-def _math_logs(p: np.ndarray) -> np.ndarray:
-    """math.log of each entry, bit for bit, as the real part of numpy's
-    complex log, ``_LOG_CHUNK`` entries at a time, so no complex temporary
-    exceeds 1 MiB.
-
-    numpy's complex log has no SIMD loop: it calls the C library's clog,
-    and glibc's clog of a real x >= 2 (imaginary part 0) is log(hypot(x, 0))
-    = log(x), the libm log that math.log calls.  int64 to float64 rounds to
-    nearest, as math.log(int) does through PyLong_AsDouble.  Measured on
-    x86-64: no difference from math.log at the 295,947 primes below 2^22
-    and at 2·10^5 seeded integers in [2^22, 2^62), with numpy's AVX512
-    dispatch on and off.  Real np.log is not math.log: its SIMD loops
-    differ from libm in the last bit, at 19 of those primes under AVX512."""
-    logs = np.empty(len(p), dtype=np.float64)
-    for i in range(0, len(p), _LOG_CHUNK):
-        z = p[i:i + _LOG_CHUNK].astype(np.complex128)
-        logs[i:i + len(z)] = np.log(z, out=z).real
-    return logs
 
 
 # The prime table: (limit, the primes up to limit, their math.log), both

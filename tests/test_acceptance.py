@@ -5,8 +5,11 @@ lines.  Tolerances are pinned here, not configurable: exact-arithmetic
 criteria use equality, floating criteria use the stated epsilons.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -18,6 +21,7 @@ import pytest
 
 from corechar.arith import FactoredModulus
 from corechar.characters import enumerate_characters
+from corechar.cli import main
 from corechar.expsums import RealPolynomial, char_sum, decompose, twisted_sum
 from corechar.lfunc import l_grid_min, l_value, l_value_series, zero_scan_report
 from corechar.postnikov import fd_eval, find_postnikov_m, minimal_postnikov_degree
@@ -319,20 +323,22 @@ def test_criterion_9_bound_comparator_golden():
 # -- criterion 10 ------------------------------------------------------------
 
 
+_C10_COMMANDS = [
+    ["char-sum", "--q", "729", "--chi", "primitive:3", "--M", "11", "--N", "500"],
+    ["vmvt-count", "3", "4", "9"],
+    ["decompose", "--q", "81", "--chi", "primitive:1", "--M", "0", "--N", "162",
+     "--s", "2", "--G", "0,1/5"],
+    ["zero-scan", "--q", "27", "--alpha", "0.9", "--T", "10"],
+    ["psi-progression", "--q", "27", "--a", "1", "--x", "1000000", "--h", "100000"],
+    ["bound-compare", "--xi0", "0.05", "--format", "csv"],
+    ["postnikov-verify", "--q", "243"],
+]
+
+
 def test_criterion_10_cli_determinism():
     """Byte-identical output across consecutive runs."""
     t0 = time.time()
-    cmds = [
-        ["char-sum", "--q", "729", "--chi", "primitive:3", "--M", "11", "--N", "500"],
-        ["vmvt-count", "3", "4", "9"],
-        ["decompose", "--q", "81", "--chi", "primitive:1", "--M", "0", "--N", "162",
-         "--s", "2", "--G", "0,1/5"],
-        ["zero-scan", "--q", "27", "--alpha", "0.9", "--T", "10"],
-        ["psi-progression", "--q", "27", "--a", "1", "--x", "1000000", "--h", "100000"],
-        ["bound-compare", "--xi0", "0.05", "--format", "csv"],
-        ["postnikov-verify", "--q", "243"],
-    ]
-    for cmd in cmds:
+    for cmd in _C10_COMMANDS:
         outs = set()
         for _ in range(2):
             res = subprocess.run([sys.executable, "-m", "corechar.cli", *cmd],
@@ -343,4 +349,64 @@ def test_criterion_10_cli_determinism():
             outs.add(json.dumps(payload, sort_keys=True))
         assert len(outs) == 1, cmd
     elapsed = time.time() - t0
-    _announce("10 (determinism)", f"{len(cmds)} commands x 2 runs in {elapsed:.1f}s")
+    _announce("10 (determinism)", f"{len(_C10_COMMANDS)} commands x 2 runs in {elapsed:.1f}s")
+
+
+# -- stdout at another SIMD level ---------------------------------------------
+
+# numpy's AVX512 dispatch targets: switched off, numpy runs its AVX2 kernels
+_AVX512_TARGETS = "AVX512_SPR AVX512_ICL X86_V4"
+
+# Runs the argv lists read from stdin through ``main`` in this one process and
+# writes [exit code, stdout] of each as JSON.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from corechar.cli import main
+outs = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    outs.append([rc, buf.getvalue()])
+json.dump(outs, sys.stdout)
+"""
+
+
+def _dispatch_targets() -> list:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return []
+    return list(__cpu_dispatch__)
+
+
+@pytest.mark.skipif(not set(_AVX512_TARGETS.split()) <= set(_dispatch_targets()),
+                    reason="this numpy dispatches no AVX512 targets to switch off")
+def test_stdout_under_avx2_kernels(tmp_path):
+    """Every command of tests/golden/sum_commands.jsonl and criterion 10's
+    commands print the same bytes with numpy's AVX512 kernels switched off,
+    in one child process (NPY_DISABLE_CPU_FEATURES in the child's
+    environment only): a golden command its golden stdout, and a criterion
+    10 command what it prints in this process."""
+    records = [json.loads(line) for line in (GOLDEN / "sum_commands.jsonl").read_text().splitlines()]
+    argvs, want = [], []
+    for i, record in enumerate(records):
+        argv = record["argv"]
+        if "spec" in record:
+            spec = tmp_path / f"spec{i}.json"
+            spec.write_text(json.dumps(record["spec"]))
+            argv = [str(spec) if a == "{spec}" else a for a in argv]
+        argvs.append(argv)
+        want.append(record["stdout"])
+    for argv in _C10_COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        argvs.append(argv)
+        want.append(buf.getvalue())
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX512_TARGETS)
+    res = subprocess.run([sys.executable, "-c", _RUN_COMMANDS], input=json.dumps(argvs), env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    for argv, expected, (rc, out) in zip(argvs, want, json.loads(res.stdout), strict=True):
+        assert rc == 0 and out == expected, argv

@@ -1,11 +1,19 @@
 """Unit-group arithmetic: factorization, valuations, bases, discrete logs."""
 
+import contextlib
+import io
 import math
+import random
+import sys
+import threading
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corechar import arith
 from corechar.arith import (
     FactoredModulus,
     crt_combine,
@@ -15,6 +23,11 @@ from corechar.arith import (
     unit_group_basis,
     valuation,
 )
+from corechar.characters import _roots_of_unity, enumerate_characters
+from corechar.cli import main
+from corechar.expsums import RealPolynomial, char_sum, twisted_sum
+from corechar.lfunc import l_value, zero_scan_report
+from corechar.primes import psi_progression
 
 
 def test_factor_examples():
@@ -123,3 +136,115 @@ def test_crt_combine():
     assert x % 4 == 1 and x % 6 == 3 and m == 12
     with pytest.raises(ValueError):
         crt_combine([(0, 4), (1, 6)])  # inconsistent mod 2
+
+
+# -- the array caches' byte budget -------------------------------------------
+
+
+def _budget_calls():
+    """The fixed list of calls whose outputs the cache budget must not move:
+    char_sum and twisted_sum at 3^7 and 5^5, l_value and a zero scan at 243,
+    postnikov-verify at 243 and a psi window at q = 97."""
+    out = []
+    G = RealPolynomial.make([0, Fraction(1, 7), Fraction(2, 9973)])
+    for q in (3**7, 5**5):
+        chi = enumerate_characters(q, primitive_only=True)[5]
+        for res in (char_sum(chi, 100, 20000), twisted_sum(chi, 17, 20000, G)):
+            out.append((res.value, res.term_count, res.mode))
+    chi = enumerate_characters(243, primitive_only=True)[7]
+    out.append(l_value(chi, complex(0.75, 3.5)))
+    out.append(zero_scan_report(243, 0.9, 3.0))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["postnikov-verify", "--q", "243"]) == 0
+    out.append(buf.getvalue())
+    psi = psi_progression(10**6, 97, 5, with_counts=True)
+    out.append((psi.value, dict(psi.counts)))
+    return out
+
+
+def test_small_budget_moves_no_output(monkeypatch):
+    """With the budget at 64 KiB the calls evict entries of several caches
+    and return bit for bit what they return under the real budget."""
+    arith._cache_clear()
+    want = _budget_calls()
+    assert not any(s["evictions"] for s in arith._cache_stats().values())
+    monkeypatch.setattr(arith, "_CACHE_BUDGET", 1 << 16)
+    arith._cache_clear()
+    assert _budget_calls() == want
+    stats = arith._cache_stats()
+    assert sum(s["evictions"] > 0 for s in stats.values()) >= 3, stats
+    assert sum(s["bytes"] for s in stats.values()) <= 1 << 16
+
+
+def test_budget_evicts_the_least_recent_entry_of_any_cache(monkeypatch):
+    """Tracked bytes never pass the budget, and a miss evicts the entry
+    used longest ago, whichever cache holds it; a hit refreshes an entry."""
+    monkeypatch.setattr(arith, "_CACHE_BUDGET", 4096)
+    arith._cache_clear()
+
+    def held():
+        stats = arith._cache_stats()
+        assert sum(s["bytes"] for s in stats.values()) <= 4096
+        return stats["arith.dlog_table"]["bytes"], stats["characters._roots_of_unity"]["bytes"]
+
+    dlog_table(3, 5)  # 243 int64: 1944 bytes
+    _roots_of_unity(100)  # 100 complex128: 1600 bytes
+    assert held() == (1944, 1600)
+    dlog_table(3, 5)  # a hit: the roots are now the least recent
+    dlog_table(5, 3)  # 125 int64: 1000 bytes, past the budget with both
+    assert held() == (2944, 0)
+    assert arith._cache_stats()["characters._roots_of_unity"]["evictions"] == 1
+    _roots_of_unity(100)  # evicts dlog_table(3, 5), the least recent now
+    assert held() == (1000, 1600)
+    stats = arith._cache_stats()["arith.dlog_table"]
+    assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 2, 1)
+    rng = random.Random(7)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            dlog_table(rng.choice([3, 5, 7]), rng.randrange(1, 5))
+        else:
+            _roots_of_unity(rng.randrange(1, 200))
+        held()
+
+
+def test_entry_past_the_budget_is_returned_and_not_kept(monkeypatch):
+    """A value larger than the whole budget is returned, read-only, and the
+    next call builds it again."""
+    arith._cache_clear()
+    want = dlog_table(3, 5).copy()
+    monkeypatch.setattr(arith, "_CACHE_BUDGET", 1000)
+    arith._cache_clear()
+    for misses in (1, 2):
+        got = dlog_table(3, 5)
+        assert np.array_equal(got, want) and not got.flags.writeable
+        stats = arith._cache_stats()["arith.dlog_table"]
+        assert (stats["misses"], stats["bytes"], stats["evictions"]) == (misses, 0, 0)
+
+
+def test_threads_calling_together_get_equal_arrays():
+    """Four threads released together on empty caches, switching every
+    microsecond, all read equal dlog tables, value tables and roots."""
+    chi = enumerate_characters(3**7, primitive_only=True)[3]
+    want = (dlog_table(3, 7).copy(), chi.value_table[1].copy(), _roots_of_unity(999).copy())
+    arith._cache_clear()
+    barrier = threading.Barrier(4)
+    got = []
+
+    def work():
+        barrier.wait(timeout=10)
+        got.append((dlog_table(3, 7), chi.value_table[1], _roots_of_unity(999)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4
+    for arrays in got:
+        assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(arrays, want))

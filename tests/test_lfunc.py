@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from corechar import lfunc
-from corechar.arith import as_modulus
-from corechar.characters import (_exponent, _numerator_rows, _roots_of_unity, _value_table, character_rows,
+from corechar.arith import _cache_stats, as_modulus
+from corechar.characters import (_exponent, _numerator_rows, _roots_of_unity, character_rows,
                                   enumerate_characters, principal_character, quadratic_character)
 from corechar.lfunc import (
     hurwitz_zeta,
@@ -184,13 +184,13 @@ def test_scans_build_no_value_table():
     characters mod 243 and mod 2592 (the principal one too), leave the
     value-table cache's counts as they were."""
     chis = [chi for q in (243, 2592) for chi in enumerate_characters(q)[:3]]
-    before = _value_table.cache_info()
+    before = _cache_stats()["characters._value_table"]
     zero_scan_report(243, 0.9, 3.0)
     l_grid_min(243, 0.9, 3.0)
     for chi in chis:
         l_value(chi, complex(0.8, 2.0))
-    after = _value_table.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    after = _cache_stats()["characters._value_table"]
+    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
 
 
 def test_zero_scan_validates_input():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from corechar import primes
+from corechar.arith import _cache_clear
 from corechar.cli import main
 from corechar.primes import (
     _LOG_CHUNK,
@@ -371,7 +372,7 @@ def test_batch_inverse_takes_each_residue_once(monkeypatch, q):
         sizes.append(len(p))
         return _over(p, q, a)
     monkeypatch.setattr(primes, "_over", counted)
-    primes._unit_inverses.cache_clear()
+    _cache_clear()
     p = np.array([r for r in _primes_to(20000).tolist() if q % r], dtype=np.int64)
     units = sum(math.gcd(r, q) == 1 for r in range(q))
     for a, built in ((1, [units]), (q - 1, [])):
