@@ -461,6 +461,11 @@ def dlog_table(p: int, gamma: int) -> np.ndarray:
     trivial group (p^gamma = 2) gets one all-zero column so that its
     non-units are marked too.  Built by walking the group once; cached per
     prime power, read-only.
+
+    The walk g^0, g^1, ... of the last generator g is int64 and doubles:
+    powers[k:2k] = powers[:k] g^k mod p^gamma.  Each factor is a residue
+    below p^gamma <= ``DLOG_TABLE_CAP`` = 2^22, so each product is below
+    p^(2 gamma) <= 2^44 < 2^63, and no Python int per element is made.
     """
     basis = unit_group_basis(p, gamma)
     modulus = basis.modulus
@@ -468,14 +473,19 @@ def dlog_table(p: int, gamma: int) -> np.ndarray:
         raise ValueError(f"dlog table for modulus {modulus} exceeds the size cap")
     table = np.full((modulus, max(1, len(basis.generators))), -1, dtype=np.int64)
     g, order = (basis.generators[-1], basis.orders[-1]) if basis.generators else (1, 1)
-    powers = [1 % modulus] * order
-    for j in range(1, order):
-        powers[j] = powers[j - 1] * g % modulus
+    powers = np.empty(order, dtype=np.int64)
+    powers[0] = 1 % modulus
+    k = 1
+    while k < order:
+        n = min(k, order - k)
+        np.multiply(powers[:n], pow(g, k, modulus), out=powers[k:k + n])
+        powers[k:k + n] %= modulus
+        k += n
     js = np.arange(order)
     table[powers, -1] = js
     if len(basis.generators) == 2:  # 2^gamma = {+-1} x <5>: -5^j has vector (1, j)
         table[powers, 0] = 0
-        negatives = [modulus - e for e in powers]
+        negatives = modulus - powers
         table[negatives, 0] = 1
         table[negatives, 1] = js
     return table

@@ -22,10 +22,13 @@ nonprincipal row (objects are built for the labels only), ``l_value`` its
 character's row, and it refuses a point where L is not finite; the series
 oracle ``l_value_series`` alone reads ``expsums._chi_values``.  A value's
 bits depend on how many characters share its product X @ z: a scan's row
-and ``l_value`` can differ in their last bits.  Both scans pass all their
-points to the blocked Hurwitz kernel at once, and each evaluates one
-member of every mirror pair (sigma + it on chi, sigma - it on conj chi),
-the one with t >= 0; the grid reports the first least value in (sigma, t,
+and ``l_value`` can differ in their last bits, but not on which other
+points share its block.  Each scan evaluates one member of every mirror
+pair (sigma + it on chi, sigma - it on conj chi), the one with t >= 0.  A
+scan holds X, L at the nodes of one contour level, and one block of about
+``_BLOCK_ENTRIES`` entries: X is filled in blocks of rows, the steps of arg
+L and |L| are taken over blocks of nodes, and the grid goes to the kernel
+in slabs of t rows and reports the first least value in (sigma, t,
 character) order.
 
 The kernel writes each power (a+k)^{-s} as (a+k)^{-sigma} e^{-it log(a+k)}:
@@ -95,7 +98,8 @@ _S_PER_N = 1 << 24
 # (point, unit residue) pairs per _l_sums block: the direct sums, top powers,
 # boundary and tail are each one complex per pair, 128 KiB at a block; one
 # point's unit residues x direct terms may not pass _HURWITZ_CAP (256 MiB of
-# complex powers)
+# complex powers).  The scans' other blocks take about as many entries: rows
+# of X x units, characters x contour nodes, grid points x units.
 _BLOCK_ENTRIES = 1 << 13
 # powers (a+k)^{-s} the kernel forms at once (512 KiB of complex); runs of equal t
 # with equal sigmas share them, as each run costs about ten numpy calls
@@ -256,9 +260,16 @@ def _unit_values(mod: FactoredModulus, E: np.ndarray) -> np.ndarray:
     """chi(a) in column i for the i-th unit a of ``_units(q)``, one row per
     exponent row of E: numerators over lambda(q) index its roots, each in
     lowest terms, so a row is its value table at the units, bit for bit.
-    Fortran order, as the bits of ``_l_sums``' products X @ z depend on it."""
-    A = _numerator_rows(mod, E, _units(mod.q))
-    return np.take(_roots_of_unity(_exponent(mod)), A.T).T  # take gives C order, so X.T is F
+    Fortran order, as the bits of ``_l_sums``' products X @ z depend on it.
+    X is filled in blocks of rows, each of about ``_BLOCK_ENTRIES`` numerators,
+    so the numerators of all rows are never held at once."""
+    units = _units(mod.q)
+    roots = _roots_of_unity(_exponent(mod))
+    X = np.empty((len(E), len(units)), dtype=np.complex128, order="F")
+    step = max(1, _BLOCK_ENTRIES // len(units))
+    for lo in range(0, len(E), step):
+        np.take(roots, _numerator_rows(mod, E[lo:lo + step], units), out=X[lo:lo + step])
+    return X
 
 
 def _chi_rows(mod: FactoredModulus) -> tuple[np.ndarray, np.ndarray]:
@@ -396,16 +407,27 @@ def _windings(X: np.ndarray, q: int, conj: Sequence[int], alpha: float, T: float
     and L(conj z, chi) = conj L(z, conj chi), so its steps for chi are the
     upper half's steps for conj chi.  Two crossing steps join the halves, one
     at each vertical side, from conj L(z, conj chi) to L(z, chi) at the first
-    upper node and back at the last."""
+    upper node and back at the last.
+
+    L at the upper nodes is the one array over every node.  The steps, their
+    largest |step| and the least |L| are taken over blocks of nodes of about
+    ``_BLOCK_ENTRIES`` values each; the largest step and least |L| are those
+    of one pass, and the turn, summed block by block, moves only in rounding,
+    which the caller's nearest integer absorbs."""
     pts = _contour(alpha, T, max_panel)
     lmat = _l_sums(X, q, pts[pts.imag > 0])
-    steps = np.angle(lmat[:, 1:] / lmat[:, :-1])
     first, last = lmat[:, 0], lmat[:, -1]
     crossings = np.angle(np.stack((first / first[conj].conj(), last[conj].conj() / last)))
-    half = steps.sum(axis=1)
+    half, max_step, min_abs = np.zeros(len(X)), np.abs(crossings).max(), np.inf
+    width = max(1, _BLOCK_ENTRIES // len(X))
+    for lo in range(0, lmat.shape[1], width):
+        block = lmat[:, lo:lo + width + 1]                # a node past the block for its last step
+        steps = np.angle(block[:, 1:] / block[:, :-1])
+        half += steps.sum(axis=1)
+        max_step = np.maximum(max_step, np.abs(steps).max(initial=0.0))
+        min_abs = np.minimum(min_abs, np.abs(block[:, :width]).min())
     turn = half + half[conj] + crossings.sum(axis=0)
-    max_step = max(np.abs(steps).max(), np.abs(crossings).max())
-    return turn / (2.0 * math.pi), float(max_step), float(np.min(np.abs(lmat)))
+    return turn / (2.0 * math.pi), float(max_step), float(min_abs)
 
 
 def _stable_windings(X: np.ndarray, q: int, conj: Sequence[int], alpha: float, T: float):
@@ -479,12 +501,16 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
     """Independent confirmation scan: min |L| over a grid on the rectangle.
 
     A strictly positive minimum across all nonprincipal characters is the
-    desk-scale evidence that the region is zero-free.  One batched kernel
-    call covers the grid, over the unit residues only.
+    desk-scale evidence that the region is zero-free.
     |L(sigma - it, conj chi)| = |L(sigma + it, chi)|, so every character is
     evaluated on the t >= 0 half of the symmetric t grid only, and each
     mirror pair is read once, at its upper member; ``at`` is the first
-    least value in (sigma, t, character) order.
+    least value in (sigma, t, character) order, a NaN before any number, as
+    ``np.argmin`` over the whole grid takes it.  The grid goes to the kernel
+    in slabs of whole t rows (every sigma at a t), each of about one block of
+    ``_BLOCK_ENTRIES`` (point, unit residue) pairs; a point's value does not
+    depend on its slab, so the first least of the slabs' first least values
+    is the grid's.
     """
     _check_rectangle(alpha, T)
     mod = as_modulus(q)
@@ -493,12 +519,19 @@ def l_grid_min(q, alpha: float, T: float) -> dict:
         return {"q": mod.q, "min_abs": math.inf, "at": None}
     sigmas = np.linspace(alpha, 1.0, _GRID_SIGMAS)
     ts = np.linspace(-T, T, _GRID_TS)[_GRID_TS // 2:]
-    absl = np.abs(_l_sums(X, mod.q, (sigmas[:, None] + 1j * ts).ravel()))
-    absl = absl.reshape(len(X), _GRID_SIGMAS, len(ts)).transpose(1, 2, 0)
-    i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
+    rows = max(1, _BLOCK_ENTRIES // (X.shape[1] * _GRID_SIGMAS))
+    firsts = []                                       # each slab's first least: (i, j, c, |L|)
+    for lo in range(0, len(ts), rows):
+        slab = ts[lo:lo + rows]
+        absl = np.abs(_l_sums(X, mod.q, (sigmas[:, None] + 1j * slab).ravel()))
+        absl = absl.reshape(len(X), _GRID_SIGMAS, len(slab)).transpose(1, 2, 0)
+        i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
+        firsts.append((int(i), lo + int(j), int(c), float(absl[i, j, c])))
+    firsts.sort()                                     # (sigma, t, character) order
+    i, j, c, least = firsts[int(np.argmin([f[3] for f in firsts]))]
     label = characters_of_rows(mod, character_rows(mod)[0][1 + c:2 + c])[0].label()
     at = {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": label}
-    return {"q": mod.q, "min_abs": float(absl[i, j, c]), "at": at}
+    return {"q": mod.q, "min_abs": least, "at": at}
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,40 @@ def test_dlog_table_matches_discrete_log():
         assert table[x].tolist() == discrete_log(x, b)
 
 
+def _python_int_walk(p, gamma):
+    """The dlog table from a walk of the last generator's powers in Python
+    ints, one at a time, taken 2^16 powers per array write."""
+    basis = unit_group_basis(p, gamma)
+    m = basis.modulus
+    want = np.full((m, max(1, len(basis.generators))), -1, dtype=np.int64)
+    g, order = (basis.generators[-1], basis.orders[-1]) if basis.generators else (1, 1)
+    y = 1 % m
+    for lo in range(0, order, 1 << 16):
+        chunk = []
+        for _ in range(min(1 << 16, order - lo)):
+            chunk.append(y)
+            y = y * g % m
+        powers, js = np.array(chunk, dtype=np.int64), np.arange(lo, lo + len(chunk))
+        want[powers, -1] = js
+        if len(basis.generators) == 2:
+            want[powers, 0] = 0
+            want[m - powers, 0] = 1
+            want[m - powers, 1] = js
+    return want
+
+
+@pytest.mark.parametrize("p,gamma", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 22), (3, 9), (5, 6),
+                                     (2039, 2)])
+def test_dlog_table_is_the_python_int_walk(p, gamma):
+    """The int64 walk by doubling gives the table of the one-at-a-time walk
+    in Python ints, byte for byte, up to the cap: 2^22, and 2039^2 =
+    4,157,521, whose products reach 2039^4 > 2^43.  Built past the cache."""
+    got = dlog_table.__wrapped__(p, gamma)
+    want = _python_int_walk(p, gamma)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_crt_combine():
     x, m = crt_combine([(2, 3), (3, 5), (2, 7)])
     assert x == 23 and m == 105

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -229,6 +230,22 @@ def test_chi_rows_are_the_full_rows_at_the_units(q):
     X, _ = lfunc._chi_rows(mod)
     assert X.flags.f_contiguous
     assert np.array_equal(X, full[:, lfunc._units(q) - 1])
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("q", [8, 9, 72, 243, 2592])
+def test_unit_values_in_row_blocks_are_the_one_shot_gather(q, rows, monkeypatch):
+    """X filled in blocks of 1 or 3 rows, or of the default size, has the
+    bytes and the Fortran order of one gather of every row's numerators."""
+    mod = as_modulus(q)
+    E = character_rows(mod)[0][1:]
+    units = lfunc._units(q)
+    want = np.take(_roots_of_unity(_exponent(mod)), _numerator_rows(mod, E, units).T).T
+    if rows is not None:
+        monkeypatch.setattr(lfunc, "_BLOCK_ENTRIES", rows * len(units))
+    X = lfunc._unit_values(mod, E)
+    assert X.flags.f_contiguous and X.dtype == want.dtype and X.shape == want.shape
+    assert X.tobytes(order="F") == want.tobytes(order="F")
 
 
 @pytest.mark.parametrize("q", [27, 72, 243, 2592])
@@ -608,6 +625,130 @@ def test_mirror_half_scans_match_full_scans():
         ts = np.linspace(-10.0, 10.0, lfunc._GRID_TS)
         full = np.min(np.abs(lfunc._l_sums(X, q, (sigmas[:, None] + 1j * ts).ravel())))
         assert abs(l_grid_min(q, 0.9, 10.0)["min_abs"] - full) <= 1e-12 * full, q
+
+
+def _one_pass_windings(X, q, conj, alpha, T, max_panel):
+    """Oracle: ``_windings`` with the steps and |L| of every upper node formed
+    in one pass."""
+    pts = lfunc._contour(alpha, T, max_panel)
+    lmat = lfunc._l_sums(X, q, pts[pts.imag > 0])
+    steps = np.angle(lmat[:, 1:] / lmat[:, :-1])
+    first, last = lmat[:, 0], lmat[:, -1]
+    crossings = np.angle(np.stack((first / first[conj].conj(), last[conj].conj() / last)))
+    half = steps.sum(axis=1)
+    turn = half + half[conj] + crossings.sum(axis=0)
+    max_step = max(np.abs(steps).max(), np.abs(crossings).max())
+    return turn / (2.0 * math.pi), float(max_step), float(np.min(np.abs(lmat)))
+
+
+@pytest.mark.parametrize("nodes", [1, 7, None])
+@pytest.mark.parametrize("q", [9, 27, 72])
+def test_windings_in_node_blocks_match_one_pass(q, nodes, monkeypatch):
+    """The steps taken over blocks of 1 or 7 nodes, or of the default size,
+    give the one-pass largest step and least |L| bit for bit, and its turn
+    within rounding."""
+    X, conj = lfunc._chi_rows(as_modulus(q))
+    for alpha, T, panel in ((0.9, 10.0, 0.25), (0.55, 3.0, 0.125)):
+        want = _one_pass_windings(X, q, conj, alpha, T, panel)
+        if nodes is not None:
+            monkeypatch.setattr(lfunc, "_BLOCK_ENTRIES", nodes * len(X))
+        turn, max_step, min_abs = lfunc._windings(X, q, conj, alpha, T, panel)
+        monkeypatch.undo()
+        assert (max_step, min_abs) == want[1:], (q, alpha)
+        assert np.max(np.abs(turn - want[0])) < 1e-12, (q, alpha)
+
+
+def _whole_grid_min(q, alpha, T):
+    """Oracle: ``l_grid_min`` from one kernel call over the whole t >= 0 grid
+    and one ``np.argmin`` in (sigma, t, character) order."""
+    mod = as_modulus(q)
+    X, _ = lfunc._chi_rows(mod)
+    sigmas = np.linspace(alpha, 1.0, lfunc._GRID_SIGMAS)
+    ts = np.linspace(-T, T, lfunc._GRID_TS)[lfunc._GRID_TS // 2:]
+    absl = np.abs(lfunc._l_sums(X, q, (sigmas[:, None] + 1j * ts).ravel()))
+    absl = absl.reshape(len(X), len(sigmas), len(ts)).transpose(1, 2, 0)
+    i, j, c = np.unravel_index(int(np.argmin(absl)), absl.shape)
+    label = enumerate_characters(q)[1 + c].label()
+    at = {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": label}
+    return {"q": q, "min_abs": float(absl[i, j, c]), "at": at}
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("q", [9, 27, 64, 72])
+def test_grid_in_slabs_is_the_whole_grid(q, rows, monkeypatch):
+    """Slabs of 1 or 7 t rows, or of the default size, give the report of
+    one pass over the whole grid, ``at`` included."""
+    for alpha, T in ((0.9, 10.0), (0.55, 3.0)):
+        want = _whole_grid_min(q, alpha, T)
+        if rows is not None:
+            width = len(lfunc._units(q)) * lfunc._GRID_SIGMAS
+            monkeypatch.setattr(lfunc, "_BLOCK_ENTRIES", rows * width)
+        assert l_grid_min(q, alpha, T) == want, (q, alpha, T)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 30])
+def test_grid_first_least_across_slabs(rows, monkeypatch):
+    """With |L| replaced by small integers, so that ties are everywhere, and
+    NaN at some points, the report's ``at`` and ``min_abs`` are those of
+    ``np.argmin`` over the whole grid: the first least value in (sigma, t,
+    character) order, a NaN before any number, wherever slabs of ``rows`` t
+    rows cut the grid."""
+    q, alpha, T = 27, 0.9, 10.0
+    labels = [chi.label() for chi in enumerate_characters(q)[1:]]
+    sigmas = np.linspace(alpha, 1.0, lfunc._GRID_SIGMAS)
+    ts = np.linspace(-T, T, lfunc._GRID_TS)[lfunc._GRID_TS // 2:]
+    where = {complex(s): (i, j) for i, row in enumerate(sigmas[:, None] + 1j * ts)
+             for j, s in enumerate(row)}
+    monkeypatch.setattr(lfunc, "_BLOCK_ENTRIES", rows * len(lfunc._units(q)) * lfunc._GRID_SIGMAS)
+    rng = np.random.default_rng(7)
+    for case in range(9):
+        vals = rng.integers(1, 4, size=(len(sigmas), len(ts), len(labels))).astype(float)
+        if case % 3 == 0:    # no 1 in the first slab, ties with the first 1 in later ones
+            vals[:, :rows][vals[:, :rows] == 1.0] = 2.0
+        elif case % 3 == 1:  # the least value at each slab's last t row, at sigma 3 in
+            vals[vals == 1.0] = 2.0  # even slabs and 2 in odd ones: the second slab's is first
+            for k, j in enumerate(range(rows - 1, len(ts), rows)):
+                vals[3 - k % 2, j, -1] = 0.5
+        else:                # NaN in pairs of t rows that straddle slab edges
+            for j in range(rows - 1, len(ts), 2 * rows):
+                vals[1 + case % 4, j:j + 2, case] = np.nan
+        monkeypatch.setattr(lfunc, "_l_sums", lambda X, q_, s: np.array(
+            [vals[where[complex(z)]] for z in s], dtype=np.complex128).T)
+        i, j, c = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        rep = l_grid_min(q, alpha, T)
+        assert rep["at"] == {"sigma": float(sigmas[i]), "t": float(ts[j]), "character": labels[c]}
+        assert rep["min_abs"] == vals[i, j, c] or (math.isnan(rep["min_abs"]) and np.isnan(vals[i, j, c]))
+
+
+@pytest.mark.parametrize("scan", [zero_scan_report, l_grid_min])
+def test_scans_hold_x_one_level_of_l_and_one_block(scan, monkeypatch):
+    """tracemalloc, which counts numpy's data, bounds a scan's peak at q = 729
+    by X (3.6 MiB), L at the nodes of the final level (7.2 MiB for the zero
+    scan, none for the grid, whose slabs are block-sized) and one block: 512
+    bytes for each of ``_BLOCK_ENTRIES`` (point, unit residue) pairs, 4 MiB,
+    room for a pair's eleven direct-term powers (complex) with their angles,
+    cosines and sines (real).  A warm call first keeps the caches and
+    numpy's set-up out."""
+    held = {}
+    l_sums = lfunc._l_sums
+
+    def recorded(X, q, s):
+        out = l_sums(X, q, s)
+        held["X"], held["L"] = X.nbytes, max(held.get("L", 0), out.nbytes)
+        return out
+
+    monkeypatch.setattr(lfunc, "_l_sums", recorded)
+    scan(729, 0.9, 10.0)
+    held.clear()
+    tracemalloc.start()
+    try:
+        scan(729, 0.9, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    level = held["L"] if scan is zero_scan_report else 0
+    assert peak <= held["X"] + level + 512 * lfunc._BLOCK_ENTRIES, (peak, held)
 
 
 @pytest.mark.parametrize("q", [4, 8, 12, 16, 36, 72])
