@@ -26,7 +26,6 @@ from .expsums import (
     decompose,
     dirichlet_poly,
     double_sum,
-    taylor_approx_poly,
     twisted_sum,
 )
 from .lfunc import (

@@ -38,6 +38,7 @@ __all__ = [
 
 # Discrete-log tables are built for prime powers up to this size.
 DLOG_TABLE_CAP = 1 << 22
+_DLOG_BLOCK = 1 << 16  # exponents of dlog_table's walk made at once (512 KiB of int64)
 
 # Bytes that the array caches (``_cached``) keep, all together.  The size
 # caps bound the entries: the largest is postnikov's check grid at its work
@@ -462,10 +463,14 @@ def dlog_table(p: int, gamma: int) -> np.ndarray:
     non-units are marked too.  Built by walking the group once; cached per
     prime power, read-only.
 
-    The walk g^0, g^1, ... of the last generator g is int64 and doubles:
-    powers[k:2k] = powers[:k] g^k mod p^gamma.  Each factor is a residue
-    below p^gamma <= ``DLOG_TABLE_CAP`` = 2^22, so each product is below
-    p^(2 gamma) <= 2^44 < 2^63, and no Python int per element is made.
+    The walk g^0, g^1, ... of the last generator g is int64 and goes in
+    blocks of ``_DLOG_BLOCK`` exponents, each written into the table's
+    columns before the next is made, so the build holds the table and a
+    few block-sized arrays.  The first block doubles: powers[k:2k] =
+    powers[:k] g^k mod p^gamma; block i is the first times g^(i B) mod
+    p^gamma.  Each factor is a residue below p^gamma <= ``DLOG_TABLE_CAP`` =
+    2^22, so each product is below p^(2 gamma) <= 2^44 < 2^63, and no
+    Python int per element is made.
     """
     basis = unit_group_basis(p, gamma)
     modulus = basis.modulus
@@ -473,19 +478,27 @@ def dlog_table(p: int, gamma: int) -> np.ndarray:
         raise ValueError(f"dlog table for modulus {modulus} exceeds the size cap")
     table = np.full((modulus, max(1, len(basis.generators))), -1, dtype=np.int64)
     g, order = (basis.generators[-1], basis.orders[-1]) if basis.generators else (1, 1)
-    powers = np.empty(order, dtype=np.int64)
-    powers[0] = 1 % modulus
+    size = min(order, _DLOG_BLOCK)
+    first = np.empty(size, dtype=np.int64)
+    first[0] = 1 % modulus
     k = 1
-    while k < order:
-        n = min(k, order - k)
-        np.multiply(powers[:n], pow(g, k, modulus), out=powers[k:k + n])
-        powers[k:k + n] %= modulus
+    while k < size:
+        n = min(k, size - k)
+        np.multiply(first[:n], pow(g, k, modulus), out=first[k:k + n])
+        first[k:k + n] %= modulus
         k += n
-    js = np.arange(order)
-    table[powers, -1] = js
-    if len(basis.generators) == 2:  # 2^gamma = {+-1} x <5>: -5^j has vector (1, j)
-        table[powers, 0] = 0
-        negatives = modulus - powers
-        table[negatives, 0] = 1
-        table[negatives, 1] = js
+    js = np.arange(size)
+    for j0 in range(0, order, size):
+        m = min(size, order - j0)
+        block, exponents = first[:m], js[:m]
+        if j0:
+            block = np.multiply(block, pow(g, j0, modulus))
+            block %= modulus
+        table[block, -1] = exponents
+        if len(basis.generators) == 2:  # 2^gamma = {+-1} x <5>: -5^j has vector (1, j)
+            table[block, 0] = 0
+            negatives = modulus - block
+            table[negatives, 0] = 1
+            table[negatives, 1] = exponents
+        js += size
     return table

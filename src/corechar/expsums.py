@@ -27,9 +27,13 @@ chunk by chunk: counts times roots, their sum rounded once by ``_fsum``'s
 integer bins (``_root_sum``), within the bound that ``_exact_sum`` derives.
 Float mode has one reducer, ``_window_sum``: block sums combined left to
 right, so a result depends only on the window and the summand; a sum that
-is not finite raises.  ``decompose``'s V sums float ``twisted_sum``'s terms
-weighted by ``_shift_weights``, and the head of ``lfunc.l_value_series`` is
-one over the blocks' integers (``_blocked_sum``).
+is not finite raises.  Its readers: chi's values alone, or times a twist
+(``_twisted_terms``); n^{it} (``_dirichlet_terms``); ``decompose``'s V,
+``twisted_sum``'s terms weighted by ``_shift_weights`` (``_v_terms``); the
+head of ``lfunc.l_value_series``, over the blocks' integers
+(``_blocked_sum``); and one block of den products for a tabled twist of a
+value-table character, whose N terms fold into chi's sums along the
+progressions n = r mod den (``_progression_window``).
 
 The workspace.  Each thread holds one ``_Workspace``, made once: two regions
 of doubles, 2 MiB and 1 MiB (``_REGIONS``).  The first holds a window's
@@ -64,7 +68,8 @@ from typing import Optional
 import numpy as np
 
 from .arith import _math_logs
-from .characters import VALUE_TABLE_CAP, DirichletCharacter, RationalAngle, _root_values, root_values
+from .characters import (VALUE_TABLE_CAP, DirichletCharacter, RationalAngle, _root_values, _roots_of_unity,
+                         root_values)
 
 __all__ = [
     "RealPolynomial",
@@ -73,7 +78,6 @@ __all__ = [
     "char_sum",
     "twisted_sum",
     "dirichlet_poly",
-    "taylor_approx_poly",
     "double_sum",
     "decompose",
 ]
@@ -706,6 +710,30 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
     With rational G and at most ``_TWISTED_EXACT_CAP`` terms the result is an
     exact angle multiset, for any modulus; otherwise it is taken in float mode.
     A G with float coefficients takes windows within |x| <= 2^53 only.
+
+    A float window is the block path, ``_window_sum`` of ``_twisted_terms``,
+    unless chi has a value table (q <= ``VALUE_TABLE_CAP``), G a
+    ``_residue_table`` (rational, den <= min(N, _BLOCK)) and q B + den < N,
+    B the bit length of J = floor(N / den): then it is the progression path
+    (``_progression_window``), whose work is about q B array entries (P_J and
+    P_{J+1}) and den products against the block path's N terms.  An entry
+    of P costs less than a block term, so the rule is on the safe side: at
+    N = 2 10^5 + 1 it takes q = 3^9 and leaves 3^10 and 3^11 on the block
+    path.
+
+    The progression path's error, per part, u = 2^-53.  The value table's
+    and ``_roots_of_unity(den)``'s parts are within E u of the true ones,
+    E = 6 pi + 2 < 21 (``_exact_sum``).  P_k(x), k = J or J + 1, adds its k
+    values in a tree of height h <= 2B - 1 (a doubling per bit of J after
+    the first, at most one single step per bit, one more for P_{J+1}), so
+    each part is within k (E + h + 1) u of the true P_k.  A product e(.) P
+    then errs by at most k (sqrt(2) (2E + h + 1) + 2) u per part, and these
+    add to N (sqrt(2) (2E + h + 1) + 2) u over the den products, whose sum
+    in one block (np.sum's pairwise sum, height at most 40 over 2^16 terms)
+    adds 40 N u.  So each part is within (110 + 3B) N u of the true sum.
+    The block path's terms err by (2 sqrt(2) E + 2) u each, and its blocks'
+    sums by 40 N u, so its parts are within 110 N u, and the two paths
+    differ by at most (220 + 3B) N u per part.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -717,7 +745,53 @@ def twisted_sum(chi: DirichletCharacter, M: int, N: int, G: RealPolynomial) -> S
         D = math.lcm(chi.order, den)
         hist = _window_histogram(_twisted_numerators(chi, G, N, D), M, N, math.lcm(chi.q, den))
         return _exact_sum(*hist, D, N)
+    if G.is_rational and chi.q <= VALUE_TABLE_CAP:
+        den = G.angle_data()[1]
+        if den <= min(N, _BLOCK) and chi.q * (N // den).bit_length() + den < N:
+            return _progression_window(chi, _residue_table(G, N), M, N)
     return _window_sum(_twisted_terms(chi, G, N), M, N)
+
+
+def _shift_add(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
+    """a[x] + b[(x + s) mod q] for every x mod q, q = len(a)."""
+    q = len(a)
+    s %= q
+    out = np.empty_like(a)
+    np.add(a[:q - s], b[s:], out=out[:q - s])
+    np.add(a[q - s:], b[:s], out=out[q - s:])
+    return out
+
+
+def _progression_window(chi: DirichletCharacter, table: np.ndarray, M: int, N: int) -> SumResult:
+    """``twisted_sum``'s float window from chi's sums along progressions of
+    difference den = len(table), the twist's ``_residue_table``.
+
+    Grouped by r = n - M - 1 mod den, the window is
+    sum_{r<den} e(table[(M+1+r) mod den] / den) P_{J_r}((M+1+r) mod q), with
+    P_k(x) = sum_{j<k} chi(x + j den), J = floor(N / den) and J_r = J + 1
+    for r < N mod den, J_r = J beyond.  P_J comes from the value table by
+    doubling, P_{a+b}(x) = P_a(x) + P_b(x + a den) (``_shift_add``), and
+    P_{J+1}(x) = P_J(x) + chi(x + J den).  P is tiled in r order into the
+    workspace's terms, times the twist's roots, and ``_window_sum`` sums
+    the den products as one block; the result counts N terms."""
+    q, den = chi.q, len(table)
+    J, rem = divmod(N, den)
+    values = chi.value_table[1]
+    P, k = values, 1  # P = P_k, from the leading bit of J down
+    for bit in bin(J)[3:]:
+        P, k = _shift_add(P, P, k * den), 2 * k
+        if bit == "1":
+            P, k = _shift_add(P, values, k * den), k + 1
+    terms = _WS.take(_TERMS, den, np.complex128)
+    x = (M + 1) % q  # the residue of M + 1 + r mod q, tiled over r < den
+    if rem:
+        _tile(_shift_add(P, values, J * den), x, terms[:rem])
+    _tile(P, (x + rem) % q, terms[rem:])
+    s = (M + 1) % den  # e(G(M + 1 + r)) is twist[(s + r) mod den]
+    twist = np.take(_roots_of_unity(den), table, out=_WS.take(_TWIST, den, np.complex128))
+    np.multiply(twist[s:], terms[:den - s], out=terms[:den - s])
+    np.multiply(twist[:s], terms[den - s:], out=terms[den - s:])
+    return SumResult(_window_sum(lambda n0, size: terms, 0, den).value, N, "float")
 
 
 def dirichlet_poly(chi: DirichletCharacter, M: int, N: int, t: float) -> SumResult:
@@ -754,18 +828,6 @@ def _dirichlet_terms(chi: DirichletCharacter, t: float):
             np.multiply(v[i:i + m], np.exp(z, out=z), out=v[i:i + m])
         return v
     return terms
-
-
-def taylor_approx_poly(nu: int) -> RealPolynomial:
-    """The phase polynomial G with (1+x)^{it} = e(t G(x)) (1 + O(|t| |x|^nu)).
-
-    G(x) = F_{nu-1}(x) / (2 pi), degree nu - 1, the same for every t; for
-    |x| <= 1/2 the error is at most 4 |t| |x|^nu.
-    """
-    if nu < 2:
-        raise ValueError("nu must be >= 2")
-    coeffs = [0.0] + [(-1.0) ** (r - 1) / (2.0 * math.pi * r) for r in range(1, nu)]
-    return RealPolynomial(tuple(coeffs))
 
 
 def double_sum(g: RealPolynomial, P: int) -> SumResult:

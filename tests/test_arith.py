@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,19 @@ def test_dlog_table_is_the_python_int_walk(p, gamma):
     want = _python_int_walk(p, gamma)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p,gamma", [(43, 4), (19, 5), (2, 22)])
+def test_dlog_table_builds_in_blocks(p, gamma):
+    """The walk goes block by block, so the build holds the table and at
+    most 4 MiB besides (tracemalloc's peak).  Built past the cache."""
+    tracemalloc.start()
+    try:
+        table = dlog_table.__wrapped__(p, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + (4 << 20)
 
 
 def test_crt_combine():

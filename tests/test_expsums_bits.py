@@ -273,14 +273,20 @@ READER_CASES = (
 
 
 @pytest.mark.parametrize("q,comps,M,N,coeffs", READER_CASES)
-def test_readers_give_the_gathers_bits(q, comps, M, N, coeffs):
+def test_readers_give_the_gathers_bits(q, comps, M, N, coeffs, float_window):
     """twisted_sum (exact or float by N), char_sum and, on the shorter
     windows, a float twist term by term and dirichlet_poly: the same value
-    bits, mode and exact histogram as the per-block gathers."""
+    bits, mode and exact histogram as the per-block gathers.  A float
+    rational twist gives them on the block path, and twisted_sum within its
+    bound of it on the progression path (``float_window``)."""
     N = int(N)
     chi = _chi(q, comps)
     G = RealPolynomial.make(coeffs)
-    _assert_same_bits(twisted_sum(chi, M, N, G), _gather_twisted_sum(chi, M, N, G))
+    want = _gather_twisted_sum(chi, M, N, G)
+    if want.mode == "float":
+        float_window(chi, M, N, G, want)
+    else:
+        _assert_same_bits(twisted_sum(chi, M, N, G), want)
     _assert_same_bits(char_sum(chi, M, N), *_gather_char_sum(chi, M, N))
     if N <= 1.5 * _BLOCK:
         Gf = RealPolynomial.make([0, 0.1234567, 1 / 3])
@@ -290,6 +296,53 @@ def test_readers_give_the_gathers_bits(q, comps, M, N, coeffs):
             with pytest.raises(ValueError, match=r"past 2\^53"):
                 twisted_sum(chi, M, N, Gf)
         _assert_same_bits(dirichlet_poly(chi, M, N, 3.7), _gather_dirichlet_poly(chi, M, N, 3.7))
+
+
+_N = _TWISTED_EXACT_CAP + 1
+_G9973 = [0, Fraction(1, 9973), Fraction(2, 9973)]
+# (q, components, M, N, G's coefficients, whether twisted_sum takes the
+# progression path)
+PROGRESSION_CASES = [
+    # q | den = 189: every step den mod q is 0
+    (27, ((2,),), 10**6, _N, [0, Fraction(1, 7), Fraction(2, 189)], True),
+    # gcd(den, q) = 9 with den = 693, which q does not divide
+    (243, ((4,),), 10**6, _N, [0, Fraction(1, 7), Fraction(2, 99)], True),
+    # N a multiple of den = 1001, and N = k den + den - 1
+    (729, _Q729, 12345, 200 * 1001, [0, Fraction(1, 7), Fraction(3, 143)], True),
+    (729, _Q729, 12345, 201 * 1001 - 1, [0, Fraction(1, 7), Fraction(3, 143)], True),
+    # den = 1 and den = _BLOCK
+    (243, ((4,),), 10**6, _N, [0, 1, 3], True),
+    (729, _Q729, 10**6, _N, [0, Fraction(1, 64), Fraction(3, _BLOCK)], True),
+    # principal and imprimitive chi
+    (243, ((0,),), 10**6, _N, [0, Fraction(1, 7), Fraction(2, 11)], True),
+    (243, ((9,),), 10**6, _N, [0, Fraction(1, 7), Fraction(2, 11)], True),
+    # M + N past 2^63 and past 2^64
+    (243, ((4,),), 2**63 - 1000, _N, [0, Fraction(1, 7), Fraction(2, 11)], True),
+    (243, ((4,),), 2**64 - 1000, _N, [0, Fraction(1, 7), Fraction(2, 11)], True),
+    # either side of the cost rule q B + den < N at den = 9973 (B = 5):
+    # 3^9 takes the progressions, 3^10 keeps the block path's bits
+    (3**9, ((2,),), 10**6, _N, _G9973, True),
+    (3**10, ((2,),), 10**6, _N, _G9973, False),
+]
+
+
+@pytest.mark.parametrize("q,comps,M,N,coeffs,progressions", PROGRESSION_CASES)
+def test_progression_windows_on_both_oracles(q, comps, M, N, coeffs, progressions, float_window):
+    """Float windows of a tabled twist at value-table moduli: the block
+    path gives the gather's bits, and twisted_sum takes the progression path
+    where the cost rule says so, within its bound of the block path and of
+    the exact histogram (``float_window``)."""
+    chi = _chi(q, comps)
+    G = RealPolynomial.make(coeffs)
+    assert float_window(chi, M, N, G, _gather_twisted_sum(chi, M, N, G)) is progressions
+
+
+def test_progression_cases_cover_their_characters():
+    """The principal and the imprimitive character of PROGRESSION_CASES are
+    what they say."""
+    assert _chi(243, ((0,),)).is_principal
+    chi = _chi(243, ((9,),))
+    assert not chi.is_principal and not chi.is_primitive
 
 
 def test_twisted_windows_take_no_residues_per_block(monkeypatch):
